@@ -84,13 +84,15 @@ def detect_entity_column(table: WikiTable) -> Optional[int]:
     return best_col
 
 
-def extract_row_entities(table: WikiTable, column_hint: Optional[int] = None) -> list[EntityMention]:
+def extract_row_entities(table: WikiTable, column_hint: Optional[int] = None,
+                         extra_missing: tuple[str, ...] = ()) -> list[EntityMention]:
     """One mention per body row, taken from the entity column.
 
     The column is ``column_hint`` when given, otherwise auto-detected by link
     fraction. Raises NoEntityColumn when no column carries any link and there
-    is no hint. Rows whose entity cell is empty or a missing-value marker are
-    skipped: the caller can itemize them as ``row_index`` gaps.
+    is no hint. Rows whose unlinked entity cell is empty or a missing-value
+    marker (the defaults plus ``extra_missing``) are skipped: the caller can
+    itemize them as ``row_index`` gaps.
     """
     if column_hint is not None:
         if not 0 <= column_hint < table.n_cols:
@@ -105,7 +107,7 @@ def extract_row_entities(table: WikiTable, column_hint: Optional[int] = None) ->
     mentions = []
     for row_index, row in enumerate(table.body_rows):
         cell = row[col]
-        if cell.link_title is None and (not cell.text or is_missing(cell.text)):
+        if cell.link_title is None and is_missing(cell.text, extra_missing):
             continue
         mentions.append(EntityMention(
             article=table.source,

@@ -12,11 +12,13 @@ import json
 import logging
 import os
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 from urllib.parse import quote
@@ -24,7 +26,7 @@ from urllib.parse import quote
 import requests
 
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError
-from .htmldom import parse_html
+from .htmldom import Node, parse_html
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +94,18 @@ class PageDocument:
             raise ValueError("html must be non-empty")
         if self.revision_timestamp > self.fetched_at:
             raise ValueError("revision_timestamp is later than fetched_at")
+
+    @cached_property
+    def root(self) -> Node:
+        """The parsed HTML tree, built on first access and kept with the page.
+
+        Table extraction and reference counting both read it, so each page
+        is parsed once.
+        """
+        try:
+            return parse_html(self.html)
+        except Exception as exc:  # html.parser rarely throws, but be explicit
+            raise ParseError(f"cannot parse {self.article.key}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -164,11 +178,13 @@ class HttpTransport:
         self.timeout = timeout
         self.retry_backoff = retry_backoff
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def get_json(self, url: str, params: dict) -> dict:
         last_error = None
         for attempt in range(2):
-            self.calls += 1
+            with self._calls_lock:
+                self.calls += 1
             try:
                 resp = self.session.get(url, params=params, timeout=self.timeout)
             except requests.RequestException as exc:
@@ -224,11 +240,20 @@ class MediaWikiClient:
 
     @staticmethod
     def _write_atomic(path: Path, payload: dict) -> None:
+        """Write JSON through a temp file of its own, then rename it into place.
+
+        The temp name is unique, so clients or processes sharing one cache
+        directory never write into each other's temp file.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _load_map(self, path: Path) -> dict:
         if path.exists():
@@ -420,12 +445,8 @@ def count_references(doc: PageDocument) -> int:
     source cited from ten inline markers still counts once. Returns 0 when
     the page has no reference list.
     """
-    try:
-        root = parse_html(doc.html)
-    except Exception as exc:  # html.parser rarely throws, but be explicit
-        raise ParseError(f"cannot parse {doc.article.key}: {exc}") from exc
     total = 0
-    for ol in root.find_all("ol", class_="references"):
+    for ol in doc.root.find_all("ol", class_="references"):
         for child in ol.children:
             if getattr(child, "tag", None) == "li":
                 total += 1

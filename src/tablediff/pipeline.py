@@ -247,7 +247,8 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             columns[(edition.language, table.table_index)] = by_attr
             hint = entry.column_hint(edition.language, table.table_index)
             try:
-                mentions = extract_row_entities(table, column_hint=hint)
+                mentions = extract_row_entities(table, column_hint=hint,
+                                                extra_missing=options.extra_missing)
             except NoEntityColumn:
                 findings.append({
                     "kind": "no-entity-column",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import unquote
 
-from .htmldom import Node, parse_html
+from .htmldom import Node
 from .mw_client import ArticleRef, PageDocument
 
 EXCLUDED_TABLE_CLASSES = {"infobox", "navbox", "metadata", "sidebar"}
@@ -287,9 +287,8 @@ def _qualifies(table: Node) -> bool:
 
 def extract_tables(doc: PageDocument) -> list[WikiTable]:
     """All qualifying data tables of a page, in document order."""
-    root = parse_html(doc.html)
     out: list[WikiTable] = []
-    for table in root.find_all("table"):
+    for table in doc.root.find_all("table"):
         if not _qualifies(table):
             continue
         raw_rows = [[_parse_raw_cell(c) for c in _row_cells(tr)] for tr in _table_rows(table)]

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from functools import lru_cache
 from typing import Optional, Union
 
 from .schema_align import Attribute, PresenceGrid
@@ -108,18 +109,6 @@ def _separators(language: str) -> tuple[str, str]:
     return _SEPARATORS.get(language, (",", "."))
 
 
-def _number_pattern(language: str) -> str:
-    group, dec = _separators(language)
-    g, d = re.escape(group), re.escape(dec)
-    return rf"[+-]?(?:\d{{1,3}}(?:{g}\d{{3}})+|\d+)(?:{d}\d+)?"
-
-
-def _int_pattern(language: str) -> str:
-    group, _ = _separators(language)
-    g = re.escape(group)
-    return rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
-
-
 def _parse_number(token: str, language: str) -> float:
     group, dec = _separators(language)
     cleaned = token.replace(group, "").replace(dec, ".")
@@ -134,6 +123,24 @@ def _parse_int(token: str, language: str) -> int:
 _UNIT_ALTERNATION = "|".join(sorted(map(re.escape, _UNITS), key=len, reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _patterns(language: str) -> tuple[re.Pattern, tuple[re.Pattern, ...], re.Pattern]:
+    """One language's compiled (percentage, ratios, number) cell patterns.
+
+    The ratio patterns try "/" first, then the language's ratio words.
+    """
+    group, dec = _separators(language)
+    g, d = re.escape(group), re.escape(dec)
+    integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
+    num = rf"[+-]?(?:{integer})(?:{d}\d+)?"
+    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
+    return (
+        re.compile(rf"({num})\s*%"),
+        tuple(re.compile(rf"({integer})\s*(?:{sep})\s*({integer})") for sep in ratio_seps),
+        re.compile(rf"({num})\s*({_UNIT_ALTERNATION})?"),
+    )
+
+
 def parse_value(text: str, language: str) -> ParsedValue:
     """Parse one cell under that language's number-formatting conventions.
 
@@ -145,17 +152,15 @@ def parse_value(text: str, language: str) -> ParsedValue:
     if not t:
         return ParsedValue(kind="text", original=original, language=language)
 
-    num = _number_pattern(language)
-    integer = _int_pattern(language)
+    percentage, ratios, number = _patterns(language)
 
-    m = re.fullmatch(rf"({num})\s*%", t)
+    m = percentage.fullmatch(t)
     if m:
         return ParsedValue(kind="percentage", original=original, language=language,
                            magnitude=_parse_number(m.group(1), language))
 
-    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
-    for sep in ratio_seps:
-        m = re.fullmatch(rf"({integer})\s*(?:{sep})\s*({integer})", t)
+    for ratio in ratios:
+        m = ratio.fullmatch(t)
         if m:
             numerator = _parse_int(m.group(1), language)
             denominator = _parse_int(m.group(2), language)
@@ -164,7 +169,7 @@ def parse_value(text: str, language: str) -> ParsedValue:
                                    magnitude=100.0 * numerator / denominator,
                                    numerator=numerator, denominator=denominator)
 
-    m = re.fullmatch(rf"({num})\s*({_UNIT_ALTERNATION})?", t)
+    m = number.fullmatch(t)
     if m:
         unit = None
         if m.group(2):

@@ -85,6 +85,17 @@ def test_missing_entity_cells_are_skipped():
     assert len(mentions) == 1
 
 
+def test_extra_missing_markers_skip_entity_rows():
+    table = table_from(
+        "<tr><th>Peak</th></tr>"
+        f"<tr><td>{a('Everest')}</td></tr>"
+        "<tr><td>tbd</td></tr>"
+    )
+    assert [m.surface for m in extract_row_entities(table)] == ["Everest", "tbd"]
+    mentions = extract_row_entities(table, extra_missing=("tbd",))
+    assert [m.row_index for m in mentions] == [0]
+
+
 def test_link_mentions_batches(tmp_path):
     titles = [f"Peak {i}" for i in range(60)]
     rows = "".join(f"<tr><td>{a(t)}</td></tr>" for t in titles)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -249,3 +251,69 @@ def test_http_transport_gives_up_after_single_retry(monkeypatch):
     with pytest.raises(NetworkError):
         transport.get_json("http://x/api.php", {})
     assert transport.calls == 2
+
+
+def test_http_transport_counts_every_call_under_threads(monkeypatch):
+    from tablediff.mw_client import HttpTransport
+    transport = HttpTransport(retry_backoff=0.0)
+
+    class Resp:
+        status_code = 200
+
+        def json(self):
+            return {}
+
+    monkeypatch.setattr(transport.session, "get",
+                        lambda url, params=None, timeout=None: Resp())
+    n_threads, per_thread = 8, 500
+    start = threading.Barrier(n_threads)
+
+    def work():
+        start.wait()
+        for _ in range(per_thread):
+            transport.get_json("http://x/api.php", {})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert transport.calls == n_threads * per_thread
+
+
+def test_write_atomic_two_writers_leave_one_valid_file(tmp_path):
+    path = tmp_path / "cache" / "qids.json"
+    payloads = [{f"en:Writer {w}": [w] * 200} for w in range(2)]
+    errors = []
+    start = threading.Barrier(2)
+
+    def work(payload):
+        start.wait()
+        try:
+            for _ in range(200):
+                MediaWikiClient._write_atomic(path, payload)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(p,)) for p in payloads]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert json.loads(path.read_text(encoding="utf-8")) in payloads
+    assert [p.name for p in path.parent.iterdir()] == ["qids.json"]
+
+
+def test_write_atomic_removes_temp_file_when_write_fails(tmp_path):
+    path = tmp_path / "cache" / "qids.json"
+    with pytest.raises(TypeError):
+        MediaWikiClient._write_atomic(path, {"en:T": object()})
+    assert list(path.parent.iterdir()) == []

@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -312,3 +313,33 @@ def test_all_tables_extends_column_scope(tmp_path):
     total = lambda r: r["corpus"]["overall"]["columns_total"]
     assert total(main_only) == 805
     assert total(all_tables) > total(main_only)
+
+
+# -- parse once --------------------------------------------------------------
+
+def test_each_ok_edition_is_parsed_once(monkeypatch, header_mapping):
+    from tablediff import htmldom
+    from tablediff.mw_client import ArticleRef, CachePolicy, count_references
+    from tablediff.table_parser import extract_tables
+
+    # Count calls at every name bound to parse_html in the package.
+    parsed = []
+    original = htmldom.parse_html
+    counting = lambda html: parsed.append(html) or original(html)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tablediff.") and getattr(module, "parse_html", None) is original:
+            monkeypatch.setattr(module, "parse_html", counting)
+
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    report = run_pipeline(load_manifest(GEOGRAPHY_MANIFEST), header_mapping, client,
+                          PipelineOptions(offline=True))
+    ok = sum(1 for family in report["families"] for e in family["editions"]
+             if e["status"] == "ok")
+    assert ok > 0
+    assert len(parsed) == ok
+
+    parsed.clear()
+    doc = client.fetch_page(ArticleRef("en", "Seven Summits"), CachePolicy.OFFLINE_ONLY)
+    assert extract_tables(doc)
+    assert count_references(doc) > 0
+    assert parsed == [doc.html]

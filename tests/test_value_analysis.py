@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from tablediff.entity_align import EntityKey
 from tablediff.schema_align import AttributeKey
-from tablediff.value_analysis import (CLASS_INVALIDITY, CLASS_TIMELINESS, classify,
-                                      detect_conflicts, detect_incompleteness,
-                                      detect_text_divergence, format_number, is_missing,
-                                      parse_value, relative_difference)
+from tablediff.value_analysis import (_RATIO_WORDS, _UNIT_ALTERNATION, _UNITS, CLASS_INVALIDITY,
+                                      CLASS_TIMELINESS, ParsedValue, _parse_int, _parse_number,
+                                      _separators, classify, detect_conflicts,
+                                      detect_incompleteness, detect_text_divergence,
+                                      format_number, is_missing, parse_value,
+                                      relative_difference)
 
 
 def ts(year, month, day):
@@ -75,6 +78,48 @@ def test_round_trip_decimals(value, lang):
     parsed = parse_value(rendered, lang)
     assert parsed.kind == "number"
     assert math.isclose(parsed.magnitude, value, rel_tol=1e-12)
+
+
+def reference_parse_value(text, language):
+    """parse_value as it was before its patterns were compiled once per language."""
+    group, dec = _separators(language)
+    g, d = re.escape(group), re.escape(dec)
+    num = rf"[+-]?(?:\d{{1,3}}(?:{g}\d{{3}})+|\d+)(?:{d}\d+)?"
+    integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
+    t = text.replace("\u00a0", " ").strip()
+    if not t:
+        return ParsedValue(kind="text", original=text, language=language)
+    m = re.fullmatch(rf"({num})\s*%", t)
+    if m:
+        return ParsedValue(kind="percentage", original=text, language=language,
+                           magnitude=_parse_number(m.group(1), language))
+    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
+    for sep in ratio_seps:
+        m = re.fullmatch(rf"({integer})\s*(?:{sep})\s*({integer})", t)
+        if m:
+            numerator = _parse_int(m.group(1), language)
+            denominator = _parse_int(m.group(2), language)
+            if denominator > 0:
+                return ParsedValue(kind="ratio", original=text, language=language,
+                                   magnitude=100.0 * numerator / denominator,
+                                   numerator=numerator, denominator=denominator)
+    m = re.fullmatch(rf"({num})\s*({_UNIT_ALTERNATION})?", t)
+    if m:
+        unit = _UNITS[m.group(2)][0] if m.group(2) else None
+        return ParsedValue(kind="number", original=text, language=language,
+                           magnitude=_parse_number(m.group(1), language), unit=unit)
+    return ParsedValue(kind="text", original=text, language=language)
+
+
+CELL_TOKENS = (list("0123456789") * 3 + [",", ".", " ", "\u00a0", "%", "/", "+", "-"]
+               + sorted(_UNITS) + [" out of ", " of ", " von ", " su ", " van ", " op "])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(CELL_TOKENS), max_size=12).map("".join),
+       st.sampled_from(["en", "de", "zh", "it", "nl", "fr"]))
+def test_parse_value_matches_uncompiled_reference(text, lang):
+    assert parse_value(text, lang) == reference_parse_value(text, lang)
 
 
 # -- conflicts ---------------------------------------------------------------
