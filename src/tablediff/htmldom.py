@@ -1,14 +1,37 @@
-"""Minimal tolerant DOM built on html.parser.
+"""Minimal tolerant DOM over a purpose-built HTML tokenizer.
 
-Rendered MediaWiki output is well-formed in practice, but the builder still
-survives stray close tags and unclosed elements: a close tag with no matching
-open element is ignored, and closing an outer element implicitly closes
-everything nested inside it.
+``parse_html`` scans the document once with one compiled regex
+(``_TOKEN``): each match is the text up to the next ``<`` plus the markup
+there, which is a comment, a ``<!…>`` declaration, a ``<?…>`` instruction,
+an end tag, or a start tag whose attributes are well delimited. Attributes
+are split with one more regex (``_ATTR``). Text and attribute values go
+through ``html.unescape`` only when they contain ``&``; ``script`` and
+``style`` content is kept raw up to its close tag. Rarer markup (a start tag
+with odd attribute syntax, a construct with no closing ``>``) takes
+``_irregular_markup``, which follows the tolerant rules of the stdlib
+``html.parser``.
+
+The tree is the one the stdlib parser's events would build: tag and
+attribute names lowercased; attribute values unquoted and unescaped,
+``None`` for a valueless attribute, the last duplicate winning; comments,
+doctypes and processing instructions dropped; text unescaped, possibly split
+over adjacent strings. Malformed input follows html.parser too: ``</ >``
+and ``</3>`` are dropped, ``<!-->`` with no later ``-->`` is text, and an
+unterminated ``<script>`` or ``<style>`` drops its content. Tree rules: a
+close tag with no matching open element is ignored, closing an outer element
+implicitly closes everything nested inside it, void elements take no
+children, and parsing never raises.
+
+One deliberate difference from ``html.parser``: ``<![…`` (CDATA or a marked
+section) is dropped through the next ``>`` like any other ``<!…>``
+declaration, where the stdlib parser raises on most such input or drops it
+through ``]]>``. Rendered MediaWiki HTML contains neither form.
 """
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+import re
+from html import unescape
 from typing import Iterator, Optional
 
 VOID_TAGS = {
@@ -18,6 +41,9 @@ VOID_TAGS = {
 
 # Elements whose text never counts as page content.
 NON_CONTENT_TAGS = {"script", "style"}
+
+# Elements whose end separates words that would otherwise glue together.
+BLOCK_TAGS = frozenset({"p", "div", "li", "tr", "td", "th", "table", "caption"})
 
 
 class Node:
@@ -39,10 +65,12 @@ class Node:
 
     def iter_nodes(self) -> Iterator["Node"]:
         """All element descendants in document order, self excluded."""
-        for child in self.children:
-            if isinstance(child, Node):
-                yield child
-                yield from child.iter_nodes()
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Node):
+                yield node
+                stack.extend(reversed(node.children))
 
     def find_all(self, tag: str, class_: Optional[str] = None) -> list["Node"]:
         out = []
@@ -73,46 +101,172 @@ class Node:
                 yield " "
             else:
                 yield from child.iter_text()
-                # Block-ish boundaries separate words that would otherwise glue.
-                if child.tag in ("p", "div", "li", "tr", "td", "th", "table", "caption"):
+                if child.tag in BLOCK_TAGS:
                     yield " "
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.tag} {self.attrs.get('class', '')!r}>"
 
 
-class _TreeBuilder(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = Node("#document")
-        self.current = self.root
+# Character classes follow html.parser so both tokenize a tag the same way.
+_TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
+_ATTR_NAME = r"[^\s/>\"'=][^\s/=>]*"
+_ATTR_VALUE = r"\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+"
 
-    def handle_starttag(self, tag, attrs):
-        node = Node(tag, dict(attrs), parent=self.current)
-        self.current.children.append(node)
-        if tag not in VOID_TAGS:
-            self.current = node
+# Text up to the next "<" (group 1), then the markup there: 2 a start tag
+# name (never cut short: html.parser ends it only at one of "\t\n\r\f />"),
+# 3 its attribute text, 4 "/" when self-closing; 5 or 6 an end tag name;
+# 7 markup that builds nothing (comments, declarations, processing
+# instructions, end tags without a name). At the end of input only group 1
+# is set.
+_TOKEN = re.compile(
+    r"([^<]*)(?:"
+    rf"<({_TAG_NAME})(?=[\t\n\r\f />])((?:\s+{_ATTR_NAME}(?:\s*=\s*(?:{_ATTR_VALUE}))?)*)\s*(/?)>"
+    r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"
+    rf"|</({_TAG_NAME})[^>]*>"
+    r"|(<!--[\s\S]*?--\s*>|<!(?!--)[^>]*>|<\?[^>]*>|</[^>]*>)"
+    r"|\Z)"
+)
+_ATTR = re.compile(rf"\s+({_ATTR_NAME})(\s*=\s*({_ATTR_VALUE}))?")
 
-    def handle_startendtag(self, tag, attrs):
-        self.current.children.append(Node(tag, dict(attrs), parent=self.current))
+_RAW_TEXT_END = {
+    "script": re.compile(r"</\s*script\s*>", re.IGNORECASE),
+    "style": re.compile(r"</\s*style\s*>", re.IGNORECASE),
+}
 
-    def handle_endtag(self, tag):
-        node = self.current
-        while node is not self.root:
-            if node.tag == tag:
-                self.current = node.parent
-                return
-            node = node.parent
-        # No matching open tag: ignore the stray close.
+# html.parser's own patterns for start tags outside the _TOKEN shape.
+_LOCATE_START_TAG_END = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*
+  (?:[\s/]*
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*
+      (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?
+      (?:\s|/(?!>))*
+    )*
+  )?
+  \s*
+""", re.VERBOSE)
+_TAG_FIND = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTR_FIND = re.compile(
+    r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"
+    r"('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?(?:\s|/(?!>))*")
 
-    def handle_data(self, data):
-        if data:
-            self.current.children.append(data)
+
+def _attr_value(value: str) -> str:
+    if value[:1] in ("'", '"'):
+        value = value[1:-1]
+    return unescape(value) if "&" in value else value
+
+
+def _irregular_markup(html: str, i: int):
+    """Markup at ``html[i] == "<"`` that ``_TOKEN`` does not match.
+
+    Returns ``(end, tag, attrs, self_closing, text)``: a start tag when
+    ``tag`` is set, otherwise ``text`` (which may be empty) is data. Follows
+    html.parser: a start tag that cannot be completed, and any other
+    construct with no closing ``>``, becomes text through the next ``>``,
+    or up to the next ``<`` when no ``>`` follows.
+    """
+    nxt = html[i + 1:i + 2]
+    if nxt.isascii() and nxt.isalpha():
+        end = _LOCATE_START_TAG_END.match(html, i).end()
+        after = html[end:end + 1]
+        if after == ">":
+            end += 1
+        elif html.startswith("/>", end):
+            end += 2
+        elif not after or after in "=/" or (after.isascii() and after.isalpha()):
+            return _unfinished(html, i)
+        match = _TAG_FIND.match(html, i + 1)
+        k = match.end()
+        attrs = {}
+        while k < end:
+            m = _ATTR_FIND.match(html, k)
+            if not m:
+                break
+            name, rest, value = m.group(1, 2, 3)
+            attrs[name.lower()] = _attr_value(value) if rest else None
+            k = m.end()
+        rest = html[k:end].strip()
+        if rest not in (">", "/>"):
+            # A tag cut short by a character it cannot hold is kept as raw text.
+            return end, None, None, False, html[i:end]
+        return end, match.group(1).lower(), attrs, rest == "/>", ""
+    if nxt in ("/", "!", "?"):
+        return _unfinished(html, i)
+    # A "<" that opens no markup is text.
+    end = html.find("<", i + 1)
+    if end < 0:
+        end = len(html)
+    return end, None, None, False, _text(html[i:end])
+
+
+def _unfinished(html: str, i: int):
+    end = html.find(">", i + 1)
+    if end >= 0:
+        end += 1
+    else:
+        end = html.find("<", i + 1)
+        if end < 0:
+            end = i + 1
+    return end, None, None, False, _text(html[i:end])
+
+
+def _text(raw: str) -> str:
+    return unescape(raw) if "&" in raw else raw
 
 
 def parse_html(html: str) -> Node:
     """Parse an HTML document into a Node tree. Never raises on bad markup."""
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.root
+    root = current = Node("#document")
+    n = len(html)
+    pos = 0
+    match = _TOKEN.match
+    while pos < n:
+        m = match(html, pos)
+        if m is None:
+            lt = html.find("<", pos)
+            if lt > pos:
+                current.children.append(_text(html[pos:lt]))
+            pos, tag, attrs, self_closing, text = _irregular_markup(html, lt)
+            if tag is None:
+                if text:
+                    current.children.append(text)
+                continue
+        else:
+            pos = m.end()
+            text, tag, attr_text, slash, end_name, loose_end_name, _ = m.groups()
+            if text:
+                current.children.append(unescape(text) if "&" in text else text)
+            if tag is None:
+                end_name = end_name or loose_end_name
+                if end_name:
+                    # Close the innermost open element with this name, if any.
+                    end_name = end_name.lower()
+                    node = current
+                    while node is not root:
+                        if node.tag == end_name:
+                            current = node.parent
+                            break
+                        node = node.parent
+                continue
+            tag = tag.lower()
+            attrs = {}
+            if attr_text:
+                for name, eq, value in _ATTR.findall(attr_text):
+                    attrs[name.lower()] = _attr_value(value) if eq else None
+            self_closing = slash == "/"
+        node = Node(tag, attrs, current)
+        current.children.append(node)
+        if self_closing or tag in VOID_TAGS:
+            continue
+        current = node
+        raw_end = _RAW_TEXT_END.get(tag)
+        if raw_end is not None:
+            close = raw_end.search(html, pos)
+            if close is None:
+                break  # unterminated: html.parser drops the content too
+            if close.start() > pos:
+                node.children.append(html[pos:close.start()])
+            current = node.parent
+            pos = close.end()
+    return root

@@ -104,7 +104,7 @@ class PageDocument:
         """
         try:
             return parse_html(self.html)
-        except Exception as exc:  # html.parser rarely throws, but be explicit
+        except Exception as exc:  # parse_html never raises on bad markup; this reports a defect
             raise ParseError(f"cannot parse {self.article.key}: {exc}") from exc
 
     def to_dict(self) -> dict:

@@ -183,11 +183,13 @@ def _collect_attribute_values(
     return out
 
 
-def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
-                   options: PipelineOptions) -> tuple[dict, FamilyStats]:
-    findings: list[dict] = []
-    titles = _edition_titles(entry, client, options, findings)
+def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: PipelineOptions,
+                     findings: list[dict]) -> tuple[list[str], list[EditionData]]:
+    """The languages to analyze and one fetched edition per language, in order.
 
+    With ``options.jobs > 1`` the page fetches run in that many threads.
+    """
+    titles = _edition_titles(entry, client, options, findings)
     if options.languages:
         wanted = list(options.languages)
     elif entry.languages != "all":
@@ -213,6 +215,13 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         fetched = [_fetch_edition(client, lang, title, options) for lang, title in to_fetch]
     editions.extend(fetched)
     editions.sort(key=lambda e: wanted.index(e.language))
+    return wanted, editions
+
+
+def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
+                   options: PipelineOptions) -> tuple[dict, FamilyStats]:
+    findings: list[dict] = []
+    wanted, editions = _gather_editions(entry, client, options, findings)
 
     for edition in editions:
         if edition.status != "ok":
@@ -314,12 +323,13 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         languages=[e.language for e in analyzed],
     )
 
-    main_tables: dict[str, Optional[WikiTable]] = {}
+    main_attributes: dict[str, Optional[list[Attribute]]] = {}
     for edition in analyzed:
         override = entry.main_table_index.get(edition.language)
         index = select_main_table(edition.tables, override)
-        main_tables[edition.language] = edition.tables[index] if index is not None else None
-    grid = build_presence_grid(entry.id, main_tables, mapping,
+        main_attributes[edition.language] = (
+            None if index is None else list(columns[(edition.language, index)]))
+    grid = build_presence_grid(entry.id, main_attributes, mapping,
                                languages=[e.language for e in analyzed])
 
     # Conflicts and text divergence over attributes seen in >= 2 languages.
@@ -441,23 +451,20 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
     """Populate page, langlink and QID caches without running the analysis."""
     fetched = absent = 0
     for entry in manifest.families:
-        findings: list[dict] = []
-        titles = _edition_titles(entry, client, options, findings)
-        wanted = options.languages or (entry.languages if entry.languages != "all" else sorted(titles))
-        for language in wanted:
-            title = titles.get(language)
-            if title is None:
-                absent += 1
-                continue
-            edition = _fetch_edition(client, language, title, options)
+        _wanted, editions = _gather_editions(entry, client, options, [])
+        for edition in editions:
             if edition.status != "ok":
                 absent += 1
                 continue
             fetched += 1
-            for table in extract_tables(edition.doc):
+            # Drop each page once linked, so a family's trees never coexist.
+            doc, edition.doc = edition.doc, None
+            for table in extract_tables(doc):
+                hint = entry.column_hint(edition.language, table.table_index)
                 try:
-                    mentions = extract_row_entities(table)
+                    mentions = extract_row_entities(table, column_hint=hint,
+                                                    extra_missing=options.extra_missing)
                 except NoEntityColumn:
                     continue
-                link_mentions(mentions, language, client, options.cache_policy)
+                link_mentions(mentions, edition.language, client, options.cache_policy)
     return {"fetched": fetched, "absent_or_failed": absent}

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import MappingConflict
 from .table_parser import FOOTNOTE_RE, WikiTable
@@ -136,20 +136,24 @@ class PresenceGrid:
         return row[self.languages.index(language)]
 
 
-def build_presence_grid(family_id: str, main_tables: dict[str, Optional[WikiTable]],
+def build_presence_grid(family_id: str,
+                        main_attributes: dict[str, Optional[Iterable[Attribute]]],
                         mapping: HeaderMapping,
                         languages: Optional[list[str]] = None) -> PresenceGrid:
     """present[a][l] is true iff language l's main table maps a column to a.
 
-    Languages without a main table are left out entirely: an absent edition
-    is not the same thing as an edition that omits every attribute. Mapped
-    attributes keep the mapping file's order; Unmapped rows follow, sorted.
+    ``main_attributes`` holds, per language, the attributes that
+    ``resolve_columns`` gave the columns of its main table, or None when the
+    language has no main table. Languages without a main table are left out
+    entirely: an absent edition is not the same thing as an edition that
+    omits every attribute. Mapped attributes keep the mapping file's order;
+    Unmapped rows follow, sorted.
     """
-    langs = [l for l in (languages or sorted(main_tables)) if main_tables.get(l) is not None]
+    langs = [l for l in (languages or sorted(main_attributes))
+             if main_attributes.get(l) is not None]
     sightings: dict[Attribute, set[str]] = {}
     for lang in langs:
-        table = main_tables[lang]
-        for _col, attr in resolve_columns(table, lang, mapping):
+        for attr in main_attributes[lang]:
             sightings.setdefault(attr, set()).add(lang)
 
     ordered: list[Attribute] = [a for a in mapping.attributes if a in sightings]

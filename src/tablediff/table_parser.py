@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import unquote
 
-from .htmldom import Node
+from .htmldom import BLOCK_TAGS, NON_CONTENT_TAGS, Node
 from .mw_client import ArticleRef, PageDocument
 
 EXCLUDED_TABLE_CLASSES = {"infobox", "navbox", "metadata", "sidebar"}
@@ -44,8 +44,9 @@ def normalize_text(raw: str) -> str:
     labels does not take those shapes.
     """
     text = raw.replace("\u00a0", " ")
-    text = FOOTNOTE_RE.sub("", text)
-    return re.sub(r"\s+", " ", text).strip()
+    if "[" in text:
+        text = FOOTNOTE_RE.sub("", text)
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,12 @@ class Cell:
     """One grid position: normalized text plus the first wiki-link target."""
 
     text: str
-    raw_text: str = ""
     link_title: Optional[str] = None
     is_spanned_copy: bool = False
 
-    @staticmethod
-    def empty() -> "Cell":
-        return Cell(text="", raw_text="")
+
+# Every unclaimed grid position: an empty, non-header cell.
+_PAD = (Cell(""), False)
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,8 @@ class WikiTable:
 
 
 def _coerce_span(value) -> int:
+    if value is None or value == "1":
+        return 1
     try:
         span = int(str(value).strip())
     except (TypeError, ValueError):
@@ -123,27 +125,41 @@ def _is_reference_sup(node: Node) -> bool:
     )
 
 
-def _cell_raw_text(node: Node) -> str:
-    """Visible cell text with rendered footnote sups dropped."""
+def _cell_content(node: Node) -> tuple[str, Optional[str]]:
+    """Visible text (rendered footnote sups dropped) and first link target.
+
+    One walk collects both. The first link is the first anchor in document
+    order that resolves through ``link_target``, is not a red link, and
+    whose parent is not a reference sup; it may sit inside a nested table,
+    or deeper inside a sup, whose text is dropped.
+    """
     parts: list[str] = []
+    link = _walk_cell(node, parts, None)
+    return "".join(parts), link
 
-    def walk(n: Node):
-        for child in n.children:
-            if isinstance(child, str):
-                parts.append(child)
-            elif _is_reference_sup(child):
-                continue
-            elif child.tag in ("script", "style"):
-                continue
-            elif child.tag == "br":
-                parts.append(" ")
-            else:
-                walk(child)
-                if child.tag in ("p", "div", "li", "tr", "table", "caption", "td", "th"):
-                    parts.append(" ")
 
-    walk(node)
-    return "".join(parts)
+def _walk_cell(node: Node, parts: list[str], link: Optional[str]) -> Optional[str]:
+    for child in node.children:
+        if isinstance(child, str):
+            parts.append(child)
+            continue
+        tag = child.tag
+        if tag in NON_CONTENT_TAGS or _is_reference_sup(child):
+            if link is None:
+                for anchor in child.find_all("a"):
+                    link = _anchor_link(anchor)
+                    if link is not None:
+                        break
+            continue
+        if tag == "br":
+            parts.append(" ")
+            continue
+        if tag == "a" and link is None:
+            link = _anchor_link(child)
+        link = _walk_cell(child, parts, link)
+        if tag in BLOCK_TAGS:
+            parts.append(" ")
+    return link
 
 
 def link_target(href: Optional[str], title_attr: Optional[str]) -> Optional[str]:
@@ -164,26 +180,22 @@ def link_target(href: Optional[str], title_attr: Optional[str]) -> Optional[str]
     return title
 
 
-def _first_link(node: Node) -> Optional[str]:
-    for anchor in node.find_all("a"):
-        if anchor.parent is not None and _is_reference_sup(anchor.parent):
-            continue
-        if "new" in anchor.classes():  # red link
-            continue
-        target = link_target(anchor.get("href"), anchor.get("title"))
-        if target:
-            return target
-    return None
+def _anchor_link(anchor: Node) -> Optional[str]:
+    if anchor.parent is not None and _is_reference_sup(anchor.parent):
+        return None
+    if "new" in anchor.classes():  # red link
+        return None
+    return link_target(anchor.get("href"), anchor.get("title"))
 
 
 def _parse_raw_cell(node: Node) -> RawCell:
-    raw = _cell_raw_text(node)
+    raw, link = _cell_content(node)
     return RawCell(
         raw_text=raw,
-        link_title=_first_link(node),
+        link_title=link,
         is_header=node.tag == "th",
-        rowspan=_coerce_span(node.get("rowspan", 1)),
-        colspan=_coerce_span(node.get("colspan", 1)),
+        rowspan=_coerce_span(node.attrs.get("rowspan")),
+        colspan=_coerce_span(node.attrs.get("colspan")),
     )
 
 
@@ -228,15 +240,13 @@ def expand_spans(raw_rows: list[list[RawCell]]) -> tuple[list[list[Cell]], list[
         for raw in row:
             while (r, cursor) in occupied:
                 cursor += 1
-            base = Cell(text=normalize_text(raw.raw_text), raw_text=raw.raw_text,
-                        link_title=raw.link_title, is_spanned_copy=False)
-            copy = Cell(text=base.text, raw_text=base.raw_text,
-                        link_title=base.link_title, is_spanned_copy=True)
-            for dr in range(min(raw.rowspan, n_rows - r)):
-                for dc in range(raw.colspan):
-                    pos = (r + dr, cursor + dc)
-                    if pos not in occupied:
-                        occupied[pos] = (base if pos == (r, cursor) else copy, raw.is_header)
+            text = normalize_text(raw.raw_text)
+            occupied[(r, cursor)] = (Cell(text, raw.link_title), raw.is_header)
+            if raw.rowspan > 1 or raw.colspan > 1:
+                copy = (Cell(text, raw.link_title, is_spanned_copy=True), raw.is_header)
+                for dr in range(min(raw.rowspan, n_rows - r)):
+                    for dc in range(raw.colspan):
+                        occupied.setdefault((r + dr, cursor + dc), copy)
             cursor += raw.colspan
 
     width = 0
@@ -250,7 +260,7 @@ def expand_spans(raw_rows: list[list[RawCell]]) -> tuple[list[list[Cell]], list[
     for r in range(n_rows):
         cells, flags = [], []
         for c in range(width):
-            cell, is_header = occupied.get((r, c), (Cell.empty(), False))
+            cell, is_header = occupied.get((r, c), _PAD)
             cells.append(cell)
             flags.append(is_header)
         grid.append(cells)
@@ -300,7 +310,7 @@ def extract_tables(doc: PageDocument) -> list[WikiTable]:
         caption = None
         for child in table.children:
             if isinstance(child, Node) and child.tag == "caption":
-                caption = normalize_text(_cell_raw_text(child)) or None
+                caption = normalize_text(_cell_content(child)[0]) or None
                 break
         out.append(WikiTable(
             source=doc.article,

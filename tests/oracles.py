@@ -4,7 +4,11 @@ Kept apart from the package so the implementations under test never share
 code with the oracles that judge them.
 """
 
+from html.parser import HTMLParser
+
 import numpy as np
+
+from tablediff.htmldom import Node
 
 
 def oracle_expand(layout):
@@ -79,3 +83,62 @@ def layout_to_html(layout, rng=None):
             cells.append(f"<td{attrs}>{text}</td>")
         rows.append("<tr>" + "".join(cells) + "</tr>")
     return '<table class="wikitable"><tbody>' + "".join(rows) + "</tbody></table>"
+
+
+_VOID_TAGS = {
+    "area", "base", "br", "col", "embed", "hr", "img", "input",
+    "link", "meta", "param", "source", "track", "wbr",
+}
+
+
+class _TreeBuilder(HTMLParser):
+    """The stdlib-parser tree builder that ``parse_html`` replaced."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.root = Node("#document")
+        self.current = self.root
+
+    def handle_starttag(self, tag, attrs):
+        node = Node(tag, dict(attrs), parent=self.current)
+        self.current.children.append(node)
+        if tag not in _VOID_TAGS:
+            self.current = node
+
+    def handle_startendtag(self, tag, attrs):
+        self.current.children.append(Node(tag, dict(attrs), parent=self.current))
+
+    def handle_endtag(self, tag):
+        node = self.current
+        while node is not self.root:
+            if node.tag == tag:
+                self.current = node.parent
+                return
+            node = node.parent
+        # No matching open tag: ignore the stray close.
+
+    def handle_data(self, data):
+        if data:
+            self.current.children.append(data)
+
+
+def oracle_parse_html(html):
+    """Reference tree built from ``html.parser`` events."""
+    builder = _TreeBuilder()
+    builder.feed(html)
+    builder.close()
+    return builder.root
+
+
+def tree_shape(node):
+    """Nested (tag, attrs, children) tuples with adjacent strings merged."""
+    children = []
+    for child in node.children:
+        if isinstance(child, str):
+            if children and isinstance(children[-1], str):
+                children[-1] += child
+            else:
+                children.append(child)
+        else:
+            children.append(tree_shape(child))
+    return (node.tag, node.attrs, children)

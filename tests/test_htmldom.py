@@ -1,4 +1,12 @@
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from tablediff.htmldom import parse_html
+
+from conftest import FIXTURE_CACHE
+from oracles import oracle_parse_html, tree_shape
 
 
 def test_basic_tree_and_classes():
@@ -43,3 +51,85 @@ def test_has_ancestor_detects_nesting():
 def test_script_and_style_text_excluded():
     root = parse_html("<div><style>.x{}</style><script>var a;</script>visible</div>")
     assert root.find_all("div")[0].text().strip() == "visible"
+
+
+# -- differential: the tokenizer against the html.parser tree builder --------
+
+VENDORED_PAGES = sorted(FIXTURE_CACHE.glob("pages/*/*.json"))
+
+
+def assert_same_tree(html):
+    assert tree_shape(parse_html(html)) == tree_shape(oracle_parse_html(html))
+
+
+@pytest.mark.parametrize("path", VENDORED_PAGES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_vendored_page_tree_matches_oracle(path):
+    assert_same_tree(json.loads(path.read_text(encoding="utf-8"))["html"])
+
+
+def test_vendored_corpus_is_all_there():
+    assert len(VENDORED_PAGES) == 44
+
+
+@pytest.mark.parametrize("html", [
+    "</ >x", "</3>y", "<!-->x", "<!--->x", "<!-->x<!-- y -->z", "<p><style>x", "<p><script>x",
+    "<script>a</b>c</SCRIPT >d", "<a\xa0b>x</a\xa0b>", "<a\vb c=d>", "<br\xa0A!1;\x00\n</>",
+    "<a\x00<b>c</b>", "<a&amp;\x00>", "<a b=c/>", "<a b=>", "<a b==c>", "<a/b>", '<a b="c"d>',
+    "<a b='c", "<a", "a<", "</a", "</ a>", "</a\vb>", "<!doctype html><p>", "<?php x ?>y",
+    "<!x>y", "<td rowspan>", "<p>a&ampb &notit; &#x41;</p>",
+])
+def test_edge_cases_match_oracle(html):
+    assert_same_tree(html)
+
+
+MEDIAWIKI_PIECES = [
+    "<!-- a comment -->",
+    "<!--\nNewPP limit report\nParsed by mw1234\nCached time: 20250601000000\n"
+    "CPU time usage: 0.123 seconds\nPreprocessor visited node count: 1/1000000\n-->",
+    "<!--\nTransclusion expansion time report (%,ms,calls,template)\n"
+    "100.00%  12.345      1 -total\n-->",
+    "<!---->",
+    '<style data-mw-deduplicate="TemplateStyles:r1">.mw-parser-output .x>b{color:red}</style>',
+    "<script>if (a < b && c > d) { s = '<td>'; }</script>",
+    '<td title="a > b">', "<td title='say \"hi\"'>", '<td title="it\'s">',
+    '<a href="/w/index.php?title=X&amp;action=edit&amp;redlink=1" class="new" '
+    'title="X (page does not exist)">',
+    '<a href="/wiki/Mount_Everest" title="Mount Everest">',
+    "<td rowspan=2>", '<table class="wikitable sortable" border>', "<input disabled>",
+    '<td class="a" class="b">', '<TD ALIGN="right">', "</TD>", "<Br>", "<br/>", "<br />",
+    '<img alt="" src="//x/y.png" decoding="async" width="23" height="15" />',
+    '<sup id="cite_ref-1" class="reference">', '<span typeof="mw:File">',
+    "&nbsp;", "&#8722;", "&", "&amp", "a < b", "x &lt; y", "8,848.86&#160;m",
+    "</span>", "</table>", "</a>", "</sup>", "<p>", "<li>", "<tr>", "<td>", "<th>",
+    "</ >", "</3>", "<!-->", "<style>x", "<script>x", "</div", "<a b='", "<p/a>",
+    "\n", " ", "Everest", "Ödön von Horváth", "珠穆朗玛峰",
+]
+
+mediawiki_documents = st.lists(
+    st.one_of(st.sampled_from(MEDIAWIKI_PIECES), st.text(alphabet="ab <>&;#=\"'/", max_size=6)),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mediawiki_documents)
+def test_mediawiki_like_documents_match_oracle(html):
+    assert_same_tree(html)
+
+
+# html.parser raises on most "<![" input, which parse_html drops instead.
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="<>/!?-=\"' \tab&;#x1\x00\n\xa0\vAS", max_size=40))
+def test_markup_soup_matches_oracle(html):
+    assert_same_tree(html)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_html_never_raises(html):
+    parse_html(html)
+
+
+def test_marked_section_is_dropped_not_raised():
+    root = parse_html("a<![if gte mso 9]>b<![endif]>c<![x>d")
+    assert root.text() == "abcd"

@@ -13,7 +13,7 @@ from tablediff.mw_client import MediaWikiClient
 from tablediff.pipeline import PipelineOptions, run_pipeline
 from tablediff.schema_align import HeaderMapping
 
-from conftest import CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP
+from conftest import CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP, FakeTransport
 
 
 def run_cli(*args):
@@ -216,6 +216,35 @@ def test_cli_fetch_populates_cache_via_transport(tmp_path, monkeypatch, fake_tra
     assert "fetched 1 page(s)" in result.output
     assert (tmp_path / "cache" / "pages" / "en" / "Sample%20Page.json").exists()
     assert json.loads((tmp_path / "cache" / "qids.json").read_text())["en:Thing"] == "Q99"
+
+
+def test_fetch_warms_the_hinted_entity_column(tmp_path, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    html = ('<table class="wikitable"><tbody><tr><th>Peak</th><th>Range</th></tr>'
+            + "".join(f'<tr><td><a href="/wiki/Peak_{i}">Peak {i}</a></td>'
+                      f'<td><a href="/wiki/Range_{i}">Range {i}</a></td></tr>'
+                      for i in range(3))
+            + "</tbody></table>")
+    transport = FakeTransport(
+        pages={("en", "Ranges"): {"html": html, "revid": 7,
+                                  "timestamp": "2025-06-01T00:00:00Z"}},
+        qids={**{("en", f"Peak {i}"): f"Q{100 + i}" for i in range(3)},
+              **{("en", f"Range {i}"): f"Q{200 + i}" for i in range(3)}},
+    )
+    manifest = parse_manifest({"families": [{
+        "id": "ranges", "seed": {"language": "en", "title": "Ranges"}, "languages": ["en"],
+        "overrides": {"column_hints": {"en": {"0": 1}}},
+    }]})
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=transport)
+    summary = warm_cache(manifest, header_mapping, client, PipelineOptions())
+    assert summary == {"fetched": 1, "absent_or_failed": 0}
+
+    offline = MediaWikiClient(cache_dir=tmp_path / "cache")
+    report = run_pipeline(manifest, header_mapping, offline, PipelineOptions(offline=True))
+    entities = report["families"][0]["entities"]
+    assert [(e["kind"], e["value"]) for e in entities] == [
+        ("qid", f"Q{200 + i}") for i in range(3)]
 
 
 # -- emission ----------------------------------------------------------------

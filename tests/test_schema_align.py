@@ -19,6 +19,13 @@ def table_from(rows_html, lang="en"):
     return extract_tables(page)[0]
 
 
+def main_attributes(tables, mapping):
+    """Per language, the attributes resolve_columns gives its main table."""
+    return {lang: None if table is None else [attr for _col, attr in
+                                              resolve_columns(table, lang, mapping)]
+            for lang, table in tables.items()}
+
+
 def test_normalize_header_examples():
     assert normalize_header("Height (m)", "en") == "height"
     assert normalize_header("Tasso di mortalità", "it") == "tasso di mortalità"
@@ -64,7 +71,8 @@ def test_presence_grid_single_language():
     table = table_from("<tr><th>Rank</th><th>Height (m)</th></tr><tr><td>1</td><td>2</td></tr>")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
                              AttributeKey("height", {"en": ["height"]})])
-    grid = build_presence_grid("fam", {"en": table}, mapping, languages=["en"])
+    grid = build_presence_grid("fam", main_attributes({"en": table}, mapping), mapping,
+                               languages=["en"])
     assert grid.languages == ["en"]
     assert [a.name for a in grid.attributes] == ["rank", "height"]
     assert grid.present == [[True], [True]]
@@ -74,7 +82,8 @@ def test_presence_grid_unmapped_rows_stay_visible():
     en = table_from("<tr><th>Rank</th><th>Oddity</th></tr><tr><td>1</td><td>2</td></tr>")
     de = table_from("<tr><th>Rang</th></tr><tr><td>1</td></tr>", lang="de")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"], "de": ["rang"]})])
-    grid = build_presence_grid("fam", {"en": en, "de": de}, mapping, languages=["en", "de"])
+    grid = build_presence_grid("fam", main_attributes({"en": en, "de": de}, mapping), mapping,
+                               languages=["en", "de"])
     names = [a.name for a in grid.attributes]
     assert names == ["rank", "oddity"]
     assert grid.row(Unmapped("oddity")) == [True, False]
@@ -84,7 +93,8 @@ def test_presence_grid_no_attribute_row_all_false():
     en = table_from("<tr><th>Rank</th></tr><tr><td>1</td></tr>")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
                              AttributeKey("height", {"en": ["height"]})])
-    grid = build_presence_grid("fam", {"en": en, "de": None}, mapping, languages=["en", "de"])
+    grid = build_presence_grid("fam", main_attributes({"en": en, "de": None}, mapping),
+                               mapping, languages=["en", "de"])
     # absent language dropped; unsighted attribute dropped
     assert grid.languages == ["en"]
     assert [a.name for a in grid.attributes] == ["rank"]
@@ -98,7 +108,8 @@ def test_grid_completeness_every_column_contributes(header_mapping, offline_clie
     table = extract_tables(page)[0]
     columns = resolve_columns(table, "en", header_mapping)
     assert len(columns) == table.n_cols
-    grid = build_presence_grid("fam", {"en": table}, header_mapping, languages=["en"])
+    grid = build_presence_grid("fam", {"en": [attr for _col, attr in columns]}, header_mapping,
+                               languages=["en"])
     grid_attrs = set(a.name for a in grid.attributes)
     for _col, attr in columns:
         assert attr.name in grid_attrs

@@ -1,9 +1,11 @@
 from datetime import datetime, timezone
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from tablediff.htmldom import Node
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.table_parser import (Cell, RawCell, detect_header, expand_spans,
+from tablediff.table_parser import (Cell, RawCell, _cell_content, detect_header, expand_spans,
                                     extract_tables, link_target, normalize_text)
 
 from oracles import oracle_expand
@@ -97,6 +99,40 @@ def test_cell_text_and_links_from_fixture_markup():
     assert cell.text == "Everest"
     assert cell.link_title == "Mount Everest"
     assert table.body_rows[0][1].text == "8,849"
+
+
+@pytest.mark.parametrize("cell_html, text, link", [
+    # an anchor whose parent is a reference sup is skipped, with the sup's text
+    ('<sup class="reference"><a href="/wiki/Note">[1]</a></sup><a href="/wiki/Real">R</a>',
+     "R", "Real"),
+    ('<sup id="cite_ref-2"><a href="/wiki/Note">[2]</a></sup><a href="/wiki/Real">R</a>',
+     "R", "Real"),
+    # only the parent counts: an anchor deeper inside the sup still wins
+    ('<sup class="reference"><span><a href="/wiki/Deep">[3]</a></span></sup>'
+     '<a href="/wiki/Later">L</a>', "L", "Deep"),
+    # red links are skipped
+    ('<a href="/w/index.php?title=Red&amp;action=edit&amp;redlink=1" class="new" '
+     'title="Red">Red</a> <a href="/wiki/Blue" class="new">B</a> <a href="/wiki/Ok">Ok</a>',
+     "Red B Ok", "Ok"),
+    # a nested table's links count, in document order
+    ('<table><tbody><tr><td><a href="/wiki/Inner">In</a></td></tr></tbody></table>'
+     '<a href="/wiki/Outer">Out</a>', "In Out", "Inner"),
+    ("plain <b>text</b>", "plain text", None),
+])
+def test_first_link_rule(cell_html, text, link):
+    html = table_html(f"<tr><th>H</th></tr><tr><td>{cell_html}</td></tr>")
+    cell = extract_tables(doc(html))[0].body_rows[0][0]
+    assert (cell.text, cell.link_title) == (text, link)
+
+
+def test_first_link_searches_inside_script_and_style():
+    # The tokenizer keeps script/style content raw, so only a built tree holds
+    # an element there; the rule still searches it while dropping its text.
+    td = Node("td")
+    style = Node("style", parent=td)
+    style.children.append(Node("a", {"href": "/wiki/Styled"}, parent=style))
+    td.children += [style, "visible"]
+    assert _cell_content(td) == ("visible", "Styled")
 
 
 # -- span expansion ----------------------------------------------------------
