@@ -115,12 +115,15 @@ def langs(manifest_path, cache_dir, offline):
     manifest = _load_manifest_or_die(manifest_path)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     policy = CachePolicy.OFFLINE_ONLY if offline else CachePolicy.PREFER_CACHE
-    for family in manifest.families:
-        try:
-            versions = client.list_language_versions(family.seed, policy)
-            click.echo(f"{family.seed.title}\t{len(versions)}")
-        except TableDiffError as exc:
-            click.echo(f"{family.seed.title}\terror: {exc}")
+    try:
+        for family in manifest.families:
+            try:
+                versions = client.list_language_versions(family.seed, policy)
+                click.echo(f"{family.seed.title}\t{len(versions)}")
+            except TableDiffError as exc:
+                click.echo(f"{family.seed.title}\terror: {exc}")
+    finally:
+        client.save()
 
 
 @main.command()

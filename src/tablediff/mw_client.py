@@ -8,6 +8,7 @@ analyses can replay offline.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -166,7 +167,8 @@ class TokenBucket:
 class HttpTransport:
     """requests-backed JSON GET with a single exponential-backoff retry.
 
-    Retries once on HTTP 429 and 5xx; anything else raises NetworkError
+    Retries once on HTTP 429 and 5xx, after the ``Retry-After`` seconds when a
+    429 or 503 carries an integer one; anything else raises NetworkError
     immediately. ``calls`` counts every request actually sent, which the
     tests use to assert cache hits never touch the network.
     """
@@ -197,10 +199,18 @@ class HttpTransport:
             last_error = f"HTTP {resp.status_code} from {url}"
             if resp.status_code == 429 or resp.status_code >= 500:
                 if attempt == 0:
-                    time.sleep(self.retry_backoff * (2 ** attempt))
+                    time.sleep(self._retry_delay(resp, attempt))
                     continue
             break
         raise NetworkError(last_error or f"request failed: {url}")
+
+    def _retry_delay(self, resp, attempt: int) -> float:
+        """Seconds to wait before retrying: an integer ``Retry-After`` on 429/503, else backoff."""
+        if resp.status_code in (429, 503):
+            retry_after = resp.headers.get("Retry-After", "").strip()
+            if retry_after.isdecimal():
+                return float(int(retry_after))
+        return self.retry_backoff * (2 ** attempt)
 
 
 class MediaWikiClient:
@@ -210,9 +220,13 @@ class MediaWikiClient:
 
     - ``pages/{lang}/{url-encoded title}.json`` -- serialized PageDocument,
       or a tombstone ``{"missing": true}`` for titles known to be absent.
-    - ``qids.json`` -- append-merged ``{"lang:title": "Q..." | null}`` map.
+    - ``qids.json`` -- ``{"lang:title": "Q..." | null}`` map.
     - ``langlinks.json`` -- ``{"lang:title": [[lang, title], ...]}`` so the
       language enumeration replays offline too.
+    - ``.lock`` -- held exclusively while ``save`` merges and writes the maps.
+
+    The two maps are write-behind: lookups keep fresh entries in memory and
+    ``save`` merges them into the files on disk.
     """
 
     def __init__(self, cache_dir: Optional[str | Path] = None, rate_limit: float = 5.0,
@@ -225,6 +239,9 @@ class MediaWikiClient:
         self.api_url_template = api_url_template
         self._qids: Optional[dict] = None
         self._langlinks: Optional[dict] = None
+        # Entries fetched since the last save, per map; guarded by _cache_lock.
+        self._unsaved_qids: dict = {}
+        self._unsaved_langlinks: dict = {}
         self._cache_lock = threading.Lock()
 
     # -- cache plumbing ----------------------------------------------------
@@ -270,12 +287,37 @@ class MediaWikiClient:
             self._langlinks = self._load_map(self._langlinks_path())
         return self._langlinks
 
-    def _merge_into(self, path: Path, loaded: dict, fresh: dict) -> None:
+    def save(self) -> None:
+        """Merge the QID and langlink entries fetched since the last save into their files.
+
+        Each map with unsaved entries is reloaded from disk, the unsaved
+        entries are applied on top and the result is written once, so fresh
+        entries beat the disk and the disk beats older entries in memory. An
+        exclusive lock on ``.lock`` in the cache directory spans the reload and
+        the write, so processes sharing the directory never drop each other's
+        entries. Touches no file when nothing is unsaved.
+        """
         with self._cache_lock:
-            on_disk = self._load_map(path)
-            on_disk.update(fresh)
-            loaded.update(on_disk)
-            self._write_atomic(path, loaded)
+            pending = [(path, loaded, fresh) for path, loaded, fresh in (
+                (self._qids_path(), self._qids, self._unsaved_qids),
+                (self._langlinks_path(), self._langlinks, self._unsaved_langlinks),
+            ) if fresh]
+            if not pending:
+                return
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            with open(self.cache_dir / ".lock", "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+                for path, loaded, fresh in pending:
+                    on_disk = self._load_map(path)
+                    on_disk.update(fresh)
+                    loaded.update(on_disk)
+                    self._write_atomic(path, loaded)
+                    fresh.clear()
+
+    def _remember(self, loaded: dict, unsaved: dict, fresh: dict) -> None:
+        with self._cache_lock:
+            loaded.update(fresh)
+            unsaved.update(fresh)
 
     # -- API plumbing ------------------------------------------------------
 
@@ -352,7 +394,7 @@ class MediaWikiClient:
             raise CacheMiss(article.language, article.title)
         if cached is None or policy is CachePolicy.REFRESH:
             cached = self._fetch_langlinks(article)
-            self._merge_into(self._langlinks_path(), self._langlink_map(), {article.key: cached})
+            self._remember(self._langlink_map(), self._unsaved_langlinks, {article.key: cached})
 
         seen = {article.language: article.title}
         for lang, title in cached:
@@ -387,7 +429,7 @@ class MediaWikiClient:
         """Batch QID resolution, up to ``QID_BATCH_SIZE`` titles per request.
 
         Redirect targets are followed server-side; results (including known
-        misses, stored as null) are cached persistently.
+        misses, stored as null) are kept in memory and written by ``save``.
         """
         policy = CachePolicy(cache_policy)
         titles = list(dict.fromkeys(titles))
@@ -432,9 +474,9 @@ class MediaWikiClient:
                     final = rename[final]
                     hops += 1
                 fresh[f"{language}:{title}"] = by_title.get(final)
-        self._merge_into(self._qids_path(), qmap, fresh)
+        self._remember(qmap, self._unsaved_qids, fresh)
         for title in pending:
-            out[title] = qmap.get(f"{language}:{title}")
+            out[title] = fresh[f"{language}:{title}"]
         return out
 
 

@@ -125,10 +125,24 @@ def _fetch_edition(client: MediaWikiClient, language: str, title: str,
         return EditionData(language, title, "absent", reason="page missing in this edition")
     except CacheMiss:
         return EditionData(language, title, "absent", reason="no cached snapshot (offline run)")
-    except (NetworkError, ParseError) as exc:
+    except NetworkError as exc:
         logger.warning("fetch failed for %s:%s: %s", language, title, exc)
         return EditionData(language, title, "error", reason=str(exc))
     return EditionData(language, title, "ok", doc=doc)
+
+
+def _extract(edition: EditionData) -> list[WikiTable]:
+    """The tables of an ok edition's page, which is parsed here on first use.
+
+    A page that cannot be parsed turns the edition into an error, like a
+    failed fetch.
+    """
+    try:
+        return extract_tables(edition.doc)
+    except ParseError as exc:
+        logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
+        edition.status, edition.reason, edition.doc = "error", str(exc), None
+        return []
 
 
 def _edition_titles(entry: FamilyEntry, client: MediaWikiClient,
@@ -222,6 +236,9 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
                    options: PipelineOptions) -> tuple[dict, FamilyStats]:
     findings: list[dict] = []
     wanted, editions = _gather_editions(entry, client, options, findings)
+    for edition in editions:
+        if edition.status == "ok":
+            edition.tables = _extract(edition)
 
     for edition in editions:
         if edition.status != "ok":
@@ -244,7 +261,6 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
                                  "status": edition.status, "detail": edition.reason})
             continue
         doc = edition.doc
-        edition.tables = extract_tables(doc)
         tables_by_language[edition.language] = {t.table_index: t for t in edition.tables}
 
         mentions_by_table: list[tuple[WikiTable, list[EntityMention]]] = []
@@ -395,7 +411,10 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
     families = []
     all_stats: list[FamilyStats] = []
     for entry in manifest.families:
-        family_dict, stats = analyze_family(entry, mapping, client, options)
+        try:
+            family_dict, stats = analyze_family(entry, mapping, client, options)
+        finally:
+            client.save()
         families.append(family_dict)
         all_stats.append(stats)
 
@@ -448,23 +467,31 @@ def _union_languages(families: list[dict]) -> list[str]:
 
 def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaWikiClient,
                options: PipelineOptions) -> dict:
-    """Populate page, langlink and QID caches without running the analysis."""
+    """Populate page, langlink and QID caches without running the analysis.
+
+    The QID and langlink maps are saved after each family, also when the
+    family fails part way.
+    """
     fetched = absent = 0
     for entry in manifest.families:
-        _wanted, editions = _gather_editions(entry, client, options, [])
-        for edition in editions:
-            if edition.status != "ok":
-                absent += 1
-                continue
-            fetched += 1
-            # Drop each page once linked, so a family's trees never coexist.
-            doc, edition.doc = edition.doc, None
-            for table in extract_tables(doc):
-                hint = entry.column_hint(edition.language, table.table_index)
-                try:
-                    mentions = extract_row_entities(table, column_hint=hint,
-                                                    extra_missing=options.extra_missing)
-                except NoEntityColumn:
+        try:
+            _wanted, editions = _gather_editions(entry, client, options, [])
+            for edition in editions:
+                tables = _extract(edition) if edition.status == "ok" else []
+                # Drop each page once extracted, so a family's trees never coexist.
+                edition.doc = None
+                if edition.status != "ok":
+                    absent += 1
                     continue
-                link_mentions(mentions, edition.language, client, options.cache_policy)
+                fetched += 1
+                for table in tables:
+                    hint = entry.column_hint(edition.language, table.table_index)
+                    try:
+                        mentions = extract_row_entities(table, column_hint=hint,
+                                                        extra_missing=options.extra_missing)
+                    except NoEntityColumn:
+                        continue
+                    link_mentions(mentions, edition.language, client, options.cache_policy)
+        finally:
+            client.save()
     return {"fetched": fetched, "absent_or_failed": absent}

@@ -36,7 +36,3 @@ def bundled_manifest(name: str = "geography") -> Optional[Path]:
 
 def bundled_header_map() -> Optional[Path]:
     return _bundled("mappings/geography.json")
-
-
-def bundled_fixture_cache() -> Optional[Path]:
-    return _bundled("fixtures/cache")

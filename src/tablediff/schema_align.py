@@ -123,18 +123,6 @@ class PresenceGrid:
     languages: list[str]
     present: list[list[bool]]
 
-    def row(self, attribute: Attribute) -> Optional[list[bool]]:
-        for i, attr in enumerate(self.attributes):
-            if attr == attribute:
-                return self.present[i]
-        return None
-
-    def is_present(self, attribute: Attribute, language: str) -> bool:
-        row = self.row(attribute)
-        if row is None:
-            return False
-        return row[self.languages.index(language)]
-
 
 def build_presence_grid(family_id: str,
                         main_attributes: dict[str, Optional[Iterable[Attribute]]],

@@ -9,7 +9,7 @@ them and never emitted separately.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import unquote
 
@@ -83,7 +83,6 @@ class WikiTable:
     header_rows: list[list[Cell]]
     body_rows: list[list[Cell]]
     n_cols: int
-    header_is_fallback: bool = field(default=False, repr=False)
 
     @property
     def n_body_rows(self) -> int:
@@ -306,7 +305,7 @@ def extract_tables(doc: PageDocument) -> list[WikiTable]:
         if not raw_rows:
             continue
         grid, flags = expand_spans(raw_rows)
-        header_rows, body_rows, fallback = detect_header(grid, flags)
+        header_rows, body_rows, _fallback = detect_header(grid, flags)
         caption = None
         for child in table.children:
             if isinstance(child, Node) and child.tag == "caption":
@@ -319,6 +318,5 @@ def extract_tables(doc: PageDocument) -> list[WikiTable]:
             header_rows=header_rows,
             body_rows=body_rows,
             n_cols=len(grid[0]) if grid else 0,
-            header_is_fallback=fallback,
         ))
     return out

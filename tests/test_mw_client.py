@@ -242,6 +242,7 @@ def test_http_transport_gives_up_after_single_retry(monkeypatch):
 
     class Resp:
         status_code = 503
+        headers = {}
 
         def json(self):
             return {}
@@ -317,3 +318,110 @@ def test_write_atomic_removes_temp_file_when_write_fails(tmp_path):
     with pytest.raises(TypeError):
         MediaWikiClient._write_atomic(path, {"en:T": object()})
     assert list(path.parent.iterdir()) == []
+
+
+def test_http_transport_waits_retry_after_seconds(monkeypatch):
+    from tablediff import mw_client
+    transport = mw_client.HttpTransport(retry_backoff=0.5)
+
+    class Resp:
+        def __init__(self, status, headers=None, payload=None):
+            self.status_code = status
+            self.headers = headers or {}
+            self._payload = payload
+
+        def json(self):
+            return self._payload
+
+    slept = []
+    monkeypatch.setattr(mw_client.time, "sleep", slept.append)
+    cases = [
+        (Resp(429, {"Retry-After": "7"}), 7.0),
+        (Resp(503, {"Retry-After": " 3 "}), 3.0),
+        (Resp(503, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}), 0.5),
+        (Resp(429, {"Retry-After": "-1"}), 0.5),
+        (Resp(429), 0.5),
+        (Resp(500, {"Retry-After": "9"}), 0.5),
+    ]
+    for first, expected in cases:
+        answers = [first, Resp(200, payload={"ok": True})]
+        monkeypatch.setattr(transport.session, "get",
+                            lambda url, params=None, timeout=None: answers.pop(0))
+        assert transport.get_json("http://x/api.php", {}) == {"ok": True}
+        assert slept.pop() == expected
+    assert slept == []
+
+
+# -- write-behind QID and langlink maps ---------------------------------------
+
+def test_lookups_write_nothing_until_save(tmp_path, fake_transport):
+    client = make_client(tmp_path, fake_transport)
+    client.list_language_versions(ArticleRef("en", "Sample Page"))
+    assert client.resolve_qid("en", "Mount Everest") == "Q513"
+    assert not (tmp_path / "cache" / "qids.json").exists()
+    assert not (tmp_path / "cache" / "langlinks.json").exists()
+
+    client.save()
+    qids = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
+    langlinks = json.loads((tmp_path / "cache" / "langlinks.json").read_text(encoding="utf-8"))
+    assert qids == {"en:Mount Everest": "Q513"}
+    assert langlinks == {"en:Sample Page": [["de", "Beispielseite"], ["fr", "Page exemple"]]}
+
+
+def test_save_with_nothing_unsaved_touches_no_file(tmp_path, fake_transport):
+    client = make_client(tmp_path, fake_transport)
+    client.save()
+    assert not (tmp_path / "cache").exists()
+
+    client.resolve_qid("en", "Mount Everest")
+    client.save()
+    written = {p: p.stat().st_mtime_ns for p in (tmp_path / "cache").iterdir()}
+    client.resolve_qid("en", "Mount Everest")  # a cache hit leaves nothing unsaved
+    client.save()
+    assert {p: p.stat().st_mtime_ns for p in (tmp_path / "cache").iterdir()} == written
+
+
+def test_save_merges_fresh_over_disk_over_memory(tmp_path, fake_transport):
+    path = tmp_path / "cache" / "qids.json"
+    MediaWikiClient._write_atomic(path, {"en:Old": "Q1", "en:Mount Everest": "Q2"})
+    client = make_client(tmp_path, fake_transport)
+    assert client.resolve_qid("en", "Old") == "Q1"  # loads the map into memory
+    # Another client saves meanwhile: it changes one entry and adds another.
+    MediaWikiClient._write_atomic(path, {"en:Old": "Q10", "en:Mount Everest": "Q2",
+                                         "en:Other": "Q3"})
+    assert client.resolve_qid("en", "Mount Everest", CachePolicy.REFRESH) == "Q513"
+    client.save()
+    expected = {"en:Old": "Q10", "en:Mount Everest": "Q513", "en:Other": "Q3"}
+    assert json.loads(path.read_text(encoding="utf-8")) == expected
+    assert client.resolve_qid("en", "Other", CachePolicy.OFFLINE_ONLY) == "Q3"
+
+
+def _resolve_and_save_each(cache_dir, writer, n_titles, start):
+    titles = [f"Writer {writer} title {i}" for i in range(n_titles)]
+    transport = FakeTransport(qids={("en", t): f"Q{writer * 1000 + i + 1}"
+                                    for i, t in enumerate(titles)})
+    client = MediaWikiClient(cache_dir=cache_dir, rate_limit=1e9, transport=transport)
+    start.wait(timeout=60)
+    for title in titles:
+        client.resolve_qid("en", title)
+        client.save()
+
+
+def test_processes_sharing_a_cache_keep_every_qid(tmp_path):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    n_writers, n_titles = 4, 60
+    start = ctx.Barrier(n_writers)
+    writers = [ctx.Process(target=_resolve_and_save_each,
+                           args=(tmp_path / "cache", w, n_titles, start))
+               for w in range(n_writers)]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=120)
+    assert not any(writer.is_alive() for writer in writers)
+    assert [writer.exitcode for writer in writers] == [0] * n_writers
+    saved = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
+    assert saved == {f"en:Writer {w} title {i}": f"Q{w * 1000 + i + 1}"
+                     for w in range(n_writers) for i in range(n_titles)}

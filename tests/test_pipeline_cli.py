@@ -372,3 +372,145 @@ def test_each_ok_edition_is_parsed_once(monkeypatch, header_mapping):
     assert extract_tables(doc)
     assert count_references(doc) > 0
     assert parsed == [doc.html]
+
+
+# -- write-behind cache saves -------------------------------------------------
+
+def _peaks_transport(families, fail_pageprops_in=None):
+    """A fake API with one linked table per (family, language) edition."""
+    from tablediff.errors import NetworkError
+
+    class Transport(FakeTransport):
+        def get_json(self, url, params):
+            if params.get("prop") == "pageprops" and self._lang(url) == fail_pageprops_in:
+                raise NetworkError("HTTP 503 from fake API")
+            return super().get_json(url, params)
+
+    pages, langlinks, qids = {}, {}, {}
+    for family in families:
+        for lang in ("en", "de"):
+            title = f"{family} {lang}"
+            pages[(lang, title)] = {
+                "html": ('<table class="wikitable"><tbody><tr><th>Peak</th></tr>'
+                         + "".join(f'<tr><td><a href="/wiki/{family}_{i}">{family} {i}</a>'
+                                   "</td></tr>" for i in range(3))
+                         + "</tbody></table>"),
+                "revid": len(pages) + 1, "timestamp": "2025-06-01T00:00:00Z"}
+            for i in range(3):
+                qids[(lang, f"{family} {i}")] = f"Q{len(qids) + 1}"
+        langlinks[("en", f"{family} en")] = [("de", f"{family} de")]
+    return Transport(pages=pages, langlinks=langlinks, qids=qids)
+
+
+def _peaks_manifest(families):
+    return parse_manifest({"families": [
+        {"id": family, "seed": {"language": "en", "title": f"{family} en"},
+         "languages": ["en", "de"]} for family in families]})
+
+
+def test_warm_cache_saves_each_map_once_per_family(tmp_path, monkeypatch, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    writes = []
+    original = MediaWikiClient._write_atomic
+    monkeypatch.setattr(MediaWikiClient, "_write_atomic", staticmethod(
+        lambda path, payload: writes.append(path.name) or original(path, payload)))
+    families = ["Alpha", "Beta", "Gamma"]
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=_peaks_transport(families))
+    summary = warm_cache(_peaks_manifest(families), header_mapping, client, PipelineOptions())
+    assert summary == {"fetched": 6, "absent_or_failed": 0}
+    assert writes.count("qids.json") == len(families)
+    assert writes.count("langlinks.json") == len(families)
+    qids = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
+    assert len(qids) == 2 * 3 * len(families)
+
+
+@pytest.mark.parametrize("run", ["warm_cache", "run_pipeline"])
+def test_network_error_mid_family_keeps_the_qids_resolved_before_it(tmp_path, run,
+                                                                   header_mapping):
+    from tablediff import pipeline
+    from tablediff.errors import NetworkError
+
+    client = MediaWikiClient(cache_dir=tmp_path / "cache",
+                             transport=_peaks_transport(["Alpha"], fail_pageprops_in="de"))
+    with pytest.raises(NetworkError):
+        getattr(pipeline, run)(_peaks_manifest(["Alpha"]), header_mapping, client,
+                               PipelineOptions())
+    qids = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
+    assert qids == {f"en:Alpha {i}": f"Q{i + 1}" for i in range(3)}
+    langlinks = json.loads((tmp_path / "cache" / "langlinks.json").read_text(encoding="utf-8"))
+    assert langlinks == {"en:Alpha en": [["de", "Alpha de"]]}
+
+
+def test_cli_langs_saves_langlinks(tmp_path, monkeypatch, fake_transport):
+    import tablediff.cli as cli_mod
+    original_init = MediaWikiClient.__init__
+    monkeypatch.setattr(cli_mod.MediaWikiClient, "__init__",
+                        lambda self, cache_dir=None, **kw: original_init(
+                            self, cache_dir=tmp_path / "cache", transport=fake_transport))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"families": [{
+        "id": "sample", "seed": {"language": "en", "title": "Sample Page"},
+    }]}), encoding="utf-8")
+    result = run_cli("langs", "--manifest", manifest)
+    assert result.exit_code == 0, result.output
+    assert result.output == "Sample Page\t3\n"
+    langlinks = json.loads((tmp_path / "cache" / "langlinks.json").read_text(encoding="utf-8"))
+    assert langlinks == {"en:Sample Page": [["de", "Beispielseite"], ["fr", "Page exemple"]]}
+
+
+def test_offline_run_writes_no_cache_file(tmp_path, header_mapping):
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    before = {p: p.stat().st_mtime_ns for p in cache.rglob("*")}
+    client = MediaWikiClient(cache_dir=cache)
+    for manifest in (GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST):
+        run_pipeline(load_manifest(manifest), header_mapping, client,
+                     PipelineOptions(offline=True))
+    assert {p: p.stat().st_mtime_ns for p in cache.rglob("*")} == before
+
+
+# -- parse failures ----------------------------------------------------------
+
+def _fail_parse_of(monkeypatch, language):
+    """Make parsing the climbers page of one language raise."""
+    from tablediff import mw_client
+    from tablediff.mw_client import ArticleRef, CachePolicy
+
+    seed = load_manifest(CLIMBERS_MANIFEST).families[0].seed
+    versions = MediaWikiClient(cache_dir=FIXTURE_CACHE).list_language_versions(
+        seed, CachePolicy.OFFLINE_ONLY)
+    title = next(ref.title for ref in versions if ref.language == language)
+    html = MediaWikiClient(cache_dir=FIXTURE_CACHE).fetch_page(
+        ArticleRef(language, title), CachePolicy.OFFLINE_ONLY).html
+    original = mw_client.parse_html
+
+    def parse_html(text):
+        if text == html:
+            raise RuntimeError("tokenizer defect")
+        return original(text)
+
+    monkeypatch.setattr(mw_client, "parse_html", parse_html)
+
+
+def test_parse_failure_turns_the_edition_into_a_fetch_error(monkeypatch, header_mapping):
+    _fail_parse_of(monkeypatch, "zh")
+    report = run_pipeline(load_manifest(CLIMBERS_MANIFEST), header_mapping,
+                          MediaWikiClient(cache_dir=FIXTURE_CACHE), PipelineOptions(offline=True))
+    family, = report["families"]
+    assert family["status"] == "ok"
+    assert {e["language"]: e["status"] for e in family["editions"]} == {
+        "en": "ok", "de": "ok", "zh": "error", "it": "ok", "nl": "ok"}
+    errors = [f for f in family["findings"] if f["kind"] == "fetch-error"]
+    assert [f["language"] for f in errors] == ["zh"]
+    assert "tokenizer defect" in errors[0]["detail"]
+    assert family["entities"]
+
+
+def test_warm_cache_counts_a_parse_failure_as_failed(monkeypatch, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    _fail_parse_of(monkeypatch, "zh")
+    summary = warm_cache(load_manifest(CLIMBERS_MANIFEST), header_mapping,
+                         MediaWikiClient(cache_dir=FIXTURE_CACHE), PipelineOptions(offline=True))
+    assert summary == {"fetched": 4, "absent_or_failed": 1}

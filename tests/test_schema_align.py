@@ -86,7 +86,7 @@ def test_presence_grid_unmapped_rows_stay_visible():
                                languages=["en", "de"])
     names = [a.name for a in grid.attributes]
     assert names == ["rank", "oddity"]
-    assert grid.row(Unmapped("oddity")) == [True, False]
+    assert grid.present[grid.attributes.index(Unmapped("oddity"))] == [True, False]
 
 
 def test_presence_grid_no_attribute_row_all_false():
