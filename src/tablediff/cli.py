@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from .emit import emit
-from .errors import ManifestError, TableDiffError
+from .errors import ManifestError, MappingConflict, TableDiffError
 from .manifest import DatasetManifest, load_manifest
 from .mw_client import CachePolicy, MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
@@ -54,11 +54,15 @@ def _resolve(flag, manifest: DatasetManifest, key: str, fallback):
     return fallback
 
 
-def _load_mapping(path, manifest: DatasetManifest) -> HeaderMapping:
+def _load_mapping_or_die(path, manifest: DatasetManifest) -> HeaderMapping:
     mapping_path = _resolve(path, manifest, "header_map", None) or bundled_header_map()
     if mapping_path is None:
         return HeaderMapping.empty()
-    return load_header_mapping(mapping_path)
+    try:
+        return load_header_mapping(mapping_path)
+    except (OSError, ValueError, MappingConflict) as exc:
+        click.echo(f"error: cannot load header map {mapping_path}: {exc}", err=True)
+        sys.exit(EXIT_MANIFEST_ERROR)
 
 
 def _split_langs(value) -> list[str] | None:
@@ -94,14 +98,13 @@ def main(verbose: bool):
 def fetch(manifest_path, langs, cache_dir, jobs, refresh):
     """Populate the cache for every family in the manifest."""
     manifest = _load_manifest_or_die(manifest_path)
-    mapping = _load_mapping(None, manifest)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
         refresh=refresh,
         jobs=int(_resolve(jobs, manifest, "jobs", 1)),
     )
-    summary = warm_cache(manifest, mapping, client, options)
+    summary = warm_cache(manifest, HeaderMapping.empty(), client, options)
     click.echo(f"fetched {summary['fetched']} page(s); "
                f"{summary['absent_or_failed']} absent or failed")
 
@@ -150,7 +153,7 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
             staleness_days, header_map_path, all_tables, fmt, out_dir):
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
     manifest = _load_manifest_or_die(manifest_path)
-    mapping = _load_mapping(header_map_path, manifest)
+    mapping = _load_mapping_or_die(header_map_path, manifest)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),

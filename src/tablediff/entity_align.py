@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import NoEntityColumn
-from .mw_client import ArticleRef, CachePolicy, MediaWikiClient, qid_numeric
+from .mw_client import CachePolicy, MediaWikiClient, qid_numeric
 from .table_parser import WikiTable
 from .value_analysis import is_missing
 
@@ -22,7 +22,6 @@ from .value_analysis import is_missing
 class EntityMention:
     """The entity one body row describes."""
 
-    article: ArticleRef
     table_index: int
     row_index: int
     surface: str
@@ -52,7 +51,6 @@ class EntityKey:
 class AlignedMatrix:
     """(entity x language) -> row occurrences for one article family."""
 
-    family: str
     languages: list[str]
     entities: list[EntityKey]
     rows: dict[tuple[EntityKey, str], list[tuple[int, int]]]
@@ -110,7 +108,6 @@ def extract_row_entities(table: WikiTable, column_hint: Optional[int] = None,
         if cell.link_title is None and is_missing(cell.text, extra_missing):
             continue
         mentions.append(EntityMention(
-            article=table.source,
             table_index=table.table_index,
             row_index=row_index,
             surface=cell.text,
@@ -139,8 +136,7 @@ def mention_key(mention: EntityMention, language: str) -> Optional[EntityKey]:
     return EntityKey("surface", folded, language)
 
 
-def build_matrix(family_id: str,
-                 tables_by_language: dict[str, list[tuple[WikiTable, list[EntityMention]]]],
+def build_matrix(tables_by_language: dict[str, list[tuple[WikiTable, list[EntityMention]]]],
                  languages: Optional[list[str]] = None) -> AlignedMatrix:
     """Group linked mentions into the (entity x language) matrix.
 
@@ -169,7 +165,6 @@ def build_matrix(family_id: str,
         return (-coverage[key], 1, 0, key.value, key.language or "")
 
     return AlignedMatrix(
-        family=family_id,
         languages=list(langs),
         entities=sorted(coverage, key=order),
         rows=rows,

@@ -39,12 +39,6 @@ VOID_TAGS = {
     "link", "meta", "param", "source", "track", "wbr",
 }
 
-# Elements whose text never counts as page content.
-NON_CONTENT_TAGS = {"script", "style"}
-
-# Elements whose end separates words that would otherwise glue together.
-BLOCK_TAGS = frozenset({"p", "div", "li", "tr", "td", "th", "table", "caption"})
-
 
 class Node:
     """One element: tag name, attributes, and mixed node/str children."""
@@ -86,23 +80,6 @@ class Node:
                 return True
             node = node.parent
         return False
-
-    def text(self) -> str:
-        """Concatenated descendant text; breaks and element ends become spaces."""
-        return "".join(self.iter_text())
-
-    def iter_text(self) -> Iterator[str]:
-        if self.tag in NON_CONTENT_TAGS:
-            return
-        for child in self.children:
-            if isinstance(child, str):
-                yield child
-            elif child.tag == "br":
-                yield " "
-            else:
-                yield from child.iter_text()
-                if child.tag in BLOCK_TAGS:
-                    yield " "
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.tag} {self.attrs.get('class', '')!r}>"

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .mw_client import ArticleRef
 from .table_parser import WikiTable
 from .value_analysis import is_missing
 
@@ -20,7 +19,6 @@ from .value_analysis import is_missing
 class PageStats:
     """Metric bundle for one (article, language) page."""
 
-    article: ArticleRef
     table_count: int
     reference_count: int
     main_table_index: Optional[int]
@@ -89,7 +87,7 @@ def column_completeness(table: WikiTable, extra_missing: tuple[str, ...] = ()) -
     return total, total - incomplete, incomplete
 
 
-def page_stats(article: ArticleRef, tables: list[WikiTable], reference_count: int,
+def page_stats(tables: list[WikiTable], reference_count: int,
                main_override: Optional[int] = None,
                extra_missing: tuple[str, ...] = (),
                all_tables: bool = False) -> PageStats:
@@ -108,7 +106,6 @@ def page_stats(article: ArticleRef, tables: list[WikiTable], reference_count: in
     elif main_index is not None:
         total, complete, incomplete = column_completeness(tables[main_index], extra_missing)
     return PageStats(
-        article=article,
         table_count=len(tables),
         reference_count=reference_count,
         main_table_index=main_index,

@@ -330,10 +330,6 @@ class MediaWikiClient:
         full.update(params)
         return self.transport.get_json(self.api_url(language), full)
 
-    @property
-    def network_requests(self) -> int:
-        return self.transport.calls
-
     # -- operations --------------------------------------------------------
 
     def fetch_page(self, article: ArticleRef,
@@ -418,11 +414,6 @@ class MediaWikiClient:
                 cont = {"llcontinue": data["continue"]["llcontinue"]}
             else:
                 return links
-
-    def resolve_qid(self, language: str, title: str,
-                    cache_policy: CachePolicy = CachePolicy.PREFER_CACHE) -> Optional[str]:
-        """Wikidata item bound to a page, or None when there is none."""
-        return self.resolve_qids(language, [title], cache_policy).get(title)
 
     def resolve_qids(self, language: str, titles: Iterable[str],
                      cache_policy: CachePolicy = CachePolicy.PREFER_CACHE) -> dict[str, Optional[str]]:

@@ -1,8 +1,20 @@
-"""End-to-end analysis: fetch -> extract -> link -> align -> analyze.
+"""End-to-end analysis of one article family, in stages.
 
-The pipeline downgrades per-edition problems (missing pages, unalignable
-tables) into findings inside the report instead of aborting; a family only
-counts as failed when no edition could be analyzed at all.
+1. gather (``_gather_editions``): list the family's editions and fetch one
+   page per wanted language;
+2. extract (``_extract``): parse each page and extract its data tables;
+3. link (``_link_edition``): choose each table's entity column, take one
+   mention per row and resolve the mentions' links to QIDs;
+4. align: page metrics, the entity matrix, per-table columns resolved to
+   attributes, and the attribute presence grid;
+5. analyze: value conflicts, text divergence and incompleteness;
+6. serialize: the family's part of the report.
+
+``warm_cache`` runs the first three stages only, so ``fetch`` warms exactly
+the QIDs that ``analyze`` links. The pipeline downgrades per-edition problems
+(missing pages, unalignable tables) into findings inside the report instead
+of aborting; a family only counts as failed when no edition could be
+analyzed at all.
 """
 
 from __future__ import annotations
@@ -18,9 +30,9 @@ from typing import Optional
 from . import __version__
 from .entity_align import (AlignedMatrix, EntityKey, EntityMention, build_matrix,
                            detect_entity_column, extract_row_entities, link_mentions)
-from .errors import CacheMiss, NetworkError, NoEntityColumn, PageMissing, ParseError
+from .errors import CacheMiss, NetworkError, PageMissing, ParseError
 from .manifest import DatasetManifest, FamilyEntry
-from .metrics import FamilyStats, aggregate_corpus, page_stats, select_main_table
+from .metrics import FamilyStats, aggregate_corpus, page_stats
 from .mw_client import ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references, utc_now
 from .schema_align import (Attribute, AttributeKey, HeaderMapping,
                            build_presence_grid, resolve_columns)
@@ -61,8 +73,13 @@ class EditionData:
     status: str  # "ok" | "absent" | "error"
     doc: Optional[PageDocument] = None
     tables: list[WikiTable] = field(default_factory=list)
-    linked: list[tuple[WikiTable, list[EntityMention]]] = field(default_factory=list)
+    # (table, linked mentions, entity column) per table the link stage aligned
+    linked: list[tuple[WikiTable, list[EntityMention], int]] = field(default_factory=list)
     reason: str = ""
+
+
+# Per (language, table index): the table and its columns grouped by attribute.
+TableColumns = dict[tuple[str, int], tuple[WikiTable, dict[Attribute, list[int]]]]
 
 
 def _timestamp(ts: datetime) -> str:
@@ -116,35 +133,6 @@ def record_to_json(record: InconsistencyRecord) -> dict:
     }
 
 
-def _fetch_edition(client: MediaWikiClient, language: str, title: str,
-                   options: PipelineOptions) -> EditionData:
-    article = ArticleRef(language, title)
-    try:
-        doc = client.fetch_page(article, options.cache_policy)
-    except PageMissing:
-        return EditionData(language, title, "absent", reason="page missing in this edition")
-    except CacheMiss:
-        return EditionData(language, title, "absent", reason="no cached snapshot (offline run)")
-    except NetworkError as exc:
-        logger.warning("fetch failed for %s:%s: %s", language, title, exc)
-        return EditionData(language, title, "error", reason=str(exc))
-    return EditionData(language, title, "ok", doc=doc)
-
-
-def _extract(edition: EditionData) -> list[WikiTable]:
-    """The tables of an ok edition's page, which is parsed here on first use.
-
-    A page that cannot be parsed turns the edition into an error, like a
-    failed fetch.
-    """
-    try:
-        return extract_tables(edition.doc)
-    except ParseError as exc:
-        logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
-        edition.status, edition.reason, edition.doc = "error", str(exc), None
-        return []
-
-
 def _edition_titles(entry: FamilyEntry, client: MediaWikiClient,
                     options: PipelineOptions, findings: list[dict]) -> dict[str, str]:
     try:
@@ -159,42 +147,19 @@ def _edition_titles(entry: FamilyEntry, client: MediaWikiClient,
         return {entry.seed.language: entry.seed.title}
 
 
-def _collect_attribute_values(
-    matrix: AlignedMatrix,
-    tables_by_language: dict[str, dict[int, WikiTable]],
-    columns: dict[tuple[str, int], dict[Attribute, list[int]]],
-    attribute: Attribute,
-    extra_missing: tuple[str, ...],
-) -> dict[EntityKey, dict[str, CellValue]]:
-    """First non-missing value per (entity, language) for one attribute.
-
-    Languages where no occurrence table carries the attribute's column are
-    left out; a language whose cells are all missing markers maps to MISSING.
-    """
-    out: dict[EntityKey, dict[str, CellValue]] = {}
-    for entity in matrix.entities:
-        per_language: dict[str, CellValue] = {}
-        for language in matrix.languages:
-            saw_column = False
-            value: CellValue = MISSING
-            for table_index, row_index in matrix.occurrences(entity, language):
-                table = tables_by_language[language].get(table_index)
-                if table is None:
-                    continue
-                for col in columns.get((language, table_index), {}).get(attribute, []):
-                    saw_column = True
-                    text = table.body_rows[row_index][col].text
-                    if is_missing(text, extra_missing):
-                        continue
-                    value = parse_value(text, language)
-                    break
-                if value is not MISSING:
-                    break
-            if saw_column:
-                per_language[language] = value
-        if per_language:
-            out[entity] = per_language
-    return out
+def _fetch_edition(client: MediaWikiClient, language: str, title: str,
+                   options: PipelineOptions) -> EditionData:
+    article = ArticleRef(language, title)
+    try:
+        doc = client.fetch_page(article, options.cache_policy)
+    except PageMissing:
+        return EditionData(language, title, "absent", reason="page missing in this edition")
+    except CacheMiss:
+        return EditionData(language, title, "absent", reason="no cached snapshot (offline run)")
+    except NetworkError as exc:
+        logger.warning("fetch failed for %s:%s: %s", language, title, exc)
+        return EditionData(language, title, "error", reason=str(exc))
+    return EditionData(language, title, "ok", doc=doc)
 
 
 def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: PipelineOptions,
@@ -232,13 +197,100 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
     return wanted, editions
 
 
+def _extract(edition: EditionData) -> None:
+    """Extract the tables of an ok edition's page, which is parsed here on first use.
+
+    A page that cannot be parsed turns the edition into an error, like a
+    failed fetch.
+    """
+    try:
+        edition.tables = extract_tables(edition.doc)
+    except ParseError as exc:
+        logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
+        edition.status, edition.reason, edition.doc = "error", str(exc), None
+
+
+def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiClient,
+                  options: PipelineOptions, findings: list[dict]) -> None:
+    """Link one mention per row of each table to a QID, into ``edition.linked``.
+
+    A table's entity column is the manifest's hint, else the detected one;
+    a table without a usable entity column is left out of alignment.
+    """
+    for table in edition.tables:
+        where = {"family": entry.id, "language": edition.language,
+                 "table_index": table.table_index}
+        col = entry.column_hint(edition.language, table.table_index)
+        if col is None:
+            col = detect_entity_column(table)
+        if col is None or col >= table.n_cols:
+            findings.append({"kind": "no-entity-column", **where,
+                             "detail": "table excluded from alignment"})
+            continue
+        mentions = extract_row_entities(table, column_hint=col,
+                                        extra_missing=options.extra_missing)
+        skipped = table.n_body_rows - len(mentions)
+        if skipped:
+            findings.append({"kind": "rows-skipped", **where,
+                             "detail": f"{skipped} row(s) with empty entity cells"})
+        mentions = link_mentions(mentions, edition.language, client, options.cache_policy)
+        edition.linked.append((table, mentions, col))
+
+
+def _table_columns(language: str, tables: list[WikiTable],
+                   mapping: HeaderMapping) -> TableColumns:
+    """Each table's columns, grouped by the attribute they resolve to."""
+    out: TableColumns = {}
+    for table in tables:
+        by_attr: dict[Attribute, list[int]] = {}
+        for col, attr in resolve_columns(table, language, mapping):
+            by_attr.setdefault(attr, []).append(col)
+        out[(language, table.table_index)] = (table, by_attr)
+    return out
+
+
+def _collect_attribute_values(
+    matrix: AlignedMatrix,
+    columns: TableColumns,
+    attribute: Attribute,
+    extra_missing: tuple[str, ...],
+) -> dict[EntityKey, dict[str, CellValue]]:
+    """First non-missing value per (entity, language) for one attribute.
+
+    Languages where no occurrence table carries the attribute's column are
+    left out; a language whose cells are all missing markers maps to MISSING.
+    """
+    out: dict[EntityKey, dict[str, CellValue]] = {}
+    for entity in matrix.entities:
+        per_language: dict[str, CellValue] = {}
+        for language in matrix.languages:
+            saw_column = False
+            value: CellValue = MISSING
+            for table_index, row_index in matrix.occurrences(entity, language):
+                table, by_attr = columns[(language, table_index)]
+                for col in by_attr.get(attribute, []):
+                    saw_column = True
+                    text = table.body_rows[row_index][col].text
+                    if is_missing(text, extra_missing):
+                        continue
+                    value = parse_value(text, language)
+                    break
+                if value is not MISSING:
+                    break
+            if saw_column:
+                per_language[language] = value
+        if per_language:
+            out[entity] = per_language
+    return out
+
+
 def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
                    options: PipelineOptions) -> tuple[dict, FamilyStats]:
     findings: list[dict] = []
     wanted, editions = _gather_editions(entry, client, options, findings)
     for edition in editions:
         if edition.status == "ok":
-            edition.tables = _extract(edition)
+            _extract(edition)
 
     for edition in editions:
         if edition.status != "ok":
@@ -249,71 +301,30 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
                 "detail": edition.reason,
             })
 
-    # Extraction, entity mentions, linking.
+    # Link each edition, then its page metrics and column attributes.
     stats = FamilyStats(family=entry.id)
-    entity_column_attrs: set[Attribute] = set()
-    columns: dict[tuple[str, int], dict[Attribute, list[int]]] = {}
-    tables_by_language: dict[str, dict[int, WikiTable]] = {}
+    columns: TableColumns = {}
+    main_attributes: dict[str, Optional[list[Attribute]]] = {}
     edition_rows = []
     for edition in editions:
         if edition.status != "ok":
             edition_rows.append({"language": edition.language, "title": edition.title,
                                  "status": edition.status, "detail": edition.reason})
             continue
+        _link_edition(entry, edition, client, options, findings)
         doc = edition.doc
-        tables_by_language[edition.language] = {t.table_index: t for t in edition.tables}
-
-        mentions_by_table: list[tuple[WikiTable, list[EntityMention]]] = []
-        for table in edition.tables:
-            column_attrs = resolve_columns(table, edition.language, mapping)
-            by_attr: dict[Attribute, list[int]] = {}
-            for col, attr in column_attrs:
-                by_attr.setdefault(attr, []).append(col)
-            columns[(edition.language, table.table_index)] = by_attr
-            hint = entry.column_hint(edition.language, table.table_index)
-            try:
-                mentions = extract_row_entities(table, column_hint=hint,
-                                                extra_missing=options.extra_missing)
-            except NoEntityColumn:
-                findings.append({
-                    "kind": "no-entity-column",
-                    "family": entry.id,
-                    "language": edition.language,
-                    "table_index": table.table_index,
-                    "detail": "table excluded from alignment",
-                })
-                continue
-            skipped = table.n_body_rows - len(mentions)
-            if skipped:
-                findings.append({
-                    "kind": "rows-skipped",
-                    "family": entry.id,
-                    "language": edition.language,
-                    "table_index": table.table_index,
-                    "detail": f"{skipped} row(s) with empty entity cells",
-                })
-            mentions_by_table.append((table, mentions))
-            # The attribute serving as the entity column is skipped in
-            # text-divergence checks: the row key is language-specific.
-            used_col = hint if hint is not None else detect_entity_column(table)
-            if used_col is not None:
-                entity_column_attrs.add(column_attrs[used_col][1])
-
-        linked = [
-            (table, link_mentions(mentions, edition.language, client, options.cache_policy))
-            for table, mentions in mentions_by_table
-        ]
-        edition.linked = linked
-
-        main_override = entry.main_table_index.get(edition.language)
         pstats = page_stats(
-            article=doc.article, tables=edition.tables,
+            tables=edition.tables,
             reference_count=count_references(doc),
-            main_override=main_override,
+            main_override=entry.main_table_index.get(edition.language),
             extra_missing=options.extra_missing,
             all_tables=options.all_tables,
         )
         stats.per_language[edition.language] = [pstats]
+        columns.update(_table_columns(edition.language, edition.tables, mapping))
+        main = pstats.main_table_index
+        main_attributes[edition.language] = (
+            None if main is None else list(columns[(edition.language, main)][1]))
         edition_rows.append({
             "language": edition.language,
             "title": edition.title,
@@ -322,7 +333,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             "revision_timestamp": _timestamp(doc.revision_timestamp),
             "table_count": pstats.table_count,
             "reference_count": pstats.reference_count,
-            "main_table_index": pstats.main_table_index,
+            "main_table_index": main,
             "columns": {
                 "total": pstats.total_columns,
                 "complete": pstats.complete_columns,
@@ -331,37 +342,32 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         })
 
     analyzed = [e for e in editions if e.status == "ok"]
+    languages = [e.language for e in analyzed]
     aligned_languages = [e.language for e in analyzed if e.linked]
-
-    matrix = build_matrix(
-        entry.id,
-        {e.language: e.linked for e in analyzed},
-        languages=[e.language for e in analyzed],
-    )
-
-    main_attributes: dict[str, Optional[list[Attribute]]] = {}
-    for edition in analyzed:
-        override = entry.main_table_index.get(edition.language)
-        index = select_main_table(edition.tables, override)
-        main_attributes[edition.language] = (
-            None if index is None else list(columns[(edition.language, index)]))
-    grid = build_presence_grid(entry.id, main_attributes, mapping,
-                               languages=[e.language for e in analyzed])
+    matrix = build_matrix({e.language: [(table, mentions) for table, mentions, _col in e.linked]
+                           for e in analyzed}, languages=languages)
+    grid = build_presence_grid(entry.id, main_attributes, mapping, languages=languages)
 
     # Conflicts and text divergence over attributes seen in >= 2 languages.
-    revision_timestamps = {e.language: e.doc.revision_timestamp for e in analyzed if e.doc}
+    revision_timestamps = {e.language: e.doc.revision_timestamp for e in analyzed}
     attr_languages: dict[Attribute, set[str]] = {}
-    for (language, _ti), by_attr in columns.items():
+    for (language, _index), (_table, by_attr) in columns.items():
         for attr in by_attr:
             attr_languages.setdefault(attr, set()).add(language)
+    # An attribute serving as an entity column is skipped in text-divergence
+    # checks: the row key is language-specific.
+    entity_column_attrs: set[Attribute] = set()
+    for edition in analyzed:
+        for table, _mentions, col in edition.linked:
+            by_attr = columns[(edition.language, table.table_index)][1]
+            entity_column_attrs.update(attr for attr, cols in by_attr.items() if col in cols)
 
     records: list[InconsistencyRecord] = []
     window = timedelta(days=options.staleness_days)
     for attr in mapping.attributes:
         if len(attr_languages.get(attr, ())) < 2:
             continue
-        values = _collect_attribute_values(matrix, tables_by_language, columns, attr,
-                                           options.extra_missing)
+        values = _collect_attribute_values(matrix, columns, attr, options.extra_missing)
         conflicts, conflict_findings = detect_conflicts(entry.id, attr, values, options.rel_tol)
         findings.extend(conflict_findings)
         records.extend(classify(record, revision_timestamps, window) for record in conflicts)
@@ -469,29 +475,29 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
                options: PipelineOptions) -> dict:
     """Populate page, langlink and QID caches without running the analysis.
 
-    The QID and langlink maps are saved after each family, also when the
-    family fails part way.
+    Runs the gather, extract and link stages of ``analyze_family``, so it
+    resolves exactly the QIDs an analysis of the manifest links. Those
+    stages read no header mapping: ``mapping`` is unused and stays for
+    callers that pass it positionally. The QID and langlink maps are saved
+    after each family, also when the family fails part way.
     """
     fetched = absent = 0
     for entry in manifest.families:
         try:
             _wanted, editions = _gather_editions(entry, client, options, [])
             for edition in editions:
-                tables = _extract(edition) if edition.status == "ok" else []
-                # Drop each page once extracted, so a family's trees never coexist.
-                edition.doc = None
+                if edition.status == "ok":
+                    _extract(edition)
+                    # Drop each page once extracted, so a family's trees never coexist.
+                    edition.doc = None
                 if edition.status != "ok":
                     absent += 1
                     continue
                 fetched += 1
-                for table in tables:
-                    hint = entry.column_hint(edition.language, table.table_index)
-                    try:
-                        mentions = extract_row_entities(table, column_hint=hint,
-                                                        extra_missing=options.extra_missing)
-                    except NoEntityColumn:
-                        continue
-                    link_mentions(mentions, edition.language, client, options.cache_policy)
+                _link_edition(entry, edition, client, options, [])
+                # Keep no tables or mentions past the link stage either: objects
+                # kept alive to the end of the family make the collector run more.
+                edition.tables, edition.linked = [], []
         finally:
             client.save()
     return {"fetched": fetched, "absent_or_failed": absent}

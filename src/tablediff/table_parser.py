@@ -13,10 +13,16 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import unquote
 
-from .htmldom import BLOCK_TAGS, NON_CONTENT_TAGS, Node
-from .mw_client import ArticleRef, PageDocument
+from .htmldom import Node
+from .mw_client import PageDocument
 
 EXCLUDED_TABLE_CLASSES = {"infobox", "navbox", "metadata", "sidebar"}
+
+# Elements whose text never counts as cell content.
+NON_CONTENT_TAGS = {"script", "style"}
+
+# Elements whose end separates words that would otherwise glue together.
+BLOCK_TAGS = frozenset({"p", "div", "li", "tr", "td", "th", "table", "caption"})
 
 # Rendered footnote markers: [12], [a], [iv], [note 3], [N 1], [nb 2].
 FOOTNOTE_RE = re.compile(
@@ -77,9 +83,7 @@ class RawCell:
 class WikiTable:
     """A rectangular table: every header and body row has n_cols cells."""
 
-    source: ArticleRef
     table_index: int
-    caption: Optional[str]
     header_rows: list[list[Cell]]
     body_rows: list[list[Cell]]
     n_cols: int
@@ -268,11 +272,11 @@ def expand_spans(raw_rows: list[list[RawCell]]) -> tuple[list[list[Cell]], list[
 
 
 def detect_header(grid: list[list[Cell]],
-                  header_flags: list[list[bool]]) -> tuple[list[list[Cell]], list[list[Cell]], bool]:
+                  header_flags: list[list[bool]]) -> tuple[list[list[Cell]], list[list[Cell]]]:
     """Split a rectangular grid into header rows and body rows.
 
     Leading rows made up entirely of <th> cells are the header; when there is
-    no such row the first row is promoted instead (flagged as fallback).
+    no such row the first row is promoted instead.
     """
     split = 0
     for flags in header_flags:
@@ -281,8 +285,8 @@ def detect_header(grid: list[list[Cell]],
         else:
             break
     if split == 0 and grid:
-        return [grid[0]], grid[1:], True
-    return grid[:split], grid[split:], False
+        return [grid[0]], grid[1:]
+    return grid[:split], grid[split:]
 
 
 def _qualifies(table: Node) -> bool:
@@ -305,16 +309,9 @@ def extract_tables(doc: PageDocument) -> list[WikiTable]:
         if not raw_rows:
             continue
         grid, flags = expand_spans(raw_rows)
-        header_rows, body_rows, _fallback = detect_header(grid, flags)
-        caption = None
-        for child in table.children:
-            if isinstance(child, Node) and child.tag == "caption":
-                caption = normalize_text(_cell_content(child)[0]) or None
-                break
+        header_rows, body_rows = detect_header(grid, flags)
         out.append(WikiTable(
-            source=doc.article,
             table_index=len(out),
-            caption=caption,
             header_rows=header_rows,
             body_rows=body_rows,
             n_cols=len(grid[0]) if grid else 0,

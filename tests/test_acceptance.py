@@ -15,8 +15,7 @@ from tablediff.cli import main as cli_main
 from tablediff.entity_align import build_matrix, extract_row_entities, link_mentions
 from tablediff.errors import NoEntityColumn
 from tablediff.mw_client import ArticleRef, CachePolicy
-from tablediff.pipeline import _collect_attribute_values
-from tablediff.schema_align import resolve_columns
+from tablediff.pipeline import _collect_attribute_values, _table_columns
 from tablediff.table_parser import extract_tables
 from tablediff.value_analysis import detect_conflicts, parse_value
 
@@ -131,7 +130,7 @@ def test_c4_alignment_agrees_with_brute_force_matcher(offline_client):
     for family in FIXTURE_TITLES:
         tables_by_lang = _linked_fixture_tables(offline_client, family, max_rows=10)
         languages = list(tables_by_lang)
-        matrix = build_matrix(family, tables_by_lang, languages=languages)
+        matrix = build_matrix(tables_by_lang, languages=languages)
 
         position_to_entity = {}
         for (entity, lang), occs in matrix.rows.items():
@@ -255,18 +254,12 @@ def test_c9_rel_tol_monotonicity_on_fixture_values(offline_client, header_mappin
     for family in ("seven_summits", "eight_thousander"):
         tables_by_lang = _linked_fixture_tables(offline_client, family)
         languages = list(tables_by_lang)
-        matrix = build_matrix(family, tables_by_lang, languages=languages)
-        tables = {lang: {t.table_index: t for t, _m in linked}
-                  for lang, linked in tables_by_lang.items()}
+        matrix = build_matrix(tables_by_lang, languages=languages)
         columns = {}
         for lang, linked in tables_by_lang.items():
-            for table, _mentions in linked:
-                by_attr = {}
-                for col, attr in resolve_columns(table, lang, header_mapping):
-                    by_attr.setdefault(attr, []).append(col)
-                columns[(lang, table.table_index)] = by_attr
+            columns.update(_table_columns(lang, [table for table, _m in linked], header_mapping))
         for attr in header_mapping.attributes:
-            values = _collect_attribute_values(matrix, tables, columns, attr, ())
+            values = _collect_attribute_values(matrix, columns, attr, ())
             for entity, by_lang in values.items():
                 numeric = [v for v in by_lang.values()
                            if getattr(v, "is_numeric", False)]

@@ -122,7 +122,7 @@ def test_surface_keys_never_merge_across_languages():
     de_table = table_from("<tr><th>Berg</th></tr><tr><td>Everest</td></tr>", lang="de")
     en = extract_row_entities(en_table, column_hint=0)
     de = extract_row_entities(de_table, column_hint=0)
-    matrix = build_matrix("fam", {"en": [(en_table, en)], "de": [(de_table, de)]},
+    matrix = build_matrix({"en": [(en_table, en)], "de": [(de_table, de)]},
                           languages=["en", "de"])
     assert len(matrix.entities) == 2
     for entity in matrix.entities:
@@ -131,7 +131,7 @@ def test_surface_keys_never_merge_across_languages():
 
 
 def test_empty_family_builds_empty_matrix():
-    matrix = build_matrix("fam", {}, languages=[])
+    matrix = build_matrix({}, languages=[])
     assert matrix.entities == []
 
 
@@ -146,7 +146,7 @@ def test_matrix_orders_by_coverage_then_qid():
 
     en = linked_table("en", [("A", "Q30"), ("B", "Q2")])
     de = linked_table("de", [("A2", "Q30")])
-    matrix = build_matrix("fam", {"en": [en], "de": [de]}, languages=["en", "de"])
+    matrix = build_matrix({"en": [en], "de": [de]}, languages=["en", "de"])
     assert [e.value for e in matrix.entities] == ["Q30", "Q2"]  # coverage first
 
 
@@ -167,7 +167,7 @@ def test_conservation_on_fixture_family(offline_client, header_mapping):
             linked.append((table, mentions))
             total_mentions += len(mentions)
         tables_by_lang[lang] = linked
-    matrix = build_matrix("seven_summits", tables_by_lang,
+    matrix = build_matrix(tables_by_lang,
                           languages=["en", "de", "zh", "it", "nl"])
     occurrences = sum(len(v) for v in matrix.rows.values())
     assert occurrences == total_mentions
@@ -207,7 +207,7 @@ def test_matrix_agrees_with_brute_force_on_small_tables(offline_client):
             linked.append((table, mentions))
         tables_by_lang[lang] = linked
 
-    matrix = build_matrix("fam", tables_by_lang, languages=[l for l, _ in pages])
+    matrix = build_matrix(tables_by_lang, languages=[l for l, _ in pages])
     position_to_entity = {}
     for (entity, lang), occs in matrix.rows.items():
         for occ in occs:

@@ -83,22 +83,20 @@ def test_column_completeness_counts_pads_as_missing():
 
 
 def test_page_stats_invariants_and_monotonicity():
-    article = ArticleRef("en", "T")
     small = tables_from((3, 2))
     bigger = tables_from((3, 2), (2, 2))
-    a = page_stats(article, small, reference_count=5)
-    b = page_stats(article, bigger, reference_count=5)
+    a = page_stats(small, reference_count=5)
+    b = page_stats(bigger, reference_count=5)
     assert a.complete_columns + a.incomplete_columns == a.total_columns
     assert b.table_count >= a.table_count
     assert b.total_columns >= a.total_columns
 
 
 def test_aggregate_consistency_recomputable():
-    article = ArticleRef("en", "T")
     pages = [
-        PageStats(article, table_count=2, reference_count=10, main_table_index=0,
+        PageStats(table_count=2, reference_count=10, main_table_index=0,
                   total_columns=5, complete_columns=4, incomplete_columns=1),
-        PageStats(article, table_count=0, reference_count=3, main_table_index=None),
+        PageStats(table_count=0, reference_count=3, main_table_index=None),
     ]
     agg = aggregate_pages(pages)
     assert agg.pages == 2
@@ -112,8 +110,7 @@ def test_aggregate_consistency_recomputable():
 
 def test_absence_is_not_zero():
     fam = FamilyStats("fam", per_language={"en": [
-        PageStats(ArticleRef("en", "T"), table_count=0, reference_count=0,
-                  main_table_index=None)]})
+        PageStats(table_count=0, reference_count=0, main_table_index=None)]})
     corpus = aggregate_corpus([fam], ["en", "de"])
     assert corpus["en"].pages == 1          # page exists with zero tables
     assert corpus["de"].pages == 0          # edition absent: no page at all

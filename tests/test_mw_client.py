@@ -107,12 +107,12 @@ def test_list_language_versions_offline_miss(tmp_path, fake_transport):
 
 def test_resolve_qid_and_negative_cache(tmp_path, fake_transport):
     client = make_client(tmp_path, fake_transport)
-    assert client.resolve_qid("en", "Mount Everest") == "Q513"
-    assert client.resolve_qid("en", "Nonexistent-Page-ZZZ") is None
+    assert client.resolve_qids("en", ["Mount Everest"])["Mount Everest"] == "Q513"
+    assert client.resolve_qids("en", ["Nonexistent-Page-ZZZ"])["Nonexistent-Page-ZZZ"] is None
     calls = fake_transport.calls
     # Both hits and misses are cached.
-    assert client.resolve_qid("en", "Mount Everest") == "Q513"
-    assert client.resolve_qid("en", "Nonexistent-Page-ZZZ") is None
+    assert client.resolve_qids("en", ["Mount Everest"])["Mount Everest"] == "Q513"
+    assert client.resolve_qids("en", ["Nonexistent-Page-ZZZ"])["Nonexistent-Page-ZZZ"] is None
     assert fake_transport.calls == calls
 
 
@@ -144,7 +144,7 @@ def test_resolve_qid_follows_redirects(tmp_path):
             }}
 
     client = make_client(tmp_path, RedirectTransport())
-    assert client.resolve_qid("en", "Everest") == "Q513"
+    assert client.resolve_qids("en", ["Everest"])["Everest"] == "Q513"
 
 
 def test_count_references_fixture_eight_thousander(offline_client):
@@ -204,9 +204,9 @@ def test_fetch_page_fixture_contains_wikitable(offline_client):
 
 
 def test_resolve_qid_fixture_everest_aligned_across_languages(offline_client):
-    en = offline_client.resolve_qid("en", "Mount Everest", CachePolicy.OFFLINE_ONLY)
-    zh = offline_client.resolve_qid("zh", "珠穆朗玛峰", CachePolicy.OFFLINE_ONLY)
-    assert en == zh == "Q513"
+    en = offline_client.resolve_qids("en", ["Mount Everest"], CachePolicy.OFFLINE_ONLY)
+    zh = offline_client.resolve_qids("zh", ["珠穆朗玛峰"], CachePolicy.OFFLINE_ONLY)
+    assert en["Mount Everest"] == zh["珠穆朗玛峰"] == "Q513"
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):
@@ -357,7 +357,7 @@ def test_http_transport_waits_retry_after_seconds(monkeypatch):
 def test_lookups_write_nothing_until_save(tmp_path, fake_transport):
     client = make_client(tmp_path, fake_transport)
     client.list_language_versions(ArticleRef("en", "Sample Page"))
-    assert client.resolve_qid("en", "Mount Everest") == "Q513"
+    assert client.resolve_qids("en", ["Mount Everest"])["Mount Everest"] == "Q513"
     assert not (tmp_path / "cache" / "qids.json").exists()
     assert not (tmp_path / "cache" / "langlinks.json").exists()
 
@@ -373,10 +373,10 @@ def test_save_with_nothing_unsaved_touches_no_file(tmp_path, fake_transport):
     client.save()
     assert not (tmp_path / "cache").exists()
 
-    client.resolve_qid("en", "Mount Everest")
+    client.resolve_qids("en", ["Mount Everest"])
     client.save()
     written = {p: p.stat().st_mtime_ns for p in (tmp_path / "cache").iterdir()}
-    client.resolve_qid("en", "Mount Everest")  # a cache hit leaves nothing unsaved
+    client.resolve_qids("en", ["Mount Everest"])  # a cache hit leaves nothing unsaved
     client.save()
     assert {p: p.stat().st_mtime_ns for p in (tmp_path / "cache").iterdir()} == written
 
@@ -385,15 +385,16 @@ def test_save_merges_fresh_over_disk_over_memory(tmp_path, fake_transport):
     path = tmp_path / "cache" / "qids.json"
     MediaWikiClient._write_atomic(path, {"en:Old": "Q1", "en:Mount Everest": "Q2"})
     client = make_client(tmp_path, fake_transport)
-    assert client.resolve_qid("en", "Old") == "Q1"  # loads the map into memory
+    assert client.resolve_qids("en", ["Old"])["Old"] == "Q1"  # loads the map into memory
     # Another client saves meanwhile: it changes one entry and adds another.
     MediaWikiClient._write_atomic(path, {"en:Old": "Q10", "en:Mount Everest": "Q2",
                                          "en:Other": "Q3"})
-    assert client.resolve_qid("en", "Mount Everest", CachePolicy.REFRESH) == "Q513"
+    refreshed = client.resolve_qids("en", ["Mount Everest"], CachePolicy.REFRESH)
+    assert refreshed == {"Mount Everest": "Q513"}
     client.save()
     expected = {"en:Old": "Q10", "en:Mount Everest": "Q513", "en:Other": "Q3"}
     assert json.loads(path.read_text(encoding="utf-8")) == expected
-    assert client.resolve_qid("en", "Other", CachePolicy.OFFLINE_ONLY) == "Q3"
+    assert client.resolve_qids("en", ["Other"], CachePolicy.OFFLINE_ONLY)["Other"] == "Q3"
 
 
 def _resolve_and_save_each(cache_dir, writer, n_titles, start):
@@ -403,7 +404,7 @@ def _resolve_and_save_each(cache_dir, writer, n_titles, start):
     client = MediaWikiClient(cache_dir=cache_dir, rate_limit=1e9, transport=transport)
     start.wait(timeout=60)
     for title in titles:
-        client.resolve_qid("en", title)
+        client.resolve_qids("en", [title])
         client.save()
 
 

@@ -149,6 +149,41 @@ def test_cli_manifest_error_exit_code_1(tmp_path):
     assert result.exit_code == 1
 
 
+CONFLICTING_MAP = {"attributes": [{"canonical": "height", "aliases": {"en": ["height"]}},
+                                  {"canonical": "elevation", "aliases": {"en": ["height"]}}]}
+
+
+@pytest.mark.parametrize("content", [None, "{not json", json.dumps(CONFLICTING_MAP)],
+                         ids=["missing", "not-json", "conflicting"])
+def test_cli_bad_header_map_exit_code_1(tmp_path, content):
+    header_map = tmp_path / "map.json"
+    if content is not None:
+        header_map.write_text(content, encoding="utf-8")
+    result = run_cli("analyze", "--manifest", GEOGRAPHY_MANIFEST, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", header_map, "--out", tmp_path / "out")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+    assert result.output.startswith(f"error: cannot load header map {header_map}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fetch_loads_no_header_map(tmp_path, monkeypatch, fake_transport):
+    import tablediff.cli as cli_mod
+    original_init = MediaWikiClient.__init__
+    monkeypatch.setattr(cli_mod.MediaWikiClient, "__init__",
+                        lambda self, cache_dir=None, **kw: original_init(
+                            self, cache_dir=tmp_path / "cache", transport=fake_transport))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "defaults": {"header_map": str(tmp_path / "missing.json")},
+        "families": [{"id": "sample", "seed": {"language": "en", "title": "Sample Page"},
+                      "languages": ["en"]}],
+    }), encoding="utf-8")
+    result = run_cli("fetch", "--manifest", manifest)
+    assert result.exit_code == 0, result.output
+    assert "fetched 1 page(s)" in result.output
+
+
 def test_cli_wholly_failed_family_exit_code_2(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"families": [{
@@ -514,3 +549,104 @@ def test_warm_cache_counts_a_parse_failure_as_failed(monkeypatch, header_mapping
     summary = warm_cache(load_manifest(CLIMBERS_MANIFEST), header_mapping,
                          MediaWikiClient(cache_dir=FIXTURE_CACHE), PipelineOptions(offline=True))
     assert summary == {"fetched": 4, "absent_or_failed": 1}
+
+
+# -- one staged path for fetch and analyze ------------------------------------
+
+class NoNetwork:
+    """A transport that fails the test on any request."""
+
+    def get_json(self, url, params):
+        raise AssertionError(f"unexpected request: {params}")
+
+
+def _recording_client(cache, calls):
+    """A client that records the (language, titles) of every ``resolve_qids`` call."""
+    client = MediaWikiClient(cache_dir=cache, transport=NoNetwork())
+    resolve = client.resolve_qids
+
+    def recording(language, titles, cache_policy):
+        titles = tuple(titles)
+        calls.append((language, titles))
+        return resolve(language, titles, cache_policy)
+
+    client.resolve_qids = recording
+    return client
+
+
+@pytest.mark.parametrize("manifest_path", [GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST])
+def test_fetch_resolves_the_qids_analyze_links(tmp_path, manifest_path, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    manifest = load_manifest(manifest_path)
+    warmed, linked = [], []
+    warm_cache(manifest, HeaderMapping.empty(), _recording_client(cache, warmed),
+               PipelineOptions(offline=True))
+    run_pipeline(manifest, header_mapping, _recording_client(cache, linked),
+                 PipelineOptions(offline=True))
+    assert linked
+    assert warmed == linked
+
+
+def _record_calls(monkeypatch, original):
+    """The first argument of every call, at each package name bound to ``original``."""
+    seen = []
+
+    def recording(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tablediff.") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, recording)
+    return seen
+
+
+def test_entity_column_and_main_table_are_chosen_once(monkeypatch, header_mapping):
+    from tablediff.entity_align import detect_entity_column
+    from tablediff.metrics import select_main_table
+
+    detected = _record_calls(monkeypatch, detect_entity_column)
+    selected = _record_calls(monkeypatch, select_main_table)
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    ok = 0
+    for manifest in (GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST):
+        report = run_pipeline(load_manifest(manifest), header_mapping, client,
+                              PipelineOptions(offline=True))
+        ok += sum(1 for family in report["families"] for e in family["editions"]
+                  if e["status"] == "ok")
+    assert detected
+    # ``detected`` keeps every table alive, so no two tables share an id.
+    distinct = len({id(table) for table in detected})
+    assert distinct == len(detected), f"{len(detected)} detections for {distinct} tables"
+    assert len(selected) == ok, f"{len(selected)} main-table choices for {ok} pages"
+
+
+# -- golden report bytes -----------------------------------------------------
+
+GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "fixtures" / "golden" / "report_sha256.json"
+
+
+def report_digest(manifest_path, out_dir) -> str:
+    """sha256 of the offline report.json over the fixture cache, ``generated_at`` blanked."""
+    import hashlib
+    import re
+
+    result = run_cli("analyze", "--manifest", manifest_path, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--out", out_dir)
+    assert result.exit_code == 0, result.output
+    data = (Path(out_dir) / "report.json").read_bytes()
+    data, masked = re.subn(rb'"generated_at": "[^"]*"', b'"generated_at": ""', data, count=1)
+    assert masked == 1
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_bundled_reports_match_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    assert set(golden) == {"geography", "climbers"}
+    manifests = {"geography": GEOGRAPHY_MANIFEST, "climbers": CLIMBERS_MANIFEST}
+    actual = {name: report_digest(path, tmp_path / name) for name, path in manifests.items()}
+    moved = sorted(name for name in golden if actual[name] != golden[name])
+    assert not moved, f"report.json moved for {moved}: {actual}"

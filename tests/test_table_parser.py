@@ -190,14 +190,13 @@ def test_invalid_spans_coerced_to_one():
 
 def test_detect_header_th_rows():
     grid, flags = expand_spans([[raw("H", header=True)], [raw("a")]])
-    header, body, fallback = detect_header(grid, flags)
-    assert len(header) == 1 and len(body) == 1 and not fallback
+    header, body = detect_header(grid, flags)
+    assert len(header) == 1 and len(body) == 1
 
 
 def test_detect_header_fallback_promotes_first_row():
     grid, flags = expand_spans([[raw("a")], [raw("b")]])
-    header, body, fallback = detect_header(grid, flags)
-    assert fallback
+    header, body = detect_header(grid, flags)
     assert header[0][0].text == "a"
     assert body[0][0].text == "b"
 
@@ -211,12 +210,6 @@ def test_multi_row_header_labels_join():
     table = extract_tables(doc(html))[0]
     assert table.column_labels() == ["Name", "Height / m", "Height / ft"]
     assert table.n_body_rows == 1
-
-
-def test_caption_extracted():
-    html = ('<table class="wikitable"><caption>The list</caption>'
-            "<tbody><tr><th>H</th></tr><tr><td>x</td></tr></tbody></table>")
-    assert extract_tables(doc(html))[0].caption == "The list"
 
 
 # -- property: spans vs. occupancy oracle -------------------------------
