@@ -20,7 +20,8 @@ and ``</3>`` are dropped, ``<!-->`` with no later ``-->`` is text, and an
 unterminated ``<script>`` or ``<style>`` drops its content. Tree rules: a
 close tag with no matching open element is ignored, closing an outer element
 implicitly closes everything nested inside it, void elements take no
-children, and parsing never raises.
+children, and parsing never raises. Nodes hold no parent pointers, so a tree
+has no reference cycles and is freed by reference counting once dropped.
 
 One deliberate difference from ``html.parser``: ``<![…`` (CDATA or a marked
 section) is dropped through the next ``>`` like any other ``<!…>``
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import re
 from html import unescape
-from typing import Iterator, Optional
+from typing import Optional
 
 VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -43,13 +44,12 @@ VOID_TAGS = {
 class Node:
     """One element: tag name, attributes, and mixed node/str children."""
 
-    __slots__ = ("tag", "attrs", "children", "parent")
+    __slots__ = ("tag", "attrs", "children")
 
-    def __init__(self, tag: str, attrs: Optional[dict] = None, parent: Optional["Node"] = None):
+    def __init__(self, tag: str, attrs: Optional[dict] = None):
         self.tag = tag
         self.attrs = attrs or {}
         self.children: list = []
-        self.parent = parent
 
     def classes(self) -> set[str]:
         return set((self.attrs.get("class") or "").split())
@@ -57,29 +57,17 @@ class Node:
     def get(self, name: str, default=None):
         return self.attrs.get(name, default)
 
-    def iter_nodes(self) -> Iterator["Node"]:
-        """All element descendants in document order, self excluded."""
+    def find_all(self, tag: str, class_: Optional[str] = None) -> list["Node"]:
+        """Element descendants with this tag (and class), in document order."""
+        out = []
         stack = self.children[::-1]
         while stack:
             node = stack.pop()
             if isinstance(node, Node):
-                yield node
+                if node.tag == tag and (class_ is None or class_ in node.classes()):
+                    out.append(node)
                 stack.extend(reversed(node.children))
-
-    def find_all(self, tag: str, class_: Optional[str] = None) -> list["Node"]:
-        out = []
-        for node in self.iter_nodes():
-            if node.tag == tag and (class_ is None or class_ in node.classes()):
-                out.append(node)
         return out
-
-    def has_ancestor(self, tag: str) -> bool:
-        node = self.parent
-        while node is not None:
-            if node.tag == tag:
-                return True
-            node = node.parent
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.tag} {self.attrs.get('class', '')!r}>"
@@ -195,6 +183,7 @@ def _text(raw: str) -> str:
 def parse_html(html: str) -> Node:
     """Parse an HTML document into a Node tree. Never raises on bad markup."""
     root = current = Node("#document")
+    open_elements = [root]  # the root, then each element still open, innermost last
     n = len(html)
     pos = 0
     match = _TOKEN.match
@@ -219,12 +208,11 @@ def parse_html(html: str) -> Node:
                 if end_name:
                     # Close the innermost open element with this name, if any.
                     end_name = end_name.lower()
-                    node = current
-                    while node is not root:
-                        if node.tag == end_name:
-                            current = node.parent
+                    for depth in range(len(open_elements) - 1, 0, -1):
+                        if open_elements[depth].tag == end_name:
+                            del open_elements[depth:]
+                            current = open_elements[-1]
                             break
-                        node = node.parent
                 continue
             tag = tag.lower()
             attrs = {}
@@ -232,11 +220,10 @@ def parse_html(html: str) -> Node:
                 for name, eq, value in _ATTR.findall(attr_text):
                     attrs[name.lower()] = _attr_value(value) if eq else None
             self_closing = slash == "/"
-        node = Node(tag, attrs, current)
+        node = Node(tag, attrs)
         current.children.append(node)
         if self_closing or tag in VOID_TAGS:
             continue
-        current = node
         raw_end = _RAW_TEXT_END.get(tag)
         if raw_end is not None:
             close = raw_end.search(html, pos)
@@ -244,6 +231,8 @@ def parse_html(html: str) -> Node:
                 break  # unterminated: html.parser drops the content too
             if close.start() > pos:
                 node.children.append(html[pos:close.start()])
-            current = node.parent
             pos = close.end()
+            continue
+        open_elements.append(node)
+        current = node
     return root

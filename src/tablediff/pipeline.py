@@ -495,9 +495,6 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
                     continue
                 fetched += 1
                 _link_edition(entry, edition, client, options, [])
-                # Keep no tables or mentions past the link stage either: objects
-                # kept alive to the end of the family make the collector run more.
-                edition.tables, edition.linked = [], []
         finally:
             client.save()
     return {"fetched": fetched, "absent_or_failed": absent}

@@ -90,12 +90,19 @@ class HeaderMapping:
 
 
 def load_header_mapping(path: str | Path) -> HeaderMapping:
-    """Load a mapping config: ``{"attributes": [{"canonical", "aliases"}]}``."""
+    """Load ``{"attributes": [{"canonical", "aliases"}]}``; ValueError on a malformed entry."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     attributes = []
     for entry in data.get("attributes", []):
-        aliases = {lang: sorted(set(values)) for lang, values in entry.get("aliases", {}).items()}
-        attributes.append(AttributeKey(canonical=entry["canonical"], aliases=aliases))
+        fields = entry if isinstance(entry, dict) else {}
+        canonical, aliases = fields.get("canonical"), fields.get("aliases", {})
+        if not isinstance(canonical, str) or not isinstance(aliases, dict) or not all(
+                isinstance(values, list) and all(isinstance(v, str) for v in values)
+                for values in aliases.values()):
+            raise ValueError("an attribute needs a string 'canonical' and 'aliases' mapping each "
+                             f"language to a list of strings: {entry!r}")
+        aliases = {lang: sorted(set(values)) for lang, values in aliases.items()}
+        attributes.append(AttributeKey(canonical=canonical, aliases=aliases))
     return HeaderMapping(attributes)
 
 

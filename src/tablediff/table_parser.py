@@ -149,16 +149,13 @@ def _walk_cell(node: Node, parts: list[str], link: Optional[str]) -> Optional[st
         tag = child.tag
         if tag in NON_CONTENT_TAGS or _is_reference_sup(child):
             if link is None:
-                for anchor in child.find_all("a"):
-                    link = _anchor_link(anchor)
-                    if link is not None:
-                        break
+                link = _walk_cell(child, [], None)
             continue
         if tag == "br":
             parts.append(" ")
             continue
         if tag == "a" and link is None:
-            link = _anchor_link(child)
+            link = _anchor_link(child, node)
         link = _walk_cell(child, parts, link)
         if tag in BLOCK_TAGS:
             parts.append(" ")
@@ -183,8 +180,8 @@ def link_target(href: Optional[str], title_attr: Optional[str]) -> Optional[str]
     return title
 
 
-def _anchor_link(anchor: Node) -> Optional[str]:
-    if anchor.parent is not None and _is_reference_sup(anchor.parent):
+def _anchor_link(anchor: Node, parent: Node) -> Optional[str]:
+    if _is_reference_sup(parent):
         return None
     if "new" in anchor.classes():  # red link
         return None
@@ -291,17 +288,27 @@ def detect_header(grid: list[list[Cell]],
 
 def _qualifies(table: Node) -> bool:
     classes = table.classes()
-    if "wikitable" not in classes:
-        return False
-    if classes & EXCLUDED_TABLE_CLASSES:
-        return False
-    return not table.has_ancestor("table")
+    return "wikitable" in classes and not classes & EXCLUDED_TABLE_CLASSES
+
+
+def _outer_tables(root: Node) -> list[Node]:
+    """Tables inside no other table, in document order; never enters a table."""
+    out = []
+    stack = root.children[::-1]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node):
+            if node.tag == "table":
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
+    return out
 
 
 def extract_tables(doc: PageDocument) -> list[WikiTable]:
     """All qualifying data tables of a page, in document order."""
     out: list[WikiTable] = []
-    for table in doc.root.find_all("table"):
+    for table in _outer_tables(doc.root):
         if not _qualifies(table):
             continue
         raw_rows = [[_parse_raw_cell(c) for c in _row_cells(tr)] for tr in _table_rows(table)]

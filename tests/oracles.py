@@ -97,29 +97,27 @@ class _TreeBuilder(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.root = Node("#document")
-        self.current = self.root
+        self.open_elements = [self.root]  # innermost open element last
 
     def handle_starttag(self, tag, attrs):
-        node = Node(tag, dict(attrs), parent=self.current)
-        self.current.children.append(node)
+        node = Node(tag, dict(attrs))
+        self.open_elements[-1].children.append(node)
         if tag not in _VOID_TAGS:
-            self.current = node
+            self.open_elements.append(node)
 
     def handle_startendtag(self, tag, attrs):
-        self.current.children.append(Node(tag, dict(attrs), parent=self.current))
+        self.open_elements[-1].children.append(Node(tag, dict(attrs)))
 
     def handle_endtag(self, tag):
-        node = self.current
-        while node is not self.root:
-            if node.tag == tag:
-                self.current = node.parent
+        for i in range(len(self.open_elements) - 1, 0, -1):
+            if self.open_elements[i].tag == tag:
+                del self.open_elements[i:]
                 return
-            node = node.parent
         # No matching open tag: ignore the stray close.
 
     def handle_data(self, data):
         if data:
-            self.current.children.append(data)
+            self.open_elements[-1].children.append(data)
 
 
 def oracle_parse_html(html):

@@ -151,10 +151,17 @@ def test_cli_manifest_error_exit_code_1(tmp_path):
 
 CONFLICTING_MAP = {"attributes": [{"canonical": "height", "aliases": {"en": ["height"]}},
                                   {"canonical": "elevation", "aliases": {"en": ["height"]}}]}
+NO_CANONICAL_MAP = {"attributes": [{"aliases": {"en": ["height"]}}]}
+NOT_OBJECT_MAP = {"attributes": ["height"]}
+# A string alias list must not be split into the single-character aliases h, e, i, g, t.
+STRING_ALIASES_MAP = {"attributes": [{"canonical": "height", "aliases": {"en": "height"}}]}
 
 
-@pytest.mark.parametrize("content", [None, "{not json", json.dumps(CONFLICTING_MAP)],
-                         ids=["missing", "not-json", "conflicting"])
+@pytest.mark.parametrize("content", [None, "{not json", json.dumps(CONFLICTING_MAP),
+                                     json.dumps(NO_CANONICAL_MAP), json.dumps(NOT_OBJECT_MAP),
+                                     json.dumps(STRING_ALIASES_MAP)],
+                         ids=["missing", "not-json", "conflicting", "no-canonical", "not-object",
+                              "string-aliases"])
 def test_cli_bad_header_map_exit_code_1(tmp_path, content):
     header_map = tmp_path / "map.json"
     if content is not None:

@@ -80,6 +80,14 @@ def test_nested_tables_flatten_into_cell():
     assert "inner" in tables[0].body_rows[0][0].text
 
 
+def test_wikitable_inside_layout_table_is_not_emitted():
+    nested = table_html("<tr><th>H</th></tr><tr><td>nested</td></tr>")
+    html = (f"<table><tbody><tr><td>{nested}</td></tr></tbody></table>"
+            + table_html("<tr><th>H</th></tr><tr><td>after</td></tr>"))
+    tables = extract_tables(doc(html))
+    assert [(t.table_index, t.body_rows[0][0].text) for t in tables] == [(0, "after")]
+
+
 def test_document_order_and_indexes():
     html = "".join(table_html(f"<tr><th>H</th></tr><tr><td>t{i}</td></tr>") for i in range(3))
     tables = extract_tables(doc(html))
@@ -129,8 +137,8 @@ def test_first_link_searches_inside_script_and_style():
     # The tokenizer keeps script/style content raw, so only a built tree holds
     # an element there; the rule still searches it while dropping its text.
     td = Node("td")
-    style = Node("style", parent=td)
-    style.children.append(Node("a", {"href": "/wiki/Styled"}, parent=style))
+    style = Node("style")
+    style.children.append(Node("a", {"href": "/wiki/Styled"}))
     td.children += [style, "visible"]
     assert _cell_content(td) == ("visible", "Styled")
 
