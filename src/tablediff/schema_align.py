@@ -92,6 +92,8 @@ class HeaderMapping:
 def load_header_mapping(path: str | Path) -> HeaderMapping:
     """Load ``{"attributes": [{"canonical", "aliases"}]}``; ValueError on a malformed entry."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict) or not isinstance(data.get("attributes", []), list):
+        raise ValueError("a header map must be a JSON object whose 'attributes' is a list")
     attributes = []
     for entry in data.get("attributes", []):
         fields = entry if isinstance(entry, dict) else {}

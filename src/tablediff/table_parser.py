@@ -4,6 +4,11 @@ Only ``wikitable``-classed tables qualify as data tables; infoboxes,
 navboxes, metadata and sidebar tables are a different artifact class and are
 skipped. Nested tables are flattened into the text of the cell that holds
 them and never emitted separately.
+
+Each <th>/<td> is read once into a plain ``(raw_text, link_title, is_header,
+rowspan, colspan)`` tuple; ``expand_spans`` then places the tuples straight
+into one Python list per grid row, so no per-cell object exists between the
+HTML node and the final ``Cell``.
 """
 
 from __future__ import annotations
@@ -68,17 +73,6 @@ class Cell:
 _PAD = (Cell(""), False)
 
 
-@dataclass(frozen=True)
-class RawCell:
-    """A parsed <th>/<td> before span expansion."""
-
-    raw_text: str
-    link_title: Optional[str]
-    is_header: bool
-    rowspan: int = 1
-    colspan: int = 1
-
-
 @dataclass
 class WikiTable:
     """A rectangular table: every header and body row has n_cols cells."""
@@ -117,9 +111,7 @@ def _coerce_span(value) -> int:
         span = int(str(value).strip())
     except (TypeError, ValueError):
         return 1
-    if span < 1:
-        return 1
-    return min(span, _HTML_SPAN_CAP)
+    return min(max(span, 1), _HTML_SPAN_CAP)
 
 
 def _is_reference_sup(node: Node) -> bool:
@@ -136,6 +128,9 @@ def _cell_content(node: Node) -> tuple[str, Optional[str]]:
     whose parent is not a reference sup; it may sit inside a nested table,
     or deeper inside a sup, whose text is dropped.
     """
+    children = node.children
+    if len(children) == 1 and isinstance(children[0], str):  # plain text: nothing to walk
+        return children[0], None
     parts: list[str] = []
     link = _walk_cell(node, parts, None)
     return "".join(parts), link
@@ -188,21 +183,19 @@ def _anchor_link(anchor: Node, parent: Node) -> Optional[str]:
     return link_target(anchor.get("href"), anchor.get("title"))
 
 
-def _parse_raw_cell(node: Node) -> RawCell:
+def _parse_raw_cell(node: Node) -> tuple[str, Optional[str], bool, int, int]:
+    """A <th>/<td> before span expansion: (raw_text, link_title, is_header, rowspan, colspan)."""
     raw, link = _cell_content(node)
-    return RawCell(
-        raw_text=raw,
-        link_title=link,
-        is_header=node.tag == "th",
-        rowspan=_coerce_span(node.attrs.get("rowspan")),
-        colspan=_coerce_span(node.attrs.get("colspan")),
-    )
+    attrs = node.attrs
+    if not attrs:
+        return raw, link, node.tag == "th", 1, 1
+    return (raw, link, node.tag == "th",
+            _coerce_span(attrs.get("rowspan")), _coerce_span(attrs.get("colspan")))
 
 
 def _table_rows(table: Node) -> list[Node]:
     """The table's own <tr> rows, never rows of a nested table."""
-    rows = []
-    sections = []
+    rows, sections = [], []
     for child in table.children:
         if isinstance(child, Node) and child.tag in ("thead", "tbody", "tfoot"):
             sections.append(child)
@@ -219,52 +212,56 @@ def _row_cells(tr: Node) -> list[Node]:
     return [c for c in tr.children if isinstance(c, Node) and c.tag in ("th", "td")]
 
 
-def expand_spans(raw_rows: list[list[RawCell]]) -> tuple[list[list[Cell]], list[list[bool]]]:
+def expand_spans(raw_rows: list[list[tuple]]) -> tuple[list[list[Cell]], list[list[bool]]]:
     """Materialize rowspan/colspan into a rectangular Cell grid.
 
-    Rows are processed top to bottom, cells left to right. The column cursor
-    skips positions already claimed by an earlier span; each cell then claims
-    a ``rowspan x colspan`` rectangle anchored at the cursor (positions inside
-    the rectangle that are already taken stay with their first claimant).
-    Rowspans are clipped at the last row. Every claimed position beyond the
-    anchor holds a copy flagged ``is_spanned_copy``; unclaimed positions are
-    right-padded with empty cells.
+    Every grid row is one list of ``(Cell, is_header)`` entries in which
+    ``None`` marks a free slot. Rows are processed top to bottom, cells left
+    to right. The column cursor skips filled slots; each cell fills the free
+    slot there and then copies itself into the free slots of its ``rowspan x
+    colspan`` rectangle, extending the lists of the rows below as needed
+    (a slot already filled stays with its first claimant). Rowspans are
+    clipped at the last row; empty rows never reach this function. Every
+    position beyond the anchor holds a copy flagged ``is_spanned_copy``. The
+    grid is as wide as the last claimed column + 1; free and missing slots
+    become empty cells.
 
     Returns the cell grid and a parallel header-flag grid (pads are never
     header cells).
     """
-    n_rows = len(raw_rows)
-    occupied: dict[tuple[int, int], tuple[Cell, bool]] = {}
+    slots: list[list] = [[] for _ in raw_rows]
     for r, row in enumerate(raw_rows):
+        line = slots[r]
         cursor = 0
-        for raw in row:
-            while (r, cursor) in occupied:
+        for raw_text, link, is_header, rowspan, colspan in row:
+            filled = len(line)
+            while cursor < filled and line[cursor] is not None:
                 cursor += 1
-            text = normalize_text(raw.raw_text)
-            occupied[(r, cursor)] = (Cell(text, raw.link_title), raw.is_header)
-            if raw.rowspan > 1 or raw.colspan > 1:
-                copy = (Cell(text, raw.link_title, is_spanned_copy=True), raw.is_header)
-                for dr in range(min(raw.rowspan, n_rows - r)):
-                    for dc in range(raw.colspan):
-                        occupied.setdefault((r + dr, cursor + dc), copy)
-            cursor += raw.colspan
+            text = normalize_text(raw_text)
+            if cursor == filled:
+                line.append((Cell(text, link), is_header))
+            else:
+                line[cursor] = (Cell(text, link), is_header)
+            if rowspan > 1 or colspan > 1:
+                copy = (Cell(text, link, is_spanned_copy=True), is_header)
+                stop = cursor + colspan
+                for below in slots[r:r + rowspan]:
+                    if len(below) < stop:
+                        below += [None] * (stop - len(below))
+                    for c in range(cursor, stop):
+                        if below[c] is None:
+                            below[c] = copy
+            cursor += colspan
 
-    width = 0
-    for (_, c) in occupied:
-        width = max(width, c + 1)
-    if n_rows and width == 0:
-        width = 1
-
-    grid: list[list[Cell]] = []
-    headers: list[list[bool]] = []
-    for r in range(n_rows):
-        cells, flags = [], []
-        for c in range(width):
-            cell, is_header = occupied.get((r, c), _PAD)
-            cells.append(cell)
-            flags.append(is_header)
-        grid.append(cells)
-        headers.append(flags)
+    width = max(map(len, slots), default=0) or min(len(slots), 1)
+    grid, headers = [], []
+    for line in slots:
+        if len(line) < width:
+            line += [_PAD] * (width - len(line))
+        if None in line:
+            line = [entry or _PAD for entry in line]
+        grid.append([cell for cell, _ in line])
+        headers.append([is_header for _, is_header in line])
     return grid, headers
 
 

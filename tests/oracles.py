@@ -11,28 +11,25 @@ import numpy as np
 from tablediff.htmldom import Node
 
 
-def oracle_expand(layout):
-    """Occupancy-bitmap reference for rowspan/colspan expansion.
+def _paint(layout):
+    """Claim grid of source ids plus (row, index in row, anchor column) per source id.
 
-    ``layout`` is rows of (rowspan, colspan, text). Claims are painted into an
-    explicit integer grid row by row: the cursor skips claimed positions, each
-    cell claims its rectangle (first claimant wins), rowspans clip at the last
-    row. Returns rows of (text, is_copy) with unclaimed positions as ("",
-    False) pads.
+    Claims are painted into an explicit integer grid row by row: the cursor
+    skips claimed positions, each cell claims its rectangle (first claimant
+    wins), rowspans clip at the last row. Unclaimed positions hold -1; the
+    grid is as wide as the last claimed column.
     """
     n_rows = len(layout)
     width_cap = 1 + max(sum(cs + 2 for _rs, cs, _t in row) for row in layout) + 4 * n_rows
     claims = np.full((n_rows, width_cap), -1, dtype=int)
-    anchors = {}
     sources = []
     for r, row in enumerate(layout):
         cursor = 0
-        for rowspan, colspan, text in row:
+        for i, (rowspan, colspan, _text) in enumerate(row):
             while claims[r, cursor] != -1:
                 cursor += 1
             sid = len(sources)
-            sources.append(text)
-            anchors[sid] = (r, cursor)
+            sources.append((r, i, cursor))
             for dr in range(min(rowspan, n_rows - r)):
                 for dc in range(colspan):
                     if claims[r + dr, cursor + dc] == -1:
@@ -40,17 +37,37 @@ def oracle_expand(layout):
             cursor += colspan
     used = np.argwhere(claims != -1)
     width = int(used[:, 1].max()) + 1 if len(used) else 1
+    return claims[:, :width], sources
+
+
+def oracle_expand(layout):
+    """Occupancy-bitmap reference for rowspan/colspan expansion.
+
+    ``layout`` is rows of (rowspan, colspan, text). Returns rows of (text,
+    is_copy) with unclaimed positions as ("", False) pads.
+    """
+    claims, sources = _paint(layout)
     out = []
-    for r in range(n_rows):
+    for r, claim_row in enumerate(claims):
         row_cells = []
-        for c in range(width):
-            sid = claims[r, c]
+        for c, sid in enumerate(claim_row):
             if sid == -1:
                 row_cells.append(("", False))
             else:
-                row_cells.append((sources[sid], anchors[sid] != (r, c)))
+                sr, si, sc = sources[sid]
+                row_cells.append((layout[sr][si][2], (sr, sc) != (r, c)))
         out.append(row_cells)
     return out
+
+
+def oracle_header_flags(layout, headers):
+    """Header flag of each position's claimant; ``headers`` parallels ``layout``.
+
+    Unclaimed positions are never header cells.
+    """
+    claims, sources = _paint(layout)
+    source_flags = [bool(headers[sr][si]) for sr, si, _sc in sources]
+    return [[source_flags[sid] if sid != -1 else False for sid in claim_row] for claim_row in claims]
 
 
 def random_span_layout(rng, max_rows=8, max_cells=6, max_span=4):

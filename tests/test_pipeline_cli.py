@@ -159,9 +159,11 @@ STRING_ALIASES_MAP = {"attributes": [{"canonical": "height", "aliases": {"en": "
 
 @pytest.mark.parametrize("content", [None, "{not json", json.dumps(CONFLICTING_MAP),
                                      json.dumps(NO_CANONICAL_MAP), json.dumps(NOT_OBJECT_MAP),
-                                     json.dumps(STRING_ALIASES_MAP)],
+                                     json.dumps(STRING_ALIASES_MAP), "[]",
+                                     '{"attributes": null}', '{"attributes": 5}'],
                          ids=["missing", "not-json", "conflicting", "no-canonical", "not-object",
-                              "string-aliases"])
+                              "string-aliases", "top-level-list", "null-attributes",
+                              "number-attributes"])
 def test_cli_bad_header_map_exit_code_1(tmp_path, content):
     header_map = tmp_path / "map.json"
     if content is not None:

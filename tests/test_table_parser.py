@@ -1,3 +1,5 @@
+import hashlib
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -5,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from tablediff.htmldom import Node
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.table_parser import (Cell, RawCell, _cell_content, detect_header, expand_spans,
-                                    extract_tables, link_target, normalize_text)
+from tablediff.table_parser import (_HTML_SPAN_CAP, Cell, _cell_content, detect_header,
+                                    expand_spans, extract_tables, link_target, normalize_text)
 
-from oracles import oracle_expand
+from conftest import FIXTURE_CACHE, REPO
+from oracles import oracle_expand, oracle_header_flags
 
 TS = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
@@ -143,11 +146,44 @@ def test_first_link_searches_inside_script_and_style():
     assert _cell_content(td) == ("visible", "Styled")
 
 
+# -- golden table bytes ------------------------------------------------------
+
+GOLDEN_TABLES = REPO / "fixtures" / "golden" / "tables_sha256.json"
+
+
+def tables_dump(paths) -> list:
+    """Every extracted table of each page, as plain JSON values, in path order."""
+    def rows(grid):
+        return [[[c.text, c.link_title, c.is_spanned_copy] for c in row] for row in grid]
+
+    out = []
+    for path in paths:
+        page = PageDocument.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        out.append([path.relative_to(FIXTURE_CACHE).as_posix(), [
+            {"table_index": t.table_index, "n_cols": t.n_cols,
+             "header_rows": rows(t.header_rows), "body_rows": rows(t.body_rows)}
+            for t in extract_tables(page)]])
+    return out
+
+
+def test_vendored_tables_match_golden_digest():
+    golden = json.loads(GOLDEN_TABLES.read_text(encoding="utf-8"))
+    dump = tables_dump(sorted((FIXTURE_CACHE / "pages").rglob("*.json")))
+    data = json.dumps(dump, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    actual = {
+        "pages": len(dump),
+        "tables": sum(len(tables) for _, tables in dump),
+        "cells": sum(len(row) for _, tables in dump for t in tables
+                     for row in t["header_rows"] + t["body_rows"]),
+        "sha256": hashlib.sha256(data.encode("utf-8")).hexdigest(),
+    }
+    assert actual == golden, f"extracted tables moved: {actual}"
+
+
 # -- span expansion ----------------------------------------------------------
 
 def raw(text, rowspan=1, colspan=1, header=False):
-    return RawCell(raw_text=text, link_title=None, is_header=header,
-                   rowspan=rowspan, colspan=colspan)
+    return (text, None, header, rowspan, colspan)
 
 
 def test_expand_identity_on_1x1():
@@ -194,7 +230,60 @@ def test_invalid_spans_coerced_to_one():
     assert [c.text for c in table.body_rows[1]] == ["c", "d"]
 
 
+@pytest.mark.parametrize("colspan", [str(_HTML_SPAN_CAP), str(5 * _HTML_SPAN_CAP)])
+def test_capped_colspan_pads_every_other_row(colspan):
+    html = table_html(f'<tr><th colspan="{colspan}">wide</th></tr>'
+                      '<tr><td>a</td><td>b</td></tr><tr><td>c</td></tr>')
+    table = extract_tables(doc(html))[0]
+    assert table.n_cols == _HTML_SPAN_CAP
+    assert all(len(row) == _HTML_SPAN_CAP for row in table.header_rows + table.body_rows)
+    assert [c.text for c in table.body_rows[0][:3]] == ["a", "b", ""]
+    assert all(c == Cell("") for row in table.body_rows for c in row[2:])
+
+
+def test_empty_row_does_not_consume_rowspan():
+    html = table_html(
+        "<tr><th>H1</th><th>H2</th></tr>"
+        '<tr><td rowspan="2">a</td><td>b</td></tr>'
+        "<tr></tr>"
+        "<tr><td>c</td></tr>"
+        "<tr><td>d</td><td>e</td></tr>"
+    )
+    table = extract_tables(doc(html))[0]
+    assert [[c.text for c in row] for row in table.body_rows] == [["a", "b"], ["a", "c"],
+                                                                  ["d", "e"]]
+    assert table.body_rows[1][0].is_spanned_copy
+
+
+def test_spanned_copies_carry_anchor_link():
+    html = table_html(
+        "<tr><th>Name</th><th>A</th><th>B</th></tr>"
+        '<tr><td rowspan="2" colspan="2"><a href="/wiki/Mount_Everest">Everest</a></td>'
+        "<td>1</td></tr>"
+        "<tr><td>2</td></tr>"
+    )
+    body = extract_tables(doc(html))[0].body_rows
+    spanned = [body[0][0], body[0][1], body[1][0], body[1][1]]
+    assert [(c.text, c.link_title) for c in spanned] == [("Everest", "Mount Everest")] * 4
+    assert [c.is_spanned_copy for c in spanned] == [False, True, True, True]
+    assert body[1][2] == Cell("2")
+
+
 # -- header detection --------------------------------------------------------
+
+def test_th_rowspan_copy_keeps_header_flag():
+    # The second row is all-th only through the copy of "Name"; a copy that
+    # lost its header flag would end the header after one row.
+    html = table_html(
+        '<tr><th rowspan="2">Name</th><th>Height</th></tr>'
+        "<tr><th>m</th></tr>"
+        "<tr><td>Everest</td><td>8849</td></tr>"
+    )
+    table = extract_tables(doc(html))[0]
+    assert len(table.header_rows) == 2
+    assert table.header_rows[1][0] == Cell("Name", is_spanned_copy=True)
+    assert [[c.text for c in row] for row in table.body_rows] == [["Everest", "8849"]]
+
 
 def test_detect_header_th_rows():
     grid, flags = expand_spans([[raw("H", header=True)], [raw("a")]])
@@ -224,25 +313,29 @@ def test_multi_row_header_labels_join():
 
 @st.composite
 def span_layouts(draw):
+    """Rows of (rowspan, colspan, text) plus a parallel grid of th/td flags."""
     n_rows = draw(st.integers(1, 6))
-    rows = []
+    rows, headers = [], []
     for r in range(n_rows):
         n_cells = draw(st.integers(1, 5))
         rows.append([
             (draw(st.integers(1, 3)), draw(st.integers(1, 3)), f"r{r}c{i}")
             for i in range(n_cells)
         ])
-    return rows
+        headers.append([draw(st.booleans()) for _ in range(n_cells)])
+    return rows, headers
 
 
-def layout_to_raw(layout):
-    return [[raw(text, rowspan=rs, colspan=cs) for rs, cs, text in row] for row in layout]
+def layout_to_raw(layout, headers):
+    return [[raw(text, rowspan=rs, colspan=cs, header=h)
+             for (rs, cs, text), h in zip(row, hrow)] for row, hrow in zip(layout, headers)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(span_layouts())
-def test_expand_matches_occupancy_oracle(layout):
-    grid, _ = expand_spans(layout_to_raw(layout))
+def test_expand_matches_occupancy_oracle(layout_and_headers):
+    layout, headers = layout_and_headers
+    grid, flags = expand_spans(layout_to_raw(layout, headers))
     expected = oracle_expand(layout)
     assert len(grid) == len(expected)
     widths = {len(row) for row in grid}
@@ -251,3 +344,4 @@ def test_expand_matches_occupancy_oracle(layout):
         for cell, (text, is_copy) in zip(grow, erow):
             assert cell.text == text
             assert cell.is_spanned_copy == is_copy
+    assert flags == oracle_header_flags(layout, headers)
