@@ -56,6 +56,33 @@ def _require(condition: bool, message: str) -> None:
         raise ManifestError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# Each known ``defaults`` key: what its value must be, and the check. The
+# values are kept as given, since the report repeats the manifest verbatim.
+_DEFAULT_TYPES = {
+    "languages": ("a list of strings or a comma-separated string",
+                  lambda v: isinstance(v, str) or _is_str_list(v)),
+    "offline": ("a boolean", lambda v: isinstance(v, bool)),
+    "all_tables": ("a boolean", lambda v: isinstance(v, bool)),
+    "rel_tol": ("a non-negative number",
+                lambda v: (_is_int(v) or isinstance(v, float)) and v >= 0),
+    "staleness_days": ("an integer", _is_int),
+    "jobs": ("an integer", _is_int),
+    "missing_values": ("a list of strings", _is_str_list),
+    "format": ("one of 'json', 'csv', 'plotdata'", lambda v: v in ("json", "csv", "plotdata")),
+    "cache_dir": ("a string", lambda v: isinstance(v, str)),
+    "header_map": ("a string", lambda v: isinstance(v, str)),
+    "out": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def parse_manifest(data: dict) -> DatasetManifest:
     _require(isinstance(data, dict), "manifest must be a JSON object")
     raw_families = data.get("families")
@@ -101,6 +128,10 @@ def parse_manifest(data: dict) -> DatasetManifest:
                                     main_table_index=main_override, column_hints=hints))
     defaults = data.get("defaults") or {}
     _require(isinstance(defaults, dict), "manifest defaults must be an object")
+    for key, value in defaults.items():
+        if key in _DEFAULT_TYPES:
+            expected, check = _DEFAULT_TYPES[key]
+            _require(check(value), f"manifest defaults: {key} must be {expected}, not {value!r}")
     return DatasetManifest(families=families, defaults=defaults)
 
 

@@ -1,58 +1,20 @@
-"""Per-page and per-family quantitative metrics.
+"""Per-page and per-language quantitative metrics.
 
 Three measures per (article, language): how many data tables the page has,
 how many reference-list items it cites, and how complete the columns of its
-main table are. A language that lacks the article contributes nothing, which
-is not the same as a page with zero tables.
+main table are. ``page_stats`` returns them as the metric fields of the
+page's edition row in the report; that row is their only record, and both
+the per-family and the corpus aggregates are computed from such rows. A
+language that lacks the article contributes no row, which is not the same
+as a page with zero tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .table_parser import WikiTable
 from .value_analysis import is_missing
-
-
-@dataclass
-class PageStats:
-    """Metric bundle for one (article, language) page."""
-
-    table_count: int
-    reference_count: int
-    main_table_index: Optional[int]
-    total_columns: int = 0
-    complete_columns: int = 0
-    incomplete_columns: int = 0
-
-    def __post_init__(self):
-        if self.complete_columns + self.incomplete_columns != self.total_columns:
-            raise ValueError("complete + incomplete must equal total columns")
-
-
-@dataclass
-class LanguageAggregate:
-    pages: int = 0
-    pages_with_tables: int = 0
-    table_count: int = 0
-    reference_total: int = 0
-    reference_mean: float = 0.0
-    columns_total: int = 0
-    columns_complete: int = 0
-    columns_incomplete: int = 0
-    incompleteness_rate: float = 0.0
-
-
-@dataclass
-class FamilyStats:
-    """All PageStats of one article family plus per-language aggregates."""
-
-    family: str
-    per_language: dict[str, list[PageStats]] = field(default_factory=dict)
-
-    def aggregates(self) -> dict[str, LanguageAggregate]:
-        return {lang: aggregate_pages(stats) for lang, stats in self.per_language.items()}
 
 
 def select_main_table(tables: list[WikiTable], override: Optional[int] = None) -> Optional[int]:
@@ -90,8 +52,8 @@ def column_completeness(table: WikiTable, extra_missing: tuple[str, ...] = ()) -
 def page_stats(tables: list[WikiTable], reference_count: int,
                main_override: Optional[int] = None,
                extra_missing: tuple[str, ...] = (),
-               all_tables: bool = False) -> PageStats:
-    """Assemble the stats bundle for one fetched page.
+               all_tables: bool = False) -> dict:
+    """The metric fields of one fetched page's edition row, in report order.
 
     Column completeness covers the main table only unless ``all_tables`` is
     set (which goes beyond the standard protocol and is labeled as such by
@@ -105,41 +67,43 @@ def page_stats(tables: list[WikiTable], reference_count: int,
             total, complete, incomplete = total + t, complete + c, incomplete + i
     elif main_index is not None:
         total, complete, incomplete = column_completeness(tables[main_index], extra_missing)
-    return PageStats(
-        table_count=len(tables),
-        reference_count=reference_count,
-        main_table_index=main_index,
-        total_columns=total,
-        complete_columns=complete,
-        incomplete_columns=incomplete,
-    )
+    return {
+        "table_count": len(tables),
+        "reference_count": reference_count,
+        "main_table_index": main_index,
+        "columns": {"total": total, "complete": complete, "incomplete": incomplete},
+    }
 
 
-def aggregate_pages(pages: list[PageStats]) -> LanguageAggregate:
-    agg = LanguageAggregate()
-    for p in pages:
-        agg.pages += 1
-        agg.pages_with_tables += 1 if p.table_count else 0
-        agg.table_count += p.table_count
-        agg.reference_total += p.reference_count
-        agg.columns_total += p.total_columns
-        agg.columns_complete += p.complete_columns
-        agg.columns_incomplete += p.incomplete_columns
-    if agg.pages:
-        agg.reference_mean = round(agg.reference_total / agg.pages, 1)
-    if agg.columns_total:
-        agg.incompleteness_rate = round(100.0 * agg.columns_incomplete / agg.columns_total, 1)
-    return agg
+def aggregate_pages(rows: list[dict]) -> dict:
+    """Aggregates over ok edition rows, one row per page."""
+    pages = len(rows)
+    reference_total = sum(row["reference_count"] for row in rows)
+    columns_total = sum(row["columns"]["total"] for row in rows)
+    columns_incomplete = sum(row["columns"]["incomplete"] for row in rows)
+    return {
+        "pages": pages,
+        "pages_with_tables": sum(1 for row in rows if row["table_count"]),
+        "table_count": sum(row["table_count"] for row in rows),
+        "reference_total": reference_total,
+        "reference_mean": round(reference_total / pages, 1) if pages else 0.0,
+        "columns_total": columns_total,
+        "columns_complete": sum(row["columns"]["complete"] for row in rows),
+        "columns_incomplete": columns_incomplete,
+        "incompleteness_rate": (round(100.0 * columns_incomplete / columns_total, 1)
+                                if columns_total else 0.0),
+    }
 
 
-def aggregate_corpus(families: list[FamilyStats], languages: list[str]) -> dict[str, LanguageAggregate]:
-    """Per-language aggregates across all families of a run.
+def aggregate_corpus(families: list[dict], languages: list[str]) -> dict[str, dict]:
+    """Per-language aggregates over the ok edition rows of a run's family dicts.
 
-    Means divide by pages actually present, so coverage gaps are not
-    zero-filled into the denominators.
+    Every run language is present; means divide by pages actually present,
+    so coverage gaps are not zero-filled into the denominators.
     """
-    combined: dict[str, list[PageStats]] = {lang: [] for lang in languages}
+    rows: dict[str, list[dict]] = {lang: [] for lang in languages}
     for family in families:
-        for lang, pages in family.per_language.items():
-            combined.setdefault(lang, []).extend(pages)
-    return {lang: aggregate_pages(pages) for lang, pages in combined.items()}
+        for row in family["editions"]:
+            if row["status"] == "ok":
+                rows.setdefault(row["language"], []).append(row)
+    return {lang: aggregate_pages(lang_rows) for lang, lang_rows in rows.items()}

@@ -32,7 +32,7 @@ from .entity_align import (AlignedMatrix, EntityKey, EntityMention, build_matrix
                            detect_entity_column, extract_row_entities, link_mentions)
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError
 from .manifest import DatasetManifest, FamilyEntry
-from .metrics import FamilyStats, aggregate_corpus, page_stats
+from .metrics import aggregate_corpus, aggregate_pages, page_stats
 from .mw_client import ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references, utc_now
 from .schema_align import (Attribute, AttributeKey, HeaderMapping,
                            build_presence_grid, resolve_columns)
@@ -164,15 +164,15 @@ def _fetch_edition(client: MediaWikiClient, language: str, title: str,
 
 def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: PipelineOptions,
                      findings: list[dict]) -> tuple[list[str], list[EditionData]]:
-    """The languages to analyze and one fetched edition per language, in order.
+    """The distinct languages to analyze and one fetched edition per language, in order.
 
     With ``options.jobs > 1`` the page fetches run in that many threads.
     """
     titles = _edition_titles(entry, client, options, findings)
     if options.languages:
-        wanted = list(options.languages)
+        wanted = list(dict.fromkeys(options.languages))
     elif entry.languages != "all":
-        wanted = list(entry.languages)
+        wanted = list(dict.fromkeys(entry.languages))
     else:
         wanted = sorted(titles)
 
@@ -285,7 +285,8 @@ def _collect_attribute_values(
 
 
 def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
-                   options: PipelineOptions) -> tuple[dict, FamilyStats]:
+                   options: PipelineOptions) -> dict:
+    """The family's part of the report, as one plain JSON-ready dict."""
     findings: list[dict] = []
     wanted, editions = _gather_editions(entry, client, options, findings)
     for edition in editions:
@@ -302,7 +303,6 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             })
 
     # Link each edition, then its page metrics and column attributes.
-    stats = FamilyStats(family=entry.id)
     columns: TableColumns = {}
     main_attributes: dict[str, Optional[list[Attribute]]] = {}
     edition_rows = []
@@ -313,16 +313,15 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             continue
         _link_edition(entry, edition, client, options, findings)
         doc = edition.doc
-        pstats = page_stats(
+        metrics = page_stats(
             tables=edition.tables,
             reference_count=count_references(doc),
             main_override=entry.main_table_index.get(edition.language),
             extra_missing=options.extra_missing,
             all_tables=options.all_tables,
         )
-        stats.per_language[edition.language] = [pstats]
         columns.update(_table_columns(edition.language, edition.tables, mapping))
-        main = pstats.main_table_index
+        main = metrics["main_table_index"]
         main_attributes[edition.language] = (
             None if main is None else list(columns[(edition.language, main)][1]))
         edition_rows.append({
@@ -331,14 +330,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             "status": "ok",
             "revision_id": doc.revision_id,
             "revision_timestamp": _timestamp(doc.revision_timestamp),
-            "table_count": pstats.table_count,
-            "reference_count": pstats.reference_count,
-            "main_table_index": main,
-            "columns": {
-                "total": pstats.total_columns,
-                "complete": pstats.complete_columns,
-                "incomplete": pstats.incomplete_columns,
-            },
+            **metrics,
         })
 
     analyzed = [e for e in editions if e.status == "ok"]
@@ -377,7 +369,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
     records.extend(detect_incompleteness(grid, matrix, aligned_languages))
 
     family_status = "ok" if analyzed else "failed"
-    family_dict = {
+    return {
         "id": entry.id,
         "seed": {"language": entry.seed.language, "title": entry.seed.title},
         "status": family_status,
@@ -387,7 +379,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             {
                 **entity_to_json(entity),
                 "occurrences": {
-                    lang: matrix.occurrences(entity, lang)
+                    lang: [list(occurrence) for occurrence in matrix.occurrences(entity, lang)]
                     for lang in matrix.languages if matrix.occurrences(entity, lang)
                 },
             }
@@ -405,30 +397,28 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         "records": [record_to_json(r) for r in records],
         "findings": findings,
         "aggregates": {
-            lang: vars(agg) for lang, agg in sorted(stats.aggregates().items())
+            row["language"]: aggregate_pages([row])
+            for row in sorted(edition_rows, key=lambda row: row["language"])
+            if row["status"] == "ok"
         },
     }
-    return family_dict, stats
 
 
 def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
                  client: MediaWikiClient, options: PipelineOptions) -> dict:
     """Analyze every family in the manifest and assemble the report dict."""
     families = []
-    all_stats: list[FamilyStats] = []
     for entry in manifest.families:
         try:
-            family_dict, stats = analyze_family(entry, mapping, client, options)
+            families.append(analyze_family(entry, mapping, client, options))
         finally:
             client.save()
-        families.append(family_dict)
-        all_stats.append(stats)
 
     run_languages = options.languages or _union_languages(families)
-    corpus_per_language = aggregate_corpus(all_stats, run_languages)
-    columns_total = sum(a.columns_total for a in corpus_per_language.values())
-    columns_complete = sum(a.columns_complete for a in corpus_per_language.values())
-    columns_incomplete = sum(a.columns_incomplete for a in corpus_per_language.values())
+    corpus_per_language = aggregate_corpus(families, run_languages)
+    columns_total = sum(a["columns_total"] for a in corpus_per_language.values())
+    columns_complete = sum(a["columns_complete"] for a in corpus_per_language.values())
+    columns_incomplete = sum(a["columns_incomplete"] for a in corpus_per_language.values())
 
     epoch_lines = sorted(
         f"{e['language']}:{e['title']}:{e['revision_id']}"
@@ -451,7 +441,7 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
         "families": families,
         "corpus": {
             "languages": run_languages,
-            "per_language": {lang: vars(agg) for lang, agg in corpus_per_language.items()},
+            "per_language": corpus_per_language,
             "overall": {
                 "columns_total": columns_total,
                 "columns_complete": columns_complete,

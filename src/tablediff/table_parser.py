@@ -43,6 +43,10 @@ _NAMESPACE_PREFIXES = (
 
 _HTML_SPAN_CAP = 1000  # browsers clamp colspan/rowspan; so do we
 
+# HTML's rules for parsing non-negative integers: leading ASCII whitespace,
+# an optional "+", then the leading digits; whatever follows is ignored.
+_SPAN_RE = re.compile(r"[\t\n\f\r ]*\+?([0-9]+)")
+
 
 def normalize_text(raw: str) -> str:
     """Whitespace-collapsed cell text with footnote markers stripped.
@@ -107,11 +111,10 @@ class WikiTable:
 def _coerce_span(value) -> int:
     if value is None or value == "1":
         return 1
-    try:
-        span = int(str(value).strip())
-    except (TypeError, ValueError):
+    match = _SPAN_RE.match(value)
+    if match is None:
         return 1
-    return min(max(span, 1), _HTML_SPAN_CAP)
+    return min(max(int(match.group(1)), 1), _HTML_SPAN_CAP)
 
 
 def _is_reference_sup(node: Node) -> bool:

@@ -1,7 +1,7 @@
 from datetime import datetime, timezone
 
-from tablediff.metrics import (FamilyStats, PageStats, aggregate_corpus, aggregate_pages,
-                               column_completeness, page_stats, select_main_table)
+from tablediff.metrics import (aggregate_corpus, aggregate_pages, column_completeness,
+                               page_stats, select_main_table)
 from tablediff.mw_client import ArticleRef, CachePolicy, PageDocument
 from tablediff.table_parser import extract_tables
 
@@ -87,31 +87,55 @@ def test_page_stats_invariants_and_monotonicity():
     bigger = tables_from((3, 2), (2, 2))
     a = page_stats(small, reference_count=5)
     b = page_stats(bigger, reference_count=5)
-    assert a.complete_columns + a.incomplete_columns == a.total_columns
-    assert b.table_count >= a.table_count
-    assert b.total_columns >= a.total_columns
+    for stats in (a, b):
+        assert list(stats) == ["table_count", "reference_count", "main_table_index", "columns"]
+        assert list(stats["columns"]) == ["total", "complete", "incomplete"]
+    assert a["columns"]["complete"] + a["columns"]["incomplete"] == a["columns"]["total"]
+    assert b["table_count"] >= a["table_count"]
+    assert b["columns"]["total"] >= a["columns"]["total"]
+
+
+def test_page_stats_all_tables_columns_add_up():
+    tables = tables_from((3, 2), (2, 4)) + [table_with_cells([["a", "—", ""], ["d", "e", "f"]])]
+    stats = page_stats(tables, reference_count=0, all_tables=True)
+    columns = stats["columns"]
+    assert columns == {"total": 9, "complete": 7, "incomplete": 2}
+    assert columns["complete"] + columns["incomplete"] == columns["total"]
+
+
+def edition_row(language, table_count, reference_count, main_table_index,
+                total=0, complete=0, incomplete=0):
+    return {"language": language, "title": "T", "status": "ok",
+            "table_count": table_count, "reference_count": reference_count,
+            "main_table_index": main_table_index,
+            "columns": {"total": total, "complete": complete, "incomplete": incomplete}}
 
 
 def test_aggregate_consistency_recomputable():
-    pages = [
-        PageStats(table_count=2, reference_count=10, main_table_index=0,
-                  total_columns=5, complete_columns=4, incomplete_columns=1),
-        PageStats(table_count=0, reference_count=3, main_table_index=None),
+    rows = [
+        edition_row("en", table_count=2, reference_count=10, main_table_index=0,
+                    total=5, complete=4, incomplete=1),
+        edition_row("en", table_count=0, reference_count=3, main_table_index=None),
     ]
-    agg = aggregate_pages(pages)
-    assert agg.pages == 2
-    assert agg.pages_with_tables == 1
-    assert agg.table_count == 2
-    assert agg.reference_total == 13
-    assert agg.reference_mean == 6.5
-    assert agg.columns_total == 5
-    assert agg.incompleteness_rate == 20.0
+    agg = aggregate_pages(rows)
+    assert list(agg) == ["pages", "pages_with_tables", "table_count", "reference_total",
+                         "reference_mean", "columns_total", "columns_complete",
+                         "columns_incomplete", "incompleteness_rate"]
+    assert agg["pages"] == 2
+    assert agg["pages_with_tables"] == 1
+    assert agg["table_count"] == 2
+    assert agg["reference_total"] == 13
+    assert agg["reference_mean"] == 6.5
+    assert agg["columns_total"] == 5
+    assert agg["incompleteness_rate"] == 20.0
 
 
 def test_absence_is_not_zero():
-    fam = FamilyStats("fam", per_language={"en": [
-        PageStats(table_count=0, reference_count=0, main_table_index=None)]})
+    fam = {"id": "fam", "editions": [
+        edition_row("en", table_count=0, reference_count=0, main_table_index=None),
+        {"language": "de", "title": "T", "status": "absent", "detail": "page missing"},
+    ]}
     corpus = aggregate_corpus([fam], ["en", "de"])
-    assert corpus["en"].pages == 1          # page exists with zero tables
-    assert corpus["de"].pages == 0          # edition absent: no page at all
-    assert corpus["de"].reference_mean == 0.0
+    assert corpus["en"]["pages"] == 1          # page exists with zero tables
+    assert corpus["de"]["pages"] == 0          # edition absent: no page at all
+    assert corpus["de"]["reference_mean"] == 0.0

@@ -111,15 +111,40 @@ def test_no_entity_column_tables_reported(geography_report):
     assert "text-divergence" in kinds
 
 
-def test_conservation_of_matrix_occurrences(geography_report):
-    for fam in geography_report["families"]:
-        occurrences = {}
-        for entity in fam["entities"]:
-            for lang, occs in entity["occurrences"].items():
-                occurrences[lang] = occurrences.get(lang, 0) + len(occs)
-        # itemized skips: no language loses rows silently
-        for finding in fam["findings"]:
-            assert finding["kind"] != "rows-skipped" or finding["detail"]
+def test_conservation_of_matrix_occurrences(header_mapping):
+    """Every body row of an aligned table is an occurrence or a counted skip."""
+    from tablediff.mw_client import ArticleRef, CachePolicy
+    from tablediff.table_parser import extract_tables
+
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    checked = 0
+    for manifest_path in (GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST):
+        report = run_pipeline(load_manifest(manifest_path), header_mapping, client,
+                              PipelineOptions(offline=True))
+        for fam in report["families"]:
+            occurrences = {}
+            for entity in fam["entities"]:
+                for lang, occs in entity["occurrences"].items():
+                    occurrences[lang] = occurrences.get(lang, 0) + len(occs)
+            excluded, skipped = set(), {}
+            for finding in fam["findings"]:
+                if finding["kind"] == "no-entity-column":
+                    excluded.add((finding["language"], finding["table_index"]))
+                elif finding["kind"] == "rows-skipped":
+                    count = int(finding["detail"].split()[0])
+                    assert count > 0, finding
+                    skipped[finding["language"]] = skipped.get(finding["language"], 0) + count
+            for edition in fam["editions"]:
+                if edition["status"] != "ok":
+                    continue
+                lang = edition["language"]
+                page = client.fetch_page(ArticleRef(lang, edition["title"]),
+                                         CachePolicy.OFFLINE_ONLY)
+                rows = sum(table.n_body_rows for table in extract_tables(page)
+                           if (lang, table.table_index) not in excluded)
+                assert occurrences.get(lang, 0) == rows - skipped.get(lang, 0), (fam["id"], lang)
+                checked += 1
+    assert checked == 44  # ok editions over both manifests
 
 
 def test_family_aggregates_match_edition_rows(geography_report):
@@ -129,6 +154,18 @@ def test_family_aggregates_match_edition_rows(geography_report):
             assert agg["pages"] == len(rows)
             assert agg["table_count"] == sum(r["table_count"] for r in rows)
             assert agg["reference_total"] == sum(r["reference_count"] for r in rows)
+
+
+@pytest.mark.parametrize("manifest_path", [GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST],
+                         ids=["geography", "climbers"])
+def test_analyze_family_returns_one_plain_json_value(manifest_path, header_mapping):
+    from tablediff.pipeline import analyze_family
+
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    for entry in load_manifest(manifest_path).families:
+        result = analyze_family(entry, header_mapping, client, PipelineOptions(offline=True))
+        assert isinstance(result, dict)
+        assert json.loads(json.dumps(result)) == result, entry.id
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -242,6 +279,47 @@ def test_cli_flags_override_manifest_defaults(tmp_path):
     conflicts = [r for f in report["families"] for r in f["records"]
                  if r["class"] and r["class"] != "Incompleteness"]
     assert conflicts  # flag wins over the manifest default
+
+
+BAD_DEFAULTS = {
+    "missing-values-string": {"missing_values": "n/a"},
+    "missing-values-numbers": {"missing_values": [1953]},
+    "all-tables-string": {"all_tables": "no"},
+    "offline-string": {"offline": "false"},
+    "staleness-days-string": {"staleness_days": "abc"},
+    "jobs-string": {"jobs": "two"},
+    "jobs-boolean": {"jobs": True},
+    "rel-tol-null": {"rel_tol": None},
+    "rel-tol-negative": {"rel_tol": -1},
+    "format-unknown": {"format": "xlsx"},
+    "languages-number": {"languages": 5},
+    "languages-numbers": {"languages": [1, 2]},
+    "cache-dir-number": {"cache_dir": 5},
+    "header-map-list": {"header_map": ["mappings/geography.json"]},
+    "out-number": {"out": 3},
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_DEFAULTS.values()), ids=list(BAD_DEFAULTS))
+def test_cli_mistyped_manifest_default_exit_code_1(tmp_path, bad):
+    manifest = tmp_path / "m.json"
+    data = json.loads(Path(CLIMBERS_MANIFEST).read_text(encoding="utf-8"))
+    data["defaults"] = {"cache_dir": str(FIXTURE_CACHE), "header_map": str(HEADER_MAP), **bad}
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("analyze", "--manifest", manifest, "--offline", "--out", tmp_path / "out")
+    key, = bad
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"error: manifest defaults: {key} must be "), result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_defaults_keep_their_given_values():
+    defaults = {"languages": "en, de", "offline": False, "rel_tol": 0, "staleness_days": 30,
+                "jobs": 2, "missing_values": ["n/a"], "format": "csv", "out": "o",
+                "cache_dir": "c", "header_map": "h.json", "unknown_key": object()}
+    manifest = parse_manifest({"families": [], "defaults": defaults})
+    assert manifest.defaults is defaults
+    assert manifest.to_dict()["defaults"] == defaults
 
 
 def test_cli_fetch_populates_cache_via_transport(tmp_path, monkeypatch, fake_transport):
@@ -371,6 +449,20 @@ def test_langs_flag_restricts_run_languages(tmp_path):
     per_language = report["corpus"]["per_language"]
     assert set(per_language) == {"en", "de"}
     assert per_language["en"]["table_count"] == 55
+
+
+def test_repeated_language_is_analyzed_once(tmp_path):
+    reports = {}
+    for langs in ("en", "en,en"):
+        out = tmp_path / langs
+        result = run_cli("analyze", "--manifest", CLIMBERS_MANIFEST, "--cache-dir", FIXTURE_CACHE,
+                         "--offline", "--header-map", HEADER_MAP, "--langs", langs, "--out", out)
+        assert result.exit_code == 0, result.output
+        reports[langs] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    once, twice = reports["en"], reports["en,en"]
+    assert [[e["language"] for e in fam["editions"]] for fam in twice["families"]] == [["en"]]
+    assert twice["families"] == once["families"]
+    assert twice["corpus"]["per_language"] == once["corpus"]["per_language"]
 
 
 def test_all_tables_extends_column_scope(tmp_path):

@@ -230,6 +230,35 @@ def test_invalid_spans_coerced_to_one():
     assert [c.text for c in table.body_rows[1]] == ["c", "d"]
 
 
+def rowspan_rows(rowspan: str) -> list[list[str]]:
+    html = table_html(
+        "<tr><th>H1</th><th>H2</th></tr>"
+        f'<tr><td rowspan="{rowspan}">x</td><td>1</td></tr>'
+        "<tr><td>2</td></tr>"
+    )
+    return [[c.text for c in row] for row in extract_tables(doc(html))[0].body_rows]
+
+
+@pytest.mark.parametrize("rowspan", ["2;", "2px", "2.0", "+2", " \t\n2 ", "02", "2 3"])
+def test_rowspan_reads_leading_digits(rowspan):
+    assert rowspan_rows(rowspan) == [["x", "1"], ["x", "2"]]
+
+
+# Only ASCII whitespace is skipped and only ASCII digits are read.
+@pytest.mark.parametrize("rowspan", ["-1", "-2", "abc", "", "+", "++2", "x2", "0",
+                                     "\u00a02", "\u0662"])
+def test_rowspan_without_leading_digits_is_one(rowspan):
+    assert rowspan_rows(rowspan) == [["x", "1"], ["2", ""]]
+
+
+@pytest.mark.parametrize("colspan, width", [("2px", 2), ("3;", 3), ("5000px", _HTML_SPAN_CAP)])
+def test_colspan_reads_leading_digits_up_to_the_cap(colspan, width):
+    html = table_html(f'<tr><th colspan="{colspan}">wide</th></tr><tr><td>a</td></tr>')
+    table = extract_tables(doc(html))[0]
+    assert table.n_cols == width
+    assert [c.text for c in table.header_rows[0]] == ["wide"] * width
+
+
 @pytest.mark.parametrize("colspan", [str(_HTML_SPAN_CAP), str(5 * _HTML_SPAN_CAP)])
 def test_capped_colspan_pads_every_other_row(colspan):
     html = table_html(f'<tr><th colspan="{colspan}">wide</th></tr>'
