@@ -65,18 +65,21 @@ def _load_mapping_or_die(path, manifest: DatasetManifest) -> HeaderMapping:
         sys.exit(EXIT_MANIFEST_ERROR)
 
 
-def _split_langs(value) -> list[str] | None:
+def _split_langs(value) -> list[str] | str | None:
+    """``--langs`` or the manifest default as a list; ``"all"`` stays ``"all"``."""
     if value is None:
         return None
     if isinstance(value, list):
         return list(value)
-    return [item.strip() for item in str(value).split(",") if item.strip()]
+    langs = [item.strip() for item in str(value).split(",") if item.strip()]
+    return "all" if langs == ["all"] else langs
 
 
 manifest_option = click.option("--manifest", "manifest_path", type=click.Path(), default=None,
                                help="Dataset manifest JSON (default: bundled geography set).")
 langs_option = click.option("--langs", default=None,
-                            help="Comma-separated language codes; overrides the manifest.")
+                            help="Comma-separated language codes, or 'all' for every listed "
+                                 "edition; overrides the manifest.")
 cache_dir_option = click.option("--cache-dir", default=None,
                                 help="Cache directory (or $TABLEDIFF_CACHE_DIR).")
 jobs_option = click.option("--jobs", type=int, default=None, help="Parallel fetch workers.")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .errors import NoEntityColumn
 from .mw_client import CachePolicy, MediaWikiClient, qid_numeric
@@ -18,8 +18,7 @@ from .table_parser import WikiTable
 from .value_analysis import is_missing
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     """The entity one body row describes."""
 
     table_index: int
@@ -29,8 +28,7 @@ class EntityMention:
     qid: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class EntityKey:
+class EntityKey(NamedTuple):
     """Alignment key: a QID, or a language-scoped folded surface form."""
 
     kind: str  # "qid" | "surface"
@@ -122,7 +120,7 @@ def link_mentions(mentions: list[EntityMention], language: str, client: MediaWik
     titles = [m.link_title for m in mentions if m.link_title]
     resolved = client.resolve_qids(language, titles, cache_policy) if titles else {}
     return [
-        replace(m, qid=resolved.get(m.link_title)) if m.link_title else m
+        m._replace(qid=resolved.get(m.link_title)) if m.link_title else m
         for m in mentions
     ]
 

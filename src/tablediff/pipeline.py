@@ -46,7 +46,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PipelineOptions:
-    languages: Optional[list[str]] = None
+    # None: each family's own languages; "all": every listed edition of each family
+    languages: Optional[list[str] | str] = None
     offline: bool = False
     refresh: bool = False
     rel_tol: float = 0.0
@@ -169,12 +170,8 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
     With ``options.jobs > 1`` the page fetches run in that many threads.
     """
     titles = _edition_titles(entry, client, options, findings)
-    if options.languages:
-        wanted = list(dict.fromkeys(options.languages))
-    elif entry.languages != "all":
-        wanted = list(dict.fromkeys(entry.languages))
-    else:
-        wanted = sorted(titles)
+    requested = options.languages or entry.languages
+    wanted = sorted(titles) if requested == "all" else list(dict.fromkeys(requested))
 
     editions: list[EditionData] = []
     to_fetch: list[tuple[str, str]] = []
@@ -414,7 +411,10 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
         finally:
             client.save()
 
-    run_languages = options.languages or _union_languages(families)
+    if options.languages and options.languages != "all":
+        run_languages = options.languages
+    else:
+        run_languages = _union_languages(families)
     corpus_per_language = aggregate_corpus(families, run_languages)
     columns_total = sum(a["columns_total"] for a in corpus_per_language.values())
     columns_complete = sum(a["columns_complete"] for a in corpus_per_language.values())

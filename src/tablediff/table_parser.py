@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 from urllib.parse import unquote
 
 from .htmldom import Node
@@ -64,8 +64,7 @@ def normalize_text(raw: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One grid position: normalized text plus the first wiki-link target."""
 
     text: str

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .schema_align import Attribute, PresenceGrid
 
@@ -85,8 +85,7 @@ def is_missing(text: str, extra_vocab: tuple[str, ...] = ()) -> bool:
     return trimmed in DEFAULT_MISSING_VOCAB or trimmed in extra_vocab
 
 
-@dataclass(frozen=True)
-class ParsedValue:
+class ParsedValue(NamedTuple):
     """One parsed cell: a number, percentage, ratio, or opaque text."""
 
     kind: str  # "number" | "percentage" | "ratio" | "text"
@@ -124,60 +123,46 @@ _UNIT_ALTERNATION = "|".join(sorted(map(re.escape, _UNITS), key=len, reverse=Tru
 
 
 @lru_cache(maxsize=None)
-def _patterns(language: str) -> tuple[re.Pattern, tuple[re.Pattern, ...], re.Pattern]:
-    """One language's compiled (percentage, ratios, number) cell patterns.
+def _cell_pattern(language: str) -> re.Pattern:
+    """One language's compiled cell pattern, tried alternative by alternative.
 
-    The ratio patterns try "/" first, then the language's ratio words.
+    The alternatives are percentage ``(number)%``, ratio ``(int) sep (int)``
+    with "/" or one of the language's ratio words as ``sep``, and number
+    ``(number) (unit)?``, so a match's groups are (percentage, numerator,
+    denominator, number, unit) with the others None.
     """
     group, dec = _separators(language)
     g, d = re.escape(group), re.escape(dec)
     integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
     num = rf"[+-]?(?:{integer})(?:{d}\d+)?"
-    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
-    return (
-        re.compile(rf"({num})\s*%"),
-        tuple(re.compile(rf"({integer})\s*(?:{sep})\s*({integer})") for sep in ratio_seps),
-        re.compile(rf"({num})\s*({_UNIT_ALTERNATION})?"),
-    )
+    ratio_seps = "|".join([r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())])
+    return re.compile(rf"({num})\s*%"
+                      rf"|({integer})\s*(?:{ratio_seps})\s*({integer})"
+                      rf"|({num})\s*({_UNIT_ALTERNATION})?")
 
 
 def parse_value(text: str, language: str) -> ParsedValue:
     """Parse one cell under that language's number-formatting conventions.
 
     Total function: anything that is not a recognizable number, percentage,
-    or ratio comes back as ``text`` kind with no magnitude.
+    or ratio (including a ratio over zero) comes back as ``text`` kind with
+    no magnitude.
     """
-    original = text
-    t = text.replace("\u00a0", " ").strip()
-    if not t:
-        return ParsedValue(kind="text", original=original, language=language)
-
-    percentage, ratios, number = _patterns(language)
-
-    m = percentage.fullmatch(t)
-    if m:
-        return ParsedValue(kind="percentage", original=original, language=language,
-                           magnitude=_parse_number(m.group(1), language))
-
-    for ratio in ratios:
-        m = ratio.fullmatch(t)
-        if m:
-            numerator = _parse_int(m.group(1), language)
-            denominator = _parse_int(m.group(2), language)
-            if denominator > 0:
-                return ParsedValue(kind="ratio", original=original, language=language,
-                                   magnitude=100.0 * numerator / denominator,
-                                   numerator=numerator, denominator=denominator)
-
-    m = number.fullmatch(t)
-    if m:
-        unit = None
-        if m.group(2):
-            unit = _UNITS[m.group(2)][0]
-        return ParsedValue(kind="number", original=original, language=language,
-                           magnitude=_parse_number(m.group(1), language), unit=unit)
-
-    return ParsedValue(kind="text", original=original, language=language)
+    m = _cell_pattern(language).fullmatch(text.replace("\u00a0", " ").strip())
+    if m is None:
+        return ParsedValue("text", text, language)
+    percentage, ratio_top, ratio_bottom, number, unit = m.groups()
+    if percentage is not None:
+        return ParsedValue("percentage", text, language, _parse_number(percentage, language))
+    if ratio_top is not None:
+        # No other alternative matches "int sep int", so a zero denominator is text.
+        numerator, denominator = _parse_int(ratio_top, language), _parse_int(ratio_bottom, language)
+        if denominator == 0:
+            return ParsedValue("text", text, language)
+        return ParsedValue("ratio", text, language, 100.0 * numerator / denominator,
+                           None, numerator, denominator)
+    return ParsedValue("number", text, language, _parse_number(number, language),
+                       _UNITS[unit][0] if unit else None)
 
 
 def format_number(magnitude: float, language: str) -> str:

@@ -140,8 +140,7 @@ def test_matrix_orders_by_coverage_then_qid():
         rows = "".join(f"<tr><td>{a(t)}</td></tr>" for t, _q in pairs)
         table = table_from(f"<tr><th>Peak</th></tr>{rows}", lang)
         mentions = extract_row_entities(table)
-        mentions = [m.__class__(**{**m.__dict__, "qid": q})
-                    for m, (_t, q) in zip(mentions, pairs)]
+        mentions = [m._replace(qid=q) for m, (_t, q) in zip(mentions, pairs)]
         return table, mentions
 
     en = linked_table("en", [("A", "Q30"), ("B", "Q2")])

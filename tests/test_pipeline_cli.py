@@ -465,6 +465,68 @@ def test_repeated_language_is_analyzed_once(tmp_path):
     assert twice["corpus"]["per_language"] == once["corpus"]["per_language"]
 
 
+# Every edition the climbers page's cached langlinks list, with the seed.
+CLIMBERS_LISTED = ["de", "en", "es", "fr", "it", "ja", "nl", "zh"]
+
+
+def climbers_manifest_copy(tmp_path, **changes) -> Path:
+    manifest = json.loads(CLIMBERS_MANIFEST.read_text(encoding="utf-8"))
+    manifest.update(changes)
+    path = tmp_path / "climbers.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+def all_languages_request(tmp_path, where) -> tuple[Path, list[str]]:
+    """A climbers manifest copy and the flags that ask for "all" languages ``where``."""
+    if where == "defaults":
+        return climbers_manifest_copy(tmp_path, defaults={"languages": "all"}), []
+    return climbers_manifest_copy(tmp_path), ["--langs", "all"]
+
+
+@pytest.mark.parametrize("where", ["defaults", "flag"])
+def test_analyze_all_languages_takes_every_listed_edition(tmp_path, where):
+    manifest, flags = all_languages_request(tmp_path, where)
+    out = tmp_path / "out"
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--out", out, *flags)
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    family = report["families"][0]
+    assert family["languages_requested"] == CLIMBERS_LISTED
+    assert report["options"]["languages"] == CLIMBERS_LISTED
+    assert [e["language"] for e in family["editions"] if e["status"] == "ok"] == [
+        "de", "en", "it", "nl", "zh"]
+
+    # The same run as a family whose own languages are "all".
+    entry = json.loads(CLIMBERS_MANIFEST.read_text(encoding="utf-8"))["families"][0]
+    family_all = climbers_manifest_copy(tmp_path, families=[{**entry, "languages": "all"}])
+    result = run_cli("analyze", "--manifest", family_all, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--out", tmp_path / "family")
+    assert result.exit_code == 0, result.output
+    reference = json.loads((tmp_path / "family" / "report.json").read_text(encoding="utf-8"))
+    assert report["families"] == reference["families"]
+    assert report["corpus"] == reference["corpus"]
+
+
+@pytest.mark.parametrize("where", ["defaults", "flag"])
+def test_cli_fetch_all_languages_takes_every_listed_edition(tmp_path, monkeypatch, where):
+    import tablediff.cli as cli_mod
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    transport = FakeTransport()  # serves no page, so the uncached editions are missing
+    original_init = MediaWikiClient.__init__
+    monkeypatch.setattr(cli_mod.MediaWikiClient, "__init__",
+                        lambda self, cache_dir=None, **kw: original_init(
+                            self, cache_dir=cache_dir, transport=transport))
+    manifest, flags = all_languages_request(tmp_path, where)
+    result = run_cli("fetch", "--manifest", manifest, "--cache-dir", cache, *flags)
+    assert result.exit_code == 0, result.output
+    assert "fetched 5 page(s); 3 absent or failed" in result.output
+    assert sorted(params["page"] for _url, params in transport.log) == [
+        "List of climbers who have summited all 14 eight-thousanders"] * 3
+
+
 def test_all_tables_extends_column_scope(tmp_path):
     out_main = tmp_path / "main"
     out_all = tmp_path / "all"

@@ -122,6 +122,30 @@ def test_parse_value_matches_uncompiled_reference(text, lang):
     assert parse_value(text, lang) == reference_parse_value(text, lang)
 
 
+@pytest.mark.parametrize("text,lang", [
+    ("80/0", "en"), ("80 out of 0", "en"), ("80 of 0", "en"), ("80 von 0", "de"),
+    ("80 su 0", "it"), ("80 van 0", "nl"), ("80 op 0", "nl"), ("1,000/0,000", "en"),
+])
+def test_ratio_over_zero_is_text(text, lang):
+    assert parse_value(text, lang) == ParsedValue("text", text, lang)
+    assert parse_value(text, lang) == reference_parse_value(text, lang)
+
+
+@pytest.mark.parametrize("text,lang,kind,magnitude", [
+    ("\u00a026,5\u00a0%\u00a0", "it", "percentage", 26.5),
+    ("29.5\u00a0%", "zh", "percentage", 29.5),
+    ("\u00a080\u00a0/\u00a0302", "de", "ratio", 100 * 80 / 302),
+    ("80\u00a0von\u00a0302", "de", "ratio", 100 * 80 / 302),
+    ("80\u00a0out of\u00a0302\u00a0", "en", "ratio", 100 * 80 / 302),
+    ("8,848\u00a0m", "en", "number", 8848.0),
+])
+def test_nbsp_padded_cells_parse(text, lang, kind, magnitude):
+    parsed = parse_value(text, lang)
+    assert (parsed.kind, parsed.original, parsed.language) == (kind, text, lang)
+    assert math.isclose(parsed.magnitude, magnitude)
+    assert parsed == reference_parse_value(text, lang)
+
+
 # -- conflicts ---------------------------------------------------------------
 
 def values(**by_lang):
