@@ -19,6 +19,16 @@ from tablediff.pipeline import PipelineOptions, run_pipeline  # noqa: E402
 from tablediff.schema_align import load_header_mapping  # noqa: E402
 
 
+def record_line(family_id: str, record: dict) -> str:
+    """One conflict record as a summary line; a null severity (zero vs nonzero) prints n/a."""
+    entity = (record["entity"] or {}).get("value")
+    values = {lang: v.get("original", "?") for lang, v in record["values"].items()
+              if not v.get("missing")}
+    severity = "n/a" if record["severity"] is None else f"{record['severity']:.4g}"
+    return (f"  {record['class']}: {family_id} / {entity} / "
+            f"{record['attribute']} -> {values} (severity {severity})")
+
+
 def main() -> None:
     mapping = load_header_mapping(REPO / "mappings" / "geography.json")
     client = MediaWikiClient(cache_dir=REPO / "fixtures" / "cache")
@@ -41,13 +51,8 @@ def main() -> None:
               f"({overall['complete_rate']}% complete)")
         for family in report["families"]:
             for record in family["records"]:
-                if record["class"] == "Incompleteness":
-                    continue
-                entity = (record["entity"] or {}).get("value")
-                values = {lang: v.get("original", "?") for lang, v in record["values"].items()
-                          if not v.get("missing")}
-                print(f"  {record['class']}: {family['id']} / {entity} / "
-                      f"{record['attribute']} -> {values} (severity {record['severity']:.4g})")
+                if record["class"] != "Incompleteness":
+                    print(record_line(family["id"], record))
         n_incomplete = sum(1 for f in report["families"] for r in f["records"]
                            if r["class"] == "Incompleteness")
         print(f"  incompleteness records: {n_incomplete}")

@@ -12,7 +12,6 @@ import unicodedata
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import NoEntityColumn
 from .mw_client import CachePolicy, MediaWikiClient, qid_numeric
 from .table_parser import WikiTable
 from .value_analysis import is_missing
@@ -43,6 +42,12 @@ class EntityKey(NamedTuple):
         if self.is_qid:
             return self.value
         return f"{self.language}:{self.value}"
+
+    def to_json(self) -> dict:
+        out = {"kind": self.kind, "value": self.value}
+        if self.language:
+            out["language"] = self.language
+        return out
 
 
 @dataclass
@@ -80,26 +85,14 @@ def detect_entity_column(table: WikiTable) -> Optional[int]:
     return best_col
 
 
-def extract_row_entities(table: WikiTable, column_hint: Optional[int] = None,
+def extract_row_entities(table: WikiTable, col: int,
                          extra_missing: tuple[str, ...] = ()) -> list[EntityMention]:
-    """One mention per body row, taken from the entity column.
+    """One mention per body row, taken from entity column ``col``.
 
-    The column is ``column_hint`` when given, otherwise auto-detected by link
-    fraction. Raises NoEntityColumn when no column carries any link and there
-    is no hint. Rows whose unlinked entity cell is empty or a missing-value
-    marker (the defaults plus ``extra_missing``) are skipped: the caller can
-    itemize them as ``row_index`` gaps.
+    Rows whose unlinked entity cell is empty or a missing-value marker (the
+    defaults plus ``extra_missing``) are skipped: the caller can itemize
+    them as ``row_index`` gaps.
     """
-    if column_hint is not None:
-        if not 0 <= column_hint < table.n_cols:
-            raise NoEntityColumn(table.table_index, f"column hint {column_hint} out of range")
-        col = column_hint
-    else:
-        detected = detect_entity_column(table)
-        if detected is None:
-            raise NoEntityColumn(table.table_index)
-        col = detected
-
     mentions = []
     for row_index, row in enumerate(table.body_rows):
         cell = row[col]
@@ -134,22 +127,21 @@ def mention_key(mention: EntityMention, language: str) -> Optional[EntityKey]:
     return EntityKey("surface", folded, language)
 
 
-def build_matrix(tables_by_language: dict[str, list[tuple[WikiTable, list[EntityMention]]]],
+def build_matrix(mentions_by_language: dict[str, list[EntityMention]],
                  languages: Optional[list[str]] = None) -> AlignedMatrix:
-    """Group linked mentions into the (entity x language) matrix.
+    """Group each language's linked mentions into the (entity x language) matrix.
 
     Entities are ordered by descending language coverage, then ascending QID
     number; surface-keyed entities sort after QIDs with the same coverage.
     """
-    langs = languages if languages is not None else sorted(tables_by_language)
+    langs = languages if languages is not None else sorted(mentions_by_language)
     rows: dict[tuple[EntityKey, str], list[tuple[int, int]]] = {}
     for lang in langs:
-        for table, mentions in tables_by_language.get(lang, []):
-            for mention in mentions:
-                key = mention_key(mention, lang)
-                if key is None:
-                    continue
-                rows.setdefault((key, lang), []).append((mention.table_index, mention.row_index))
+        for mention in mentions_by_language.get(lang, []):
+            key = mention_key(mention, lang)
+            if key is None:
+                continue
+            rows.setdefault((key, lang), []).append((mention.table_index, mention.row_index))
     for occurrences in rows.values():
         occurrences.sort()
 

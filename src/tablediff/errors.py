@@ -34,17 +34,6 @@ class ParseError(TableDiffError):
     """HTML was malformed beyond what the tolerant parser recovers from."""
 
 
-class NoEntityColumn(TableDiffError):
-    """No column of a table carries wiki-links and no hint was given.
-
-    The table is excluded from alignment and reported as such.
-    """
-
-    def __init__(self, table_index: int, message: str = ""):
-        self.table_index = table_index
-        super().__init__(message or f"table {table_index}: no entity column detected")
-
-
 class MappingConflict(TableDiffError):
     """One normalized header is claimed by two attributes in the same language."""
 

@@ -113,8 +113,8 @@ class PageDocument:
             "language": self.article.language,
             "title": self.article.title,
             "revision_id": self.revision_id,
-            "revision_timestamp": _format_ts(self.revision_timestamp),
-            "fetched_at": _format_ts(self.fetched_at),
+            "revision_timestamp": format_ts(self.revision_timestamp),
+            "fetched_at": format_ts(self.fetched_at),
             "html": self.html,
         }
 
@@ -124,16 +124,17 @@ class PageDocument:
             article=ArticleRef(data["language"], data["title"]),
             html=data["html"],
             revision_id=int(data["revision_id"]),
-            revision_timestamp=_parse_ts(data["revision_timestamp"]),
-            fetched_at=_parse_ts(data["fetched_at"]),
+            revision_timestamp=parse_ts(data["revision_timestamp"]),
+            fetched_at=parse_ts(data["fetched_at"]),
         )
 
 
-def _format_ts(ts: datetime) -> str:
+def format_ts(ts: datetime) -> str:
+    """The one timestamp format of the cache and the report: UTC, to the second."""
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _parse_ts(text: str) -> datetime:
+def parse_ts(text: str) -> datetime:
     return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
 
 
@@ -353,7 +354,7 @@ class MediaWikiClient:
             if data["error"].get("code") in ("missingtitle", "pagecannotexist", "invalidtitle"):
                 self._write_atomic(path, {
                     "language": article.language, "title": article.title,
-                    "missing": True, "checked_at": _format_ts(utc_now()),
+                    "missing": True, "checked_at": format_ts(utc_now()),
                 })
                 raise PageMissing(article.language, article.title)
             raise NetworkError(f"API error: {data['error']}")
@@ -368,11 +369,9 @@ class MediaWikiClient:
         pages = rev.get("query", {}).get("pages", [])
         if not pages or "revisions" not in pages[0]:
             raise NetworkError(f"no revision metadata for revid {revid}")
-        ts = datetime.strptime(pages[0]["revisions"][0]["timestamp"],
-                               "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
-
         doc = PageDocument(article=article, html=html, revision_id=revid,
-                           revision_timestamp=ts, fetched_at=utc_now())
+                           revision_timestamp=parse_ts(pages[0]["revisions"][0]["timestamp"]),
+                           fetched_at=utc_now())
         self._write_atomic(path, doc.to_dict())
         logger.info("fetched %s:%s rev=%s", article.language, article.title, revid)
         return doc

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import timedelta
 from typing import Optional
 
 from . import __version__
@@ -33,13 +32,12 @@ from .entity_align import (AlignedMatrix, EntityKey, EntityMention, build_matrix
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError
 from .manifest import DatasetManifest, FamilyEntry
 from .metrics import aggregate_corpus, aggregate_pages, page_stats
-from .mw_client import ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references, utc_now
-from .schema_align import (Attribute, AttributeKey, HeaderMapping,
-                           build_presence_grid, resolve_columns)
+from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references,
+                        format_ts, utc_now)
+from .schema_align import Attribute, HeaderMapping, build_presence_grid, resolve_columns
 from .table_parser import WikiTable, extract_tables
-from .value_analysis import (MISSING, CellValue, InconsistencyRecord, classify,
-                             detect_conflicts, detect_incompleteness, detect_text_divergence,
-                             is_missing, parse_value)
+from .value_analysis import (MISSING, CellValue, classify, detect_conflicts, detect_incompleteness,
+                             detect_text_divergence, is_missing, parse_value)
 
 logger = logging.getLogger(__name__)
 
@@ -81,57 +79,6 @@ class EditionData:
 
 # Per (language, table index): the table and its columns grouped by attribute.
 TableColumns = dict[tuple[str, int], tuple[WikiTable, dict[Attribute, list[int]]]]
-
-
-def _timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def value_to_json(value: CellValue) -> dict:
-    if value is MISSING:
-        return {"missing": True}
-    out: dict = {"kind": value.kind, "original": value.original}
-    if value.magnitude is not None:
-        out["magnitude"] = value.magnitude
-    if value.unit is not None:
-        out["unit"] = value.unit
-    if value.numerator is not None:
-        out["numerator"] = value.numerator
-        out["denominator"] = value.denominator
-    return out
-
-
-def entity_to_json(entity: Optional[EntityKey]) -> Optional[dict]:
-    if entity is None:
-        return None
-    out = {"kind": entity.kind, "value": entity.value}
-    if entity.language:
-        out["language"] = entity.language
-    return out
-
-
-def record_to_json(record: InconsistencyRecord) -> dict:
-    attribute = record.attribute
-    severity = record.severity
-    if severity is not None and not math.isfinite(severity):
-        # zero-vs-nonzero disagreements have no finite relative difference;
-        # keep the JSON standard-parseable
-        severity = None
-    return {
-        "family": record.family,
-        "class": record.cls,
-        "entity": entity_to_json(record.entity),
-        "attribute": attribute.name if attribute is not None else None,
-        "attribute_kind": (
-            None if attribute is None
-            else ("mapped" if isinstance(attribute, AttributeKey) else "unmapped")
-        ),
-        "severity": severity,
-        "values": {lang: value_to_json(v) for lang, v in record.values.items()},
-        "revision_timestamps": {lang: _timestamp(ts)
-                                for lang, ts in sorted(record.revision_timestamps.items())},
-        "evidence": record.evidence,
-    }
 
 
 def _edition_titles(entry: FamilyEntry, client: MediaWikiClient,
@@ -224,8 +171,7 @@ def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiCli
             findings.append({"kind": "no-entity-column", **where,
                              "detail": "table excluded from alignment"})
             continue
-        mentions = extract_row_entities(table, column_hint=col,
-                                        extra_missing=options.extra_missing)
+        mentions = extract_row_entities(table, col, options.extra_missing)
         skipped = table.n_body_rows - len(mentions)
         if skipped:
             findings.append({"kind": "rows-skipped", **where,
@@ -326,16 +272,16 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             "title": edition.title,
             "status": "ok",
             "revision_id": doc.revision_id,
-            "revision_timestamp": _timestamp(doc.revision_timestamp),
+            "revision_timestamp": format_ts(doc.revision_timestamp),
             **metrics,
         })
 
     analyzed = [e for e in editions if e.status == "ok"]
     languages = [e.language for e in analyzed]
     aligned_languages = [e.language for e in analyzed if e.linked]
-    matrix = build_matrix({e.language: [(table, mentions) for table, mentions, _col in e.linked]
+    matrix = build_matrix({e.language: [m for _table, mentions, _col in e.linked for m in mentions]
                            for e in analyzed}, languages=languages)
-    grid = build_presence_grid(entry.id, main_attributes, mapping, languages=languages)
+    presence = build_presence_grid(main_attributes, mapping, languages=languages)
 
     # Conflicts and text divergence over attributes seen in >= 2 languages.
     revision_timestamps = {e.language: e.doc.revision_timestamp for e in analyzed}
@@ -351,7 +297,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             by_attr = columns[(edition.language, table.table_index)][1]
             entity_column_attrs.update(attr for attr, cols in by_attr.items() if col in cols)
 
-    records: list[InconsistencyRecord] = []
+    records: list[dict] = []
     window = timedelta(days=options.staleness_days)
     for attr in mapping.attributes:
         if len(attr_languages.get(attr, ())) < 2:
@@ -363,7 +309,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         if attr not in entity_column_attrs:
             findings.extend(detect_text_divergence(entry.id, attr, values))
 
-    records.extend(detect_incompleteness(grid, matrix, aligned_languages))
+    records.extend(detect_incompleteness(entry.id, presence, matrix, aligned_languages))
 
     family_status = "ok" if analyzed else "failed"
     return {
@@ -374,7 +320,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         "editions": edition_rows,
         "entities": [
             {
-                **entity_to_json(entity),
+                **entity.to_json(),
                 "occurrences": {
                     lang: [list(occurrence) for occurrence in matrix.occurrences(entity, lang)]
                     for lang in matrix.languages if matrix.occurrences(entity, lang)
@@ -382,16 +328,8 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             }
             for entity in matrix.entities
         ],
-        "presence": {
-            "languages": grid.languages,
-            "attributes": [
-                {"name": attr.name,
-                 "kind": "mapped" if isinstance(attr, AttributeKey) else "unmapped"}
-                for attr in grid.attributes
-            ],
-            "grid": [[1 if flag else 0 for flag in row] for row in grid.present],
-        },
-        "records": [record_to_json(r) for r in records],
+        "presence": presence,
+        "records": records,
         "findings": findings,
         "aggregates": {
             row["language"]: aggregate_pages([row])
@@ -428,7 +366,7 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
 
     return {
         "tool": {"name": "tablediff", "version": __version__},
-        "generated_at": _timestamp(utc_now()),
+        "generated_at": format_ts(utc_now()),
         "cache_epoch": cache_epoch,
         "options": {
             "languages": run_languages,

@@ -123,21 +123,16 @@ def resolve_columns(table: WikiTable, language: str,
     return out
 
 
-@dataclass
-class PresenceGrid:
-    """Binary attribute x language grid over a family's main tables."""
-
-    family: str
-    attributes: list[Attribute]
-    languages: list[str]
-    present: list[list[bool]]
+def attribute_row(attribute: Attribute) -> dict:
+    """An attribute as the report names it: ``{name, kind}``, kind "mapped" or "unmapped"."""
+    return {"name": attribute.name,
+            "kind": "mapped" if isinstance(attribute, AttributeKey) else "unmapped"}
 
 
-def build_presence_grid(family_id: str,
-                        main_attributes: dict[str, Optional[Iterable[Attribute]]],
+def build_presence_grid(main_attributes: dict[str, Optional[Iterable[Attribute]]],
                         mapping: HeaderMapping,
-                        languages: Optional[list[str]] = None) -> PresenceGrid:
-    """present[a][l] is true iff language l's main table maps a column to a.
+                        languages: Optional[list[str]] = None) -> dict:
+    """The report's presence dict: ``grid[a][l]`` is 1 iff l's main table has attribute a.
 
     ``main_attributes`` holds, per language, the attributes that
     ``resolve_columns`` gave the columns of its main table, or None when the
@@ -156,5 +151,8 @@ def build_presence_grid(family_id: str,
     ordered: list[Attribute] = [a for a in mapping.attributes if a in sightings]
     ordered.extend(sorted((a for a in sightings if isinstance(a, Unmapped)),
                           key=lambda a: a.normalized))
-    present = [[lang in sightings[attr] for lang in langs] for attr in ordered]
-    return PresenceGrid(family=family_id, attributes=ordered, languages=langs, present=present)
+    return {
+        "languages": langs,
+        "attributes": [attribute_row(attr) for attr in ordered],
+        "grid": [[1 if lang in sightings[attr] else 0 for lang in langs] for attr in ordered],
+    }

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
-from .schema_align import Attribute, PresenceGrid
+from .mw_client import format_ts
+from .schema_align import Attribute, attribute_row
 
 CLASS_INVALIDITY = "Invalidity-candidate"
 CLASS_TIMELINESS = "Timeliness-candidate"
@@ -28,6 +28,8 @@ DEFAULT_MISSING_VOCAB = frozenset({"", "—", "–", "-", "N/A", "n/a", "?"})
 RATIO_PCT_SLACK_PP = 0.05
 
 DEFAULT_STALENESS_DAYS = 180
+
+NUMERIC_KINDS = ("number", "percentage", "ratio")
 
 # thousands / decimal separators; en-style is the fallback for unknown codes
 _SEPARATORS = {
@@ -98,10 +100,24 @@ class ParsedValue(NamedTuple):
 
     @property
     def is_numeric(self) -> bool:
-        return self.kind in ("number", "percentage", "ratio")
+        return self.kind in NUMERIC_KINDS
 
 
 CellValue = Union[ParsedValue, MissingType]
+
+
+def value_to_json(value: CellValue) -> dict:
+    if value is MISSING:
+        return {"missing": True}
+    out: dict = {"kind": value.kind, "original": value.original}
+    if value.magnitude is not None:
+        out["magnitude"] = value.magnitude
+    if value.unit is not None:
+        out["unit"] = value.unit
+    if value.numerator is not None:
+        out["numerator"] = value.numerator
+        out["denominator"] = value.denominator
+    return out
 
 
 def _separators(language: str) -> tuple[str, str]:
@@ -216,23 +232,27 @@ def _comparable_pair(a: ParsedValue, b: ParsedValue):
     return a.magnitude * factor_a, b.magnitude * factor_b, False
 
 
-@dataclass
-class InconsistencyRecord:
-    """One detected divergence, with per-language evidence."""
-
-    family: str
-    entity: Optional[object]  # EntityKey; None for schema-level records
-    attribute: Optional[Attribute]
-    cls: Optional[str]
-    values: dict[str, CellValue] = field(default_factory=dict)
-    evidence: str = ""
-    severity: Optional[float] = None
-    revision_timestamps: dict[str, datetime] = field(default_factory=dict)
+def _record(family_id: str, cls: Optional[str], entity, attribute: Optional[dict],
+            values: dict[str, CellValue], evidence: str, severity: Optional[float] = None) -> dict:
+    """One report record; ``entity`` is an EntityKey or None, ``attribute`` a ``{name, kind}``."""
+    return {
+        "family": family_id,
+        "class": cls,
+        "entity": None if entity is None else entity.to_json(),
+        "attribute": None if attribute is None else attribute["name"],
+        "attribute_kind": None if attribute is None else attribute["kind"],
+        # zero-vs-nonzero disagreements have no finite relative difference;
+        # keep the JSON standard-parseable
+        "severity": severity if severity is None or math.isfinite(severity) else None,
+        "values": {lang: value_to_json(v) for lang, v in values.items()},
+        "revision_timestamps": {},
+        "evidence": evidence,
+    }
 
 
 def detect_conflicts(family_id: str, attribute: Attribute,
                      values_by_entity: dict[object, dict[str, CellValue]],
-                     rel_tol: float = 0.0) -> tuple[list[InconsistencyRecord], list[dict]]:
+                     rel_tol: float = 0.0) -> tuple[list[dict], list[dict]]:
     """Flag entities whose numeric values for one attribute disagree.
 
     ``values_by_entity`` maps entity -> {language: value}; languages whose
@@ -240,9 +260,9 @@ def detect_conflicts(family_id: str, attribute: Attribute,
     map. A conflict exists when any comparable pair differs by more than
     ``rel_tol`` (relative to the smaller value); severity is the largest
     relative difference among conflicting pairs. Pairs that cannot be
-    compared become findings, never crashes.
+    compared become findings, never crashes. Records have no class yet.
     """
-    records: list[InconsistencyRecord] = []
+    records: list[dict] = []
     findings: list[dict] = []
     for entity, by_language in values_by_entity.items():
         numeric = {lang: v for lang, v in by_language.items()
@@ -259,7 +279,7 @@ def detect_conflicts(family_id: str, attribute: Attribute,
                     findings.append({
                         "kind": "incomparable-values",
                         "family": family_id,
-                        "entity": entity.label() if hasattr(entity, "label") else str(entity),
+                        "entity": entity.label(),
                         "attribute": attribute.name,
                         "languages": [langs[i], langs[j]],
                         "detail": f"{pair}: {a.original!r} ({a.kind}/{a.unit}) vs "
@@ -273,45 +293,51 @@ def detect_conflicts(family_id: str, attribute: Attribute,
                 if rel > rel_tol:
                     worst = rel if worst is None else max(worst, rel)
         if worst is not None:
-            records.append(InconsistencyRecord(
-                family=family_id, entity=entity, attribute=attribute, cls=None,
-                values=dict(by_language), severity=worst,
-                evidence=f"numeric disagreement on {attribute.name} "
-                         f"across {', '.join(numeric)} (rel_tol={rel_tol})",
-            ))
+            records.append(_record(
+                family_id, None, entity, attribute_row(attribute), by_language,
+                f"numeric disagreement on {attribute.name} "
+                f"across {', '.join(numeric)} (rel_tol={rel_tol})", worst))
     return records, findings
 
 
-def _canonical_magnitude(value: ParsedValue, base_unit: Optional[str]) -> float:
-    if value.kind in ("percentage", "ratio"):
-        return round(value.magnitude, 9)
-    if value.unit is None or base_unit is None:
+def _canonical_magnitude(value: dict, base_unit: Optional[str]) -> float:
+    if value["kind"] in ("percentage", "ratio"):
+        return round(value["magnitude"], 9)
+    unit = value.get("unit")
+    if unit is None or base_unit is None:
         # bare numbers took their peer's unit during comparison; group raw
-        return round(value.magnitude, 9)
-    _, factor = _unit_factor(value.unit)
+        return round(value["magnitude"], 9)
+    _, factor = _unit_factor(unit)
     _, base_factor = _unit_factor(base_unit)
-    return round(value.magnitude * factor / base_factor, 9)
+    return round(value["magnitude"] * factor / base_factor, 9)
 
 
-def classify(record: InconsistencyRecord, revision_timestamps: dict[str, datetime],
-             staleness_window: timedelta = timedelta(days=DEFAULT_STALENESS_DAYS)) -> InconsistencyRecord:
-    """Assign Timeliness-candidate vs Invalidity-candidate to a conflict.
+def classify(record: dict, revision_timestamps: dict[str, datetime],
+             staleness_window: timedelta = timedelta(days=DEFAULT_STALENESS_DAYS)) -> dict:
+    """Assign Timeliness-candidate vs Invalidity-candidate to a conflict record.
 
     Heuristic only, hence the "candidate" labels: the record is a timeliness
     candidate iff the involved revisions span more than the staleness window
     AND the minority value comes from strictly older pages. Ties on the most
-    common value, or a fresh minority, fall back to invalidity.
+    common value, or a fresh minority, fall back to invalidity. Returns a
+    copy of the record with its class, the numeric languages' revision
+    timestamps and the reason appended to its evidence.
     """
-    numeric = {lang: v for lang, v in record.values.items()
-               if isinstance(v, ParsedValue) and v.is_numeric}
+    numeric = {lang: v for lang, v in record["values"].items()
+               if v.get("kind") in NUMERIC_KINDS}
     timestamps = {lang: ts for lang, ts in revision_timestamps.items() if lang in numeric}
-    record = replace(record, revision_timestamps=dict(timestamps))
-    if len(timestamps) < 2:
-        return replace(record, cls=CLASS_INVALIDITY,
-                       evidence=record.evidence + "; revision metadata insufficient")
 
-    base_unit = next((v.unit for v in numeric.values()
-                      if v.kind == "number" and v.unit is not None), None)
+    def classified(cls: str, reason: str) -> dict:
+        return {**record, "class": cls,
+                "revision_timestamps": {lang: format_ts(ts)
+                                        for lang, ts in sorted(timestamps.items())},
+                "evidence": record["evidence"] + reason}
+
+    if len(timestamps) < 2:
+        return classified(CLASS_INVALIDITY, "; revision metadata insufficient")
+
+    base_unit = next((v["unit"] for v in numeric.values()
+                      if v["kind"] == "number" and "unit" in v), None)
     groups: dict[float, list[str]] = {}
     for lang, value in numeric.items():
         groups.setdefault(_canonical_magnitude(value, base_unit), []).append(lang)
@@ -328,58 +354,49 @@ def classify(record: InconsistencyRecord, revision_timestamps: dict[str, datetim
             newest_minority = max(timestamps[l] for l in known)
             oldest_majority = min(timestamps[l] for l in majority_langs)
             if newest_minority < oldest_majority:
-                return replace(
-                    record, cls=CLASS_TIMELINESS,
-                    evidence=record.evidence + (
-                        f"; minority value from pages older by more than "
-                        f"{staleness_window.days} days (revision spread {spread.days} days)"
-                    ),
-                )
-    return replace(record, cls=CLASS_INVALIDITY,
-                   evidence=record.evidence + f"; revision spread {spread.days} days")
+                return classified(CLASS_TIMELINESS, (
+                    f"; minority value from pages older by more than "
+                    f"{staleness_window.days} days (revision spread {spread.days} days)"))
+    return classified(CLASS_INVALIDITY, f"; revision spread {spread.days} days")
 
 
-def detect_incompleteness(grid: PresenceGrid, matrix,
-                          languages_with_tables: Optional[list[str]] = None) -> list[InconsistencyRecord]:
+def detect_incompleteness(family_id: str, presence: dict, matrix,
+                          languages: list[str]) -> list[dict]:
     """Schema-level and row-level incompleteness records.
 
-    Schema level: one record per (attribute, language) cell that is false
-    while the attribute is present in at least one other language. Row level:
-    one record per QID-keyed entity absent from a language that has analyzed
-    tables while present elsewhere. Surface-keyed entities are language-local
-    by construction and never generate row-level records.
+    Schema level: one record per (attribute, language) cell of the
+    ``presence`` grid (see ``build_presence_grid``) that is 0 while the
+    attribute is present in at least one other language. Row level: one
+    record per QID-keyed entity absent from one of ``languages`` (those with
+    aligned tables) while present elsewhere. Surface-keyed entities are
+    language-local by construction and never generate row-level records.
     """
-    records: list[InconsistencyRecord] = []
-    for attr, row in zip(grid.attributes, grid.present):
-        present_langs = [l for l, flag in zip(grid.languages, row) if flag]
+    records: list[dict] = []
+    for attribute, row in zip(presence["attributes"], presence["grid"]):
+        present_langs = [l for l, flag in zip(presence["languages"], row) if flag]
         if not present_langs:
             continue
-        for lang, flag in zip(grid.languages, row):
+        for lang, flag in zip(presence["languages"], row):
             if flag:
                 continue
-            records.append(InconsistencyRecord(
-                family=grid.family, entity=None, attribute=attr,
-                cls=CLASS_INCOMPLETENESS, values={lang: MISSING},
-                evidence=f"column for {attr.name!r} absent in {lang}; "
-                         f"present in {', '.join(present_langs)}",
-            ))
+            records.append(_record(
+                family_id, CLASS_INCOMPLETENESS, None, attribute, {lang: MISSING},
+                f"column for {attribute['name']!r} absent in {lang}; "
+                f"present in {', '.join(present_langs)}"))
 
-    langs = languages_with_tables if languages_with_tables is not None else matrix.languages
     for entity in matrix.entities:
         if not entity.is_qid:
             continue
         present = set(matrix.languages_of(entity))
         if not present:
             continue
-        for lang in langs:
+        for lang in languages:
             if lang in present:
                 continue
-            records.append(InconsistencyRecord(
-                family=grid.family, entity=entity, attribute=None,
-                cls=CLASS_INCOMPLETENESS, values={lang: MISSING},
-                evidence=f"entity {entity.value} has no row in {lang}; "
-                         f"present in {', '.join(sorted(present))}",
-            ))
+            records.append(_record(
+                family_id, CLASS_INCOMPLETENESS, entity, None, {lang: MISSING},
+                f"entity {entity.value} has no row in {lang}; "
+                f"present in {', '.join(sorted(present))}"))
     return records
 
 
@@ -400,7 +417,7 @@ def detect_text_divergence(family_id: str, attribute: Attribute,
             findings.append({
                 "kind": "text-divergence",
                 "family": family_id,
-                "entity": entity.label() if hasattr(entity, "label") else str(entity),
+                "entity": entity.label(),
                 "attribute": attribute.name,
                 "values": dict(sorted(texts.items())),
             })

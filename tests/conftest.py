@@ -57,6 +57,12 @@ FIXTURE_TITLES["eight_thousander_climbers"] = {
 }
 
 
+def mentions_by_language(tables_by_lang):
+    """build_matrix's input from {language: [(table, mentions)]}."""
+    return {lang: [m for _table, ms in linked for m in ms]
+            for lang, linked in tables_by_lang.items()}
+
+
 @pytest.fixture(scope="session")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -12,15 +12,15 @@ import time
 from click.testing import CliRunner
 
 from tablediff.cli import main as cli_main
-from tablediff.entity_align import build_matrix, extract_row_entities, link_mentions
-from tablediff.errors import NoEntityColumn
+from tablediff.entity_align import (build_matrix, detect_entity_column, extract_row_entities,
+                                    link_mentions)
 from tablediff.mw_client import ArticleRef, CachePolicy
 from tablediff.pipeline import _collect_attribute_values, _table_columns
 from tablediff.table_parser import extract_tables
 from tablediff.value_analysis import detect_conflicts, parse_value
 
 from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, FIXTURE_TITLES,
-                      GEOGRAPHY_MANIFEST, HEADER_MAP)
+                      GEOGRAPHY_MANIFEST, HEADER_MAP, mentions_by_language)
 from oracles import layout_to_html, oracle_expand, random_span_layout
 
 
@@ -115,10 +115,10 @@ def _linked_fixture_tables(client, family, max_rows=None):
         for table in extract_tables(page):
             if max_rows is not None and table.n_body_rows > max_rows:
                 continue
-            try:
-                mentions = extract_row_entities(table)
-            except NoEntityColumn:
+            col = detect_entity_column(table)
+            if col is None:
                 continue
+            mentions = extract_row_entities(table, col)
             mentions = link_mentions(mentions, lang, client, CachePolicy.OFFLINE_ONLY)
             linked.append((table, mentions))
         tables_by_lang[lang] = linked
@@ -130,7 +130,7 @@ def test_c4_alignment_agrees_with_brute_force_matcher(offline_client):
     for family in FIXTURE_TITLES:
         tables_by_lang = _linked_fixture_tables(offline_client, family, max_rows=10)
         languages = list(tables_by_lang)
-        matrix = build_matrix(tables_by_lang, languages=languages)
+        matrix = build_matrix(mentions_by_language(tables_by_lang), languages=languages)
 
         position_to_entity = {}
         for (entity, lang), occs in matrix.rows.items():
@@ -254,7 +254,7 @@ def test_c9_rel_tol_monotonicity_on_fixture_values(offline_client, header_mappin
     for family in ("seven_summits", "eight_thousander"):
         tables_by_lang = _linked_fixture_tables(offline_client, family)
         languages = list(tables_by_lang)
-        matrix = build_matrix(tables_by_lang, languages=languages)
+        matrix = build_matrix(mentions_by_language(tables_by_lang), languages=languages)
         columns = {}
         for lang, linked in tables_by_lang.items():
             columns.update(_table_columns(lang, [table for table, _m in linked], header_mapping))

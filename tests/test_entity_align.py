@@ -1,15 +1,12 @@
 from datetime import datetime, timezone
 
-import pytest
-
 from tablediff.entity_align import (EntityKey, build_matrix, detect_entity_column,
                                     extract_row_entities, fold_surface, link_mentions,
                                     mention_key)
-from tablediff.errors import NoEntityColumn
 from tablediff.mw_client import ArticleRef, CachePolicy, MediaWikiClient, PageDocument
 from tablediff.table_parser import extract_tables
 
-from conftest import FakeTransport
+from conftest import FakeTransport, mentions_by_language
 
 TS = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
@@ -32,7 +29,7 @@ def test_seven_summits_fixture_yields_seven_linked_mentions(offline_client):
     page = offline_client.fetch_page(ArticleRef("en", "Seven Summits"),
                                      CachePolicy.OFFLINE_ONLY)
     tables = extract_tables(page)
-    mentions = extract_row_entities(tables[0])
+    mentions = extract_row_entities(tables[0], detect_entity_column(tables[0]))
     assert len(mentions) == 7
     assert all(m.link_title for m in mentions)
     assert mentions[0].link_title == "Mount Everest"
@@ -45,22 +42,22 @@ def test_entity_column_is_max_link_fraction_not_first():
         f"<tr><td>2</td><td>{a('K2')}</td></tr>"
     )
     assert detect_entity_column(table) == 1
-    mentions = extract_row_entities(table)
+    mentions = extract_row_entities(table, detect_entity_column(table))
     assert [m.link_title for m in mentions] == ["Everest", "K2"]
 
 
 def test_column_hint_bypasses_detection():
     table = table_from("<tr><th>Name</th></tr><tr><td>Everest</td></tr>")
-    mentions = extract_row_entities(table, column_hint=0)
+    assert detect_entity_column(table) is None
+    mentions = extract_row_entities(table, 0)
     assert len(mentions) == 1
     assert mentions[0].link_title is None
     assert mentions[0].surface == "Everest"
 
 
-def test_no_entity_column_raises():
+def test_no_linked_column_detects_none():
     table = table_from("<tr><th>A</th><th>B</th></tr><tr><td>1</td><td>2</td></tr>")
-    with pytest.raises(NoEntityColumn):
-        extract_row_entities(table)
+    assert detect_entity_column(table) is None
 
 
 def test_spanned_entity_cells_attribute_to_original_row():
@@ -69,7 +66,7 @@ def test_spanned_entity_cells_attribute_to_original_row():
         f'<tr><td rowspan="2">{a("Everest")}</td><td>1953</td></tr>'
         "<tr><td>1956</td></tr>"
     )
-    mentions = extract_row_entities(table)
+    mentions = extract_row_entities(table, detect_entity_column(table))
     assert len(mentions) == 2
     assert {m.link_title for m in mentions} == {"Everest"}
     assert [m.row_index for m in mentions] == [0, 1]
@@ -81,7 +78,7 @@ def test_missing_entity_cells_are_skipped():
         f"<tr><td>{a('Everest')}</td></tr>"
         "<tr><td>—</td></tr>"
     )
-    mentions = extract_row_entities(table)
+    mentions = extract_row_entities(table, detect_entity_column(table))
     assert len(mentions) == 1
 
 
@@ -91,8 +88,8 @@ def test_extra_missing_markers_skip_entity_rows():
         f"<tr><td>{a('Everest')}</td></tr>"
         "<tr><td>tbd</td></tr>"
     )
-    assert [m.surface for m in extract_row_entities(table)] == ["Everest", "tbd"]
-    mentions = extract_row_entities(table, extra_missing=("tbd",))
+    assert [m.surface for m in extract_row_entities(table, 0)] == ["Everest", "tbd"]
+    mentions = extract_row_entities(table, 0, extra_missing=("tbd",))
     assert [m.row_index for m in mentions] == [0]
 
 
@@ -100,7 +97,7 @@ def test_link_mentions_batches(tmp_path):
     titles = [f"Peak {i}" for i in range(60)]
     rows = "".join(f"<tr><td>{a(t)}</td></tr>" for t in titles)
     table = table_from(f"<tr><th>Peak</th></tr>{rows}")
-    mentions = extract_row_entities(table)
+    mentions = extract_row_entities(table, detect_entity_column(table))
     transport = FakeTransport(qids={("en", t): f"Q{i + 1}" for i, t in enumerate(titles)})
     client = MediaWikiClient(cache_dir=tmp_path, transport=transport)
     linked = link_mentions(mentions, "en", client)
@@ -120,10 +117,9 @@ def test_fold_surface():
 def test_surface_keys_never_merge_across_languages():
     en_table = table_from("<tr><th>Peak</th></tr><tr><td>Everest</td></tr>")
     de_table = table_from("<tr><th>Berg</th></tr><tr><td>Everest</td></tr>", lang="de")
-    en = extract_row_entities(en_table, column_hint=0)
-    de = extract_row_entities(de_table, column_hint=0)
-    matrix = build_matrix({"en": [(en_table, en)], "de": [(de_table, de)]},
-                          languages=["en", "de"])
+    en = extract_row_entities(en_table, 0)
+    de = extract_row_entities(de_table, 0)
+    matrix = build_matrix({"en": en, "de": de}, languages=["en", "de"])
     assert len(matrix.entities) == 2
     for entity in matrix.entities:
         assert entity.kind == "surface"
@@ -139,13 +135,12 @@ def test_matrix_orders_by_coverage_then_qid():
     def linked_table(lang, pairs):
         rows = "".join(f"<tr><td>{a(t)}</td></tr>" for t, _q in pairs)
         table = table_from(f"<tr><th>Peak</th></tr>{rows}", lang)
-        mentions = extract_row_entities(table)
-        mentions = [m._replace(qid=q) for m, (_t, q) in zip(mentions, pairs)]
-        return table, mentions
+        mentions = extract_row_entities(table, 0)
+        return [m._replace(qid=q) for m, (_t, q) in zip(mentions, pairs)]
 
     en = linked_table("en", [("A", "Q30"), ("B", "Q2")])
     de = linked_table("de", [("A2", "Q30")])
-    matrix = build_matrix({"en": [en], "de": [de]}, languages=["en", "de"])
+    matrix = build_matrix({"en": en, "de": de}, languages=["en", "de"])
     assert [e.value for e in matrix.entities] == ["Q30", "Q2"]  # coverage first
 
 
@@ -158,15 +153,15 @@ def test_conservation_on_fixture_family(offline_client, header_mapping):
         page = offline_client.fetch_page(ArticleRef(lang, title), CachePolicy.OFFLINE_ONLY)
         linked = []
         for table in extract_tables(page):
-            try:
-                mentions = extract_row_entities(table)
-            except NoEntityColumn:
+            col = detect_entity_column(table)
+            if col is None:
                 continue
+            mentions = extract_row_entities(table, col)
             mentions = link_mentions(mentions, lang, offline_client, CachePolicy.OFFLINE_ONLY)
             linked.append((table, mentions))
             total_mentions += len(mentions)
         tables_by_lang[lang] = linked
-    matrix = build_matrix(tables_by_lang,
+    matrix = build_matrix(mentions_by_language(tables_by_lang),
                           languages=["en", "de", "zh", "it", "nl"])
     occurrences = sum(len(v) for v in matrix.rows.values())
     assert occurrences == total_mentions
@@ -198,15 +193,15 @@ def test_matrix_agrees_with_brute_force_on_small_tables(offline_client):
         for table in extract_tables(page):
             if table.n_body_rows > 10:
                 continue
-            try:
-                mentions = extract_row_entities(table)
-            except NoEntityColumn:
+            col = detect_entity_column(table)
+            if col is None:
                 continue
+            mentions = extract_row_entities(table, col)
             mentions = link_mentions(mentions, lang, offline_client, CachePolicy.OFFLINE_ONLY)
             linked.append((table, mentions))
         tables_by_lang[lang] = linked
 
-    matrix = build_matrix(tables_by_lang, languages=[l for l, _ in pages])
+    matrix = build_matrix(mentions_by_language(tables_by_lang), languages=[l for l, _ in pages])
     position_to_entity = {}
     for (entity, lang), occs in matrix.rows.items():
         for occ in occs:

@@ -369,6 +369,30 @@ def test_fetch_warms_the_hinted_entity_column(tmp_path, header_mapping):
         ("qid", f"Q{200 + i}") for i in range(3)]
 
 
+
+def test_out_of_range_column_hint_is_a_no_entity_column_finding(tmp_path, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    html = ('<table class="wikitable"><tbody><tr><th>Peak</th><th>Range</th></tr>'
+            '<tr><td><a href="/wiki/Peak_1">Peak 1</a></td><td>Alps</td></tr></tbody></table>')
+    transport = FakeTransport(
+        pages={("en", "Ranges"): {"html": html, "revid": 7, "timestamp": "2025-06-01T00:00:00Z"}},
+        qids={("en", "Peak 1"): "Q101"})
+    # The table has columns 0 and 1: a hint of 2 is one past its width.
+    manifest = parse_manifest({"families": [{
+        "id": "ranges", "seed": {"language": "en", "title": "Ranges"}, "languages": ["en"],
+        "overrides": {"column_hints": {"en": {"0": 2}}},
+    }]})
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=transport)
+    assert warm_cache(manifest, header_mapping, client, PipelineOptions()) == {
+        "fetched": 1, "absent_or_failed": 0}
+    family = run_pipeline(manifest, header_mapping, client, PipelineOptions())["families"][0]
+    assert family["status"] == "ok"
+    assert family["entities"] == []
+    assert [f for f in family["findings"] if f["kind"] == "no-entity-column"] == [{
+        "kind": "no-entity-column", "family": "ranges", "language": "en", "table_index": 0,
+        "detail": "table excluded from alignment"}]
+
 # -- emission ----------------------------------------------------------------
 
 def test_emit_csv_round_trip_record_count(geography_report, tmp_path):

@@ -71,34 +71,35 @@ def test_presence_grid_single_language():
     table = table_from("<tr><th>Rank</th><th>Height (m)</th></tr><tr><td>1</td><td>2</td></tr>")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
                              AttributeKey("height", {"en": ["height"]})])
-    grid = build_presence_grid("fam", main_attributes({"en": table}, mapping), mapping,
+    grid = build_presence_grid(main_attributes({"en": table}, mapping), mapping,
                                languages=["en"])
-    assert grid.languages == ["en"]
-    assert [a.name for a in grid.attributes] == ["rank", "height"]
-    assert grid.present == [[True], [True]]
+    assert grid["languages"] == ["en"]
+    assert [a["name"] for a in grid["attributes"]] == ["rank", "height"]
+    assert grid["grid"] == [[1], [1]]
 
 
 def test_presence_grid_unmapped_rows_stay_visible():
     en = table_from("<tr><th>Rank</th><th>Oddity</th></tr><tr><td>1</td><td>2</td></tr>")
     de = table_from("<tr><th>Rang</th></tr><tr><td>1</td></tr>", lang="de")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"], "de": ["rang"]})])
-    grid = build_presence_grid("fam", main_attributes({"en": en, "de": de}, mapping), mapping,
+    grid = build_presence_grid(main_attributes({"en": en, "de": de}, mapping), mapping,
                                languages=["en", "de"])
-    names = [a.name for a in grid.attributes]
+    names = [a["name"] for a in grid["attributes"]]
     assert names == ["rank", "oddity"]
-    assert grid.present[grid.attributes.index(Unmapped("oddity"))] == [True, False]
+    oddity = grid["attributes"].index({"name": "oddity", "kind": "unmapped"})
+    assert grid["grid"][oddity] == [1, 0]
 
 
 def test_presence_grid_no_attribute_row_all_false():
     en = table_from("<tr><th>Rank</th></tr><tr><td>1</td></tr>")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
                              AttributeKey("height", {"en": ["height"]})])
-    grid = build_presence_grid("fam", main_attributes({"en": en, "de": None}, mapping),
+    grid = build_presence_grid(main_attributes({"en": en, "de": None}, mapping),
                                mapping, languages=["en", "de"])
     # absent language dropped; unsighted attribute dropped
-    assert grid.languages == ["en"]
-    assert [a.name for a in grid.attributes] == ["rank"]
-    for row in grid.present:
+    assert grid["languages"] == ["en"]
+    assert [a["name"] for a in grid["attributes"]] == ["rank"]
+    for row in grid["grid"]:
         assert any(row)
 
 
@@ -108,9 +109,9 @@ def test_grid_completeness_every_column_contributes(header_mapping, offline_clie
     table = extract_tables(page)[0]
     columns = resolve_columns(table, "en", header_mapping)
     assert len(columns) == table.n_cols
-    grid = build_presence_grid("fam", {"en": [attr for _col, attr in columns]}, header_mapping,
+    grid = build_presence_grid({"en": [attr for _col, attr in columns]}, header_mapping,
                                languages=["en"])
-    grid_attrs = set(a.name for a in grid.attributes)
+    grid_attrs = set(a["name"] for a in grid["attributes"])
     for _col, attr in columns:
         assert attr.name in grid_attrs
 
