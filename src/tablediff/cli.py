@@ -156,13 +156,17 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
             staleness_days, header_map_path, all_tables, fmt, out_dir):
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
     manifest = _load_manifest_or_die(manifest_path)
+    rel_tol = float(_resolve(rel_tol, manifest, "rel_tol", 0.0))
+    if not rel_tol >= 0:  # also rejects NaN, which would hide every conflict
+        click.echo(f"error: --rel-tol must be a non-negative number, got {rel_tol}", err=True)
+        sys.exit(EXIT_MANIFEST_ERROR)
     mapping = _load_mapping_or_die(header_map_path, manifest)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
         offline=bool(_resolve(offline, manifest, "offline", False)),
         refresh=bool(refresh),
-        rel_tol=float(_resolve(rel_tol, manifest, "rel_tol", 0.0)),
+        rel_tol=rel_tol,
         staleness_days=int(_resolve(staleness_days, manifest, "staleness_days", 180)),
         all_tables=bool(_resolve(all_tables, manifest, "all_tables", False)),
         extra_missing=tuple(manifest.defaults.get("missing_values", ())),

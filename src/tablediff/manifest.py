@@ -105,7 +105,7 @@ def parse_manifest(data: dict) -> DatasetManifest:
         overrides = raw.get("overrides") or {}
         main_override = {}
         for lang, idx in (overrides.get("main_table_index") or {}).items():
-            _require(isinstance(idx, int) and idx >= 0,
+            _require(_is_int(idx) and idx >= 0,
                      f"family {fid!r}: main_table_index override must be a non-negative int")
             main_override[lang] = idx
         hints: dict[str, dict[int, int]] = {}
@@ -113,7 +113,7 @@ def parse_manifest(data: dict) -> DatasetManifest:
             _require(isinstance(table_map, dict), f"family {fid!r}: column_hints must map tables")
             parsed = {}
             for table_key, col in table_map.items():
-                _require(isinstance(col, int) and col >= 0,
+                _require(_is_int(col) and col >= 0,
                          f"family {fid!r}: column hint must be a non-negative int")
                 try:
                     parsed[int(table_key)] = col

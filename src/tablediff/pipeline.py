@@ -7,7 +7,10 @@
    mention per row and resolve the mentions' links to QIDs;
 4. align: page metrics, the entity matrix, per-table columns resolved to
    attributes, and the attribute presence grid;
-5. analyze: value conflicts, text divergence and incompleteness;
+5. analyze: one walk over the matrix's occurrences takes each entity's
+   first non-missing value per language for every attribute seen in two or
+   more languages (``_attribute_values``); then value conflicts, text
+   divergence and incompleteness;
 6. serialize: the family's part of the report.
 
 ``warm_cache`` runs the first three stages only, so ``fetch`` warms exactly
@@ -192,39 +195,46 @@ def _table_columns(language: str, tables: list[WikiTable],
     return out
 
 
-def _collect_attribute_values(
+def _attribute_values(
     matrix: AlignedMatrix,
     columns: TableColumns,
-    attribute: Attribute,
+    attributes: list[Attribute],
     extra_missing: tuple[str, ...],
-) -> dict[EntityKey, dict[str, CellValue]]:
-    """First non-missing value per (entity, language) for one attribute.
+) -> dict[Attribute, dict[EntityKey, dict[str, CellValue]]]:
+    """First non-missing value per (entity, language) of each attribute, in one walk.
 
-    Languages where no occurrence table carries the attribute's column are
-    left out; a language whose cells are all missing markers maps to MISSING.
+    The value is the first non-missing cell in occurrence order, then column
+    order. Languages where no occurrence table carries the attribute's column
+    are left out; a language whose cells are all missing markers maps to
+    MISSING. Entities keep ``matrix.entities`` order and languages
+    ``matrix.languages`` order; an entity with no language is left out.
     """
-    out: dict[EntityKey, dict[str, CellValue]] = {}
+    values: dict[Attribute, dict[EntityKey, dict[str, CellValue]]] = {a: {} for a in attributes}
+    by_position = list(values.values())
+    position = {attr: i for i, attr in enumerate(attributes)}
+    # Per table: its body rows and the (attribute position, columns) it carries.
+    plans = {key: (table.body_rows, [(position[attr], cols) for attr, cols in by_attr.items()
+                                     if attr in position])
+             for key, (table, by_attr) in columns.items()}
     for entity in matrix.entities:
-        per_language: dict[str, CellValue] = {}
         for language in matrix.languages:
-            saw_column = False
-            value: CellValue = MISSING
+            found: dict[int, CellValue] = {}
             for table_index, row_index in matrix.occurrences(entity, language):
-                table, by_attr = columns[(language, table_index)]
-                for col in by_attr.get(attribute, []):
-                    saw_column = True
-                    text = table.body_rows[row_index][col].text
-                    if is_missing(text, extra_missing):
+                body_rows, plan = plans[(language, table_index)]
+                row = body_rows[row_index]
+                for pos, cols in plan:
+                    if found.get(pos, MISSING) is not MISSING:
                         continue
-                    value = parse_value(text, language)
-                    break
-                if value is not MISSING:
-                    break
-            if saw_column:
-                per_language[language] = value
-        if per_language:
-            out[entity] = per_language
-    return out
+                    value: CellValue = MISSING
+                    for col in cols:
+                        text = row[col].text
+                        if not is_missing(text, extra_missing):
+                            value = parse_value(text, language)
+                            break
+                    found[pos] = value
+            for pos, value in found.items():
+                by_position[pos].setdefault(entity, {})[language] = value
+    return values
 
 
 def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
@@ -299,10 +309,9 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
 
     records: list[dict] = []
     window = timedelta(days=options.staleness_days)
-    for attr in mapping.attributes:
-        if len(attr_languages.get(attr, ())) < 2:
-            continue
-        values = _collect_attribute_values(matrix, columns, attr, options.extra_missing)
+    compared = [attr for attr in mapping.attributes if len(attr_languages.get(attr, ())) >= 2]
+    for attr, values in _attribute_values(matrix, columns, compared,
+                                          options.extra_missing).items():
         conflicts, conflict_findings = detect_conflicts(entry.id, attr, values, options.rel_tol)
         findings.extend(conflict_findings)
         records.extend(classify(record, revision_timestamps, window) for record in conflicts)

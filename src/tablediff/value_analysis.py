@@ -98,10 +98,6 @@ class ParsedValue(NamedTuple):
     numerator: Optional[int] = None
     denominator: Optional[int] = None
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in NUMERIC_KINDS
-
 
 CellValue = Union[ParsedValue, MissingType]
 
@@ -261,13 +257,22 @@ def detect_conflicts(family_id: str, attribute: Attribute,
     ``rel_tol`` (relative to the smaller value); severity is the largest
     relative difference among conflicting pairs. Pairs that cannot be
     compared become findings, never crashes. Records have no class yet.
+
+    ``rel_tol`` must be a number >= 0 (a ``ValueError`` otherwise): then
+    values that share one (number or percent scale, unit, magnitude) key
+    differ by 0 and are always comparable, so an entity whose values all
+    share one key skips the pairwise checks.
     """
+    if not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     records: list[dict] = []
     findings: list[dict] = []
     for entity, by_language in values_by_entity.items():
         numeric = {lang: v for lang, v in by_language.items()
-                   if isinstance(v, ParsedValue) and v.is_numeric}
+                   if v is not MISSING and v.kind in NUMERIC_KINDS}
         if len(numeric) < 2:
+            continue
+        if len({(v.kind == "number", v.unit, v.magnitude) for v in numeric.values()}) == 1:
             continue
         langs = list(numeric)
         worst: Optional[float] = None

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Kept apart from the package so the implementations under test never share
-code with the oracles that judge them.
+code with the oracles that judge them. An oracle may still call the package's
+helpers for the steps below the one it judges, such as ``parse_value``.
 """
 
 from html.parser import HTMLParser
@@ -9,6 +10,10 @@ from html.parser import HTMLParser
 import numpy as np
 
 from tablediff.htmldom import Node
+from tablediff.schema_align import attribute_row
+from tablediff.value_analysis import (MISSING, NUMERIC_KINDS, RATIO_PCT_SLACK_PP, ParsedValue,
+                                      _comparable_pair, _record, is_missing, parse_value,
+                                      relative_difference)
 
 
 def _paint(layout):
@@ -157,3 +162,77 @@ def tree_shape(node):
         else:
             children.append(tree_shape(child))
     return (node.tag, node.attrs, children)
+
+
+def oracle_collect_attribute_values(matrix, columns, attribute, extra_missing):
+    """First non-missing value per (entity, language) for one attribute.
+
+    The per-attribute walk that ``pipeline._attribute_values`` replaced.
+    Languages where no occurrence table carries the attribute's column are
+    left out; a language whose cells are all missing markers maps to MISSING.
+    """
+    out = {}
+    for entity in matrix.entities:
+        per_language = {}
+        for language in matrix.languages:
+            saw_column = False
+            value = MISSING
+            for table_index, row_index in matrix.occurrences(entity, language):
+                table, by_attr = columns[(language, table_index)]
+                for col in by_attr.get(attribute, []):
+                    saw_column = True
+                    text = table.body_rows[row_index][col].text
+                    if is_missing(text, extra_missing):
+                        continue
+                    value = parse_value(text, language)
+                    break
+                if value is not MISSING:
+                    break
+            if saw_column:
+                per_language[language] = value
+        if per_language:
+            out[entity] = per_language
+    return out
+
+
+def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol=0.0):
+    """``detect_conflicts`` comparing every language pair of every entity.
+
+    The pairwise loop before values that agree were let skip it.
+    """
+    records = []
+    findings = []
+    for entity, by_language in values_by_entity.items():
+        numeric = {lang: v for lang, v in by_language.items()
+                   if isinstance(v, ParsedValue) and v.kind in NUMERIC_KINDS}
+        if len(numeric) < 2:
+            continue
+        langs = list(numeric)
+        worst = None
+        for i in range(len(langs)):
+            for j in range(i + 1, len(langs)):
+                a, b = numeric[langs[i]], numeric[langs[j]]
+                pair = _comparable_pair(a, b)
+                if pair == "kind-mismatch" or pair == "unit-mismatch":
+                    findings.append({
+                        "kind": "incomparable-values",
+                        "family": family_id,
+                        "entity": entity.label(),
+                        "attribute": attribute.name,
+                        "languages": [langs[i], langs[j]],
+                        "detail": f"{pair}: {a.original!r} ({a.kind}/{a.unit}) vs "
+                                  f"{b.original!r} ({b.kind}/{b.unit})",
+                    })
+                    continue
+                va, vb, slack = pair
+                if slack and abs(va - vb) <= RATIO_PCT_SLACK_PP:
+                    continue
+                rel = relative_difference(va, vb)
+                if rel > rel_tol:
+                    worst = rel if worst is None else max(worst, rel)
+        if worst is not None:
+            records.append(_record(
+                family_id, None, entity, attribute_row(attribute), by_language,
+                f"numeric disagreement on {attribute.name} "
+                f"across {', '.join(numeric)} (rel_tol={rel_tol})", worst))
+    return records, findings

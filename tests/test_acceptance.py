@@ -15,9 +15,9 @@ from tablediff.cli import main as cli_main
 from tablediff.entity_align import (build_matrix, detect_entity_column, extract_row_entities,
                                     link_mentions)
 from tablediff.mw_client import ArticleRef, CachePolicy
-from tablediff.pipeline import _collect_attribute_values, _table_columns
+from tablediff.pipeline import _attribute_values, _table_columns
 from tablediff.table_parser import extract_tables
-from tablediff.value_analysis import detect_conflicts, parse_value
+from tablediff.value_analysis import MISSING, NUMERIC_KINDS, detect_conflicts, parse_value
 
 from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, FIXTURE_TITLES,
                       GEOGRAPHY_MANIFEST, HEADER_MAP, mentions_by_language)
@@ -258,11 +258,11 @@ def test_c9_rel_tol_monotonicity_on_fixture_values(offline_client, header_mappin
         columns = {}
         for lang, linked in tables_by_lang.items():
             columns.update(_table_columns(lang, [table for table, _m in linked], header_mapping))
-        for attr in header_mapping.attributes:
-            values = _collect_attribute_values(matrix, columns, attr, ())
+        compared = _attribute_values(matrix, columns, header_mapping.attributes, ())
+        for attr, values in compared.items():
             for entity, by_lang in values.items():
                 numeric = [v for v in by_lang.values()
-                           if getattr(v, "is_numeric", False)]
+                           if v is not MISSING and v.kind in NUMERIC_KINDS]
                 if len(numeric) >= 2:
                     pool.append((attr, {entity: by_lang}))
     assert len(pool) >= 50

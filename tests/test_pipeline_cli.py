@@ -5,15 +5,20 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+from tablediff import pipeline
 from tablediff.cli import main
+from tablediff.entity_align import AlignedMatrix, EntityKey
 from tablediff.errors import ManifestError
 from tablediff.manifest import load_manifest, parse_manifest
 from tablediff.mw_client import MediaWikiClient
-from tablediff.pipeline import PipelineOptions, run_pipeline
-from tablediff.schema_align import HeaderMapping
+from tablediff.pipeline import PipelineOptions, _attribute_values, run_pipeline
+from tablediff.schema_align import AttributeKey, HeaderMapping, Unmapped
+from tablediff.table_parser import Cell, WikiTable
 
 from conftest import CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP, FakeTransport
+from oracles import oracle_collect_attribute_values
 
 
 def run_cli(*args):
@@ -313,6 +318,33 @@ def test_cli_mistyped_manifest_default_exit_code_1(tmp_path, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides", [{"main_table_index": {"en": True}},
+                                       {"column_hints": {"en": {"0": True}}}],
+                         ids=["main-table-index", "column-hint"])
+def test_cli_boolean_override_exit_code_1(tmp_path, overrides):
+    manifest = tmp_path / "m.json"
+    data = json.loads(Path(CLIMBERS_MANIFEST).read_text(encoding="utf-8"))
+    data["families"][0]["overrides"] = overrides
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    family_id = data["families"][0]["id"]
+    assert result.output.startswith(f"error: family {family_id!r}: "), result.output
+    assert "must be a non-negative int" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rel_tol", ["-0.5", "nan"])
+def test_cli_negative_or_nan_rel_tol_exit_code_1(tmp_path, rel_tol):
+    result = run_cli("analyze", "--manifest", CLIMBERS_MANIFEST, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--rel-tol", rel_tol,
+                     "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: --rel-tol must be a non-negative number"), result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_defaults_keep_their_given_values():
     defaults = {"languages": "en, de", "offline": False, "rel_tol": 0, "staleness_days": 30,
                 "jobs": 2, "missing_values": ["n/a"], "format": "csv", "out": "o",
@@ -564,6 +596,84 @@ def test_all_tables_extends_column_scope(tmp_path):
     total = lambda r: r["corpus"]["overall"]["columns_total"]
     assert total(main_only) == 805
     assert total(all_tables) > total(main_only)
+
+
+# -- value walk --------------------------------------------------------------
+
+def ordered(values):
+    """Both levels of an {entity: {language: value}} dict as item lists, order included."""
+    return [(entity, list(by_language.items())) for entity, by_language in values.items()]
+
+
+def assert_walk_matches_oracle(matrix, columns, attributes, extra_missing):
+    walked = _attribute_values(matrix, columns, attributes, extra_missing)
+    assert list(walked) == list(attributes)
+    for attr in attributes:
+        oracle = oracle_collect_attribute_values(matrix, columns, attr, extra_missing)
+        assert ordered(walked[attr]) == ordered(oracle), attr
+    return walked
+
+
+@pytest.mark.parametrize("manifest_path", [GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST],
+                         ids=["geography", "climbers"])
+def test_attribute_values_match_the_per_attribute_oracle(monkeypatch, header_mapping,
+                                                         manifest_path):
+    calls = []
+
+    def checked(*args):
+        calls.append(args)
+        return assert_walk_matches_oracle(*args)
+
+    monkeypatch.setattr(pipeline, "_attribute_values", checked)
+    manifest = load_manifest(manifest_path)
+    run_pipeline(manifest, header_mapping, MediaWikiClient(cache_dir=FIXTURE_CACHE),
+                 PipelineOptions(offline=True))
+    assert len(calls) == len(manifest.families)
+    assert all(attributes for _matrix, _columns, attributes, _extra in calls)
+
+
+WALK_LANGUAGES = ("en", "de", "zh")
+WALK_ATTRIBUTES = (AttributeKey("height", {}), AttributeKey("area", {}), Unmapped("notes"))
+# Missing markers, "x" (missing only as an extra marker), numbers read per locale, text.
+WALK_TEXTS = ("", "—", "n/a", "x", "8,848", "8.848", "12 m", "26%", "3/4", "Himalaya")
+
+
+@st.composite
+def small_matrices(draw):
+    """A matrix with repeated occurrences over tables with 0-4 columns per attribute."""
+    languages = draw(st.lists(st.sampled_from(WALK_LANGUAGES), min_size=1, unique=True))
+    columns = {}
+    for language in languages:
+        for table_index in range(draw(st.integers(1, 2))):
+            n_cols = draw(st.integers(1, 4))
+            body_rows = draw(st.lists(
+                st.lists(st.sampled_from(WALK_TEXTS).map(Cell), min_size=n_cols, max_size=n_cols),
+                min_size=1, max_size=4))
+            by_attr = {}
+            for col in range(n_cols):
+                attr = draw(st.sampled_from((None,) + WALK_ATTRIBUTES))
+                if attr is not None:
+                    by_attr.setdefault(attr, []).append(col)
+            columns[(language, table_index)] = (WikiTable(table_index, [], body_rows, n_cols),
+                                                by_attr)
+    entities = [EntityKey("qid", f"Q{number}") for number in range(1, draw(st.integers(1, 4)) + 1)]
+    rows = {}
+    for entity in entities:
+        for language in languages:
+            places = [(index, row) for (lang, index), (table, _) in columns.items()
+                      if lang == language for row in range(table.n_body_rows)]
+            occurrences = draw(st.lists(st.sampled_from(places), unique=True, max_size=3))
+            if occurrences:
+                rows[(entity, language)] = sorted(occurrences)
+    return AlignedMatrix(languages, entities, rows), columns
+
+
+@given(small_matrices(), st.lists(st.sampled_from(WALK_ATTRIBUTES), unique=True),
+       st.sampled_from([(), ("x",)]))
+@settings(max_examples=300, deadline=None)
+def test_attribute_values_match_the_oracle_on_small_matrices(case, attributes, extra_missing):
+    matrix, columns = case
+    assert_walk_matches_oracle(matrix, columns, attributes, extra_missing)
 
 
 # -- parse once --------------------------------------------------------------

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from tablediff.entity_align import EntityKey
 from tablediff.schema_align import AttributeKey
+from tablediff import value_analysis
 from tablediff.value_analysis import (_RATIO_WORDS, _UNIT_ALTERNATION, _UNITS, CLASS_INVALIDITY,
-                                      CLASS_TIMELINESS, ParsedValue, _parse_int, _parse_number,
+                                      CLASS_TIMELINESS, MISSING, ParsedValue, _parse_int, _parse_number,
                                       _separators, classify, detect_conflicts,
                                       detect_incompleteness, detect_text_divergence,
                                       format_number, is_missing, parse_value,
                                       relative_difference)
+
+
+from oracles import oracle_detect_conflicts
 
 
 def ts(year, month, day):
@@ -241,6 +245,59 @@ def test_monotonicity_in_rel_tol(magnitudes, tol_a, tol_b):
     at_low, _ = detect_conflicts("fam", HEIGHT, {E: by_lang}, rel_tol=low)
     at_high, _ = detect_conflicts("fam", HEIGHT, {E: by_lang}, rel_tol=high)
     assert len(at_high) <= len(at_low)
+
+
+@st.composite
+def cell_values(draw, magnitudes):
+    kind = draw(st.sampled_from(["number", "number", "percentage", "ratio", "text", "missing"]))
+    if kind == "missing":
+        return MISSING
+    if kind == "text":
+        return ParsedValue("text", "Himalaya", "en")
+    magnitude = draw(st.sampled_from(magnitudes))
+    if kind == "ratio":
+        return ParsedValue("ratio", f"{magnitude}/100", "en", magnitude, None, int(magnitude), 100)
+    unit = draw(st.sampled_from([None, "m", "ft", "km2"])) if kind == "number" else None
+    return ParsedValue(kind, f"{magnitude} {unit or '%'}", "en", magnitude, unit)
+
+
+@st.composite
+def values_by_entity(draw):
+    """Entities whose values take one or two magnitudes, so that many of them tie."""
+    out = {}
+    for number in range(draw(st.integers(1, 4))):
+        magnitudes = draw(st.lists(st.sampled_from([0.0, 1.0, 26.0, 26.49, 8848.0]),
+                                   min_size=1, max_size=2))
+        languages = draw(st.lists(st.sampled_from(["en", "de", "zh", "it", "nl"]),
+                                  unique=True, max_size=5))
+        out[EntityKey("qid", f"Q{number + 1}")] = {
+            language: draw(cell_values(magnitudes)) for language in languages}
+    return out
+
+
+@given(values_by_entity(), st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+@settings(max_examples=500, deadline=None)
+def test_conflicts_match_the_pairwise_oracle(values, rel_tol):
+    assert (detect_conflicts("fam", HEIGHT, values, rel_tol)
+            == oracle_detect_conflicts("fam", HEIGHT, values, rel_tol))
+
+
+def test_agreeing_values_skip_the_pairwise_checks(monkeypatch):
+    def never(a, b):
+        raise AssertionError("compared a pair of agreeing values")
+
+    monkeypatch.setattr(value_analysis, "_comparable_pair", never)
+    agreeing = {E: {"en": parse_value("8,848 m", "en"), "de": parse_value("8.848 m", "de"),
+                    "zh": parse_value("8848 米", "zh"), "it": parse_value("Everest", "it")},
+                EntityKey("qid", "Q1"): {"en": parse_value("26%", "en"),
+                                         "de": parse_value("26 %", "de")}}
+    assert detect_conflicts("fam", HEIGHT, agreeing) == ([], [])
+
+
+@pytest.mark.parametrize("rel_tol", [-0.5, math.nan])
+def test_negative_or_nan_rel_tol_is_rejected(rel_tol):
+    with pytest.raises(ValueError):
+        detect_conflicts("fam", HEIGHT, values(en=parse_value("1", "en")), rel_tol)
 
 
 def test_relative_difference_zero_handling():
