@@ -208,22 +208,24 @@ def _attribute_values(
     are left out; a language whose cells are all missing markers maps to
     MISSING. Entities keep ``matrix.entities`` order and languages
     ``matrix.languages`` order; an entity with no language is left out.
+    Equal attributes share one entry.
     """
     values: dict[Attribute, dict[EntityKey, dict[str, CellValue]]] = {a: {} for a in attributes}
-    by_position = list(values.values())
-    position = {attr: i for i, attr in enumerate(attributes)}
-    # Per table: its body rows and the (attribute position, columns) it carries.
-    plans = {key: (table.body_rows, [(position[attr], cols) for attr, cols in by_attr.items()
-                                     if attr in position])
+    # Per table: its body rows and, for each compared attribute it carries,
+    # that attribute's output dict and columns.
+    plans = {key: (table.body_rows, [(values[attr], cols) for attr, cols in by_attr.items()
+                                     if attr in values])
              for key, (table, by_attr) in columns.items()}
     for entity in matrix.entities:
         for language in matrix.languages:
-            found: dict[int, CellValue] = {}
             for table_index, row_index in matrix.occurrences(entity, language):
                 body_rows, plan = plans[(language, table_index)]
                 row = body_rows[row_index]
-                for pos, cols in plan:
-                    if found.get(pos, MISSING) is not MISSING:
+                for out, cols in plan:
+                    by_language = out.get(entity)
+                    if by_language is None:
+                        by_language = out[entity] = {}
+                    elif by_language.get(language, MISSING) is not MISSING:
                         continue
                     value: CellValue = MISSING
                     for col in cols:
@@ -231,9 +233,7 @@ def _attribute_values(
                         if not is_missing(text, extra_missing):
                             value = parse_value(text, language)
                             break
-                    found[pos] = value
-            for pos, value in found.items():
-                by_position[pos].setdefault(entity, {})[language] = value
+                    by_language[language] = value
     return values
 
 

@@ -67,6 +67,9 @@ class HeaderMapping:
     """Loaded attribute mapping; alias lookup is per language and exact."""
 
     def __init__(self, attributes: list[AttributeKey]):
+        if len(set(attributes)) != len(attributes):
+            repeated = sorted({a.canonical for a in attributes if attributes.count(a) > 1})
+            raise MappingConflict(f"canonical name listed more than once: {', '.join(repeated)}")
         self.attributes = attributes
         self._index: dict[tuple[str, str], AttributeKey] = {}
         for attr in attributes:

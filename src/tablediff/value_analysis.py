@@ -98,6 +98,10 @@ class ParsedValue(NamedTuple):
     numerator: Optional[int] = None
     denominator: Optional[int] = None
 
+    @property
+    def is_numeric(self) -> bool:
+        return self.kind in NUMERIC_KINDS
+
 
 CellValue = Union[ParsedValue, MissingType]
 

@@ -17,7 +17,7 @@ from tablediff.entity_align import (build_matrix, detect_entity_column, extract_
 from tablediff.mw_client import ArticleRef, CachePolicy
 from tablediff.pipeline import _attribute_values, _table_columns
 from tablediff.table_parser import extract_tables
-from tablediff.value_analysis import MISSING, NUMERIC_KINDS, detect_conflicts, parse_value
+from tablediff.value_analysis import detect_conflicts, parse_value
 
 from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, FIXTURE_TITLES,
                       GEOGRAPHY_MANIFEST, HEADER_MAP, mentions_by_language)
@@ -262,7 +262,7 @@ def test_c9_rel_tol_monotonicity_on_fixture_values(offline_client, header_mappin
         for attr, values in compared.items():
             for entity, by_lang in values.items():
                 numeric = [v for v in by_lang.values()
-                           if v is not MISSING and v.kind in NUMERIC_KINDS]
+                           if getattr(v, "is_numeric", False)]
                 if len(numeric) >= 2:
                     pool.append((attr, {entity: by_lang}))
     assert len(pool) >= 50

@@ -54,3 +54,5 @@ def test_derived_members():
     assert EntityKey("qid", "Q513").is_qid and EntityKey("qid", "Q513").label() == "Q513"
     surface = EntityKey("surface", "everest", "en")
     assert not surface.is_qid and surface.label() == "en:everest"
+    assert parse_value("80/302", "de").is_numeric
+    assert not parse_value("Himalaya", "de").is_numeric

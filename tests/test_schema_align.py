@@ -52,6 +52,14 @@ def test_mapping_conflict_fails_fast():
         ])
 
 
+def test_repeated_canonical_fails_fast():
+    with pytest.raises(MappingConflict, match="height"):
+        HeaderMapping([
+            AttributeKey("height", {"en": ["height"]}),
+            AttributeKey("height", {"de": ["höhe"]}),
+        ])
+
+
 def test_mapping_requires_snake_case():
     with pytest.raises(MappingConflict):
         AttributeKey("Bad Name", {})
