@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -157,8 +158,9 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
     manifest = _load_manifest_or_die(manifest_path)
     rel_tol = float(_resolve(rel_tol, manifest, "rel_tol", 0.0))
-    if not rel_tol >= 0:  # also rejects NaN, which would hide every conflict
-        click.echo(f"error: --rel-tol must be a non-negative number, got {rel_tol}", err=True)
+    if not 0 <= rel_tol < math.inf:  # NaN would hide every conflict, inf is not JSON
+        click.echo(f"error: --rel-tol must be a non-negative number less than infinity, "
+                   f"got {rel_tol}", err=True)
         sys.exit(EXIT_MANIFEST_ERROR)
     mapping = _load_mapping_or_die(header_map_path, manifest)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))

@@ -26,7 +26,8 @@ def emit(report: dict, fmt: str, out_dir: str | Path) -> list[Path]:
 
 def emit_json(report: dict, out_dir: Path) -> Path:
     path = out_dir / "report.json"
-    path.write_text(json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(report, ensure_ascii=False, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

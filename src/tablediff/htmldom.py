@@ -3,13 +3,17 @@
 ``parse_html`` scans the document once with one compiled regex
 (``_TOKEN``): each match is the text up to the next ``<`` plus the markup
 there, which is a comment, a ``<!…>`` declaration, a ``<?…>`` instruction,
-an end tag, or a start tag whose attributes are well delimited. Attributes
-are split with one more regex (``_ATTR``). Text and attribute values go
-through ``html.unescape`` only when they contain ``&``; ``script`` and
-``style`` content is kept raw up to its close tag. Rarer markup (a start tag
-with odd attribute syntax, a construct with no closing ``>``) takes
-``_irregular_markup``, which follows the tolerant rules of the stdlib
-``html.parser``.
+an end tag, or a start tag whose attributes are well delimited. A start tag
+followed by text with no ``<`` and then its end tag spelled the same way
+(``<td>8,848</td>``: most cells, links and reference texts) is one match, a
+leaf element that never enters the stack of open elements; when such a
+start tag is void, self-closing, ``script`` or ``style``, scanning resumes
+after its ``>`` instead. Attributes are split with one more regex
+(``_ATTR``). Text and attribute values go through ``html.unescape`` only
+when they contain ``&``; ``script`` and ``style`` content is kept raw up to
+its close tag. Rarer markup (a start tag with odd attribute syntax, a
+construct with no closing ``>``) takes ``_irregular_markup``, which follows
+the tolerant rules of the stdlib ``html.parser``.
 
 The tree is the one the stdlib parser's events would build: tag and
 attribute names lowercased; attribute values unquoted and unescaped,
@@ -80,13 +84,16 @@ _ATTR_VALUE = r"\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+"
 
 # Text up to the next "<" (group 1), then the markup there: 2 a start tag
 # name (never cut short: html.parser ends it only at one of "\t\n\r\f />"),
-# 3 its attribute text, 4 "/" when self-closing; 5 or 6 an end tag name;
-# 7 markup that builds nothing (comments, declarations, processing
+# 3 its attribute text, 4 "/" when self-closing, 5 when the start tag is
+# followed by text with no "<" and then its end tag spelled exactly
+# "</name>", that text (a leaf element in one match); 6 or 7 an end tag name;
+# 8 markup that builds nothing (comments, declarations, processing
 # instructions, end tags without a name). At the end of input only group 1
 # is set.
 _TOKEN = re.compile(
     r"([^<]*)(?:"
     rf"<({_TAG_NAME})(?=[\t\n\r\f />])((?:\s+{_ATTR_NAME}(?:\s*=\s*(?:{_ATTR_VALUE}))?)*)\s*(/?)>"
+    r"(?:([^<]*)</\2>)?"
     r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"
     rf"|</({_TAG_NAME})[^>]*>"
     r"|(<!--[\s\S]*?--\s*>|<!(?!--)[^>]*>|<\?[^>]*>|</[^>]*>)"
@@ -200,7 +207,7 @@ def parse_html(html: str) -> Node:
                 continue
         else:
             pos = m.end()
-            text, tag, attr_text, slash, end_name, loose_end_name, _ = m.groups()
+            text, tag, attr_text, slash, leaf_text, end_name, loose_end_name, _ = m.groups()
             if text:
                 current.children.append(unescape(text) if "&" in text else text)
             if tag is None:
@@ -220,6 +227,17 @@ def parse_html(html: str) -> Node:
                 for name, eq, value in _ATTR.findall(attr_text):
                     attrs[name.lower()] = _attr_value(value) if eq else None
             self_closing = slash == "/"
+            if leaf_text is not None:
+                if self_closing or tag in VOID_TAGS or tag in _RAW_TEXT_END:
+                    pos = m.end(4) + 1  # rescan from just after the start tag's ">"
+                else:
+                    # A leaf element: the tree the start tag, text and end tag would build.
+                    node = Node(tag, attrs)
+                    if leaf_text:
+                        node.children.append(
+                            unescape(leaf_text) if "&" in leaf_text else leaf_text)
+                    current.children.append(node)
+                    continue
         node = Node(tag, attrs)
         current.children.append(node)
         if self_closing or tag in VOID_TAGS:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -71,8 +72,9 @@ _DEFAULT_TYPES = {
                   lambda v: isinstance(v, str) or _is_str_list(v)),
     "offline": ("a boolean", lambda v: isinstance(v, bool)),
     "all_tables": ("a boolean", lambda v: isinstance(v, bool)),
-    "rel_tol": ("a non-negative number",
-                lambda v: (_is_int(v) or isinstance(v, float)) and v >= 0),
+    "rel_tol": ("a finite non-negative number",
+                # also bounds an int, which the run turns into a float
+                lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max),
     "staleness_days": ("an integer", _is_int),
     "jobs": ("an integer", _is_int),
     "missing_values": ("a list of strings", _is_str_list),

@@ -117,7 +117,10 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
                      findings: list[dict]) -> tuple[list[str], list[EditionData]]:
     """The distinct languages to analyze and one fetched edition per language, in order.
 
-    With ``options.jobs > 1`` the page fetches run in that many threads.
+    With ``options.jobs > 1`` the page fetches of a run that may reach the
+    network run in that many threads. An offline run reads its pages in the
+    calling thread: a cache read and its JSON decoding hold the GIL, so
+    threads there only add pool start-up and lock contention.
     """
     titles = _edition_titles(entry, client, options, findings)
     requested = options.languages or entry.languages
@@ -133,7 +136,7 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
         else:
             to_fetch.append((language, title))
 
-    if options.jobs > 1 and len(to_fetch) > 1:
+    if options.jobs > 1 and len(to_fetch) > 1 and not options.offline:
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
             fetched = list(pool.map(
                 lambda pair: _fetch_edition(client, pair[0], pair[1], options), to_fetch))

@@ -161,24 +161,29 @@ def parse_value(text: str, language: str) -> ParsedValue:
     """Parse one cell under that language's number-formatting conventions.
 
     Total function: anything that is not a recognizable number, percentage,
-    or ratio (including a ratio over zero) comes back as ``text`` kind with
-    no magnitude.
+    or ratio comes back as ``text`` kind with no magnitude. So does one whose
+    magnitude cannot be computed or is not finite: a ratio over zero, or
+    digits past what a float (or an int, for a ratio) can hold.
     """
     m = _cell_pattern(language).fullmatch(text.replace("\u00a0", " ").strip())
     if m is None:
         return ParsedValue("text", text, language)
     percentage, ratio_top, ratio_bottom, number, unit = m.groups()
     if percentage is not None:
-        return ParsedValue("percentage", text, language, _parse_number(percentage, language))
-    if ratio_top is not None:
-        # No other alternative matches "int sep int", so a zero denominator is text.
-        numerator, denominator = _parse_int(ratio_top, language), _parse_int(ratio_bottom, language)
-        if denominator == 0:
+        value = ParsedValue("percentage", text, language, _parse_number(percentage, language))
+    elif ratio_top is not None:
+        # No other alternative matches "int sep int", so a bad ratio is text.
+        try:
+            numerator = _parse_int(ratio_top, language)
+            denominator = _parse_int(ratio_bottom, language)
+            magnitude = 100.0 * numerator / denominator
+        except (ArithmeticError, ValueError):  # a zero denominator, or too many digits
             return ParsedValue("text", text, language)
-        return ParsedValue("ratio", text, language, 100.0 * numerator / denominator,
-                           None, numerator, denominator)
-    return ParsedValue("number", text, language, _parse_number(number, language),
-                       _UNITS[unit][0] if unit else None)
+        value = ParsedValue("ratio", text, language, magnitude, None, numerator, denominator)
+    else:
+        value = ParsedValue("number", text, language, _parse_number(number, language),
+                            _UNITS[unit][0] if unit else None)
+    return value if math.isfinite(value.magnitude) else ParsedValue("text", text, language)
 
 
 def format_number(magnitude: float, language: str) -> str:
@@ -262,13 +267,13 @@ def detect_conflicts(family_id: str, attribute: Attribute,
     relative difference among conflicting pairs. Pairs that cannot be
     compared become findings, never crashes. Records have no class yet.
 
-    ``rel_tol`` must be a number >= 0 (a ``ValueError`` otherwise): then
+    ``rel_tol`` must be a finite number >= 0 (a ``ValueError`` otherwise): then
     values that share one (number or percent scale, unit, magnitude) key
     differ by 0 and are always comparable, so an entity whose values all
     share one key skips the pairwise checks.
     """
-    if not rel_tol >= 0:
-        raise ValueError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
+    if not 0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be a finite number >= 0, got {rel_tol!r}")
     records: list[dict] = []
     findings: list[dict] = []
     for entity, by_language in values_by_entity.items():

@@ -94,6 +94,11 @@ def test_dropped_page_trees_leave_no_cyclic_garbage():
     "<a\x00<b>c</b>", "<a&amp;\x00>", "<a b=c/>", "<a b=>", "<a b==c>", "<a/b>", '<a b="c"d>',
     "<a b='c", "<a", "a<", "</a", "</ a>", "</a\vb>", "<!doctype html><p>", "<?php x ?>y",
     "<!x>y", "<td rowspan>", "<p>a&ampb &notit; &#x41;</p>",
+    # leaf elements, which one token matches: start tag, text, same-spelled end tag
+    "<br>x</br>", "<br/>x</br>", "<img src=y>x</img>", "<td/>x</td>",
+    "<script>x</script>", "<style>a</style>", "<script>a&amp;b</script>", "<style>a&lt;b</style>",
+    "<TD>x</TD>", "<Td>x</td>", "<td>x</td >",
+    "<td>a&amp;b</td>", "<td></td>", "<td><td>x</td>y</td>",
 ])
 def test_edge_cases_match_oracle(html):
     assert_same_tree(html)
@@ -119,6 +124,10 @@ MEDIAWIKI_PIECES = [
     "&nbsp;", "&#8722;", "&", "&amp", "a < b", "x &lt; y", "8,848.86&#160;m",
     "</span>", "</table>", "</a>", "</sup>", "<p>", "<li>", "<tr>", "<td>", "<th>",
     "</ >", "</3>", "<!-->", "<style>x", "<script>x", "</div", "<a b='", "<p/a>",
+    "<br>x</br>", "<br/>x</br>", '<img src="y">x</img>', "<td/>x</td>",
+    "<script>x</script>", "<style>a&gt;b</style>", "<TD>x</TD>", "<Td>x</td>", "<td>x</td >",
+    "<td>a&amp;b</td>", "<td></td>", "<td>8,848</td>", "<th>Height</th>",
+    '<a href="/wiki/K2" title="K2">K2</a>', '<span class="reference-text">Ref</span>',
     "\n", " ", "Everest", "Ödön von Horváth", "珠穆朗玛峰",
 ]
 

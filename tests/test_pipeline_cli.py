@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -300,6 +301,8 @@ BAD_DEFAULTS = {
     "jobs-boolean": {"jobs": True},
     "rel-tol-null": {"rel_tol": None},
     "rel-tol-negative": {"rel_tol": -1},
+    "rel-tol-infinite": {"rel_tol": float("inf")},  # what JSON's 1e999 reads as
+    "rel-tol-huge-int": {"rel_tol": 10 ** 400},  # finite, but past any float
     "format-unknown": {"format": "xlsx"},
     "languages-number": {"languages": 5},
     "languages-numbers": {"languages": [1, 2]},
@@ -339,7 +342,7 @@ def test_cli_boolean_override_exit_code_1(tmp_path, overrides):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("rel_tol", ["-0.5", "nan"])
+@pytest.mark.parametrize("rel_tol", ["-0.5", "nan", "inf"])
 def test_cli_negative_or_nan_rel_tol_exit_code_1(tmp_path, rel_tol):
     result = run_cli("analyze", "--manifest", CLIMBERS_MANIFEST, "--cache-dir", FIXTURE_CACHE,
                      "--offline", "--header-map", HEADER_MAP, "--rel-tol", rel_tol,
@@ -446,6 +449,12 @@ def test_emit_csv_round_trip_record_count(geography_report, tmp_path):
     assert sum(int(r["table_count"]) for r in ok_rows if r["language"] == "en") == 55
 
 
+def test_emit_json_refuses_non_finite_numbers(tmp_path):
+    from tablediff.emit import emit
+    with pytest.raises(ValueError):
+        emit({"options": {"rel_tol": math.inf}}, "json", tmp_path)
+
+
 def test_emit_plotdata_blank_for_absent_editions(geography_report, tmp_path):
     import csv
     from tablediff.emit import emit
@@ -470,15 +479,46 @@ def test_cli_report_rerenders_stored_json(tmp_path):
     assert "duration,0,0,1,1,0" in presence
 
 
-def test_jobs_parallel_run_is_deterministic(header_mapping):
-    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+def counting_pools(monkeypatch) -> list:
+    """Record each thread pool the pipeline creates, in the returned list."""
+    pools = []
+
+    class CountingPool(pipeline.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+    return pools
+
+
+def test_jobs_parallel_run_is_deterministic(tmp_path, monkeypatch, header_mapping):
+    # Every page is cached, so a run under the default cache policy, which
+    # threads its page fetches, reads them all without a request (the
+    # transport serves no page, and counts each request).
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    transport = FakeTransport()
+    client = MediaWikiClient(cache_dir=cache, transport=transport)
     manifest = load_manifest(GEOGRAPHY_MANIFEST)
-    serial = run_pipeline(manifest, header_mapping, client, PipelineOptions(offline=True))
-    parallel = run_pipeline(manifest, header_mapping, client,
-                            PipelineOptions(offline=True, jobs=4))
-    serial.pop("generated_at")
-    parallel.pop("generated_at")
-    assert serial == parallel
+    pools = counting_pools(monkeypatch)
+    reports = [run_pipeline(manifest, header_mapping, client, options)
+               for options in (PipelineOptions(), PipelineOptions(jobs=4),
+                               PipelineOptions(offline=True))]
+    assert transport.calls == 0
+    assert len(pools) == len(manifest.families)  # only the jobs=4 run, once per family
+    for report in reports:
+        report.pop("generated_at")
+        report["options"].pop("offline")
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_offline_run_reads_pages_without_threads(monkeypatch, header_mapping):
+    pools = counting_pools(monkeypatch)
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    run_pipeline(load_manifest(GEOGRAPHY_MANIFEST), header_mapping, client,
+                 PipelineOptions(offline=True, jobs=4))
+    assert pools == []
 
 
 def test_missing_values_config_extends_vocabulary(tmp_path, header_mapping):

@@ -139,6 +139,18 @@ def test_ratio_over_zero_is_text(text, lang):
     assert parse_value(text, lang) == reference_parse_value(text, lang)
 
 
+@pytest.mark.parametrize("text", [
+    "1" * 400 + "/3",   # the numerator is past any float
+    "1" * 400,          # float() reads it as inf
+    "1" * 310 + "%",
+    "1" * 308 + "/1",   # 100x a finite numerator is inf
+    "1" * 5000 + "/2",  # past the digits int() reads
+], ids=["ratio-400-digits", "number-400-digits", "percentage-310-digits", "ratio-inf-percent",
+        "ratio-5000-digits"])
+def test_magnitude_past_a_float_is_text(text):
+    assert parse_value(text, "en") == ParsedValue("text", text, "en")
+
+
 @pytest.mark.parametrize("text,lang,kind,magnitude", [
     ("\u00a026,5\u00a0%\u00a0", "it", "percentage", 26.5),
     ("29.5\u00a0%", "zh", "percentage", 29.5),
@@ -294,7 +306,7 @@ def test_agreeing_values_skip_the_pairwise_checks(monkeypatch):
     assert detect_conflicts("fam", HEIGHT, agreeing) == ([], [])
 
 
-@pytest.mark.parametrize("rel_tol", [-0.5, math.nan])
+@pytest.mark.parametrize("rel_tol", [-0.5, math.nan, math.inf])
 def test_negative_or_nan_rel_tol_is_rejected(rel_tol):
     with pytest.raises(ValueError):
         detect_conflicts("fam", HEIGHT, values(en=parse_value("1", "en")), rel_tol)
