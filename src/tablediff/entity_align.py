@@ -2,14 +2,14 @@
 
 Rows are keyed by Wikidata QID wherever a wiki-link resolves to one; rows
 without a usable link stay language-local, keyed by their folded surface
-form. Only QIDs ever cross the language boundary.
+form. Only QIDs ever cross the language boundary. The matrix is a plain
+ordered map, ``{entity: {language: [(table_index, row_index), ...]}}``.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .mw_client import CachePolicy, MediaWikiClient, qid_numeric
@@ -50,19 +50,8 @@ class EntityKey(NamedTuple):
         return out
 
 
-@dataclass
-class AlignedMatrix:
-    """(entity x language) -> row occurrences for one article family."""
-
-    languages: list[str]
-    entities: list[EntityKey]
-    rows: dict[tuple[EntityKey, str], list[tuple[int, int]]]
-
-    def occurrences(self, entity: EntityKey, language: str) -> list[tuple[int, int]]:
-        return self.rows.get((entity, language), [])
-
-    def languages_of(self, entity: EntityKey) -> list[str]:
-        return [lang for lang in self.languages if (entity, lang) in self.rows]
+# entity -> language -> that language's (table_index, row_index) occurrences
+EntityMatrix = dict[EntityKey, dict[str, list[tuple[int, int]]]]
 
 
 def fold_surface(surface: str) -> str:
@@ -119,6 +108,7 @@ def link_mentions(mentions: list[EntityMention], language: str, client: MediaWik
 
 
 def mention_key(mention: EntityMention, language: str) -> Optional[EntityKey]:
+    """The mention's QID key, else its folded surface; None when both are empty."""
     if mention.qid:
         return EntityKey("qid", mention.qid)
     folded = fold_surface(mention.surface)
@@ -127,35 +117,31 @@ def mention_key(mention: EntityMention, language: str) -> Optional[EntityKey]:
     return EntityKey("surface", folded, language)
 
 
-def build_matrix(mentions_by_language: dict[str, list[EntityMention]],
-                 languages: Optional[list[str]] = None) -> AlignedMatrix:
-    """Group each language's linked mentions into the (entity x language) matrix.
+def build_matrix(mentions_by_language: dict[str, list[EntityMention]]) -> EntityMatrix:
+    """Group each language's mentions into ``{entity: {language: occurrences}}``.
 
     Entities are ordered by descending language coverage, then ascending QID
     number; surface-keyed entities sort after QIDs with the same coverage.
+    Each entity's languages keep the order of ``mentions_by_language``, and
+    each language's occurrences are sorted. A mention with no key (see
+    ``mention_key``) is left out, so a language appears only under the
+    entities it mentions.
     """
-    langs = languages if languages is not None else sorted(mentions_by_language)
-    rows: dict[tuple[EntityKey, str], list[tuple[int, int]]] = {}
-    for lang in langs:
-        for mention in mentions_by_language.get(lang, []):
+    matrix: EntityMatrix = {}
+    for lang, mentions in mentions_by_language.items():
+        for mention in mentions:
             key = mention_key(mention, lang)
-            if key is None:
-                continue
-            rows.setdefault((key, lang), []).append((mention.table_index, mention.row_index))
-    for occurrences in rows.values():
-        occurrences.sort()
+            if key is not None:
+                matrix.setdefault(key, {}).setdefault(lang, []).append(
+                    (mention.table_index, mention.row_index))
+    for by_language in matrix.values():
+        for occurrences in by_language.values():
+            occurrences.sort()
 
-    coverage: dict[EntityKey, int] = {}
-    for (key, _lang) in rows:
-        coverage[key] = coverage.get(key, 0) + 1
-
-    def order(key: EntityKey):
+    def order(item: tuple[EntityKey, dict]):
+        key, coverage = item[0], len(item[1])
         if key.is_qid:
-            return (-coverage[key], 0, qid_numeric(key.value), "", "")
-        return (-coverage[key], 1, 0, key.value, key.language or "")
+            return (-coverage, 0, qid_numeric(key.value), "", "")
+        return (-coverage, 1, 0, key.value, key.language or "")
 
-    return AlignedMatrix(
-        languages=list(langs),
-        entities=sorted(coverage, key=order),
-        rows=rows,
-    )
+    return dict(sorted(matrix.items(), key=order))

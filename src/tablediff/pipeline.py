@@ -5,12 +5,13 @@
 2. extract (``_extract``): parse each page and extract its data tables;
 3. link (``_link_edition``): choose each table's entity column, take one
    mention per row and resolve the mentions' links to QIDs;
-4. align: page metrics, the entity matrix, per-table columns resolved to
-   attributes, and the attribute presence grid;
-5. analyze: one walk over the matrix's occurrences takes each entity's
-   first non-missing value per language for every attribute seen in two or
-   more languages (``_attribute_values``); then value conflicts, text
-   divergence and incompleteness;
+4. align: page metrics, each table's ``{attribute: [columns]}``, the
+   attribute presence grid, and the entity matrix, an ordered map
+   ``{entity: {language: [(table_index, row_index), ...]}}``;
+5. analyze: one walk over the matrix takes each entity's first non-missing
+   value per language for every attribute seen in two or more languages
+   (``_attribute_values``); then value conflicts, text divergence and
+   incompleteness;
 6. serialize: the family's part of the report.
 
 ``warm_cache`` runs the first three stages only, so ``fetch`` warms exactly
@@ -30,8 +31,9 @@ from datetime import timedelta
 from typing import Optional
 
 from . import __version__
-from .entity_align import (AlignedMatrix, EntityKey, EntityMention, build_matrix,
-                           detect_entity_column, extract_row_entities, link_mentions)
+from .entity_align import (EntityKey, EntityMatrix, EntityMention, build_matrix,
+                           detect_entity_column, extract_row_entities, link_mentions,
+                           mention_key)
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError
 from .manifest import DatasetManifest, FamilyEntry
 from .metrics import aggregate_corpus, aggregate_pages, page_stats
@@ -165,7 +167,9 @@ def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiCli
     """Link one mention per row of each table to a QID, into ``edition.linked``.
 
     A table's entity column is the manifest's hint, else the detected one;
-    a table without a usable entity column is left out of alignment.
+    a table without a usable entity column is left out of alignment. A row
+    whose entity cell gives no alignment key (see ``mention_key``) is left
+    out and counted in the table's ``rows-skipped`` finding.
     """
     for table in edition.tables:
         where = {"family": entry.id, "language": edition.language,
@@ -177,41 +181,31 @@ def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiCli
             findings.append({"kind": "no-entity-column", **where,
                              "detail": "table excluded from alignment"})
             continue
-        mentions = extract_row_entities(table, col, options.extra_missing)
+        mentions = link_mentions(extract_row_entities(table, col, options.extra_missing),
+                                 edition.language, client, options.cache_policy)
+        mentions = [m for m in mentions if mention_key(m, edition.language) is not None]
         skipped = table.n_body_rows - len(mentions)
         if skipped:
             findings.append({"kind": "rows-skipped", **where,
                              "detail": f"{skipped} row(s) with empty entity cells"})
-        mentions = link_mentions(mentions, edition.language, client, options.cache_policy)
         edition.linked.append((table, mentions, col))
 
 
-def _table_columns(language: str, tables: list[WikiTable],
-                   mapping: HeaderMapping) -> TableColumns:
-    """Each table's columns, grouped by the attribute they resolve to."""
-    out: TableColumns = {}
-    for table in tables:
-        by_attr: dict[Attribute, list[int]] = {}
-        for col, attr in resolve_columns(table, language, mapping):
-            by_attr.setdefault(attr, []).append(col)
-        out[(language, table.table_index)] = (table, by_attr)
-    return out
-
-
 def _attribute_values(
-    matrix: AlignedMatrix,
+    matrix: EntityMatrix,
     columns: TableColumns,
     attributes: list[Attribute],
     extra_missing: tuple[str, ...],
 ) -> dict[Attribute, dict[EntityKey, dict[str, CellValue]]]:
     """First non-missing value per (entity, language) of each attribute, in one walk.
 
-    The value is the first non-missing cell in occurrence order, then column
-    order. Languages where no occurrence table carries the attribute's column
-    are left out; a language whose cells are all missing markers maps to
-    MISSING. Entities keep ``matrix.entities`` order and languages
-    ``matrix.languages`` order; an entity with no language is left out.
-    Equal attributes share one entry.
+    The walk reads ``matrix`` (``{entity: {language: occurrences}}``) as
+    given. The value is the first non-missing cell in occurrence order, then
+    column order. Languages where no occurrence table carries the
+    attribute's column are left out; a language whose cells are all missing
+    markers maps to MISSING. Entities and each entity's languages keep the
+    matrix's order; an entity with no language is left out. Equal attributes
+    share one entry.
     """
     values: dict[Attribute, dict[EntityKey, dict[str, CellValue]]] = {a: {} for a in attributes}
     # Per table: its body rows and, for each compared attribute it carries,
@@ -219,9 +213,9 @@ def _attribute_values(
     plans = {key: (table.body_rows, [(values[attr], cols) for attr, cols in by_attr.items()
                                      if attr in values])
              for key, (table, by_attr) in columns.items()}
-    for entity in matrix.entities:
-        for language in matrix.languages:
-            for table_index, row_index in matrix.occurrences(entity, language):
+    for entity, occurrences in matrix.items():
+        for language, places in occurrences.items():
+            for table_index, row_index in places:
                 body_rows, plan = plans[(language, table_index)]
                 row = body_rows[row_index]
                 for out, cols in plan:
@@ -276,7 +270,9 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             extra_missing=options.extra_missing,
             all_tables=options.all_tables,
         )
-        columns.update(_table_columns(edition.language, edition.tables, mapping))
+        for table in edition.tables:
+            columns[(edition.language, table.table_index)] = (
+                table, resolve_columns(table, edition.language, mapping))
         main = metrics["main_table_index"]
         main_attributes[edition.language] = (
             None if main is None else list(columns[(edition.language, main)][1]))
@@ -290,11 +286,10 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         })
 
     analyzed = [e for e in editions if e.status == "ok"]
-    languages = [e.language for e in analyzed]
     aligned_languages = [e.language for e in analyzed if e.linked]
     matrix = build_matrix({e.language: [m for _table, mentions, _col in e.linked for m in mentions]
-                           for e in analyzed}, languages=languages)
-    presence = build_presence_grid(main_attributes, mapping, languages=languages)
+                           for e in analyzed})
+    presence = build_presence_grid(main_attributes, mapping)
 
     # Conflicts and text divergence over attributes seen in >= 2 languages.
     revision_timestamps = {e.language: e.doc.revision_timestamp for e in analyzed}
@@ -333,12 +328,10 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         "entities": [
             {
                 **entity.to_json(),
-                "occurrences": {
-                    lang: [list(occurrence) for occurrence in matrix.occurrences(entity, lang)]
-                    for lang in matrix.languages if matrix.occurrences(entity, lang)
-                },
+                "occurrences": {lang: [list(occurrence) for occurrence in places]
+                                for lang, places in occurrences.items()},
             }
-            for entity in matrix.entities
+            for entity, occurrences in matrix.items()
         ],
         "presence": presence,
         "records": records,

@@ -118,11 +118,15 @@ def map_attribute(normalized: str, language: str, mapping: HeaderMapping) -> Att
 
 
 def resolve_columns(table: WikiTable, language: str,
-                    mapping: HeaderMapping) -> list[tuple[int, Attribute]]:
-    """Map every column of a table to its attribute (or Unmapped)."""
-    out = []
+                    mapping: HeaderMapping) -> dict[Attribute, list[int]]:
+    """The attribute (or Unmapped) of every column, as ``{attribute: [columns]}``.
+
+    Attributes come in the order of their first column; columns ascend.
+    """
+    out: dict[Attribute, list[int]] = {}
     for col, label in enumerate(table.column_labels()):
-        out.append((col, map_attribute(normalize_header(label, language), language, mapping)))
+        attr = map_attribute(normalize_header(label, language), language, mapping)
+        out.setdefault(attr, []).append(col)
     return out
 
 
@@ -133,19 +137,17 @@ def attribute_row(attribute: Attribute) -> dict:
 
 
 def build_presence_grid(main_attributes: dict[str, Optional[Iterable[Attribute]]],
-                        mapping: HeaderMapping,
-                        languages: Optional[list[str]] = None) -> dict:
+                        mapping: HeaderMapping) -> dict:
     """The report's presence dict: ``grid[a][l]`` is 1 iff l's main table has attribute a.
 
-    ``main_attributes`` holds, per language, the attributes that
-    ``resolve_columns`` gave the columns of its main table, or None when the
-    language has no main table. Languages without a main table are left out
-    entirely: an absent edition is not the same thing as an edition that
-    omits every attribute. Mapped attributes keep the mapping file's order;
-    Unmapped rows follow, sorted.
+    ``main_attributes`` holds, per language in report order, the attributes
+    that ``resolve_columns`` gave the columns of its main table, or None
+    when the language has no main table. Languages without a main table are
+    left out entirely: an absent edition is not the same thing as an edition
+    that omits every attribute. Mapped attributes keep the mapping file's
+    order; Unmapped rows follow, sorted.
     """
-    langs = [l for l in (languages or sorted(main_attributes))
-             if main_attributes.get(l) is not None]
+    langs = [lang for lang, attrs in main_attributes.items() if attrs is not None]
     sightings: dict[Attribute, set[str]] = {}
     for lang in langs:
         for attr in main_attributes[lang]:

@@ -163,7 +163,9 @@ def parse_value(text: str, language: str) -> ParsedValue:
     Total function: anything that is not a recognizable number, percentage,
     or ratio comes back as ``text`` kind with no magnitude. So does one whose
     magnitude cannot be computed or is not finite: a ratio over zero, or
-    digits past what a float (or an int, for a ratio) can hold.
+    digits past what a float (or an int, for a ratio) can hold. A number
+    whose magnitude is no longer finite once converted to its unit's base
+    (``1e308 km`` in metres) is text too, so comparisons never meet ``inf``.
     """
     m = _cell_pattern(language).fullmatch(text.replace("\u00a0", " ").strip())
     if m is None:
@@ -183,7 +185,8 @@ def parse_value(text: str, language: str) -> ParsedValue:
     else:
         value = ParsedValue("number", text, language, _parse_number(number, language),
                             _UNITS[unit][0] if unit else None)
-    return value if math.isfinite(value.magnitude) else ParsedValue("text", text, language)
+    factor = _UNITS[unit][2] if unit else 1.0  # only a number has a unit
+    return value if math.isfinite(value.magnitude * factor) else ParsedValue("text", text, language)
 
 
 def format_number(magnitude: float, language: str) -> str:
@@ -374,16 +377,19 @@ def classify(record: dict, revision_timestamps: dict[str, datetime],
     return classified(CLASS_INVALIDITY, f"; revision spread {spread.days} days")
 
 
-def detect_incompleteness(family_id: str, presence: dict, matrix,
+def detect_incompleteness(family_id: str, presence: dict,
+                          matrix: dict[object, dict[str, list]],
                           languages: list[str]) -> list[dict]:
     """Schema-level and row-level incompleteness records.
 
     Schema level: one record per (attribute, language) cell of the
     ``presence`` grid (see ``build_presence_grid``) that is 0 while the
     attribute is present in at least one other language. Row level: one
-    record per QID-keyed entity absent from one of ``languages`` (those with
-    aligned tables) while present elsewhere. Surface-keyed entities are
-    language-local by construction and never generate row-level records.
+    record per QID-keyed entity of ``matrix`` (``{entity: {language:
+    occurrences}}``, see ``build_matrix``) absent from one of ``languages``
+    (those with aligned tables); every matrix entity is present in some
+    language. Surface-keyed entities are language-local by construction and
+    never generate row-level records.
     """
     records: list[dict] = []
     for attribute, row in zip(presence["attributes"], presence["grid"]):
@@ -398,11 +404,8 @@ def detect_incompleteness(family_id: str, presence: dict, matrix,
                 f"column for {attribute['name']!r} absent in {lang}; "
                 f"present in {', '.join(present_langs)}"))
 
-    for entity in matrix.entities:
+    for entity, present in matrix.items():
         if not entity.is_qid:
-            continue
-        present = set(matrix.languages_of(entity))
-        if not present:
             continue
         for lang in languages:
             if lang in present:

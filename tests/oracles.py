@@ -172,12 +172,12 @@ def oracle_collect_attribute_values(matrix, columns, attribute, extra_missing):
     left out; a language whose cells are all missing markers maps to MISSING.
     """
     out = {}
-    for entity in matrix.entities:
+    for entity, occurrences in matrix.items():
         per_language = {}
-        for language in matrix.languages:
+        for language, places in occurrences.items():
             saw_column = False
             value = MISSING
-            for table_index, row_index in matrix.occurrences(entity, language):
+            for table_index, row_index in places:
                 table, by_attr = columns[(language, table_index)]
                 for col in by_attr.get(attribute, []):
                     saw_column = True

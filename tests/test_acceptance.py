@@ -15,7 +15,8 @@ from tablediff.cli import main as cli_main
 from tablediff.entity_align import (build_matrix, detect_entity_column, extract_row_entities,
                                     link_mentions)
 from tablediff.mw_client import ArticleRef, CachePolicy
-from tablediff.pipeline import _attribute_values, _table_columns
+from tablediff.pipeline import _attribute_values
+from tablediff.schema_align import resolve_columns
 from tablediff.table_parser import extract_tables
 from tablediff.value_analysis import detect_conflicts, parse_value
 
@@ -130,12 +131,13 @@ def test_c4_alignment_agrees_with_brute_force_matcher(offline_client):
     for family in FIXTURE_TITLES:
         tables_by_lang = _linked_fixture_tables(offline_client, family, max_rows=10)
         languages = list(tables_by_lang)
-        matrix = build_matrix(mentions_by_language(tables_by_lang), languages=languages)
+        matrix = build_matrix(mentions_by_language(tables_by_lang))
 
         position_to_entity = {}
-        for (entity, lang), occs in matrix.rows.items():
-            for occ in occs:
-                position_to_entity[(lang, occ)] = entity
+        for entity, by_language in matrix.items():
+            for lang, occs in by_language.items():
+                for occ in occs:
+                    position_to_entity[(lang, occ)] = entity
 
         mentions = [(lang, m) for lang in languages
                     for _t, ms in tables_by_lang[lang] for m in ms]
@@ -253,11 +255,9 @@ def test_c9_rel_tol_monotonicity_on_fixture_values(offline_client, header_mappin
     pool = []
     for family in ("seven_summits", "eight_thousander"):
         tables_by_lang = _linked_fixture_tables(offline_client, family)
-        languages = list(tables_by_lang)
-        matrix = build_matrix(mentions_by_language(tables_by_lang), languages=languages)
-        columns = {}
-        for lang, linked in tables_by_lang.items():
-            columns.update(_table_columns(lang, [table for table, _m in linked], header_mapping))
+        matrix = build_matrix(mentions_by_language(tables_by_lang))
+        columns = {(lang, table.table_index): (table, resolve_columns(table, lang, header_mapping))
+                   for lang, linked in tables_by_lang.items() for table, _m in linked}
         compared = _attribute_values(matrix, columns, header_mapping.attributes, ())
         for attr, values in compared.items():
             for entity, by_lang in values.items():

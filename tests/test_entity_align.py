@@ -119,29 +119,41 @@ def test_surface_keys_never_merge_across_languages():
     de_table = table_from("<tr><th>Berg</th></tr><tr><td>Everest</td></tr>", lang="de")
     en = extract_row_entities(en_table, 0)
     de = extract_row_entities(de_table, 0)
-    matrix = build_matrix({"en": en, "de": de}, languages=["en", "de"])
-    assert len(matrix.entities) == 2
-    for entity in matrix.entities:
+    matrix = build_matrix({"en": en, "de": de})
+    assert len(matrix) == 2
+    for entity, occurrences in matrix.items():
         assert entity.kind == "surface"
-        assert len(matrix.languages_of(entity)) == 1
+        assert len(occurrences) == 1
 
 
 def test_empty_family_builds_empty_matrix():
-    matrix = build_matrix({}, languages=[])
-    assert matrix.entities == []
+    matrix = build_matrix({})
+    assert list(matrix) == []
+
+
+def linked_table(lang, pairs):
+    """Mentions of a one-column table of links, each given the paired QID."""
+    rows = "".join(f"<tr><td>{a(t)}</td></tr>" for t, _q in pairs)
+    table = table_from(f"<tr><th>Peak</th></tr>{rows}", lang)
+    mentions = extract_row_entities(table, 0)
+    return [m._replace(qid=q) for m, (_t, q) in zip(mentions, pairs)]
 
 
 def test_matrix_orders_by_coverage_then_qid():
-    def linked_table(lang, pairs):
-        rows = "".join(f"<tr><td>{a(t)}</td></tr>" for t, _q in pairs)
-        table = table_from(f"<tr><th>Peak</th></tr>{rows}", lang)
-        mentions = extract_row_entities(table, 0)
-        return [m._replace(qid=q) for m, (_t, q) in zip(mentions, pairs)]
-
     en = linked_table("en", [("A", "Q30"), ("B", "Q2")])
     de = linked_table("de", [("A2", "Q30")])
-    matrix = build_matrix({"en": en, "de": de}, languages=["en", "de"])
-    assert [e.value for e in matrix.entities] == ["Q30", "Q2"]  # coverage first
+    matrix = build_matrix({"en": en, "de": de})
+    assert [e.value for e in matrix] == ["Q30", "Q2"]  # coverage first
+
+
+def test_matrix_lists_languages_in_mapping_order():
+    zh = linked_table("zh", [("B", "Q2"), ("A", "Q1"), ("A", "Q1")])
+    en = linked_table("en", [("A", "Q1"), ("B", "Q2")])
+    matrix = build_matrix({"zh": zh[::-1], "en": en, "de": []})
+    assert list(matrix) == [EntityKey("qid", "Q1"), EntityKey("qid", "Q2")]
+    for occurrences in matrix.values():
+        assert list(occurrences) == ["zh", "en"]  # a language without mentions is under none
+    assert matrix[EntityKey("qid", "Q1")] == {"zh": [(0, 1), (0, 2)], "en": [(0, 0)]}
 
 
 def test_conservation_on_fixture_family(offline_client, header_mapping):
@@ -161,12 +173,11 @@ def test_conservation_on_fixture_family(offline_client, header_mapping):
             linked.append((table, mentions))
             total_mentions += len(mentions)
         tables_by_lang[lang] = linked
-    matrix = build_matrix(mentions_by_language(tables_by_lang),
-                          languages=["en", "de", "zh", "it", "nl"])
-    occurrences = sum(len(v) for v in matrix.rows.values())
+    matrix = build_matrix(mentions_by_language(tables_by_lang))
+    occurrences = sum(len(v) for by_language in matrix.values() for v in by_language.values())
     assert occurrences == total_mentions
     q513 = EntityKey("qid", "Q513")
-    assert matrix.languages_of(q513) == ["en", "de", "zh", "it", "nl"]
+    assert list(matrix[q513]) == ["en", "de", "zh", "it", "nl"]
 
 
 def brute_force_groups(tables_by_lang):
@@ -201,11 +212,12 @@ def test_matrix_agrees_with_brute_force_on_small_tables(offline_client):
             linked.append((table, mentions))
         tables_by_lang[lang] = linked
 
-    matrix = build_matrix(mentions_by_language(tables_by_lang), languages=[l for l, _ in pages])
+    matrix = build_matrix(mentions_by_language(tables_by_lang))
     position_to_entity = {}
-    for (entity, lang), occs in matrix.rows.items():
-        for occ in occs:
-            position_to_entity[(lang, occ)] = entity
+    for entity, by_language in matrix.items():
+        for lang, occs in by_language.items():
+            for occ in occs:
+                position_to_entity[(lang, occ)] = entity
 
     mentions, same = brute_force_groups(tables_by_lang)
     for i, (lang_i, m_i) in enumerate(mentions):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tablediff import pipeline
 from tablediff.cli import main
-from tablediff.entity_align import AlignedMatrix, EntityKey
+from tablediff.entity_align import EntityKey
 from tablediff.errors import ManifestError
 from tablediff.manifest import load_manifest, parse_manifest
 from tablediff.mw_client import MediaWikiClient
@@ -151,6 +151,26 @@ def test_conservation_of_matrix_occurrences(header_mapping):
                 assert occurrences.get(lang, 0) == rows - skipped.get(lang, 0), (fam["id"], lang)
                 checked += 1
     assert checked == 44  # ok editions over both manifests
+
+
+def test_rows_without_an_alignment_key_are_counted_as_skipped(tmp_path, header_mapping):
+    # A flag icon links to a page with no QID and shows no text: the row has no key.
+    flag = '<a href="/wiki/Nepal" title="Nepal"><img src="Flag_of_Nepal.svg" alt=""></a>'
+    html = ('<table class="wikitable"><tbody><tr><th>Flag</th><th>Peak</th><th>Height</th></tr>'
+            + "".join(f"<tr><td>{flag}</td><td>{peak}</td><td>{height}</td></tr>"
+                      for peak, height in (("Everest", "8,849"), ("Lhotse", "8,516")))
+            + "</tbody></table>")
+    transport = FakeTransport(pages={("en", "Peaks"): {
+        "html": html, "revid": 1, "timestamp": "2025-06-01T00:00:00Z"}})
+    manifest = parse_manifest({"families": [
+        {"id": "peaks", "seed": {"language": "en", "title": "Peaks"}, "languages": ["en"]}]})
+    report = run_pipeline(manifest, header_mapping,
+                          MediaWikiClient(cache_dir=tmp_path, transport=transport),
+                          PipelineOptions())
+    family = report["families"][0]
+    assert family["entities"] == []
+    assert [(f["table_index"], f["detail"]) for f in family["findings"]
+            if f["kind"] == "rows-skipped"] == [(0, "2 row(s) with empty entity cells")]
 
 
 def test_family_aggregates_match_edition_rows(geography_report):
@@ -687,7 +707,10 @@ WALK_TEXTS = ("", "—", "n/a", "x", "8,848", "8.848", "12 m", "26%", "3/4", "Hi
 
 @st.composite
 def small_matrices(draw):
-    """A matrix with repeated occurrences over tables with 0-4 columns per attribute."""
+    """A matrix with repeated occurrences over tables with 0-4 columns per attribute.
+
+    An entity may have no language, which ``build_matrix`` never gives.
+    """
     languages = draw(st.lists(st.sampled_from(WALK_LANGUAGES), min_size=1, unique=True))
     columns = {}
     for language in languages:
@@ -703,16 +726,16 @@ def small_matrices(draw):
                     by_attr.setdefault(attr, []).append(col)
             columns[(language, table_index)] = (WikiTable(table_index, [], body_rows, n_cols),
                                                 by_attr)
-    entities = [EntityKey("qid", f"Q{number}") for number in range(1, draw(st.integers(1, 4)) + 1)]
-    rows = {}
-    for entity in entities:
+    matrix = {EntityKey("qid", f"Q{number}"): {}
+              for number in range(1, draw(st.integers(1, 4)) + 1)}
+    for by_language in matrix.values():
         for language in languages:
             places = [(index, row) for (lang, index), (table, _) in columns.items()
                       if lang == language for row in range(table.n_body_rows)]
             occurrences = draw(st.lists(st.sampled_from(places), unique=True, max_size=3))
             if occurrences:
-                rows[(entity, language)] = sorted(occurrences)
-    return AlignedMatrix(languages, entities, rows), columns
+                by_language[language] = sorted(occurrences)
+    return matrix, columns
 
 
 @given(small_matrices(), st.lists(st.sampled_from(WALK_ATTRIBUTES), max_size=5),

@@ -21,8 +21,7 @@ def table_from(rows_html, lang="en"):
 
 def main_attributes(tables, mapping):
     """Per language, the attributes resolve_columns gives its main table."""
-    return {lang: None if table is None else [attr for _col, attr in
-                                              resolve_columns(table, lang, mapping)]
+    return {lang: None if table is None else list(resolve_columns(table, lang, mapping))
             for lang, table in tables.items()}
 
 
@@ -79,8 +78,7 @@ def test_presence_grid_single_language():
     table = table_from("<tr><th>Rank</th><th>Height (m)</th></tr><tr><td>1</td><td>2</td></tr>")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
                              AttributeKey("height", {"en": ["height"]})])
-    grid = build_presence_grid(main_attributes({"en": table}, mapping), mapping,
-                               languages=["en"])
+    grid = build_presence_grid(main_attributes({"en": table}, mapping), mapping)
     assert grid["languages"] == ["en"]
     assert [a["name"] for a in grid["attributes"]] == ["rank", "height"]
     assert grid["grid"] == [[1], [1]]
@@ -90,8 +88,7 @@ def test_presence_grid_unmapped_rows_stay_visible():
     en = table_from("<tr><th>Rank</th><th>Oddity</th></tr><tr><td>1</td><td>2</td></tr>")
     de = table_from("<tr><th>Rang</th></tr><tr><td>1</td></tr>", lang="de")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"], "de": ["rang"]})])
-    grid = build_presence_grid(main_attributes({"en": en, "de": de}, mapping), mapping,
-                               languages=["en", "de"])
+    grid = build_presence_grid(main_attributes({"en": en, "de": de}, mapping), mapping)
     names = [a["name"] for a in grid["attributes"]]
     assert names == ["rank", "oddity"]
     oddity = grid["attributes"].index({"name": "oddity", "kind": "unmapped"})
@@ -102,8 +99,7 @@ def test_presence_grid_no_attribute_row_all_false():
     en = table_from("<tr><th>Rank</th></tr><tr><td>1</td></tr>")
     mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
                              AttributeKey("height", {"en": ["height"]})])
-    grid = build_presence_grid(main_attributes({"en": en, "de": None}, mapping),
-                               mapping, languages=["en", "de"])
+    grid = build_presence_grid(main_attributes({"en": en, "de": None}, mapping), mapping)
     # absent language dropped; unsighted attribute dropped
     assert grid["languages"] == ["en"]
     assert [a["name"] for a in grid["attributes"]] == ["rank"]
@@ -111,16 +107,31 @@ def test_presence_grid_no_attribute_row_all_false():
         assert any(row)
 
 
+def test_resolve_columns_groups_columns_by_attribute():
+    table = table_from("<tr><th>Height (m)</th><th>Rank</th><th>Height (ft)</th><th>Odd</th></tr>"
+                       "<tr><td>1</td><td>2</td><td>3</td><td>4</td></tr>")
+    height, rank = AttributeKey("height", {"en": ["height"]}), AttributeKey("rank", {"en": ["rank"]})
+    columns = resolve_columns(table, "en", HeaderMapping([rank, height]))
+    assert list(columns.items()) == [(height, [0, 2]), (rank, [1]), (Unmapped("odd"), [3])]
+
+
+def test_presence_grid_follows_the_language_order_of_main_attributes():
+    rank = AttributeKey("rank", {})
+    grid = build_presence_grid({"zh": [rank], "en": None, "de": [], "it": [rank]},
+                               HeaderMapping([rank]))
+    assert grid["languages"] == ["zh", "de", "it"]
+    assert grid["grid"] == [[1, 0, 1]]
+
+
 def test_grid_completeness_every_column_contributes(header_mapping, offline_client):
     from tablediff.mw_client import CachePolicy
     page = offline_client.fetch_page(ArticleRef("en", "Seven Summits"), CachePolicy.OFFLINE_ONLY)
     table = extract_tables(page)[0]
     columns = resolve_columns(table, "en", header_mapping)
-    assert len(columns) == table.n_cols
-    grid = build_presence_grid({"en": [attr for _col, attr in columns]}, header_mapping,
-                               languages=["en"])
+    assert sorted(col for cols in columns.values() for col in cols) == list(range(table.n_cols))
+    grid = build_presence_grid({"en": list(columns)}, header_mapping)
     grid_attrs = set(a["name"] for a in grid["attributes"])
-    for _col, attr in columns:
+    for attr in columns:
         assert attr.name in grid_attrs
 
 

@@ -151,6 +151,17 @@ def test_magnitude_past_a_float_is_text(text):
     assert parse_value(text, "en") == ParsedValue("text", text, "en")
 
 
+def test_magnitude_past_a_float_in_base_units_is_text():
+    # 1e307 km is 1e310 m: compared in metres it would be inf, equal to any other.
+    km = {"en": parse_value("1" * 308 + " km", "en"), "de": parse_value("2" * 308 + " km", "de")}
+    assert [v.kind for v in km.values()] == ["text", "text"]
+    assert detect_conflicts("fam", HEIGHT, {E: km})[0] == []
+    findings = detect_text_divergence("fam", HEIGHT, {E: km})
+    assert [f["kind"] for f in findings] == ["text-divergence"]
+    metres = parse_value("1" * 308 + " m", "en")
+    assert metres.kind == "number" and metres.unit == "m"
+
+
 @pytest.mark.parametrize("text,lang,kind,magnitude", [
     ("\u00a026,5\u00a0%\u00a0", "it", "percentage", 26.5),
     ("29.5\u00a0%", "zh", "percentage", 29.5),
@@ -372,21 +383,10 @@ def presence(attributes, languages, grid):
             "grid": grid}
 
 
-class MatrixStub:
-    def __init__(self, languages, rows):
-        self.languages = languages
-        self.rows = rows
-        self.entities = sorted({k for k, _l in rows}, key=lambda e: e.value)
-
-    def languages_of(self, entity):
-        return [lang for lang in self.languages if (entity, lang) in self.rows]
-
-
 def test_schema_incompleteness_gender_only_in_it():
     gender = AttributeKey("gender", {})
     grid = presence([gender], ["en", "de", "zh", "it", "nl"], [[0, 0, 0, 1, 0]])
-    matrix = MatrixStub(["en", "de", "zh", "it", "nl"], {})
-    records = detect_incompleteness("fam", grid, matrix, ["en", "de", "zh", "it", "nl"])
+    records = detect_incompleteness("fam", grid, {}, ["en", "de", "zh", "it", "nl"])
     langs = sorted(next(iter(r["values"])) for r in records)
     assert langs == ["de", "en", "nl", "zh"]
     assert all(r["class"] == "Incompleteness" for r in records)
@@ -395,14 +395,13 @@ def test_schema_incompleteness_gender_only_in_it():
 def test_attribute_present_everywhere_no_records():
     rank = AttributeKey("rank", {})
     grid = presence([rank], ["en", "de"], [[1, 1]])
-    records = detect_incompleteness("fam", grid, MatrixStub(["en", "de"], {}), ["en", "de"])
+    records = detect_incompleteness("fam", grid, {}, ["en", "de"])
     assert records == []
 
 
 def test_row_level_incompleteness_names_absent_language():
     q = EntityKey("qid", "Q445860")
-    rows = {(q, lang): [(0, 11)] for lang in ["en", "de", "zh", "it"]}
-    matrix = MatrixStub(["en", "de", "zh", "it", "nl"], rows)
+    matrix = {q: {lang: [(0, 11)] for lang in ["en", "de", "zh", "it"]}}
     grid = presence([], ["en", "de", "zh", "it", "nl"], [])
     records = detect_incompleteness("fam", grid, matrix, ["en", "de", "zh", "it", "nl"])
     assert len(records) == 1
@@ -412,7 +411,7 @@ def test_row_level_incompleteness_names_absent_language():
 
 def test_surface_entities_generate_no_row_level_records():
     s = EntityKey("surface", "everest", "en")
-    matrix = MatrixStub(["en", "de"], {(s, "en"): [(0, 0)]})
+    matrix = {s: {"en": [(0, 0)]}}
     grid = presence([], ["en", "de"], [])
     assert detect_incompleteness("fam", grid, matrix, ["en", "de"]) == []
 
