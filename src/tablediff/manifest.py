@@ -95,16 +95,24 @@ def parse_manifest(data: dict) -> DatasetManifest:
         _require(isinstance(raw, dict), "each family must be an object")
         fid = raw.get("id")
         _require(isinstance(fid, str) and bool(fid), "family id must be a non-empty string")
+        # the id names files such as ``presence_{id}.csv``
+        _require("/" not in fid and "\0" not in fid,
+                 f"family id {fid!r} must not contain '/' or NUL")
         _require(fid not in seen_ids, f"duplicate family id {fid!r}")
         seen_ids.add(fid)
         seed = raw.get("seed") or {}
-        _require(isinstance(seed, dict) and seed.get("language") and seed.get("title"),
-                 f"family {fid!r}: seed needs language and title")
+        _require(isinstance(seed, dict)
+                 and all(isinstance(seed.get(key), str) for key in ("language", "title")),
+                 f"family {fid!r}: seed needs language and title strings")
         languages = raw.get("languages", "all")
         if languages != "all":
             _require(isinstance(languages, list) and all(isinstance(l, str) for l in languages),
                      f"family {fid!r}: languages must be 'all' or a list of codes")
         overrides = raw.get("overrides") or {}
+        _require(isinstance(overrides, dict), f"family {fid!r}: overrides must be an object")
+        for key in ("main_table_index", "column_hints"):
+            _require(isinstance(overrides.get(key) or {}, dict),
+                     f"family {fid!r}: {key} must map languages")
         main_override = {}
         for lang, idx in (overrides.get("main_table_index") or {}).items():
             _require(_is_int(idx) and idx >= 0,

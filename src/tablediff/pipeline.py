@@ -41,7 +41,7 @@ from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, 
                         format_ts, utc_now)
 from .schema_align import Attribute, HeaderMapping, build_presence_grid, resolve_columns
 from .table_parser import WikiTable, extract_tables
-from .value_analysis import (MISSING, CellValue, classify, detect_conflicts, detect_incompleteness,
+from .value_analysis import (MISSING, CellValue, detect_conflicts, detect_incompleteness,
                              detect_text_divergence, is_missing, parse_value)
 
 logger = logging.getLogger(__name__)
@@ -310,9 +310,10 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
     compared = [attr for attr in mapping.attributes if len(attr_languages.get(attr, ())) >= 2]
     for attr, values in _attribute_values(matrix, columns, compared,
                                           options.extra_missing).items():
-        conflicts, conflict_findings = detect_conflicts(entry.id, attr, values, options.rel_tol)
+        conflicts, conflict_findings = detect_conflicts(entry.id, attr, values, options.rel_tol,
+                                                        revision_timestamps, window)
+        records.extend(conflicts)
         findings.extend(conflict_findings)
-        records.extend(classify(record, revision_timestamps, window) for record in conflicts)
         if attr not in entity_column_attrs:
             findings.extend(detect_text_divergence(entry.id, attr, values))
 

@@ -1,9 +1,13 @@
 """Locale-aware cell value parsing, conflict detection, and classification.
 
-Values are compared cross-language only after unit canonicalization; a ratio
-like "80/302" is also compared as its derived percentage against explicit
-percentage columns, with a small rounding slack so a ratio never conflicts
-with its own rounded display form.
+Numeric values meet on one comparison scale, given by ``_scale``: the
+percent scale for a percentage or ratio, the unit's dimension in its base
+unit for a number with a unit, and the peer's unit for a bare number. The
+agreement skip and the pair check of ``detect_conflicts`` and the majority
+grouping of ``classify`` all read it. A ratio like "80/302" is compared as
+its derived percentage against explicit percentage columns, with a small
+rounding slack so a ratio never conflicts with its own rounded display form.
+Each conflict record is classified where it is found.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ _UNITS = {
     "yr": ("yr", "time", 1.0), "year": ("yr", "time", 1.0), "years": ("yr", "time", 1.0),
     "年": ("yr", "time", 1.0),
 }
-
-_CANONICAL_UNIT_INFO = {canon: (dim, factor) for (canon, dim, factor) in _UNITS.values()}
 
 _RATIO_WORDS = {
     "en": ("out of", "of"),
@@ -185,8 +187,7 @@ def parse_value(text: str, language: str) -> ParsedValue:
     else:
         value = ParsedValue("number", text, language, _parse_number(number, language),
                             _UNITS[unit][0] if unit else None)
-    factor = _UNITS[unit][2] if unit else 1.0  # only a number has a unit
-    return value if math.isfinite(value.magnitude * factor) else ParsedValue("text", text, language)
+    return value if math.isfinite(_scale(value)[1]) else ParsedValue("text", text, language)
 
 
 def format_number(magnitude: float, language: str) -> str:
@@ -209,39 +210,45 @@ def relative_difference(a: float, b: float) -> float:
     return abs(a - b) / low
 
 
-def _unit_factor(unit: Optional[str]) -> tuple[Optional[str], float]:
-    if unit is None:
-        return None, 1.0
-    dim, factor = _CANONICAL_UNIT_INFO[unit]
-    return dim, factor
+def _scale(value: ParsedValue, peer_unit: Optional[str] = None) -> tuple[Optional[str], float]:
+    """(scale, magnitude on it) of a numeric value: where two values meet.
 
-
-def _comparable_pair(a: ParsedValue, b: ParsedValue):
-    """(value_a, value_b, slack_applies) on a shared scale, or a failure tag.
-
-    number vs number compares magnitudes after unit conversion (a bare number
-    matches any single explicit unit); percentage and ratio compare on the
-    percent scale, with the rounding slack applied to ratio-vs-percentage
-    pairs only. number vs percentage/ratio is not comparable.
+    Percentages and ratios are on the percent scale ``"%"``; a number with a
+    unit is on its unit's dimension, in the dimension's base unit. A bare
+    number has no scale (None) unless it is read in ``peer_unit``.
     """
-    group_a = "pct" if a.kind in ("percentage", "ratio") else "num"
-    group_b = "pct" if b.kind in ("percentage", "ratio") else "num"
-    if group_a != group_b:
+    if value.kind != "number":
+        return "%", value.magnitude
+    unit = value.unit or peer_unit
+    if unit is None:
+        return None, value.magnitude
+    _canonical, dimension, factor = _UNITS[unit]
+    return dimension, value.magnitude * factor
+
+
+def _pair_difference(a: ParsedValue, b: ParsedValue) -> Union[float, str]:
+    """Relative difference of two numeric values, or why they cannot be compared.
+
+    A percentage or ratio is never compared with a number ("kind-mismatch"),
+    nor a number with one of another dimension ("unit-mismatch"). A bare
+    number is read in its peer's unit, so the two magnitudes are compared as
+    they stand. A ratio within the rounding slack of a percentage differs by 0.
+    """
+    (scale_a, value_a), (scale_b, value_b) = _scale(a), _scale(b)
+    if (scale_a == "%") != (scale_b == "%"):
         return "kind-mismatch"
-    if group_a == "pct":
-        slack = (a.kind == "ratio") != (b.kind == "ratio")
-        return a.magnitude, b.magnitude, slack
-    dim_a, factor_a = _unit_factor(a.unit)
-    dim_b, factor_b = _unit_factor(b.unit)
-    if dim_a is None or dim_b is None:
-        return a.magnitude, b.magnitude, False
-    if dim_a != dim_b:
+    if scale_a is None or scale_b is None:
+        return relative_difference(a.magnitude, b.magnitude)
+    if scale_a != scale_b:
         return "unit-mismatch"
-    return a.magnitude * factor_a, b.magnitude * factor_b, False
+    if (a.kind == "ratio") != (b.kind == "ratio") and abs(value_a - value_b) <= RATIO_PCT_SLACK_PP:
+        return 0.0
+    return relative_difference(value_a, value_b)
 
 
 def _record(family_id: str, cls: Optional[str], entity, attribute: Optional[dict],
-            values: dict[str, CellValue], evidence: str, severity: Optional[float] = None) -> dict:
+            values: dict[str, CellValue], evidence: str, severity: Optional[float] = None,
+            revision_timestamps: Optional[dict[str, str]] = None) -> dict:
     """One report record; ``entity`` is an EntityKey or None, ``attribute`` a ``{name, kind}``."""
     return {
         "family": family_id,
@@ -253,27 +260,30 @@ def _record(family_id: str, cls: Optional[str], entity, attribute: Optional[dict
         # keep the JSON standard-parseable
         "severity": severity if severity is None or math.isfinite(severity) else None,
         "values": {lang: value_to_json(v) for lang, v in values.items()},
-        "revision_timestamps": {},
+        "revision_timestamps": revision_timestamps or {},
         "evidence": evidence,
     }
 
 
 def detect_conflicts(family_id: str, attribute: Attribute,
                      values_by_entity: dict[object, dict[str, CellValue]],
-                     rel_tol: float = 0.0) -> tuple[list[dict], list[dict]]:
-    """Flag entities whose numeric values for one attribute disagree.
+                     rel_tol: float = 0.0,
+                     revision_timestamps: Optional[dict[str, datetime]] = None,
+                     staleness_window: timedelta = timedelta(days=DEFAULT_STALENESS_DAYS),
+                     ) -> tuple[list[dict], list[dict]]:
+    """Flag and classify entities whose numeric values for one attribute disagree.
 
     ``values_by_entity`` maps entity -> {language: value}; languages whose
     tables lack the attribute column must already be absent from the inner
     map. A conflict exists when any comparable pair differs by more than
     ``rel_tol`` (relative to the smaller value); severity is the largest
     relative difference among conflicting pairs. Pairs that cannot be
-    compared become findings, never crashes. Records have no class yet.
+    compared become findings, never crashes. Each record is classified by
+    ``classify`` from the editions' ``revision_timestamps``.
 
     ``rel_tol`` must be a finite number >= 0 (a ``ValueError`` otherwise): then
-    values that share one (number or percent scale, unit, magnitude) key
-    differ by 0 and are always comparable, so an entity whose values all
-    share one key skips the pairwise checks.
+    values that share one ``_scale`` differ by 0 and are always comparable,
+    so an entity whose values all share one skips the pairwise checks.
     """
     if not 0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be a finite number >= 0, got {rel_tol!r}")
@@ -282,82 +292,60 @@ def detect_conflicts(family_id: str, attribute: Attribute,
     for entity, by_language in values_by_entity.items():
         numeric = {lang: v for lang, v in by_language.items()
                    if v is not MISSING and v.kind in NUMERIC_KINDS}
-        if len(numeric) < 2:
-            continue
-        if len({(v.kind == "number", v.unit, v.magnitude) for v in numeric.values()}) == 1:
+        if len(numeric) < 2 or len({_scale(v) for v in numeric.values()}) == 1:
             continue
         langs = list(numeric)
         worst: Optional[float] = None
         for i in range(len(langs)):
             for j in range(i + 1, len(langs)):
                 a, b = numeric[langs[i]], numeric[langs[j]]
-                pair = _comparable_pair(a, b)
-                if pair == "kind-mismatch" or pair == "unit-mismatch":
+                difference = _pair_difference(a, b)
+                if isinstance(difference, str):
                     findings.append({
                         "kind": "incomparable-values",
                         "family": family_id,
                         "entity": entity.label(),
                         "attribute": attribute.name,
                         "languages": [langs[i], langs[j]],
-                        "detail": f"{pair}: {a.original!r} ({a.kind}/{a.unit}) vs "
+                        "detail": f"{difference}: {a.original!r} ({a.kind}/{a.unit}) vs "
                                   f"{b.original!r} ({b.kind}/{b.unit})",
                     })
-                    continue
-                va, vb, slack = pair
-                if slack and abs(va - vb) <= RATIO_PCT_SLACK_PP:
-                    continue
-                rel = relative_difference(va, vb)
-                if rel > rel_tol:
-                    worst = rel if worst is None else max(worst, rel)
+                elif difference > rel_tol:
+                    worst = difference if worst is None else max(worst, difference)
         if worst is not None:
+            cls, timestamps, reason = classify(numeric, revision_timestamps or {},
+                                               staleness_window)
             records.append(_record(
-                family_id, None, entity, attribute_row(attribute), by_language,
+                family_id, cls, entity, attribute_row(attribute), by_language,
                 f"numeric disagreement on {attribute.name} "
-                f"across {', '.join(numeric)} (rel_tol={rel_tol})", worst))
+                f"across {', '.join(numeric)} (rel_tol={rel_tol}){reason}", worst, timestamps))
     return records, findings
 
 
-def _canonical_magnitude(value: dict, base_unit: Optional[str]) -> float:
-    if value["kind"] in ("percentage", "ratio"):
-        return round(value["magnitude"], 9)
-    unit = value.get("unit")
-    if unit is None or base_unit is None:
-        # bare numbers took their peer's unit during comparison; group raw
-        return round(value["magnitude"], 9)
-    _, factor = _unit_factor(unit)
-    _, base_factor = _unit_factor(base_unit)
-    return round(value["magnitude"] * factor / base_factor, 9)
+def classify(numeric: dict[str, ParsedValue], revision_timestamps: dict[str, datetime],
+             staleness_window: timedelta) -> tuple[str, dict[str, str], str]:
+    """Timeliness-candidate vs Invalidity-candidate for conflicting ``numeric`` values.
 
-
-def classify(record: dict, revision_timestamps: dict[str, datetime],
-             staleness_window: timedelta = timedelta(days=DEFAULT_STALENESS_DAYS)) -> dict:
-    """Assign Timeliness-candidate vs Invalidity-candidate to a conflict record.
-
-    Heuristic only, hence the "candidate" labels: the record is a timeliness
+    Heuristic only, hence the "candidate" labels: the conflict is a timeliness
     candidate iff the involved revisions span more than the staleness window
-    AND the minority value comes from strictly older pages. Ties on the most
-    common value, or a fresh minority, fall back to invalidity. Returns a
-    copy of the record with its class, the numeric languages' revision
-    timestamps and the reason appended to its evidence.
+    AND the minority value comes from strictly older pages. Values are grouped
+    on their ``_scale``, rounded to 9 places, with a bare number read in the
+    unit of the first value that has one. Ties on the most common value, or a
+    fresh minority, fall back to invalidity. Returns the class, the numeric
+    languages' revision timestamps and the reason to append to the evidence.
     """
-    numeric = {lang: v for lang, v in record["values"].items()
-               if v.get("kind") in NUMERIC_KINDS}
     timestamps = {lang: ts for lang, ts in revision_timestamps.items() if lang in numeric}
-
-    def classified(cls: str, reason: str) -> dict:
-        return {**record, "class": cls,
-                "revision_timestamps": {lang: format_ts(ts)
-                                        for lang, ts in sorted(timestamps.items())},
-                "evidence": record["evidence"] + reason}
-
+    stamps = {lang: format_ts(ts) for lang, ts in sorted(timestamps.items())}
     if len(timestamps) < 2:
-        return classified(CLASS_INVALIDITY, "; revision metadata insufficient")
+        return CLASS_INVALIDITY, stamps, "; revision metadata insufficient"
 
-    base_unit = next((v["unit"] for v in numeric.values()
-                      if v["kind"] == "number" and "unit" in v), None)
+    first_unit = next((v.unit for v in numeric.values() if v.unit is not None), None)
     groups: dict[float, list[str]] = {}
     for lang, value in numeric.items():
-        groups.setdefault(_canonical_magnitude(value, base_unit), []).append(lang)
+        magnitude = _scale(value, first_unit)[1]
+        # a bare number too large to read in that unit keeps its own magnitude
+        key = round(magnitude, 9) if math.isfinite(magnitude) else value.magnitude
+        groups.setdefault(key, []).append(lang)
 
     spread = max(timestamps.values()) - min(timestamps.values())
     sizes = sorted((len(langs) for langs in groups.values()), reverse=True)
@@ -371,10 +359,10 @@ def classify(record: dict, revision_timestamps: dict[str, datetime],
             newest_minority = max(timestamps[l] for l in known)
             oldest_majority = min(timestamps[l] for l in majority_langs)
             if newest_minority < oldest_majority:
-                return classified(CLASS_TIMELINESS, (
+                return CLASS_TIMELINESS, stamps, (
                     f"; minority value from pages older by more than "
-                    f"{staleness_window.days} days (revision spread {spread.days} days)"))
-    return classified(CLASS_INVALIDITY, f"; revision spread {spread.days} days")
+                    f"{staleness_window.days} days (revision spread {spread.days} days)")
+    return CLASS_INVALIDITY, stamps, f"; revision spread {spread.days} days"
 
 
 def detect_incompleteness(family_id: str, presence: dict,

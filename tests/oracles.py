@@ -11,9 +11,8 @@ import numpy as np
 
 from tablediff.htmldom import Node
 from tablediff.schema_align import attribute_row
-from tablediff.value_analysis import (MISSING, NUMERIC_KINDS, RATIO_PCT_SLACK_PP, ParsedValue,
-                                      _comparable_pair, _record, is_missing, parse_value,
-                                      relative_difference)
+from tablediff.value_analysis import (MISSING, NUMERIC_KINDS, ParsedValue, _pair_difference,
+                                      _record, classify, is_missing, parse_value)
 
 
 def _paint(layout):
@@ -195,10 +194,12 @@ def oracle_collect_attribute_values(matrix, columns, attribute, extra_missing):
     return out
 
 
-def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol=0.0):
+def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol,
+                            revision_timestamps, staleness_window):
     """``detect_conflicts`` comparing every language pair of every entity.
 
-    The pairwise loop before values that agree were let skip it.
+    The pairwise loop before values that agree were let skip it; each record
+    is classified by ``classify`` as it is built.
     """
     records = []
     findings = []
@@ -212,27 +213,23 @@ def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol=0.0)
         for i in range(len(langs)):
             for j in range(i + 1, len(langs)):
                 a, b = numeric[langs[i]], numeric[langs[j]]
-                pair = _comparable_pair(a, b)
-                if pair == "kind-mismatch" or pair == "unit-mismatch":
+                difference = _pair_difference(a, b)
+                if difference in ("kind-mismatch", "unit-mismatch"):
                     findings.append({
                         "kind": "incomparable-values",
                         "family": family_id,
                         "entity": entity.label(),
                         "attribute": attribute.name,
                         "languages": [langs[i], langs[j]],
-                        "detail": f"{pair}: {a.original!r} ({a.kind}/{a.unit}) vs "
+                        "detail": f"{difference}: {a.original!r} ({a.kind}/{a.unit}) vs "
                                   f"{b.original!r} ({b.kind}/{b.unit})",
                     })
-                    continue
-                va, vb, slack = pair
-                if slack and abs(va - vb) <= RATIO_PCT_SLACK_PP:
-                    continue
-                rel = relative_difference(va, vb)
-                if rel > rel_tol:
-                    worst = rel if worst is None else max(worst, rel)
+                elif difference > rel_tol:
+                    worst = difference if worst is None else max(worst, difference)
         if worst is not None:
+            cls, timestamps, reason = classify(numeric, revision_timestamps, staleness_window)
             records.append(_record(
-                family_id, None, entity, attribute_row(attribute), by_language,
+                family_id, cls, entity, attribute_row(attribute), by_language,
                 f"numeric disagreement on {attribute.name} "
-                f"across {', '.join(numeric)} (rel_tol={rel_tol})", worst))
+                f"across {', '.join(numeric)} (rel_tol={rel_tol}){reason}", worst, timestamps))
     return records, findings

@@ -43,6 +43,16 @@ def test_manifest_loads_bundled():
                   {"id": "x", "seed": {"language": "en", "title": "T"}}]},
     {"families": [{"id": "x", "seed": {"language": "en", "title": "T"},
                    "overrides": {"main_table_index": {"en": -1}}}]},
+    {"families": [{"id": "x", "seed": {"language": 5, "title": "T"}}]},
+    {"families": [{"id": "x", "seed": {"language": "en", "title": 5}}]},
+    {"families": [{"id": "x", "seed": {"language": "en", "title": "T"}, "overrides": [1]}]},
+    {"families": [{"id": "x", "seed": {"language": "en", "title": "T"},
+                   "overrides": {"main_table_index": [1]}}]},
+    {"families": [{"id": "x", "seed": {"language": "en", "title": "T"},
+                   "overrides": {"column_hints": [1]}}]},
+    # a family id names output files
+    *({"families": [{"id": family_id, "seed": {"language": "en", "title": "T"}}]}
+      for family_id in ["climb/ers", "a/../../x", "a\0b"]),
 ])
 def test_manifest_validation_errors(bad):
     with pytest.raises(ManifestError):
@@ -359,6 +369,22 @@ def test_cli_boolean_override_exit_code_1(tmp_path, overrides):
     family_id = data["families"][0]["id"]
     assert result.output.startswith(f"error: family {family_id!r}: "), result.output
     assert "must be a non-negative int" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", [{"seed": {"language": "en", "title": 5}},
+                                    {"id": "climb/ers"}],
+                         ids=["number-title", "slash-in-id"])
+def test_cli_misshapen_family_exit_code_1(tmp_path, family):
+    manifest = tmp_path / "m.json"
+    data = json.loads(Path(CLIMBERS_MANIFEST).read_text(encoding="utf-8"))
+    data["families"][0].update(family)
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--format", "plotdata",
+                     "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: family "), result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -298,22 +298,31 @@ def values_by_entity(draw):
     return out
 
 
-@given(values_by_entity(), st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+#: revision timestamps that may leave languages out and tie or split the rest
+revision_stamps = st.dictionaries(st.sampled_from(["en", "de", "zh", "it", "nl"]),
+                                  st.sampled_from([ts(2020, 1, 1), ts(2025, 1, 1),
+                                                   ts(2025, 3, 1)]), min_size=3)
+
+
+@given(values_by_entity(), st.one_of(st.just(0.0), st.floats(0.0, 0.3)), revision_stamps,
+       st.sampled_from([timedelta(days=30), timedelta(days=180)]))
 @settings(max_examples=500, deadline=None)
-def test_conflicts_match_the_pairwise_oracle(values, rel_tol):
-    assert (detect_conflicts("fam", HEIGHT, values, rel_tol)
-            == oracle_detect_conflicts("fam", HEIGHT, values, rel_tol))
+def test_conflicts_match_the_pairwise_oracle(values, rel_tol, stamps, window):
+    assert (detect_conflicts("fam", HEIGHT, values, rel_tol, stamps, window)
+            == oracle_detect_conflicts("fam", HEIGHT, values, rel_tol, stamps, window))
 
 
 def test_agreeing_values_skip_the_pairwise_checks(monkeypatch):
     def never(a, b):
         raise AssertionError("compared a pair of agreeing values")
 
-    monkeypatch.setattr(value_analysis, "_comparable_pair", never)
+    monkeypatch.setattr(value_analysis, "_pair_difference", never)
     agreeing = {E: {"en": parse_value("8,848 m", "en"), "de": parse_value("8.848 m", "de"),
                     "zh": parse_value("8848 米", "zh"), "it": parse_value("Everest", "it")},
                 EntityKey("qid", "Q1"): {"en": parse_value("26%", "en"),
-                                         "de": parse_value("26 %", "de")}}
+                                         "de": parse_value("26 %", "de")},
+                EntityKey("qid", "Q2"): {"en": parse_value("1 km", "en"),
+                                         "de": parse_value("1000 m", "de")}}
     assert detect_conflicts("fam", HEIGHT, agreeing) == ([], [])
 
 
@@ -331,48 +340,92 @@ def test_relative_difference_zero_handling():
 
 # -- classification ----------------------------------------------------------
 
-def conflict_record(values_by_lang):
-    records, _ = detect_conflicts("fam", HEIGHT, {E: values_by_lang}, rel_tol=0.0)
-    assert len(records) == 1
-    return records[0]
+WINDOW = timedelta(days=180)
 
 
 def test_classify_timeliness_minority_on_older_page():
-    record = conflict_record({
-        "en": parse_value("8,849", "en"), "zh": parse_value("8,849", "zh"),
-        "de": parse_value("8.848", "de"),
-    })
+    numeric = {"en": parse_value("8,849", "en"), "zh": parse_value("8,849", "zh"),
+               "de": parse_value("8.848", "de")}
     stamps = {"en": ts(2025, 6, 10), "zh": ts(2025, 6, 11), "de": ts(2024, 9, 1)}
-    out = classify(record, stamps, timedelta(days=180))
-    assert out["class"] == CLASS_TIMELINESS
-    # A huge window turns the same record into an invalidity candidate.
-    out = classify(record, stamps, timedelta(days=100000))
-    assert out["class"] == CLASS_INVALIDITY
+    assert classify(numeric, stamps, WINDOW)[0] == CLASS_TIMELINESS
+    # A huge window turns the same values into an invalidity candidate.
+    assert classify(numeric, stamps, timedelta(days=100000))[0] == CLASS_INVALIDITY
 
 
 def test_classify_same_week_revisions_is_invalidity():
-    record = conflict_record({
-        "zh": parse_value("29.5%", "zh"), "it": parse_value("26,5 %", "it"),
-        "de": parse_value("24.9%", "de"),
-    })
+    numeric = {"zh": parse_value("29.5%", "zh"), "it": parse_value("26,5 %", "it"),
+               "de": parse_value("24,9 %", "de")}
     stamps = {"zh": ts(2025, 6, 10), "it": ts(2025, 6, 11), "de": ts(2025, 6, 12)}
-    assert classify(record, stamps, timedelta(days=180))["class"] == CLASS_INVALIDITY
+    assert classify(numeric, stamps, WINDOW)[0] == CLASS_INVALIDITY
 
 
 def test_classify_equal_timestamps_tie_is_invalidity():
-    record = conflict_record({"en": parse_value("10", "en"), "de": parse_value("11", "de")})
+    numeric = {"en": parse_value("10", "en"), "de": parse_value("11", "de")}
     stamps = {"en": ts(2025, 1, 1), "de": ts(2025, 1, 1)}
-    assert classify(record, stamps, timedelta(days=180))["class"] == CLASS_INVALIDITY
+    assert classify(numeric, stamps, WINDOW)[0] == CLASS_INVALIDITY
 
 
 def test_classify_fresh_minority_is_invalidity():
     # Minority value lives on the NEWER page: not a staleness pattern.
-    record = conflict_record({
-        "en": parse_value("8,849", "en"), "zh": parse_value("8,849", "zh"),
-        "de": parse_value("8.850", "de"),
-    })
+    numeric = {"en": parse_value("8,849", "en"), "zh": parse_value("8,849", "zh"),
+               "de": parse_value("8.850", "de")}
     stamps = {"en": ts(2024, 1, 1), "zh": ts(2024, 1, 2), "de": ts(2025, 6, 1)}
-    assert classify(record, stamps, timedelta(days=180))["class"] == CLASS_INVALIDITY
+    assert classify(numeric, stamps, WINDOW)[0] == CLASS_INVALIDITY
+
+
+def test_classify_reads_a_bare_number_in_the_first_unit():
+    # "1" is 1 km, as en's unit comes first, so en and de are the majority and
+    # the older nl page is the stale minority. Read as 1 m (it's unit), de would
+    # be a fresh minority of its own.
+    numeric = {"en": parse_value("1 km", "en"), "de": parse_value("1", "de"),
+               "it": parse_value("1000 m", "it"), "nl": parse_value("1,5 km", "nl")}
+    stamps = {"en": ts(2025, 6, 10), "de": ts(2025, 6, 11), "it": ts(2025, 6, 12),
+              "nl": ts(2020, 1, 1)}
+    cls, timestamps, reason = classify(numeric, stamps, WINDOW)
+    assert cls == CLASS_TIMELINESS
+    assert list(timestamps) == ["de", "en", "it", "nl"]
+    assert reason.startswith("; minority value from pages older")
+
+
+def test_detect_conflicts_classifies_each_record():
+    by_lang = {"en": parse_value("8,849", "en"), "zh": parse_value("8,849", "zh"),
+               "de": parse_value("8.848", "de"), "it": parse_value("n/a", "it")}
+    stamps = {"en": ts(2025, 6, 10), "zh": ts(2025, 6, 11), "de": ts(2024, 9, 1),
+              "it": ts(2019, 1, 1)}
+    (record,), _ = detect_conflicts("fam", HEIGHT, {E: by_lang}, 0.0, stamps, WINDOW)
+    assert record["class"] == CLASS_TIMELINESS
+    assert record["revision_timestamps"] == {"de": "2024-09-01T00:00:00Z",
+                                             "en": "2025-06-10T00:00:00Z",
+                                             "zh": "2025-06-11T00:00:00Z"}
+    assert record["evidence"].startswith("numeric disagreement on height across en, zh, de ")
+    assert record["evidence"].endswith("(revision spread 283 days)")
+    (record,), _ = detect_conflicts("fam", HEIGHT, {E: by_lang})
+    assert record["class"] == CLASS_INVALIDITY
+    assert record["evidence"].endswith("; revision metadata insufficient")
+
+
+def test_distinct_values_in_a_small_unit_never_form_a_majority():
+    # Three different km2 values must stay three groups: converted into m2
+    # (nl's unit, the first) each would overflow to inf and read as one
+    # majority against nl's older page.
+    by_lang = {"nl": parse_value("5 m2", "nl"), "en": parse_value("1" * 305 + " km2", "en"),
+               "de": parse_value("2" * 305 + " km2", "de"),
+               "it": parse_value("3" * 305 + " km2", "it")}
+    stamps = {"nl": ts(2020, 1, 1), "en": ts(2025, 1, 1), "de": ts(2025, 1, 2),
+              "it": ts(2025, 1, 3)}
+    (record,), findings = detect_conflicts("fam", ATTR, {E: by_lang}, 0.0, stamps, WINDOW)
+    assert findings == []
+    assert record["class"] == CLASS_INVALIDITY
+
+
+def test_distinct_bare_numbers_too_large_for_the_first_unit_never_form_a_majority():
+    # Read in km (nl's unit) both bare numbers would be inf in metres.
+    numeric = {"nl": parse_value("5 km", "nl"), "en": parse_value("2" * 306, "en"),
+               "de": parse_value("3" * 306, "de")}
+    stamps = {"nl": ts(2020, 1, 1), "en": ts(2025, 1, 1), "de": ts(2025, 1, 2)}
+    assert classify(numeric, stamps, WINDOW)[0] == CLASS_INVALIDITY
+    numeric["de"] = numeric["en"]
+    assert classify(numeric, stamps, WINDOW)[0] == CLASS_TIMELINESS
 
 
 # -- incompleteness ----------------------------------------------------------
