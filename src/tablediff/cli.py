@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import click
@@ -162,6 +163,11 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
         click.echo(f"error: --rel-tol must be a non-negative number less than infinity, "
                    f"got {rel_tol}", err=True)
         sys.exit(EXIT_MANIFEST_ERROR)
+    staleness_days = _resolve(staleness_days, manifest, "staleness_days", 180)
+    if not 0 <= staleness_days <= timedelta.max.days:  # the window is a timedelta
+        click.echo(f"error: --staleness-days must be an integer from 0 to {timedelta.max.days}, "
+                   f"got {staleness_days}", err=True)
+        sys.exit(EXIT_MANIFEST_ERROR)
     mapping = _load_mapping_or_die(header_map_path, manifest)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
@@ -169,7 +175,7 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
         offline=bool(_resolve(offline, manifest, "offline", False)),
         refresh=bool(refresh),
         rel_tol=rel_tol,
-        staleness_days=int(_resolve(staleness_days, manifest, "staleness_days", 180)),
+        staleness_days=staleness_days,
         all_tables=bool(_resolve(all_tables, manifest, "all_tables", False)),
         extra_missing=tuple(manifest.defaults.get("missing_values", ())),
         jobs=int(_resolve(jobs, manifest, "jobs", 1)),

@@ -30,6 +30,10 @@ class CacheMiss(TableDiffError):
         super().__init__(f"no cached snapshot for {language}:{title}")
 
 
+class SnapshotError(TableDiffError):
+    """A cached page snapshot is not JSON or not a page; ``--refresh`` refetches it."""
+
+
 class ParseError(TableDiffError):
     """HTML was malformed beyond what the tolerant parser recovers from."""
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from datetime import timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -75,7 +76,8 @@ _DEFAULT_TYPES = {
     "rel_tol": ("a finite non-negative number",
                 # also bounds an int, which the run turns into a float
                 lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max),
-    "staleness_days": ("an integer", _is_int),
+    "staleness_days": (f"an integer from 0 to {timedelta.max.days}",
+                       lambda v: _is_int(v) and 0 <= v <= timedelta.max.days),
     "jobs": ("an integer", _is_int),
     "missing_values": ("a list of strings", _is_str_list),
     "format": ("one of 'json', 'csv', 'plotdata'", lambda v: v in ("json", "csv", "plotdata")),

@@ -26,7 +26,7 @@ from urllib.parse import quote
 
 import requests
 
-from .errors import CacheMiss, NetworkError, PageMissing, ParseError
+from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
 from .htmldom import Node, parse_html
 
 logger = logging.getLogger(__name__)
@@ -335,14 +335,21 @@ class MediaWikiClient:
 
     def fetch_page(self, article: ArticleRef,
                    cache_policy: CachePolicy = CachePolicy.PREFER_CACHE) -> PageDocument:
-        """Fetch the rendered HTML of one page, honoring the cache policy."""
+        """Fetch the rendered HTML of one page, honoring the cache policy.
+
+        A cached snapshot that is not JSON or not a page raises SnapshotError.
+        """
         policy = CachePolicy(cache_policy)
         path = self.page_cache_path(article.language, article.title)
         if policy is not CachePolicy.REFRESH and path.exists():
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if data.get("missing"):
-                raise PageMissing(article.language, article.title)
-            return PageDocument.from_dict(data)
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+                if data.get("missing"):
+                    raise PageMissing(article.language, article.title)
+                return PageDocument.from_dict(data)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise SnapshotError(
+                    f"unreadable cache snapshot {path}: {type(exc).__name__}: {exc}") from exc
         if policy is CachePolicy.OFFLINE_ONLY:
             raise CacheMiss(article.language, article.title)
 

@@ -34,7 +34,7 @@ from . import __version__
 from .entity_align import (EntityKey, EntityMatrix, EntityMention, build_matrix,
                            detect_entity_column, extract_row_entities, link_mentions,
                            mention_key)
-from .errors import CacheMiss, NetworkError, PageMissing, ParseError
+from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
 from .manifest import DatasetManifest, FamilyEntry
 from .metrics import aggregate_corpus, aggregate_pages, page_stats
 from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references,
@@ -109,7 +109,7 @@ def _fetch_edition(client: MediaWikiClient, language: str, title: str,
         return EditionData(language, title, "absent", reason="page missing in this edition")
     except CacheMiss:
         return EditionData(language, title, "absent", reason="no cached snapshot (offline run)")
-    except NetworkError as exc:
+    except (NetworkError, SnapshotError) as exc:
         logger.warning("fetch failed for %s:%s: %s", language, title, exc)
         return EditionData(language, title, "error", reason=str(exc))
     return EditionData(language, title, "ok", doc=doc)

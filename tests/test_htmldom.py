@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tablediff import htmldom
 from tablediff.htmldom import parse_html
 from tablediff.mw_client import PageDocument, count_references
 from tablediff.table_parser import _cell_content, extract_tables
@@ -69,6 +70,15 @@ def test_vendored_page_tree_matches_oracle(path):
 
 def test_vendored_corpus_is_all_there():
     assert len(VENDORED_PAGES) == 44
+
+
+def test_vendored_pages_never_take_the_html_parser_path(monkeypatch):
+    # Rendered MediaWiki markup is regular: the fast tokenizer scans every page to its end.
+    def fallback():
+        raise AssertionError("html.parser path taken")
+    monkeypatch.setattr(htmldom, "_TreeBuilder", fallback)
+    for path in VENDORED_PAGES:
+        parse_html(json.loads(path.read_text(encoding="utf-8"))["html"])
 
 
 def test_dropped_page_trees_leave_no_cyclic_garbage():
@@ -159,3 +169,8 @@ def test_parse_html_never_raises(html):
 def test_marked_section_is_dropped_not_raised():
     root = parse_html("a<![if gte mso 9]>b<![endif]>c<![x>d")
     assert text(root) == "abcd"
+    # The irregular tag "<a/b>" sends these to the html.parser path.
+    root = parse_html("<a/b>a<![if gte mso 9]>b<![endif]>c<![x>d")
+    assert tree_shape(root) == ("#document", {}, [("a", {"b": None}, ["abcd"])])
+    root = parse_html("<a/b>a<![x")
+    assert tree_shape(root) == ("#document", {}, [("a", {"b": None}, ["a<![x"])])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from tablediff.errors import CacheMiss, PageMissing
+from tablediff.errors import CacheMiss, PageMissing, SnapshotError
 from tablediff.mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument,
                                  TokenBucket, count_references, is_valid_qid)
 
@@ -75,6 +75,26 @@ def test_fetch_page_refresh_bypasses_cache(tmp_path, fake_transport):
     before = fake_transport.calls
     client.fetch_page(ArticleRef("en", "Sample Page"), CachePolicy.REFRESH)
     assert fake_transport.calls > before
+
+
+@pytest.mark.parametrize("snapshot", [
+    '{"trunc', "[]", "{}", '{"language": "en", "title": "Sample Page", "html": "<p>x</p>", '
+    '"revision_id": "r1", "revision_timestamp": "2024-01-01T00:00:00Z", '
+    '"fetched_at": "2024-01-02T00:00:00Z"}',
+], ids=["truncated", "list", "no-fields", "bad-revision-id"])
+def test_fetch_page_unreadable_snapshot_raises_and_refresh_refetches(tmp_path, fake_transport,
+                                                                    snapshot):
+    client = make_client(tmp_path, fake_transport)
+    article = ArticleRef("en", "Sample Page")
+    path = client.page_cache_path(article.language, article.title)
+    path.parent.mkdir(parents=True)
+    path.write_text(snapshot, encoding="utf-8")
+    for policy in (CachePolicy.PREFER_CACHE, CachePolicy.OFFLINE_ONLY):
+        with pytest.raises(SnapshotError, match="unreadable cache snapshot"):
+            client.fetch_page(article, policy)
+    assert fake_transport.calls == 0
+    assert client.fetch_page(article, CachePolicy.REFRESH).revision_id == 42
+    assert client.fetch_page(article, CachePolicy.OFFLINE_ONLY).revision_id == 42
 
 
 def test_list_language_versions_sorted_with_self(tmp_path, fake_transport):

@@ -327,6 +327,8 @@ BAD_DEFAULTS = {
     "all-tables-string": {"all_tables": "no"},
     "offline-string": {"offline": "false"},
     "staleness-days-string": {"staleness_days": "abc"},
+    "staleness-days-negative": {"staleness_days": -1},
+    "staleness-days-past-timedelta": {"staleness_days": 10 ** 12},
     "jobs-string": {"jobs": "two"},
     "jobs-boolean": {"jobs": True},
     "rel-tol-null": {"rel_tol": None},
@@ -395,6 +397,17 @@ def test_cli_negative_or_nan_rel_tol_exit_code_1(tmp_path, rel_tol):
                      "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
     assert result.output.startswith("error: --rel-tol must be a non-negative number"), result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("days", ["-1", "1000000000", "99999999999"])
+def test_cli_negative_or_huge_staleness_days_exit_code_1(tmp_path, days):
+    result = run_cli("analyze", "--manifest", CLIMBERS_MANIFEST, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--staleness-days", days,
+                     "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: --staleness-days must be an integer from 0 to "
+                                    "999999999"), result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -942,6 +955,44 @@ def test_warm_cache_counts_a_parse_failure_as_failed(monkeypatch, header_mapping
     summary = warm_cache(load_manifest(CLIMBERS_MANIFEST), header_mapping,
                          MediaWikiClient(cache_dir=FIXTURE_CACHE), PipelineOptions(offline=True))
     assert summary == {"fetched": 4, "absent_or_failed": 1}
+
+
+# -- unreadable snapshots ----------------------------------------------------
+
+def _cache_with_truncated_snapshot(tmp_path):
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    broken = cache / "pages" / "en" / "Eight-thousander.json"
+    broken.write_text('{"trunc', encoding="utf-8")
+    return cache, broken
+
+
+def test_unreadable_snapshot_turns_the_edition_into_a_fetch_error(tmp_path):
+    cache, broken = _cache_with_truncated_snapshot(tmp_path)
+    result = run_cli("analyze", "--manifest", GEOGRAPHY_MANIFEST, "--cache-dir", cache,
+                     "--offline", "--header-map", HEADER_MAP, "--out", tmp_path / "out")
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    family, = [f for f in report["families"] if f["seed"]["title"] == "Eight-thousander"]
+    assert family["status"] == "ok"
+    en, = [e for e in family["editions"] if e["language"] == "en"]
+    assert en["status"] == "error"
+    errors = [f for f in family["findings"] if f["kind"] == "fetch-error"]
+    assert [f["language"] for f in errors] == ["en"]
+    assert str(broken) in errors[0]["detail"]
+
+
+def test_warm_cache_counts_an_unreadable_snapshot_as_failed(tmp_path, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    cache, _broken = _cache_with_truncated_snapshot(tmp_path)
+    manifest = load_manifest(GEOGRAPHY_MANIFEST)
+    intact = warm_cache(manifest, header_mapping, MediaWikiClient(cache_dir=FIXTURE_CACHE),
+                        PipelineOptions(offline=True))
+    summary = warm_cache(manifest, header_mapping, MediaWikiClient(cache_dir=cache),
+                         PipelineOptions(offline=True))
+    assert summary == {"fetched": intact["fetched"] - 1,
+                       "absent_or_failed": intact["absent_or_failed"] + 1}
 
 
 # -- one staged path for fetch and analyze ------------------------------------
