@@ -29,7 +29,6 @@ from .schema_align import HeaderMapping, load_header_mapping
 
 logger = logging.getLogger(__name__)
 
-EXIT_OK = 0
 EXIT_MANIFEST_ERROR = 1
 EXIT_FAMILY_FAILED = 2
 
@@ -59,7 +58,7 @@ def _resolve(flag, manifest: DatasetManifest, key: str, fallback):
 def _load_mapping_or_die(path, manifest: DatasetManifest) -> HeaderMapping:
     mapping_path = _resolve(path, manifest, "header_map", None) or bundled_header_map()
     if mapping_path is None:
-        return HeaderMapping.empty()
+        return HeaderMapping([])
     try:
         return load_header_mapping(mapping_path)
     except (OSError, ValueError, MappingConflict) as exc:
@@ -109,7 +108,7 @@ def fetch(manifest_path, langs, cache_dir, jobs, refresh):
         refresh=refresh,
         jobs=int(_resolve(jobs, manifest, "jobs", 1)),
     )
-    summary = warm_cache(manifest, HeaderMapping.empty(), client, options)
+    summary = warm_cache(manifest, HeaderMapping([]), client, options)
     click.echo(f"fetched {summary['fetched']} page(s); "
                f"{summary['absent_or_failed']} absent or failed")
 

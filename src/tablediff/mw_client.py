@@ -231,11 +231,11 @@ class MediaWikiClient:
     """
 
     def __init__(self, cache_dir: Optional[str | Path] = None, rate_limit: float = 5.0,
-                 user_agent: str = DEFAULT_USER_AGENT, transport: Optional[HttpTransport] = None,
+                 transport: Optional[HttpTransport] = None,
                  api_url_template: str = "https://{lang}.wikipedia.org/w/api.php"):
         cache_dir = cache_dir or os.environ.get(CACHE_DIR_ENV) or (Path.home() / ".cache" / "tablediff")
         self.cache_dir = Path(cache_dir)
-        self.transport = transport if transport is not None else HttpTransport(user_agent=user_agent)
+        self.transport = transport if transport is not None else HttpTransport()
         self.bucket = TokenBucket(rate_limit)
         self.api_url_template = api_url_template
         self._qids: Optional[dict] = None
@@ -322,14 +322,11 @@ class MediaWikiClient:
 
     # -- API plumbing ------------------------------------------------------
 
-    def api_url(self, language: str) -> str:
-        return self.api_url_template.format(lang=language)
-
     def _request(self, language: str, params: dict) -> dict:
         self.bucket.acquire()
         full = {"format": "json", "formatversion": "2"}
         full.update(params)
-        return self.transport.get_json(self.api_url(language), full)
+        return self.transport.get_json(self.api_url_template.format(lang=language), full)
 
     # -- operations --------------------------------------------------------
 
@@ -337,7 +334,8 @@ class MediaWikiClient:
                    cache_policy: CachePolicy = CachePolicy.PREFER_CACHE) -> PageDocument:
         """Fetch the rendered HTML of one page, honoring the cache policy.
 
-        A cached snapshot that is not JSON or not a page raises SnapshotError.
+        A cached snapshot that cannot be read, or is not JSON or not a page,
+        raises SnapshotError.
         """
         policy = CachePolicy(cache_policy)
         path = self.page_cache_path(article.language, article.title)
@@ -347,7 +345,7 @@ class MediaWikiClient:
                 if data.get("missing"):
                     raise PageMissing(article.language, article.title)
                 return PageDocument.from_dict(data)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise SnapshotError(
                     f"unreadable cache snapshot {path}: {type(exc).__name__}: {exc}") from exc
         if policy is CachePolicy.OFFLINE_ONLY:

@@ -128,25 +128,17 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
     requested = options.languages or entry.languages
     wanted = sorted(titles) if requested == "all" else list(dict.fromkeys(requested))
 
-    editions: list[EditionData] = []
-    to_fetch: list[tuple[str, str]] = []
-    for language in wanted:
+    def gather(language: str) -> EditionData:
         title = titles.get(language)
         if title is None:
-            editions.append(EditionData(language, entry.seed.title, "absent",
-                                        reason="no edition listed for this language"))
-        else:
-            to_fetch.append((language, title))
+            return EditionData(language, entry.seed.title, "absent",
+                               reason="no edition listed for this language")
+        return _fetch_edition(client, language, title, options)
 
-    if options.jobs > 1 and len(to_fetch) > 1 and not options.offline:
+    if options.jobs > 1 and len(wanted) > 1 and not options.offline:
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            fetched = list(pool.map(
-                lambda pair: _fetch_edition(client, pair[0], pair[1], options), to_fetch))
-    else:
-        fetched = [_fetch_edition(client, lang, title, options) for lang, title in to_fetch]
-    editions.extend(fetched)
-    editions.sort(key=lambda e: wanted.index(e.language))
-    return wanted, editions
+            return wanted, list(pool.map(gather, wanted))
+    return wanted, [gather(language) for language in wanted]
 
 
 def _extract(edition: EditionData) -> None:
@@ -237,6 +229,10 @@ def _attribute_values(
 def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
                    options: PipelineOptions) -> dict:
     """The family's part of the report, as one plain JSON-ready dict."""
+    if not 0 <= options.staleness_days <= timedelta.max.days:
+        raise ValueError(f"staleness_days must be from 0 to {timedelta.max.days}, "
+                         f"got {options.staleness_days!r}")
+    window = timedelta(days=options.staleness_days)
     findings: list[dict] = []
     wanted, editions = _gather_editions(entry, client, options, findings)
     for edition in editions:
@@ -306,7 +302,6 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             entity_column_attrs.update(attr for attr, cols in by_attr.items() if col in cols)
 
     records: list[dict] = []
-    window = timedelta(days=options.staleness_days)
     compared = [attr for attr in mapping.attributes if len(attr_languages.get(attr, ())) >= 2]
     for attr, values in _attribute_values(matrix, columns, compared,
                                           options.extra_missing).items():
@@ -358,7 +353,8 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
     if options.languages and options.languages != "all":
         run_languages = options.languages
     else:
-        run_languages = _union_languages(families)
+        run_languages = list(dict.fromkeys(lang for family in families
+                                           for lang in family["languages_requested"]))
     corpus_per_language = aggregate_corpus(families, run_languages)
     columns_total = sum(a["columns_total"] for a in corpus_per_language.values())
     columns_complete = sum(a["columns_complete"] for a in corpus_per_language.values())
@@ -395,14 +391,6 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
             },
         },
     }
-
-
-def _union_languages(families: list[dict]) -> list[str]:
-    seen: dict[str, None] = {}
-    for family in families:
-        for lang in family["languages_requested"]:
-            seen.setdefault(lang, None)
-    return list(seen)
 
 
 def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaWikiClient,

@@ -87,10 +87,6 @@ class HeaderMapping:
     def lookup(self, normalized: str, language: str) -> Optional[AttributeKey]:
         return self._index.get((language, normalized))
 
-    @classmethod
-    def empty(cls) -> "HeaderMapping":
-        return cls([])
-
 
 def load_header_mapping(path: str | Path) -> HeaderMapping:
     """Load ``{"attributes": [{"canonical", "aliases"}]}``; ValueError on a malformed entry."""

@@ -67,21 +67,8 @@ _RATIO_WORDS = {
 }
 
 
-class MissingType:
-    """Singleton marker for an absent cell value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "MISSING"
-
-
-MISSING = MissingType()
+#: an absent cell value
+MISSING = None
 
 
 def is_missing(text: str, extra_vocab: tuple[str, ...] = ()) -> bool:
@@ -105,7 +92,7 @@ class ParsedValue(NamedTuple):
         return self.kind in NUMERIC_KINDS
 
 
-CellValue = Union[ParsedValue, MissingType]
+CellValue = Optional[ParsedValue]
 
 
 def value_to_json(value: CellValue) -> dict:
@@ -329,22 +316,25 @@ def classify(numeric: dict[str, ParsedValue], revision_timestamps: dict[str, dat
     Heuristic only, hence the "candidate" labels: the conflict is a timeliness
     candidate iff the involved revisions span more than the staleness window
     AND the minority value comes from strictly older pages. Values are grouped
-    on their ``_scale``, rounded to 9 places, with a bare number read in the
-    unit of the first value that has one. Ties on the most common value, or a
-    fresh minority, fall back to invalidity. Returns the class, the numeric
-    languages' revision timestamps and the reason to append to the evidence.
+    on their ``_scale`` and its magnitude, rounded to 9 places. A bare number
+    is read in the unit that every value with a unit shares; when those units
+    differ, bare numbers form groups of their own. Ties on the most common
+    value, or a fresh minority, fall back to invalidity. Returns the class,
+    the numeric languages' revision timestamps and the reason to append to
+    the evidence.
     """
     timestamps = {lang: ts for lang, ts in revision_timestamps.items() if lang in numeric}
     stamps = {lang: format_ts(ts) for lang, ts in sorted(timestamps.items())}
     if len(timestamps) < 2:
         return CLASS_INVALIDITY, stamps, "; revision metadata insufficient"
 
-    first_unit = next((v.unit for v in numeric.values() if v.unit is not None), None)
-    groups: dict[float, list[str]] = {}
+    units = {v.unit for v in numeric.values() if v.unit is not None}
+    shared_unit = units.pop() if len(units) == 1 else None
+    groups: dict[tuple[Optional[str], float], list[str]] = {}
     for lang, value in numeric.items():
-        magnitude = _scale(value, first_unit)[1]
+        scale, magnitude = _scale(value, shared_unit)
         # a bare number too large to read in that unit keeps its own magnitude
-        key = round(magnitude, 9) if math.isfinite(magnitude) else value.magnitude
+        key = (scale, round(magnitude, 9)) if math.isfinite(magnitude) else (None, value.magnitude)
         groups.setdefault(key, []).append(lang)
 
     spread = max(timestamps.values()) - min(timestamps.values())

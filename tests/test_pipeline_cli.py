@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -78,7 +79,7 @@ def test_empty_manifest_gives_valid_empty_report(tmp_path):
     from tablediff.emit import emit
     manifest = parse_manifest({"families": []})
     client = MediaWikiClient(cache_dir=tmp_path)
-    report = run_pipeline(manifest, HeaderMapping.empty(), client, PipelineOptions(offline=True))
+    report = run_pipeline(manifest, HeaderMapping([]), client, PipelineOptions(offline=True))
     assert report["families"] == []
     assert report["corpus"]["overall"]["columns_total"] == 0
     path, = emit(report, "json", tmp_path / "out")
@@ -580,6 +581,46 @@ def test_offline_run_reads_pages_without_threads(monkeypatch, header_mapping):
     assert pools == []
 
 
+class FirstPageLast(FakeTransport):
+    """Answers the en page only after every other page has been answered."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.answered = []
+        self.changed = threading.Condition()
+
+    def get_json(self, url, params):
+        language = self._lang(url)
+        if params.get("action") == "parse" and language == "en":
+            with self.changed:
+                assert self.changed.wait_for(
+                    lambda: len(self.answered) == len(self.pages) - 1, timeout=10)
+        result = super().get_json(url, params)
+        if params.get("prop") == "revisions":
+            with self.changed:
+                self.answered.append(language)
+                self.changed.notify_all()
+        return result
+
+
+def test_threaded_gather_keeps_the_wanted_order(tmp_path, header_mapping):
+    titles = {"en": "Peaks", "de": "Gipfel", "zh": "山峰"}
+    transport = FirstPageLast(
+        pages={(lang, title): {"html": "<p>No table.</p>", "revid": revid,
+                               "timestamp": "2025-06-01T00:00:00Z"}
+               for revid, (lang, title) in enumerate(titles.items(), 1)},
+        langlinks={("en", "Peaks"): [("de", "Gipfel"), ("zh", "山峰")]})
+    # it has no edition listed: its absent edition keeps its place
+    manifest = parse_manifest({"families": [{"id": "peaks", "seed": {"language": "en",
+                                                                      "title": "Peaks"},
+                                             "languages": ["en", "it", "de", "zh"]}]})
+    client = MediaWikiClient(cache_dir=tmp_path, rate_limit=1e9, transport=transport)
+    family, = run_pipeline(manifest, header_mapping, client, PipelineOptions(jobs=4))["families"]
+    assert transport.answered[-1] == "en"
+    assert [(e["language"], e["status"]) for e in family["editions"]] == [
+        ("en", "ok"), ("it", "absent"), ("de", "ok"), ("zh", "ok")]
+
+
 def test_missing_values_config_extends_vocabulary(tmp_path, header_mapping):
     data = json.loads(Path(GEOGRAPHY_MANIFEST).read_text(encoding="utf-8"))
     data["defaults"] = {"missing_values": ["1953"]}  # absurd on purpose: years vanish
@@ -959,16 +1000,23 @@ def test_warm_cache_counts_a_parse_failure_as_failed(monkeypatch, header_mapping
 
 # -- unreadable snapshots ----------------------------------------------------
 
-def _cache_with_truncated_snapshot(tmp_path):
+def _cache_with_broken_snapshot(tmp_path, directory=False):
+    """A copy of the vendored cache whose en Eight-thousander snapshot is truncated.
+
+    With ``directory``, a directory stands in place of the snapshot file.
+    """
     cache = tmp_path / "cache"
     shutil.copytree(FIXTURE_CACHE, cache)
     broken = cache / "pages" / "en" / "Eight-thousander.json"
-    broken.write_text('{"trunc', encoding="utf-8")
+    if directory:
+        broken.unlink()
+        broken.mkdir()
+    else:
+        broken.write_text('{"trunc', encoding="utf-8")
     return cache, broken
 
 
-def test_unreadable_snapshot_turns_the_edition_into_a_fetch_error(tmp_path):
-    cache, broken = _cache_with_truncated_snapshot(tmp_path)
+def _assert_fetch_error(tmp_path, cache, broken):
     result = run_cli("analyze", "--manifest", GEOGRAPHY_MANIFEST, "--cache-dir", cache,
                      "--offline", "--header-map", HEADER_MAP, "--out", tmp_path / "out")
     assert result.exit_code == 0, result.output
@@ -982,10 +1030,9 @@ def test_unreadable_snapshot_turns_the_edition_into_a_fetch_error(tmp_path):
     assert str(broken) in errors[0]["detail"]
 
 
-def test_warm_cache_counts_an_unreadable_snapshot_as_failed(tmp_path, header_mapping):
+def _assert_warm_cache_counts_one_failure(cache, header_mapping):
     from tablediff.pipeline import warm_cache
 
-    cache, _broken = _cache_with_truncated_snapshot(tmp_path)
     manifest = load_manifest(GEOGRAPHY_MANIFEST)
     intact = warm_cache(manifest, header_mapping, MediaWikiClient(cache_dir=FIXTURE_CACHE),
                         PipelineOptions(offline=True))
@@ -993,6 +1040,42 @@ def test_warm_cache_counts_an_unreadable_snapshot_as_failed(tmp_path, header_map
                          PipelineOptions(offline=True))
     assert summary == {"fetched": intact["fetched"] - 1,
                        "absent_or_failed": intact["absent_or_failed"] + 1}
+
+
+def test_unreadable_snapshot_turns_the_edition_into_a_fetch_error(tmp_path):
+    _assert_fetch_error(tmp_path, *_cache_with_broken_snapshot(tmp_path))
+
+
+def test_warm_cache_counts_an_unreadable_snapshot_as_failed(tmp_path, header_mapping):
+    cache, _broken = _cache_with_broken_snapshot(tmp_path)
+    _assert_warm_cache_counts_one_failure(cache, header_mapping)
+
+
+def test_snapshot_path_that_cannot_be_read_turns_the_edition_into_a_fetch_error(tmp_path):
+    _assert_fetch_error(tmp_path, *_cache_with_broken_snapshot(tmp_path, directory=True))
+
+
+def test_warm_cache_counts_a_snapshot_path_that_cannot_be_read_as_failed(tmp_path,
+                                                                        header_mapping):
+    cache, _broken = _cache_with_broken_snapshot(tmp_path, directory=True)
+    _assert_warm_cache_counts_one_failure(cache, header_mapping)
+
+
+@pytest.mark.parametrize("days", [10 ** 12, -1])
+def test_out_of_range_staleness_days_is_rejected_before_any_family(days, header_mapping):
+    fetched = []
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    fetch_page = client.fetch_page
+
+    def recording(article, cache_policy):
+        fetched.append(article)
+        return fetch_page(article, cache_policy)
+
+    client.fetch_page = recording
+    with pytest.raises(ValueError, match="staleness_days"):
+        run_pipeline(load_manifest(CLIMBERS_MANIFEST), header_mapping, client,
+                     PipelineOptions(offline=True, staleness_days=days))
+    assert fetched == []
 
 
 # -- one staged path for fetch and analyze ------------------------------------
@@ -1026,7 +1109,7 @@ def test_fetch_resolves_the_qids_analyze_links(tmp_path, manifest_path, header_m
     shutil.copytree(FIXTURE_CACHE, cache)
     manifest = load_manifest(manifest_path)
     warmed, linked = [], []
-    warm_cache(manifest, HeaderMapping.empty(), _recording_client(cache, warmed),
+    warm_cache(manifest, HeaderMapping([]), _recording_client(cache, warmed),
                PipelineOptions(offline=True))
     run_pipeline(manifest, header_mapping, _recording_client(cache, linked),
                  PipelineOptions(offline=True))

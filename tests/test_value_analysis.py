@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from datetime import datetime, timedelta, timezone
@@ -373,18 +374,31 @@ def test_classify_fresh_minority_is_invalidity():
     assert classify(numeric, stamps, WINDOW)[0] == CLASS_INVALIDITY
 
 
-def test_classify_reads_a_bare_number_in_the_first_unit():
-    # "1" is 1 km, as en's unit comes first, so en and de are the majority and
-    # the older nl page is the stale minority. Read as 1 m (it's unit), de would
-    # be a fresh minority of its own.
-    numeric = {"en": parse_value("1 km", "en"), "de": parse_value("1", "de"),
-               "it": parse_value("1000 m", "it"), "nl": parse_value("1,5 km", "nl")}
-    stamps = {"en": ts(2025, 6, 10), "de": ts(2025, 6, 11), "it": ts(2025, 6, 12),
-              "nl": ts(2020, 1, 1)}
-    cls, timestamps, reason = classify(numeric, stamps, WINDOW)
-    assert cls == CLASS_TIMELINESS
-    assert list(timestamps) == ["de", "en", "it", "nl"]
-    assert reason.startswith("; minority value from pages older")
+def test_classify_is_the_same_in_every_language_order():
+    # Read in the first unit, en's bare 8848 would be 8848 m after de and
+    # 8848 km after zh or it. Two units are present, so it is a group of its
+    # own in every order: zh and it agree, en and de are older minorities.
+    values = {"en": parse_value("8848", "en"), "de": parse_value("8.848 m", "de"),
+              "zh": parse_value("8.848 km", "zh"), "it": parse_value("8,848 km", "it")}
+    stamps = {"en": ts(2020, 1, 1), "de": ts(2025, 1, 1), "zh": ts(2025, 6, 1),
+              "it": ts(2025, 6, 2)}
+    classes = set()
+    for order in itertools.permutations(values):
+        (record,), _ = detect_conflicts("fam", HEIGHT, {E: {lang: values[lang] for lang in order}},
+                                        0.0, stamps, WINDOW)
+        classes.add(record["class"])
+    assert classes == {CLASS_TIMELINESS}
+
+
+def test_classify_never_groups_values_on_different_scales():
+    # 50% and 50 m share a magnitude, not a scale: no value has a majority, so
+    # the older it page is no stale minority.
+    by_lang = {"en": parse_value("50%", "en"), "de": parse_value("50 m", "de"),
+               "it": parse_value("60 m", "it")}
+    stamps = {"en": ts(2025, 6, 1), "de": ts(2025, 6, 2), "it": ts(2020, 1, 1)}
+    (record,), findings = detect_conflicts("fam", ATTR, {E: by_lang}, 0.0, stamps, WINDOW)
+    assert [f["detail"].split(":")[0] for f in findings] == ["kind-mismatch", "kind-mismatch"]
+    assert record["class"] == CLASS_INVALIDITY
 
 
 def test_detect_conflicts_classifies_each_record():
