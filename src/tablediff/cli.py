@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from .emit import emit
-from .errors import ManifestError, MappingConflict, TableDiffError
+from .errors import ManifestError, MappingConflict, SnapshotError, TableDiffError
 from .manifest import DatasetManifest, load_manifest
 from .mw_client import CachePolicy, MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
@@ -66,6 +66,15 @@ def _load_mapping_or_die(path, manifest: DatasetManifest) -> HeaderMapping:
         sys.exit(EXIT_MANIFEST_ERROR)
 
 
+def _client_or_die(cache_dir, manifest: DatasetManifest) -> MediaWikiClient:
+    """The client of the flag's or the manifest's cache; exit 1 if a cache map is unreadable."""
+    try:
+        return MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
+    except SnapshotError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_MANIFEST_ERROR)
+
+
 def _split_langs(value) -> list[str] | str | None:
     """``--langs`` or the manifest default as a list; ``"all"`` stays ``"all"``."""
     if value is None:
@@ -102,7 +111,7 @@ def main(verbose: bool):
 def fetch(manifest_path, langs, cache_dir, jobs, refresh):
     """Populate the cache for every family in the manifest."""
     manifest = _load_manifest_or_die(manifest_path)
-    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
+    client = _client_or_die(cache_dir, manifest)
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
         refresh=refresh,
@@ -120,7 +129,7 @@ def fetch(manifest_path, langs, cache_dir, jobs, refresh):
 def langs(manifest_path, cache_dir, offline):
     """Print the number of language versions per family."""
     manifest = _load_manifest_or_die(manifest_path)
-    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
+    client = _client_or_die(cache_dir, manifest)
     policy = CachePolicy.OFFLINE_ONLY if offline else CachePolicy.PREFER_CACHE
     try:
         for family in manifest.families:
@@ -168,7 +177,7 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
                    f"got {staleness_days}", err=True)
         sys.exit(EXIT_MANIFEST_ERROR)
     mapping = _load_mapping_or_die(header_map_path, manifest)
-    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
+    client = _client_or_die(cache_dir, manifest)
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
         offline=bool(_resolve(offline, manifest, "offline", False)),

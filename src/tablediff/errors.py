@@ -31,7 +31,7 @@ class CacheMiss(TableDiffError):
 
 
 class SnapshotError(TableDiffError):
-    """A cached page snapshot is not JSON or not a page; ``--refresh`` refetches it."""
+    """A cached page snapshot (``--refresh`` refetches it) or QID/langlink map is unreadable."""
 
 
 class ParseError(TableDiffError):

@@ -226,8 +226,9 @@ class MediaWikiClient:
       language enumeration replays offline too.
     - ``.lock`` -- held exclusively while ``save`` merges and writes the maps.
 
-    The two maps are write-behind: lookups keep fresh entries in memory and
-    ``save`` merges them into the files on disk.
+    Both maps are read when the client is built (SnapshotError if either is
+    unreadable or not a JSON object) and are write-behind: lookups keep fresh
+    entries in memory and ``save`` merges them into the files on disk.
     """
 
     def __init__(self, cache_dir: Optional[str | Path] = None, rate_limit: float = 5.0,
@@ -238,23 +239,17 @@ class MediaWikiClient:
         self.transport = transport if transport is not None else HttpTransport()
         self.bucket = TokenBucket(rate_limit)
         self.api_url_template = api_url_template
-        self._qids: Optional[dict] = None
-        self._langlinks: Optional[dict] = None
+        # The write-behind maps, keyed by file name in the order save writes them.
+        self._maps = {name: self._load_map(self.cache_dir / name)
+                      for name in ("qids.json", "langlinks.json")}
         # Entries fetched since the last save, per map; guarded by _cache_lock.
-        self._unsaved_qids: dict = {}
-        self._unsaved_langlinks: dict = {}
+        self._unsaved: dict[str, dict] = {name: {} for name in self._maps}
         self._cache_lock = threading.Lock()
 
     # -- cache plumbing ----------------------------------------------------
 
     def page_cache_path(self, language: str, title: str) -> Path:
         return self.cache_dir / "pages" / language / (quote(title, safe="") + ".json")
-
-    def _qids_path(self) -> Path:
-        return self.cache_dir / "qids.json"
-
-    def _langlinks_path(self) -> Path:
-        return self.cache_dir / "langlinks.json"
 
     @staticmethod
     def _write_atomic(path: Path, payload: dict) -> None:
@@ -273,20 +268,18 @@ class MediaWikiClient:
             os.unlink(tmp)
             raise
 
-    def _load_map(self, path: Path) -> dict:
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))
-        return {}
-
-    def _qid_map(self) -> dict:
-        if self._qids is None:
-            self._qids = self._load_map(self._qids_path())
-        return self._qids
-
-    def _langlink_map(self) -> dict:
-        if self._langlinks is None:
-            self._langlinks = self._load_map(self._langlinks_path())
-        return self._langlinks
+    @staticmethod
+    def _load_map(path: Path) -> dict:
+        """The JSON object in ``path``, ``{}`` when there is no file; else SnapshotError."""
+        if not path.exists():
+            return {}
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise SnapshotError(f"unreadable cache map {path}: {type(exc).__name__}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise SnapshotError(f"unreadable cache map {path}: not a JSON object")
+        return data
 
     def save(self) -> None:
         """Merge the QID and langlink entries fetched since the last save into their files.
@@ -299,26 +292,24 @@ class MediaWikiClient:
         entries. Touches no file when nothing is unsaved.
         """
         with self._cache_lock:
-            pending = [(path, loaded, fresh) for path, loaded, fresh in (
-                (self._qids_path(), self._qids, self._unsaved_qids),
-                (self._langlinks_path(), self._langlinks, self._unsaved_langlinks),
-            ) if fresh]
+            pending = [name for name, fresh in self._unsaved.items() if fresh]
             if not pending:
                 return
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             with open(self.cache_dir / ".lock", "a") as lock:
                 fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-                for path, loaded, fresh in pending:
+                for name in pending:
+                    path = self.cache_dir / name
                     on_disk = self._load_map(path)
-                    on_disk.update(fresh)
-                    loaded.update(on_disk)
-                    self._write_atomic(path, loaded)
-                    fresh.clear()
+                    on_disk.update(self._unsaved[name])
+                    self._maps[name].update(on_disk)
+                    self._write_atomic(path, self._maps[name])
+                    self._unsaved[name].clear()
 
-    def _remember(self, loaded: dict, unsaved: dict, fresh: dict) -> None:
+    def _remember(self, name: str, fresh: dict) -> None:
         with self._cache_lock:
-            loaded.update(fresh)
-            unsaved.update(fresh)
+            self._maps[name].update(fresh)
+            self._unsaved[name].update(fresh)
 
     # -- API plumbing ------------------------------------------------------
 
@@ -337,9 +328,8 @@ class MediaWikiClient:
         A cached snapshot that cannot be read, or is not JSON or not a page,
         raises SnapshotError.
         """
-        policy = CachePolicy(cache_policy)
         path = self.page_cache_path(article.language, article.title)
-        if policy is not CachePolicy.REFRESH and path.exists():
+        if cache_policy is not CachePolicy.REFRESH and path.exists():
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
                 if data.get("missing"):
@@ -348,7 +338,7 @@ class MediaWikiClient:
             except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise SnapshotError(
                     f"unreadable cache snapshot {path}: {type(exc).__name__}: {exc}") from exc
-        if policy is CachePolicy.OFFLINE_ONLY:
+        if cache_policy is CachePolicy.OFFLINE_ONLY:
             raise CacheMiss(article.language, article.title)
 
         data = self._request(article.language, {
@@ -388,13 +378,12 @@ class MediaWikiClient:
         Output is sorted lexicographically by language code and never holds
         duplicate codes.
         """
-        policy = CachePolicy(cache_policy)
-        cached = self._langlink_map().get(article.key)
-        if cached is None and policy is CachePolicy.OFFLINE_ONLY:
+        cached = self._maps["langlinks.json"].get(article.key)
+        if cached is None and cache_policy is CachePolicy.OFFLINE_ONLY:
             raise CacheMiss(article.language, article.title)
-        if cached is None or policy is CachePolicy.REFRESH:
+        if cached is None or cache_policy is CachePolicy.REFRESH:
             cached = self._fetch_langlinks(article)
-            self._remember(self._langlink_map(), self._unsaved_langlinks, {article.key: cached})
+            self._remember("langlinks.json", {article.key: cached})
 
         seen = {article.language: article.title}
         for lang, title in cached:
@@ -426,20 +415,19 @@ class MediaWikiClient:
         Redirect targets are followed server-side; results (including known
         misses, stored as null) are kept in memory and written by ``save``.
         """
-        policy = CachePolicy(cache_policy)
         titles = list(dict.fromkeys(titles))
-        qmap = self._qid_map()
+        qmap = self._maps["qids.json"]
         out: dict[str, Optional[str]] = {}
         pending: list[str] = []
         for title in titles:
             key = f"{language}:{title}"
-            if policy is not CachePolicy.REFRESH and key in qmap:
+            if cache_policy is not CachePolicy.REFRESH and key in qmap:
                 out[title] = qmap[key]
             else:
                 pending.append(title)
         if not pending:
             return out
-        if policy is CachePolicy.OFFLINE_ONLY:
+        if cache_policy is CachePolicy.OFFLINE_ONLY:
             # Unknown titles stay unresolved offline; they are not cached as
             # misses because the next online run may resolve them.
             for title in pending:
@@ -469,7 +457,7 @@ class MediaWikiClient:
                     final = rename[final]
                     hops += 1
                 fresh[f"{language}:{title}"] = by_title.get(final)
-        self._remember(qmap, self._unsaved_qids, fresh)
+        self._remember("qids.json", fresh)
         for title in pending:
             out[title] = fresh[f"{language}:{title}"]
         return out

@@ -351,7 +351,7 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
             client.save()
 
     if options.languages and options.languages != "all":
-        run_languages = options.languages
+        run_languages = list(dict.fromkeys(options.languages))
     else:
         run_languages = list(dict.fromkeys(lang for family in families
                                            for lang in family["languages_requested"]))

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -415,6 +416,33 @@ def test_save_merges_fresh_over_disk_over_memory(tmp_path, fake_transport):
     expected = {"en:Old": "Q10", "en:Mount Everest": "Q513", "en:Other": "Q3"}
     assert json.loads(path.read_text(encoding="utf-8")) == expected
     assert client.resolve_qids("en", ["Other"], CachePolicy.OFFLINE_ONLY)["Other"] == "Q3"
+
+
+def test_maps_are_read_once_when_the_client_is_built(tmp_path, fake_transport):
+    cache = tmp_path / "cache"
+    MediaWikiClient._write_atomic(cache / "qids.json", {"en:Old": "Q1"})
+    MediaWikiClient._write_atomic(cache / "langlinks.json", {"en:Old": [["de", "Alt"]]})
+    client = make_client(tmp_path, fake_transport)
+    (cache / "qids.json").unlink()
+    (cache / "langlinks.json").unlink()
+    assert client.resolve_qids("en", ["Old"], CachePolicy.OFFLINE_ONLY) == {"Old": "Q1"}
+    assert client.list_language_versions(ArticleRef("en", "Old"), CachePolicy.OFFLINE_ONLY) == [
+        ArticleRef("de", "Alt"), ArticleRef("en", "Old")]
+    assert fake_transport.calls == 0
+
+
+@pytest.mark.parametrize("name", ["qids.json", "langlinks.json"])
+@pytest.mark.parametrize("content", ['{"en:Mount Ev', "[1, 2]", '"Q513"', None],
+                         ids=["truncated", "list", "string", "directory"])
+def test_unreadable_map_raises_snapshot_error_naming_the_file(tmp_path, name, content):
+    path = tmp_path / "cache" / name
+    if content is None:
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir()
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(SnapshotError, match=re.escape(str(path))):
+        MediaWikiClient(cache_dir=tmp_path / "cache")
 
 
 def _resolve_and_save_each(cache_dir, writer, n_titles, start):

@@ -656,13 +656,17 @@ def test_repeated_language_is_analyzed_once(tmp_path):
     for langs in ("en", "en,en"):
         out = tmp_path / langs
         result = run_cli("analyze", "--manifest", CLIMBERS_MANIFEST, "--cache-dir", FIXTURE_CACHE,
-                         "--offline", "--header-map", HEADER_MAP, "--langs", langs, "--out", out)
+                         "--offline", "--header-map", HEADER_MAP, "--langs", langs,
+                         "--format", "plotdata", "--out", out)
         assert result.exit_code == 0, result.output
         reports[langs] = json.loads((out / "report.json").read_text(encoding="utf-8"))
     once, twice = reports["en"], reports["en,en"]
     assert [[e["language"] for e in fam["editions"]] for fam in twice["families"]] == [["en"]]
     assert twice["families"] == once["families"]
+    assert twice["options"]["languages"] == twice["corpus"]["languages"] == ["en"]
     assert twice["corpus"]["per_language"] == once["corpus"]["per_language"]
+    header = (tmp_path / "en,en" / "tables_by_language.csv").read_text(encoding="utf-8")
+    assert header.splitlines()[0] == "family,en"
 
 
 # Every edition the climbers page's cached langlinks list, with the seed.
@@ -998,7 +1002,37 @@ def test_warm_cache_counts_a_parse_failure_as_failed(monkeypatch, header_mapping
     assert summary == {"fetched": 4, "absent_or_failed": 1}
 
 
-# -- unreadable snapshots ----------------------------------------------------
+# -- unreadable cache files --------------------------------------------------
+
+@pytest.mark.parametrize("command, name, content", [
+    ("analyze", "qids.json", '{"en:Mount Ev'),
+    ("langs", "langlinks.json", "[1, 2]"),
+    ("langs", "qids.json", '{"en:Mount Ev'),
+    ("fetch", "langlinks.json", "[1, 2]"),
+])
+def test_cli_unreadable_cache_map_exit_code_1(tmp_path, monkeypatch, fake_transport,
+                                              command, name, content):
+    import tablediff.cli as cli_mod
+    original_init = MediaWikiClient.__init__
+    # The fake transport keeps the network out of reach should the map be read late.
+    monkeypatch.setattr(cli_mod.MediaWikiClient, "__init__",
+                        lambda self, cache_dir=None, **kw: original_init(
+                            self, cache_dir=cache_dir, transport=fake_transport))
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    (cache / name).write_text(content, encoding="utf-8")
+    args = ["--manifest", GEOGRAPHY_MANIFEST, "--cache-dir", cache]
+    if command != "fetch":
+        args.append("--offline")
+    if command == "analyze":
+        args += ["--header-map", HEADER_MAP, "--out", tmp_path / "out"]
+    result = run_cli(command, *args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: unreadable cache map {cache / name}: ")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
 
 def _cache_with_broken_snapshot(tmp_path, directory=False):
     """A copy of the vendored cache whose en Eight-thousander snapshot is truncated.
