@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from .emit import emit
-from .errors import ManifestError, MappingConflict, SnapshotError, TableDiffError
+from .errors import ManifestError, MappingConflict, TableDiffError
 from .manifest import DatasetManifest, load_manifest
 from .mw_client import CachePolicy, MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
@@ -33,17 +33,11 @@ EXIT_MANIFEST_ERROR = 1
 EXIT_FAMILY_FAILED = 2
 
 
-def _load_manifest_or_die(path: str | None) -> DatasetManifest:
+def _load_manifest(path: str | None) -> DatasetManifest:
     manifest_path = path or bundled_manifest()
     if manifest_path is None:
-        click.echo("error: no manifest given and no bundled datasets/geography.json found",
-                   err=True)
-        sys.exit(EXIT_MANIFEST_ERROR)
-    try:
-        return load_manifest(manifest_path)
-    except ManifestError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST_ERROR)
+        raise ManifestError("no manifest given and no bundled datasets/geography.json found")
+    return load_manifest(manifest_path)
 
 
 def _resolve(flag, manifest: DatasetManifest, key: str, fallback):
@@ -55,24 +49,14 @@ def _resolve(flag, manifest: DatasetManifest, key: str, fallback):
     return fallback
 
 
-def _load_mapping_or_die(path, manifest: DatasetManifest) -> HeaderMapping:
+def _load_mapping(path, manifest: DatasetManifest) -> HeaderMapping:
     mapping_path = _resolve(path, manifest, "header_map", None) or bundled_header_map()
     if mapping_path is None:
         return HeaderMapping([])
     try:
         return load_header_mapping(mapping_path)
     except (OSError, ValueError, MappingConflict) as exc:
-        click.echo(f"error: cannot load header map {mapping_path}: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST_ERROR)
-
-
-def _client_or_die(cache_dir, manifest: DatasetManifest) -> MediaWikiClient:
-    """The client of the flag's or the manifest's cache; exit 1 if a cache map is unreadable."""
-    try:
-        return MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
-    except SnapshotError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST_ERROR)
+        raise ManifestError(f"cannot load header map {mapping_path}: {exc}") from exc
 
 
 def _split_langs(value) -> list[str] | str | None:
@@ -95,7 +79,18 @@ cache_dir_option = click.option("--cache-dir", default=None,
 jobs_option = click.option("--jobs", type=int, default=None, help="Parallel fetch workers.")
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends any command that raises a toolkit or OS error with an error line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (TableDiffError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_MANIFEST_ERROR)
+
+
+@click.group(cls=_Group)
 @click.option("--verbose", is_flag=True, help="Log progress to stderr.")
 def main(verbose: bool):
     logging.basicConfig(level=logging.INFO if verbose else logging.WARNING,
@@ -110,8 +105,8 @@ def main(verbose: bool):
 @click.option("--refresh", is_flag=True, help="Bypass the cache and refetch.")
 def fetch(manifest_path, langs, cache_dir, jobs, refresh):
     """Populate the cache for every family in the manifest."""
-    manifest = _load_manifest_or_die(manifest_path)
-    client = _client_or_die(cache_dir, manifest)
+    manifest = _load_manifest(manifest_path)
+    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
         refresh=refresh,
@@ -128,8 +123,8 @@ def fetch(manifest_path, langs, cache_dir, jobs, refresh):
 @click.option("--offline", is_flag=True, help="Serve only from the cache.")
 def langs(manifest_path, cache_dir, offline):
     """Print the number of language versions per family."""
-    manifest = _load_manifest_or_die(manifest_path)
-    client = _client_or_die(cache_dir, manifest)
+    manifest = _load_manifest(manifest_path)
+    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     policy = CachePolicy.OFFLINE_ONLY if offline else CachePolicy.PREFER_CACHE
     try:
         for family in manifest.families:
@@ -165,19 +160,17 @@ def langs(manifest_path, cache_dir, offline):
 def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
             staleness_days, header_map_path, all_tables, fmt, out_dir):
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
-    manifest = _load_manifest_or_die(manifest_path)
+    manifest = _load_manifest(manifest_path)
     rel_tol = float(_resolve(rel_tol, manifest, "rel_tol", 0.0))
     if not 0 <= rel_tol < math.inf:  # NaN would hide every conflict, inf is not JSON
-        click.echo(f"error: --rel-tol must be a non-negative number less than infinity, "
-                   f"got {rel_tol}", err=True)
-        sys.exit(EXIT_MANIFEST_ERROR)
+        raise TableDiffError(f"--rel-tol must be a non-negative number less than infinity, "
+                             f"got {rel_tol}")
     staleness_days = _resolve(staleness_days, manifest, "staleness_days", 180)
     if not 0 <= staleness_days <= timedelta.max.days:  # the window is a timedelta
-        click.echo(f"error: --staleness-days must be an integer from 0 to {timedelta.max.days}, "
-                   f"got {staleness_days}", err=True)
-        sys.exit(EXIT_MANIFEST_ERROR)
-    mapping = _load_mapping_or_die(header_map_path, manifest)
-    client = _client_or_die(cache_dir, manifest)
+        raise TableDiffError(f"--staleness-days must be an integer from 0 to "
+                             f"{timedelta.max.days}, got {staleness_days}")
+    mapping = _load_mapping(header_map_path, manifest)
+    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
         offline=bool(_resolve(offline, manifest, "offline", False)),
@@ -207,9 +200,11 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
 @click.option("--out", "out_dir", type=click.Path(), default="tablediff-out")
 def rerender(in_path, fmt, out_dir):
     """Re-render a stored report into csv or plotdata files (no network)."""
-    report = json.loads(Path(in_path).read_text(encoding="utf-8"))
-    for path in emit(report, fmt, out_dir):
-        click.echo(str(path))
+    try:
+        for path in emit(json.loads(Path(in_path).read_text(encoding="utf-8")), fmt, out_dir):
+            click.echo(str(path))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TableDiffError(f"not a tablediff report: {in_path}: {type(exc).__name__}: {exc}") from exc
 
 
 if __name__ == "__main__":

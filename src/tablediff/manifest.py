@@ -152,6 +152,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ManifestError(f"manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ManifestError(f"manifest is not valid JSON: {path}: {exc}") from exc
     return parse_manifest(data)

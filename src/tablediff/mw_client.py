@@ -45,9 +45,9 @@ QID_RE = re.compile(r"^Q[1-9][0-9]*$")
 QID_BATCH_SIZE = 50
 
 
-def is_valid_qid(value: str) -> bool:
+def is_valid_qid(value) -> bool:
     """True for Wikidata item ids like ``Q513`` (no leading zeros, no Q0)."""
-    return bool(QID_RE.match(value))
+    return isinstance(value, str) and bool(QID_RE.match(value))
 
 
 def qid_numeric(value: str) -> int:
@@ -78,6 +78,15 @@ class ArticleRef:
     @property
     def key(self) -> str:
         return f"{self.language}:{self.title}"
+
+
+def _is_title_pair(pair) -> bool:
+    """True for a ``[language, title]`` list of strings that ArticleRef accepts."""
+    try:
+        return (isinstance(pair, list) and all(isinstance(s, str) for s in pair)
+                and ArticleRef(*pair) is not None)
+    except (TypeError, ValueError):  # not two items, or a language or title ArticleRef refuses
+        return False
 
 
 @dataclass(frozen=True)
@@ -384,6 +393,9 @@ class MediaWikiClient:
         if cached is None or cache_policy is CachePolicy.REFRESH:
             cached = self._fetch_langlinks(article)
             self._remember("langlinks.json", {article.key: cached})
+        elif not (isinstance(cached, list) and all(map(_is_title_pair, cached))):
+            raise SnapshotError(f"bad entry {article.key!r} in {self.cache_dir / 'langlinks.json'}: "
+                                "not a list of [language, title] string pairs")
 
         seen = {article.language: article.title}
         for lang, title in cached:
@@ -422,7 +434,10 @@ class MediaWikiClient:
         for title in titles:
             key = f"{language}:{title}"
             if cache_policy is not CachePolicy.REFRESH and key in qmap:
-                out[title] = qmap[key]
+                qid = out[title] = qmap[key]
+                if qid is not None and not is_valid_qid(qid):
+                    raise SnapshotError(f"bad entry {key!r} in {self.cache_dir / 'qids.json'}: "
+                                        "not a QID or null")
             else:
                 pending.append(title)
         if not pending:

@@ -91,7 +91,7 @@ def _edition_titles(entry: FamilyEntry, client: MediaWikiClient,
     try:
         versions = client.list_language_versions(entry.seed, options.cache_policy)
         return {ref.language: ref.title for ref in versions}
-    except (PageMissing, CacheMiss, NetworkError) as exc:
+    except (PageMissing, CacheMiss, NetworkError, SnapshotError) as exc:
         findings.append({
             "kind": "langlinks-unavailable",
             "family": entry.id,
@@ -144,12 +144,12 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
 def _extract(edition: EditionData) -> None:
     """Extract the tables of an ok edition's page, which is parsed here on first use.
 
-    A page that cannot be parsed turns the edition into an error, like a
-    failed fetch.
+    A page that cannot be parsed or nests too deeply turns the edition into
+    an error, like a failed fetch.
     """
     try:
         edition.tables = extract_tables(edition.doc)
-    except ParseError as exc:
+    except (ParseError, RecursionError) as exc:
         logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
         edition.status, edition.reason, edition.doc = "error", str(exc), None
 

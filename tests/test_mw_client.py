@@ -445,6 +445,49 @@ def test_unreadable_map_raises_snapshot_error_naming_the_file(tmp_path, name, co
         MediaWikiClient(cache_dir=tmp_path / "cache")
 
 
+@pytest.mark.parametrize("entry", [5, "de", {"de": "Beispielseite"}, [["de"]],
+                                   [["de", "Beispielseite"], "fr"], [["DE", "Beispielseite"]],
+                                   [["de", ""]], [["de", 5]], [[None, "Beispielseite"]]],
+                         ids=["number", "string", "object", "one-item", "string-pair",
+                              "uppercase-language", "empty-title", "number-title",
+                              "null-language"])
+def test_bad_langlinks_entry_raises_snapshot_error_and_refresh_refetches(tmp_path,
+                                                                        fake_transport, entry):
+    path = tmp_path / "cache" / "langlinks.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"en:Sample Page": entry}), encoding="utf-8")
+    client = make_client(tmp_path, fake_transport)
+    article = ArticleRef("en", "Sample Page")
+    for policy in (CachePolicy.PREFER_CACHE, CachePolicy.OFFLINE_ONLY):
+        with pytest.raises(SnapshotError, match=re.escape(f"'en:Sample Page' in {path}")):
+            client.list_language_versions(article, policy)
+    assert fake_transport.calls == 0
+    refs = client.list_language_versions(article, CachePolicy.REFRESH)
+    assert [r.language for r in refs] == ["de", "en", "fr"]
+    client.save()
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "en:Sample Page": [["de", "Beispielseite"], ["fr", "Page exemple"]]}
+
+
+@pytest.mark.parametrize("entry", ["Q0", "Q01", "513", 513, ["Q513"], ""],
+                         ids=["Q0", "leading-zero", "no-Q", "number", "list", "empty"])
+def test_bad_qids_entry_raises_snapshot_error_and_refresh_refetches(tmp_path, fake_transport,
+                                                                   entry):
+    path = tmp_path / "cache" / "qids.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"en:Mount Everest": entry, "en:Thing": "Q99"}), encoding="utf-8")
+    client = make_client(tmp_path, fake_transport)
+    for policy in (CachePolicy.PREFER_CACHE, CachePolicy.OFFLINE_ONLY):
+        with pytest.raises(SnapshotError, match=re.escape(f"'en:Mount Everest' in {path}")):
+            client.resolve_qids("en", ["Thing", "Mount Everest"], policy)
+    assert fake_transport.calls == 0
+    assert client.resolve_qids("en", ["Mount Everest"], CachePolicy.REFRESH) == {
+        "Mount Everest": "Q513"}
+    client.save()
+    assert json.loads(path.read_text(encoding="utf-8")) == {"en:Mount Everest": "Q513",
+                                                            "en:Thing": "Q99"}
+
+
 def _resolve_and_save_each(cache_dir, writer, n_titles, start):
     titles = [f"Writer {writer} title {i}" for i in range(n_titles)]
     transport = FakeTransport(qids={("en", t): f"Q{writer * 1000 + i + 1}"

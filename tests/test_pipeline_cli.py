@@ -221,6 +221,7 @@ def test_cli_manifest_error_exit_code_1(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     result = run_cli("analyze", "--manifest", bad, "--offline")
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
 
 
 CONFLICTING_MAP = {"attributes": [{"canonical": "height", "aliases": {"en": ["height"]}},
@@ -354,6 +355,7 @@ def test_cli_mistyped_manifest_default_exit_code_1(tmp_path, bad):
     result = run_cli("analyze", "--manifest", manifest, "--offline", "--out", tmp_path / "out")
     key, = bad
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"error: manifest defaults: {key} must be "), result.output
     assert not (tmp_path / "out").exists()
 
@@ -369,6 +371,7 @@ def test_cli_boolean_override_exit_code_1(tmp_path, overrides):
     result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
                      "--offline", "--header-map", HEADER_MAP, "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
     family_id = data["families"][0]["id"]
     assert result.output.startswith(f"error: family {family_id!r}: "), result.output
     assert "must be a non-negative int" in result.output
@@ -387,6 +390,7 @@ def test_cli_misshapen_family_exit_code_1(tmp_path, family):
                      "--offline", "--header-map", HEADER_MAP, "--format", "plotdata",
                      "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: family "), result.output
     assert not (tmp_path / "out").exists()
 
@@ -397,6 +401,7 @@ def test_cli_negative_or_nan_rel_tol_exit_code_1(tmp_path, rel_tol):
                      "--offline", "--header-map", HEADER_MAP, "--rel-tol", rel_tol,
                      "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: --rel-tol must be a non-negative number"), result.output
     assert not (tmp_path / "out").exists()
 
@@ -407,6 +412,7 @@ def test_cli_negative_or_huge_staleness_days_exit_code_1(tmp_path, days):
                      "--offline", "--header-map", HEADER_MAP, "--staleness-days", days,
                      "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error: --staleness-days must be an integer from 0 to "
                                     "999999999"), result.output
     assert not (tmp_path / "out").exists()
@@ -1093,6 +1099,148 @@ def test_warm_cache_counts_a_snapshot_path_that_cannot_be_read_as_failed(tmp_pat
                                                                         header_mapping):
     cache, _broken = _cache_with_broken_snapshot(tmp_path, directory=True)
     _assert_warm_cache_counts_one_failure(cache, header_mapping)
+
+
+# -- errors that end a command ------------------------------------------------
+
+def _cache_copy_with(tmp_path, name, key, value) -> Path:
+    """A copy of the vendored cache whose map ``name`` holds ``value`` at ``key``."""
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    entries = json.loads((cache / name).read_text(encoding="utf-8"))
+    entries[key] = value
+    (cache / name).write_text(json.dumps(entries), encoding="utf-8")
+    return cache
+
+
+def _live_alpha(tmp_path, monkeypatch, transport) -> Path:
+    """A manifest of the family Alpha, which the CLI fetches through ``transport``."""
+    import tablediff.cli as cli_mod
+    original_init = MediaWikiClient.__init__
+    monkeypatch.setattr(cli_mod.MediaWikiClient, "__init__",
+                        lambda self, cache_dir=None, **kw: original_init(
+                            self, cache_dir=tmp_path / "cache", transport=transport))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"families": [{
+        "id": "Alpha", "seed": {"language": "en", "title": "Alpha en"},
+        "languages": ["en", "de"]}]}), encoding="utf-8")
+    return manifest
+
+
+def _network_error(command):
+    def case(tmp_path, monkeypatch):
+        transport = _peaks_transport(["Alpha"], fail_pageprops_in="de")
+        args = [command, "--manifest", _live_alpha(tmp_path, monkeypatch, transport)]
+        if command == "analyze":
+            args += ["--header-map", HEADER_MAP, "--out", tmp_path / "out"]
+        return args
+    return case
+
+
+def _qids_corrupted_before_save(tmp_path, monkeypatch):
+    transport = _peaks_transport(["Alpha"])
+    serve = transport.get_json
+
+    def get_json(url, params):
+        if params.get("prop") == "pageprops":  # another process truncates the map mid-run
+            (tmp_path / "cache" / "qids.json").write_text('{"en:Al', encoding="utf-8")
+        return serve(url, params)
+
+    transport.get_json = get_json
+    return ["fetch", "--manifest", _live_alpha(tmp_path, monkeypatch, transport)]
+
+
+def _offline_analyze(manifest, cache, out):
+    return ["analyze", "--manifest", manifest, "--cache-dir", cache, "--offline",
+            "--header-map", HEADER_MAP, "--out", out]
+
+
+def _bad_qid_entry(tmp_path, monkeypatch):
+    cache = _cache_copy_with(tmp_path, "qids.json", "en:1755 Lisbon earthquake", "Q0")
+    return _offline_analyze(GEOGRAPHY_MANIFEST, cache, tmp_path / "out")
+
+
+def _manifest_directory(tmp_path, monkeypatch):
+    (tmp_path / "m.json").mkdir()
+    return _offline_analyze(tmp_path / "m.json", FIXTURE_CACHE, tmp_path / "out")
+
+
+def _manifest_not_utf8(tmp_path, monkeypatch):
+    (tmp_path / "m.json").write_bytes(b'{"families": ["\xff"]}')
+    return _offline_analyze(tmp_path / "m.json", FIXTURE_CACHE, tmp_path / "out")
+
+
+def _out_is_a_file(tmp_path, monkeypatch):
+    (tmp_path / "out").write_text("", encoding="utf-8")
+    return _offline_analyze(CLIMBERS_MANIFEST, FIXTURE_CACHE, tmp_path / "out")
+
+
+def _report_in(content):
+    def case(tmp_path, monkeypatch):
+        (tmp_path / "report.json").write_text(content, encoding="utf-8")
+        return ["report", "--in", tmp_path / "report.json", "--format", "csv",
+                "--out", tmp_path / "csv"]
+    return case
+
+
+ERROR_EXITS = {
+    "fetch-network-error": (_network_error("fetch"), "HTTP 503 from fake API"),
+    "analyze-network-error": (_network_error("analyze"), "HTTP 503 from fake API"),
+    "map-corrupted-before-save": (_qids_corrupted_before_save, "unreadable cache map "),
+    "bad-qid-entry": (_bad_qid_entry, "bad entry 'en:1755 Lisbon earthquake' in "),
+    "manifest-directory": (_manifest_directory, "Is a directory"),
+    "manifest-not-utf8": (_manifest_not_utf8, "manifest is not valid JSON: "),
+    "out-is-a-file": (_out_is_a_file, "File exists"),
+    "report-not-json": (_report_in("{not json"), "not a tablediff report: "),
+    "report-empty-object": (_report_in("{}"), "not a tablediff report: "),
+    "report-list": (_report_in("[]"), "not a tablediff report: "),
+}
+
+
+@pytest.mark.parametrize("case, expected", list(ERROR_EXITS.values()), ids=list(ERROR_EXITS))
+def test_cli_toolkit_or_os_error_exit_code_1(tmp_path, monkeypatch, case, expected):
+    result = run_cli(*case(tmp_path, monkeypatch))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.stderr.startswith("error: "), result.output
+    assert expected in result.stderr, result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_bad_langlinks_entry_is_a_finding(tmp_path):
+    cache = _cache_copy_with(tmp_path, "langlinks.json", "en:Seven Summits", 5)
+    bad_entry = f"bad entry 'en:Seven Summits' in {cache / 'langlinks.json'}: "
+    result = run_cli("langs", "--manifest", GEOGRAPHY_MANIFEST, "--cache-dir", cache, "--offline")
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"Seven Summits\terror: {bad_entry}"), result.output
+    assert "Eight-thousander\t" in result.output
+    result = run_cli(*_offline_analyze(GEOGRAPHY_MANIFEST, cache, tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    family = report["families"][0]
+    assert family["id"] == "seven_summits" and family["status"] == "ok"
+    unavailable, = [f for f in family["findings"] if f["kind"] == "langlinks-unavailable"]
+    assert unavailable["detail"].startswith(f"SnapshotError: {bad_entry}")
+    assert [e["language"] for e in family["editions"] if e["status"] == "ok"] == ["en"]
+
+
+@pytest.mark.parametrize("run", ["warm_cache", "run_pipeline"])
+def test_too_deeply_nested_cell_makes_the_edition_a_fetch_error(tmp_path, run, header_mapping):
+    transport = _peaks_transport(["Alpha"])
+    page = transport.pages[("de", "Alpha de")]
+    page["html"] = page["html"].replace(
+        "</tbody>", "<tr><td>" + "<span>" * 1200 + "deep" + "</span>" * 1200 + "</td></tr></tbody>")
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=transport)
+    result = getattr(pipeline, run)(_peaks_manifest(["Alpha"]), header_mapping, client,
+                                    PipelineOptions())
+    if run == "warm_cache":
+        assert result == {"fetched": 1, "absent_or_failed": 1}
+        return
+    family, = result["families"]
+    assert family["status"] == "ok"
+    assert {e["language"]: e["status"] for e in family["editions"]} == {"de": "error", "en": "ok"}
+    errors = [f for f in family["findings"] if f["kind"] == "fetch-error"]
+    assert [f["language"] for f in errors] == ["de"]
 
 
 @pytest.mark.parametrize("days", [10 ** 12, -1])
