@@ -9,9 +9,9 @@
    attribute presence grid, and the entity matrix, an ordered map
    ``{entity: {language: [(table_index, row_index), ...]}}``;
 5. analyze: one walk over the matrix takes each entity's first non-missing
-   value per language for every attribute seen in two or more languages
-   (``_attribute_values``); then value conflicts, text divergence and
-   incompleteness;
+   value per language for every attribute seen in two or more languages and
+   no linked table's entity column (``_attribute_values``); one pass per
+   attribute compares them by value kind (``detect_conflicts``); then incompleteness;
 6. serialize: the family's part of the report.
 
 ``warm_cache`` runs the first three stages only, so ``fetch`` warms exactly
@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Optional
@@ -42,7 +43,7 @@ from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, 
 from .schema_align import Attribute, HeaderMapping, build_presence_grid, resolve_columns
 from .table_parser import WikiTable, extract_tables
 from .value_analysis import (MISSING, CellValue, detect_conflicts, detect_incompleteness,
-                             detect_text_divergence, is_missing, parse_value)
+                             is_missing, parse_value)
 
 logger = logging.getLogger(__name__)
 
@@ -287,19 +288,15 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
                            for e in analyzed})
     presence = build_presence_grid(main_attributes, mapping)
 
-    # Conflicts and text divergence over attributes seen in >= 2 languages.
+    # Compare attributes seen in >= 2 languages, but no entity column: a row key is not a value.
     revision_timestamps = {e.language: e.doc.revision_timestamp for e in analyzed}
+    row_keys = {attr for e in analyzed for table, _mentions, col in e.linked
+                for attr, cols in columns[(e.language, table.table_index)][1].items()
+                if col in cols}
     attr_languages: dict[Attribute, set[str]] = {}
     for (language, _index), (_table, by_attr) in columns.items():
-        for attr in by_attr:
+        for attr in by_attr.keys() - row_keys:
             attr_languages.setdefault(attr, set()).add(language)
-    # An attribute serving as an entity column is skipped in text-divergence
-    # checks: the row key is language-specific.
-    entity_column_attrs: set[Attribute] = set()
-    for edition in analyzed:
-        for table, _mentions, col in edition.linked:
-            by_attr = columns[(edition.language, table.table_index)][1]
-            entity_column_attrs.update(attr for attr, cols in by_attr.items() if col in cols)
 
     records: list[dict] = []
     compared = [attr for attr in mapping.attributes if len(attr_languages.get(attr, ())) >= 2]
@@ -309,8 +306,6 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
                                                         revision_timestamps, window)
         records.extend(conflicts)
         findings.extend(conflict_findings)
-        if attr not in entity_column_attrs:
-            findings.extend(detect_text_divergence(entry.id, attr, values))
 
     records.extend(detect_incompleteness(entry.id, presence, matrix, aligned_languages))
 
@@ -340,15 +335,27 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
     }
 
 
+@contextmanager
+def _saving(client: MediaWikiClient):
+    """Save the client's maps after the block; one that raised keeps its error if the save fails."""
+    try:
+        yield
+    except BaseException:
+        try:
+            client.save()
+        except (SnapshotError, OSError) as exc:
+            logger.warning("cache save failed: %s", exc)
+        raise
+    client.save()
+
+
 def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
                  client: MediaWikiClient, options: PipelineOptions) -> dict:
     """Analyze every family in the manifest and assemble the report dict."""
     families = []
     for entry in manifest.families:
-        try:
+        with _saving(client):
             families.append(analyze_family(entry, mapping, client, options))
-        finally:
-            client.save()
 
     if options.languages and options.languages != "all":
         run_languages = list(dict.fromkeys(options.languages))
@@ -405,7 +412,7 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
     """
     fetched = absent = 0
     for entry in manifest.families:
-        try:
+        with _saving(client):
             _wanted, editions = _gather_editions(entry, client, options, [])
             for edition in editions:
                 if edition.status == "ok":
@@ -417,6 +424,4 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
                     continue
                 fetched += 1
                 _link_edition(entry, edition, client, options, [])
-        finally:
-            client.save()
     return {"fetched": fetched, "absent_or_failed": absent}

@@ -1,13 +1,14 @@
 """Locale-aware cell value parsing, conflict detection, and classification.
 
-Numeric values meet on one comparison scale, given by ``_scale``: the
-percent scale for a percentage or ratio, the unit's dimension in its base
-unit for a number with a unit, and the peer's unit for a bare number. The
-agreement skip and the pair check of ``detect_conflicts`` and the majority
-grouping of ``classify`` all read it. A ratio like "80/302" is compared as
-its derived percentage against explicit percentage columns, with a small
-rounding slack so a ratio never conflicts with its own rounded display form.
-Each conflict record is classified where it is found.
+``detect_conflicts`` compares an attribute's values in one pass, keyed by
+value kind (``_key``): text on its stripped, casefolded form, and numbers on
+one comparison scale, given by ``_scale``: the percent scale for a percentage
+or ratio, the unit's dimension in its base unit for a number with a unit, and
+the peer's unit for a bare number. The pair check of ``detect_conflicts`` and
+the majority grouping of ``classify`` read the scale too. A ratio like
+"80/302" is compared as its derived percentage against explicit percentage
+columns, with a small rounding slack so a ratio never conflicts with its own
+rounded display form. Each conflict record is classified where it is found.
 """
 
 from __future__ import annotations
@@ -252,34 +253,51 @@ def _record(family_id: str, cls: Optional[str], entity, attribute: Optional[dict
     }
 
 
+def _key(value: ParsedValue):
+    """A value's comparison key: a number's ``_scale``, a text's stripped, casefolded form."""
+    return value.original.strip().casefold() if value.kind == "text" else _scale(value)
+
+
 def detect_conflicts(family_id: str, attribute: Attribute,
                      values_by_entity: dict[object, dict[str, CellValue]],
                      rel_tol: float = 0.0,
                      revision_timestamps: Optional[dict[str, datetime]] = None,
                      staleness_window: timedelta = timedelta(days=DEFAULT_STALENESS_DAYS),
                      ) -> tuple[list[dict], list[dict]]:
-    """Flag and classify entities whose numeric values for one attribute disagree.
+    """Compare one attribute's values across languages, in one walk over its entities.
 
     ``values_by_entity`` maps entity -> {language: value}; languages whose
     tables lack the attribute column must already be absent from the inner
-    map. A conflict exists when any comparable pair differs by more than
-    ``rel_tol`` (relative to the smaller value); severity is the largest
-    relative difference among conflicting pairs. Pairs that cannot be
-    compared become findings, never crashes. Each record is classified by
-    ``classify`` from the editions' ``revision_timestamps``.
+    map. An entity's values of one kind agree when they share one ``_key``.
+    Numbers conflict when a comparable pair differs by more than ``rel_tol``
+    (relative to the smaller value); severity is the largest such difference,
+    and ``classify`` classifies the record. A pair that cannot be compared is
+    an ``incomparable-values`` finding, never a crash. Texts that differ are a
+    ``text-divergence`` finding with no class, listed after those. Text is
+    never compared with a number.
 
-    ``rel_tol`` must be a finite number >= 0 (a ``ValueError`` otherwise): then
-    values that share one ``_scale`` differ by 0 and are always comparable,
-    so an entity whose values all share one skips the pairwise checks.
+    ``rel_tol`` must be a finite number >= 0 (a ``ValueError`` otherwise):
+    then values that share one ``_scale`` differ by 0 and need no pair check.
     """
     if not 0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be a finite number >= 0, got {rel_tol!r}")
     records: list[dict] = []
     findings: list[dict] = []
+    text_findings: list[dict] = []
     for entity, by_language in values_by_entity.items():
-        numeric = {lang: v for lang, v in by_language.items()
-                   if v is not MISSING and v.kind in NUMERIC_KINDS}
-        if len(numeric) < 2 or len({_scale(v) for v in numeric.values()}) == 1:
+        numeric, texts = {}, {}
+        for lang, value in by_language.items():
+            if value is not MISSING:
+                (texts if value.kind == "text" else numeric)[lang] = value
+        if len({_key(v) for v in texts.values()}) > 1:
+            text_findings.append({
+                "kind": "text-divergence",
+                "family": family_id,
+                "entity": entity.label(),
+                "attribute": attribute.name,
+                "values": {lang: texts[lang].original.strip() for lang in sorted(texts)},
+            })
+        if len({_key(v) for v in numeric.values()}) < 2:
             continue
         langs = list(numeric)
         worst: Optional[float] = None
@@ -306,7 +324,7 @@ def detect_conflicts(family_id: str, attribute: Attribute,
                 family_id, cls, entity, attribute_row(attribute), by_language,
                 f"numeric disagreement on {attribute.name} "
                 f"across {', '.join(numeric)} (rel_tol={rel_tol}){reason}", worst, timestamps))
-    return records, findings
+    return records, findings + text_findings
 
 
 def classify(numeric: dict[str, ParsedValue], revision_timestamps: dict[str, datetime],
@@ -393,27 +411,3 @@ def detect_incompleteness(family_id: str, presence: dict,
                 f"entity {entity.value} has no row in {lang}; "
                 f"present in {', '.join(sorted(present))}"))
     return records
-
-
-def detect_text_divergence(family_id: str, attribute: Attribute,
-                           values_by_entity: dict[object, dict[str, CellValue]]) -> list[dict]:
-    """Informational findings for text cells that disagree across languages.
-
-    Text values carry no taxonomy class; they are reported so a human can
-    decide whether the divergence is translation or substance.
-    """
-    findings = []
-    for entity, by_language in values_by_entity.items():
-        texts = {lang: v.original.strip() for lang, v in by_language.items()
-                 if isinstance(v, ParsedValue) and v.kind == "text" and v.original.strip()}
-        if len(texts) < 2:
-            continue
-        if len({t.casefold() for t in texts.values()}) > 1:
-            findings.append({
-                "kind": "text-divergence",
-                "family": family_id,
-                "entity": entity.label(),
-                "attribute": attribute.name,
-                "values": dict(sorted(texts.items())),
-            })
-    return findings

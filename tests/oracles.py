@@ -233,3 +233,25 @@ def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol,
                 f"numeric disagreement on {attribute.name} "
                 f"across {', '.join(numeric)} (rel_tol={rel_tol}){reason}", worst, timestamps))
     return records, findings
+
+
+def oracle_text_divergence(family_id, attribute, values_by_entity):
+    """The text walk that ``detect_conflicts`` took over: a finding per entity whose texts differ.
+
+    Texts are compared stripped and casefolded; an empty one is left out.
+    """
+    findings = []
+    for entity, by_language in values_by_entity.items():
+        texts = {lang: v.original.strip() for lang, v in by_language.items()
+                 if isinstance(v, ParsedValue) and v.kind == "text" and v.original.strip()}
+        if len(texts) < 2:
+            continue
+        if len({t.casefold() for t in texts.values()}) > 1:
+            findings.append({
+                "kind": "text-divergence",
+                "family": family_id,
+                "entity": entity.label(),
+                "attribute": attribute.name,
+                "values": dict(sorted(texts.items())),
+            })
+    return findings

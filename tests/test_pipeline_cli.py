@@ -184,6 +184,28 @@ def test_rows_without_an_alignment_key_are_counted_as_skipped(tmp_path, header_m
             if f["kind"] == "rows-skipped"] == [(0, "2 row(s) with empty entity cells")]
 
 
+def test_entity_column_values_are_not_compared(tmp_path, header_mapping):
+    # The entity cells are linked numbers that differ; a row key is not a value.
+    pages = {}
+    for lang, header, rank, height in (("en", "<th>Rank</th><th>Height</th>", "1", "8,849"),
+                                       ("de", "<th>Rang</th><th>Höhe</th>", "2", "8.848")):
+        pages[(lang, f"Peaks {lang}")] = {
+            "html": (f'<table class="wikitable"><tbody><tr>{header}</tr><tr>'
+                     f'<td><a href="/wiki/Everest">{rank}</a></td><td>{height}</td>'
+                     "</tr></tbody></table>"),
+            "revid": len(pages) + 1, "timestamp": "2025-06-01T00:00:00Z"}
+    transport = FakeTransport(pages=pages, langlinks={("en", "Peaks en"): [("de", "Peaks de")]},
+                              qids={("en", "Everest"): "Q513", ("de", "Everest"): "Q513"})
+    manifest = parse_manifest({"families": [{
+        "id": "peaks", "seed": {"language": "en", "title": "Peaks en"}, "languages": ["en", "de"],
+        "overrides": {"column_hints": {"en": {"0": 0}, "de": {"0": 0}}}}]})
+    family, = run_pipeline(manifest, header_mapping,
+                           MediaWikiClient(cache_dir=tmp_path, transport=transport),
+                           PipelineOptions())["families"]
+    assert [(r["attribute"], r["entity"]["value"]) for r in family["records"]] == [
+        ("height", "Q513")]
+
+
 def test_family_aggregates_match_edition_rows(geography_report):
     for fam in geography_report["families"]:
         for lang, agg in fam["aggregates"].items():
@@ -1127,9 +1149,18 @@ def _live_alpha(tmp_path, monkeypatch, transport) -> Path:
     return manifest
 
 
-def _network_error(command):
+def _network_error(command, save_fails=False):
     def case(tmp_path, monkeypatch):
         transport = _peaks_transport(["Alpha"], fail_pageprops_in="de")
+        if save_fails:  # another process truncates the map behind the failing request
+            serve = transport.get_json
+
+            def get_json(url, params):
+                if params.get("prop") == "pageprops" and transport._lang(url) == "de":
+                    (tmp_path / "cache" / "qids.json").write_text('{"en:Al', encoding="utf-8")
+                return serve(url, params)
+
+            transport.get_json = get_json
         args = [command, "--manifest", _live_alpha(tmp_path, monkeypatch, transport)]
         if command == "analyze":
             args += ["--header-map", HEADER_MAP, "--out", tmp_path / "out"]
@@ -1186,6 +1217,10 @@ def _report_in(content):
 ERROR_EXITS = {
     "fetch-network-error": (_network_error("fetch"), "HTTP 503 from fake API"),
     "analyze-network-error": (_network_error("analyze"), "HTTP 503 from fake API"),
+    "fetch-network-error-and-failed-save": (_network_error("fetch", save_fails=True),
+                                            "HTTP 503 from fake API"),
+    "analyze-network-error-and-failed-save": (_network_error("analyze", save_fails=True),
+                                              "HTTP 503 from fake API"),
     "map-corrupted-before-save": (_qids_corrupted_before_save, "unreadable cache map "),
     "bad-qid-entry": (_bad_qid_entry, "bad entry 'en:1755 Lisbon earthquake' in "),
     "manifest-directory": (_manifest_directory, "Is a directory"),
@@ -1205,6 +1240,17 @@ def test_cli_toolkit_or_os_error_exit_code_1(tmp_path, monkeypatch, case, expect
     assert result.stderr.startswith("error: "), result.output
     assert expected in result.stderr, result.stderr
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plotdata"])
+def test_report_that_cannot_be_rendered_leaves_no_output(tmp_path, fmt):
+    (tmp_path / "report.json").write_text(json.dumps({"families": [{"id": "x", "records": []}]}),
+                                          encoding="utf-8")
+    result = run_cli("report", "--in", tmp_path / "report.json", "--format", fmt,
+                     "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: not a tablediff report: "), result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_langlinks_entry_is_a_finding(tmp_path):

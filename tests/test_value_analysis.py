@@ -12,12 +12,11 @@ from tablediff import value_analysis
 from tablediff.value_analysis import (_RATIO_WORDS, _UNIT_ALTERNATION, _UNITS, CLASS_INVALIDITY,
                                       CLASS_TIMELINESS, MISSING, ParsedValue, _parse_int, _parse_number,
                                       _separators, classify, detect_conflicts,
-                                      detect_incompleteness, detect_text_divergence,
-                                      format_number, is_missing, parse_value,
+                                      detect_incompleteness, format_number, is_missing, parse_value,
                                       relative_difference)
 
 
-from oracles import oracle_detect_conflicts
+from oracles import oracle_detect_conflicts, oracle_text_divergence
 
 
 def ts(year, month, day):
@@ -156,8 +155,8 @@ def test_magnitude_past_a_float_in_base_units_is_text():
     # 1e307 km is 1e310 m: compared in metres it would be inf, equal to any other.
     km = {"en": parse_value("1" * 308 + " km", "en"), "de": parse_value("2" * 308 + " km", "de")}
     assert [v.kind for v in km.values()] == ["text", "text"]
-    assert detect_conflicts("fam", HEIGHT, {E: km})[0] == []
-    findings = detect_text_divergence("fam", HEIGHT, {E: km})
+    records, findings = detect_conflicts("fam", HEIGHT, {E: km})
+    assert records == []
     assert [f["kind"] for f in findings] == ["text-divergence"]
     metres = parse_value("1" * 308 + " m", "en")
     assert metres.kind == "number" and metres.unit == "m"
@@ -277,7 +276,9 @@ def cell_values(draw, magnitudes):
     if kind == "missing":
         return MISSING
     if kind == "text":
-        return ParsedValue("text", "Himalaya", "en")
+        # two of the three agree once stripped and casefolded
+        return ParsedValue("text", draw(st.sampled_from(["Himalaya", "Himalayas", "himalaya "])),
+                           "en")
     magnitude = draw(st.sampled_from(magnitudes))
     if kind == "ratio":
         return ParsedValue("ratio", f"{magnitude}/100", "en", magnitude, None, int(magnitude), 100)
@@ -309,8 +310,10 @@ revision_stamps = st.dictionaries(st.sampled_from(["en", "de", "zh", "it", "nl"]
        st.sampled_from([timedelta(days=30), timedelta(days=180)]))
 @settings(max_examples=500, deadline=None)
 def test_conflicts_match_the_pairwise_oracle(values, rel_tol, stamps, window):
+    # The oracle's two walks: numbers pair by pair, then text.
+    records, incomparable = oracle_detect_conflicts("fam", HEIGHT, values, rel_tol, stamps, window)
     assert (detect_conflicts("fam", HEIGHT, values, rel_tol, stamps, window)
-            == oracle_detect_conflicts("fam", HEIGHT, values, rel_tol, stamps, window))
+            == (records, incomparable + oracle_text_divergence("fam", HEIGHT, values)))
 
 
 def test_agreeing_values_skip_the_pairwise_checks(monkeypatch):
@@ -485,11 +488,12 @@ def test_surface_entities_generate_no_row_level_records():
 
 def test_text_divergence_reported_without_class():
     by_lang = {"en": parse_value("Himalayas", "en"), "de": parse_value("Himalaya", "de")}
-    findings = detect_text_divergence("fam", AttributeKey("range", {}), {E: by_lang})
+    records, findings = detect_conflicts("fam", AttributeKey("range", {}), {E: by_lang})
+    assert records == []
     assert len(findings) == 1
     assert findings[0]["kind"] == "text-divergence"
     same = {"en": parse_value("Nepal", "en"), "de": parse_value("Nepal", "de")}
-    assert detect_text_divergence("fam", AttributeKey("country", {}), {E: same}) == []
+    assert detect_conflicts("fam", AttributeKey("country", {}), {E: same}) == ([], [])
 
 
 def test_zero_vs_nonzero_conflicts_with_infinite_severity():
