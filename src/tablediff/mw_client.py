@@ -16,6 +16,7 @@ import re
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -23,8 +24,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 from urllib.parse import quote
-
-import requests
 
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
 from .htmldom import Node, parse_html
@@ -138,6 +137,18 @@ class PageDocument:
         )
 
 
+@contextmanager
+def _answer_to(request: str):
+    """Turn a missing key or a wrong type met reading an API answer into NetworkError.
+
+    ``request`` names the request the answer came from.
+    """
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise NetworkError(f"malformed API answer to {request}: {type(exc).__name__}: {exc}") from exc
+
+
 def format_ts(ts: datetime) -> str:
     """The one timestamp format of the cache and the report: UTC, to the second."""
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -181,21 +192,37 @@ class HttpTransport:
     429 or 503 carries an integer one; anything else raises NetworkError
     immediately. ``calls`` counts every request actually sent, which the
     tests use to assert cache hits never touch the network.
+
+    ``requests`` is imported, and the one session built, only when the first
+    request is sent, so a run that answers everything from the cache never
+    loads the HTTP stack.
     """
 
     def __init__(self, user_agent: str = DEFAULT_USER_AGENT, timeout: float = 30.0,
                  retry_backoff: float = 1.0):
-        self.session = requests.Session()
-        self.session.headers["User-Agent"] = user_agent
+        self.user_agent = user_agent
         self.timeout = timeout
         self.retry_backoff = retry_backoff
         self.calls = 0
-        self._calls_lock = threading.Lock()
+        self._session = None
+        self._lock = threading.Lock()  # guards calls and the first build of the session
+
+    @property
+    def session(self):
+        """The transport's one ``requests.Session``, built on first read."""
+        with self._lock:
+            if self._session is None:
+                import requests
+                self._session = requests.Session()
+                self._session.headers["User-Agent"] = self.user_agent
+            return self._session
 
     def get_json(self, url: str, params: dict) -> dict:
+        import requests  # for RequestException; after the first request a sys.modules lookup
+
         last_error = None
         for attempt in range(2):
-            with self._calls_lock:
+            with self._lock:
                 self.calls += 1
             try:
                 resp = self.session.get(url, params=params, timeout=self.timeout)
@@ -238,6 +265,9 @@ class MediaWikiClient:
     Both maps are read when the client is built (SnapshotError if either is
     unreadable or not a JSON object) and are write-behind: lookups keep fresh
     entries in memory and ``save`` merges them into the files on disk.
+
+    An API answer that lacks a field an operation reads, or holds it with the
+    wrong type, raises NetworkError naming the request.
     """
 
     def __init__(self, cache_dir: Optional[str | Path] = None, rate_limit: float = 5.0,
@@ -354,28 +384,32 @@ class MediaWikiClient:
             "action": "parse", "page": article.title,
             "prop": "text|revid", "redirects": "1",
         })
-        if "error" in data:
-            if data["error"].get("code") in ("missingtitle", "pagecannotexist", "invalidtitle"):
-                self._write_atomic(path, {
-                    "language": article.language, "title": article.title,
-                    "missing": True, "checked_at": format_ts(utc_now()),
-                })
-                raise PageMissing(article.language, article.title)
-            raise NetworkError(f"API error: {data['error']}")
-        parse = data["parse"]
-        html = parse["text"] if isinstance(parse["text"], str) else parse["text"]["*"]
-        revid = int(parse["revid"])
+        with _answer_to(f"action=parse of {article.key}"):
+            if "error" in data:
+                if data["error"].get("code") in ("missingtitle", "pagecannotexist", "invalidtitle"):
+                    self._write_atomic(path, {
+                        "language": article.language, "title": article.title,
+                        "missing": True, "checked_at": format_ts(utc_now()),
+                    })
+                    raise PageMissing(article.language, article.title)
+                raise NetworkError(f"API error: {data['error']}")
+            parse = data["parse"]
+            html = parse["text"] if isinstance(parse["text"], str) else parse["text"]["*"]
+            if not (isinstance(html, str) and html):
+                raise TypeError("page text is not a non-empty string")
+            revid = int(parse["revid"])
 
         rev = self._request(article.language, {
             "action": "query", "prop": "revisions", "revids": str(revid),
             "rvprop": "ids|timestamp",
         })
-        pages = rev.get("query", {}).get("pages", [])
-        if not pages or "revisions" not in pages[0]:
-            raise NetworkError(f"no revision metadata for revid {revid}")
-        doc = PageDocument(article=article, html=html, revision_id=revid,
-                           revision_timestamp=parse_ts(pages[0]["revisions"][0]["timestamp"]),
-                           fetched_at=utc_now())
+        with _answer_to(f"prop=revisions of {article.key} revid {revid}"):
+            pages = rev.get("query", {}).get("pages", [])
+            if not pages or "revisions" not in pages[0]:
+                raise NetworkError(f"no revision metadata for revid {revid}")
+            doc = PageDocument(article=article, html=html, revision_id=revid,
+                               revision_timestamp=parse_ts(pages[0]["revisions"][0]["timestamp"]),
+                               fetched_at=utc_now())
         self._write_atomic(path, doc.to_dict())
         logger.info("fetched %s:%s rev=%s", article.language, article.title, revid)
         return doc
@@ -410,15 +444,18 @@ class MediaWikiClient:
                       "lllimit": "max", "redirects": "1"}
             params.update(cont)
             data = self._request(article.language, params)
-            pages = data.get("query", {}).get("pages", [])
-            if not pages or pages[0].get("missing"):
-                raise PageMissing(article.language, article.title)
-            for item in pages[0].get("langlinks", []):
-                links.append([item["lang"], item.get("title") or item.get("*", "")])
-            if "continue" in data:
+            with _answer_to(f"prop=langlinks of {article.key}"):
+                pages = data.get("query", {}).get("pages", [])
+                if not pages or pages[0].get("missing"):
+                    raise PageMissing(article.language, article.title)
+                for item in pages[0].get("langlinks", []):
+                    pair = [item["lang"], item.get("title") or item.get("*", "")]
+                    if not _is_title_pair(pair):
+                        raise ValueError(f"not a language link: {item!r}")
+                    links.append(pair)
+                if "continue" not in data:
+                    return links
                 cont = {"llcontinue": data["continue"]["llcontinue"]}
-            else:
-                return links
 
     def resolve_qids(self, language: str, titles: Iterable[str],
                      cache_policy: CachePolicy = CachePolicy.PREFER_CACHE) -> dict[str, Optional[str]]:
@@ -456,22 +493,23 @@ class MediaWikiClient:
                 "action": "query", "prop": "pageprops", "ppprop": "wikibase_item",
                 "titles": "|".join(batch), "redirects": "1",
             })
-            query = data.get("query", {})
-            rename: dict[str, str] = {}
-            for step in ("normalized", "redirects"):
-                for move in query.get(step, []):
-                    rename[move["from"]] = move["to"]
-            by_title: dict[str, Optional[str]] = {}
-            for page in query.get("pages", []):
-                qid = page.get("pageprops", {}).get("wikibase_item")
-                by_title[page.get("title", "")] = qid if qid and is_valid_qid(qid) else None
-            for title in batch:
-                final = title
-                hops = 0
-                while final in rename and hops < 5:
-                    final = rename[final]
-                    hops += 1
-                fresh[f"{language}:{title}"] = by_title.get(final)
+            with _answer_to(f"prop=pageprops of {len(batch)} {language} titles from {batch[0]!r}"):
+                query = data.get("query", {})
+                rename: dict[str, str] = {}
+                for step in ("normalized", "redirects"):
+                    for move in query.get(step, []):
+                        rename[move["from"]] = move["to"]
+                by_title: dict[str, Optional[str]] = {}
+                for page in query.get("pages", []):
+                    qid = page.get("pageprops", {}).get("wikibase_item")
+                    by_title[page.get("title", "")] = qid if is_valid_qid(qid) else None
+                for title in batch:
+                    final = title
+                    hops = 0
+                    while final in rename and hops < 5:
+                        final = rename[final]
+                        hops += 1
+                    fresh[f"{language}:{title}"] = by_title.get(final)
         self._remember("qids.json", fresh)
         for title in pending:
             out[title] = fresh[f"{language}:{title}"]

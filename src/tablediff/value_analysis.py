@@ -34,8 +34,6 @@ RATIO_PCT_SLACK_PP = 0.05
 
 DEFAULT_STALENESS_DAYS = 180
 
-NUMERIC_KINDS = ("number", "percentage", "ratio")
-
 # thousands / decimal separators; en-style is the fallback for unknown codes
 _SEPARATORS = {
     "en": (",", "."),
@@ -87,10 +85,6 @@ class ParsedValue(NamedTuple):
     unit: Optional[str] = None
     numerator: Optional[int] = None
     denominator: Optional[int] = None
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in NUMERIC_KINDS
 
 
 CellValue = Optional[ParsedValue]

@@ -11,7 +11,7 @@ import numpy as np
 
 from tablediff.htmldom import Node
 from tablediff.schema_align import attribute_row
-from tablediff.value_analysis import (MISSING, NUMERIC_KINDS, ParsedValue, _pair_difference,
+from tablediff.value_analysis import (MISSING, ParsedValue, _pair_difference,
                                       _record, classify, is_missing, parse_value)
 
 
@@ -205,7 +205,7 @@ def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol,
     findings = []
     for entity, by_language in values_by_entity.items():
         numeric = {lang: v for lang, v in by_language.items()
-                   if isinstance(v, ParsedValue) and v.kind in NUMERIC_KINDS}
+                   if isinstance(v, ParsedValue) and v.kind != "text"}
         if len(numeric) < 2:
             continue
         langs = list(numeric)

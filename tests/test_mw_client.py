@@ -373,6 +373,153 @@ def test_http_transport_waits_retry_after_seconds(monkeypatch):
     assert slept == []
 
 
+def _counting_sessions(monkeypatch):
+    """Replace ``requests.Session`` with a stub; returns the list of sessions built."""
+    import requests
+
+    built = []
+
+    class Resp:
+        status_code = 200
+
+        def json(self):
+            return {"ok": True}
+
+    class CountingSession:
+        def __init__(self):
+            time.sleep(0.01)  # widens the window in which a second thread could build one
+            self.headers = {}
+            built.append(self)
+
+        def get(self, url, params=None, timeout=None):
+            return Resp()
+
+    monkeypatch.setattr(requests, "Session", CountingSession)
+    return built
+
+
+def test_http_transport_builds_its_session_on_the_first_request(monkeypatch):
+    from tablediff.mw_client import DEFAULT_USER_AGENT, HttpTransport
+    built = _counting_sessions(monkeypatch)
+    transport = HttpTransport(retry_backoff=0.0)
+    assert built == []
+    assert transport.get_json("http://x/api.php", {}) == {"ok": True}
+    assert transport.get_json("http://x/api.php", {}) == {"ok": True}
+    assert len(built) == 1 and transport.session is built[0]
+    assert built[0].headers == {"User-Agent": DEFAULT_USER_AGENT}
+    assert transport.calls == 2
+    assert HttpTransport(user_agent="probe/1.0").session.headers == {"User-Agent": "probe/1.0"}
+
+
+def test_http_transport_threads_sending_first_requests_together_share_one_session(monkeypatch):
+    from tablediff.mw_client import HttpTransport
+    built = _counting_sessions(monkeypatch)
+    transport = HttpTransport(retry_backoff=0.0)
+    n_threads = 8
+    start = threading.Barrier(n_threads)
+    answers = []
+
+    def work():
+        start.wait(timeout=30)
+        answers.append(transport.get_json("http://x/api.php", {}))
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [{"ok": True}] * n_threads
+    assert len(built) == 1
+    assert transport.calls == n_threads
+
+
+class _MalformedAnswer(FakeTransport):
+    """Answers one request shape with a fixed body and every other as FakeTransport does."""
+
+    def __init__(self, shape, answer, base):
+        super().__init__(pages=base.pages, langlinks=base.langlinks, qids=base.qids)
+        self.shape, self.answer = shape, answer
+
+    def get_json(self, url, params):
+        shape = params["prop"] if params["action"] == "query" else params["action"]
+        if shape == self.shape:
+            self.calls += 1
+            return self.answer
+        return super().get_json(url, params)
+
+
+def _langlinks_answer(links, **rest):
+    return {"query": {"pages": [{"title": "Sample Page", "langlinks": links}]}, **rest}
+
+
+MALFORMED_ANSWERS = {
+    "parse": [
+        {"warnings": {"main": {"warnings": "Unrecognized parameter"}}},
+        [], None, "<html>", {"error": "boom"},
+        {"parse": {"text": "<p>x</p>"}},
+        {"parse": {"revid": 42}},
+        {"parse": {"text": {"html": "<p>x</p>"}, "revid": 42}},
+        {"parse": {"text": "", "revid": 42}},
+        {"parse": {"text": 7, "revid": 42}},
+        {"parse": {"text": "<p>x</p>", "revid": "latest"}},
+        {"parse": {"text": "<p>x</p>", "revid": None}},
+    ],
+    "revisions": [
+        {"query": []},
+        {"query": {"pages": {"42": {}}}},
+        {"query": {"pages": [{"revisions": []}]}},
+        {"query": {"pages": [{"revisions": [{"revid": 42}]}]}},
+        {"query": {"pages": [{"revisions": [{"timestamp": "yesterday"}]}]}},
+        {"query": {"pages": [{"revisions": [{"timestamp": 1748736000}]}]}},
+        {"query": {"pages": [{"revisions": [{"timestamp": "2999-01-01T00:00:00Z"}]}]}},
+    ],
+    "langlinks": [
+        {"query": "Sample Page"},
+        {"query": {"pages": [None]}},
+        _langlinks_answer({"de": "Beispielseite"}),
+        _langlinks_answer([{"title": "Beispielseite"}]),
+        _langlinks_answer([{"lang": "de"}]),
+        _langlinks_answer([{"lang": "DE", "title": "Beispielseite"}]),
+        _langlinks_answer([{"lang": "de", "title": 7}]),
+        _langlinks_answer([], **{"continue": {"continue": "||"}}),
+    ],
+    "pageprops": [
+        {"query": []},
+        {"query": {"pages": [7]}},
+        {"query": {"pages": [{"title": "Thing", "pageprops": ["Q99"]}]}},
+        {"query": {"pages": [{"title": ["Thing"]}]}},
+        {"query": {"normalized": [{"from": "Thing"}]}},
+        {"query": {"redirects": [{"from": "Thing", "to": ["Thing 2"]}]}},
+    ],
+}
+
+
+@pytest.mark.parametrize("shape, answer", [
+    pytest.param(shape, answer, id=f"{shape}-{i}")
+    for shape, answers in MALFORMED_ANSWERS.items() for i, answer in enumerate(answers)])
+def test_malformed_api_answer_raises_network_error_naming_the_request(tmp_path, fake_transport,
+                                                                     shape, answer):
+    from tablediff.errors import NetworkError
+    client = make_client(tmp_path, _MalformedAnswer(shape, answer, fake_transport))
+    article = ArticleRef("en", "Sample Page")
+    request = {"parse": "action=parse of en:Sample Page",
+               "revisions": "prop=revisions of en:Sample Page revid 42",
+               "langlinks": "prop=langlinks of en:Sample Page",
+               "pageprops": "prop=pageprops of 1 en titles from 'Thing'"}[shape]
+    with pytest.raises(NetworkError, match=f"^malformed API answer to {re.escape(request)}: "):
+        if shape == "langlinks":
+            client.list_language_versions(article)
+        elif shape == "pageprops":
+            client.resolve_qids("en", ["Thing"])
+        else:
+            client.fetch_page(article)
+    client.save()
+    assert not (tmp_path / "cache" / "pages").exists()
+    assert not (tmp_path / "cache" / "qids.json").exists()
+    assert not (tmp_path / "cache" / "langlinks.json").exists()
+
+
 # -- write-behind QID and langlink maps ---------------------------------------
 
 def test_lookups_write_nothing_until_save(tmp_path, fake_transport):

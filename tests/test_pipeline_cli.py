@@ -956,6 +956,52 @@ def test_network_error_mid_family_keeps_the_qids_resolved_before_it(tmp_path, ru
     assert langlinks == {"en:Alpha en": [["de", "Alpha de"]]}
 
 
+MALFORMED = {  # shape -> (language answered, answer, finding)
+    "parse": ("de", {"warnings": {"main": {"warnings": "Unrecognized parameter"}}}, "fetch-error"),
+    "langlinks": ("en", {"query": {"pages": [{"langlinks": [{"lang": "de"}]}]}},
+                  "langlinks-unavailable"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_api_answer_ends_one_edition_not_the_run(tmp_path, monkeypatch, header_mapping,
+                                                           shape):
+    import tablediff.cli as cli_mod
+
+    language, answer, kind = MALFORMED[shape]
+
+    def transport():
+        fake = _peaks_transport(["Alpha"])
+        serve = fake.get_json
+
+        def get_json(url, params):
+            asked = params["prop"] if params["action"] == "query" else params["action"]
+            return answer if (asked, fake._lang(url)) == (shape, language) else serve(url, params)
+
+        fake.get_json = get_json
+        return fake
+
+    family, = run_pipeline(_peaks_manifest(["Alpha"]), header_mapping,
+                           MediaWikiClient(cache_dir=tmp_path / "run", transport=transport()),
+                           PipelineOptions())["families"]
+    found = [f for f in family["findings"] if f["kind"] == kind]
+    assert len(found) == 1
+    assert "malformed API answer to " in found[0]["detail"]
+    assert [e["language"] for e in family["editions"] if e["status"] == "ok"] == ["en"]
+
+    original_init = MediaWikiClient.__init__
+    monkeypatch.setattr(cli_mod.MediaWikiClient, "__init__",
+                        lambda self, cache_dir=None, **kw: original_init(
+                            self, cache_dir=tmp_path / "fetch", transport=transport()))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"families": [{
+        "id": "Alpha", "seed": {"language": "en", "title": "Alpha en"},
+        "languages": ["en", "de"]}]}), encoding="utf-8")
+    result = run_cli("fetch", "--manifest", manifest)
+    assert result.exit_code == 0, result.output
+    assert result.output == "fetched 1 page(s); 1 absent or failed\n"
+
+
 def test_cli_langs_saves_langlinks(tmp_path, monkeypatch, fake_transport):
     import tablediff.cli as cli_mod
     original_init = MediaWikiClient.__init__
