@@ -22,7 +22,7 @@ import click
 from .emit import emit
 from .errors import ManifestError, MappingConflict, TableDiffError
 from .manifest import DatasetManifest, load_manifest
-from .mw_client import CachePolicy, MediaWikiClient
+from .mw_client import MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
 from .resources import bundled_header_map, bundled_manifest
 from .schema_align import HeaderMapping, load_header_mapping
@@ -125,7 +125,7 @@ def langs(manifest_path, cache_dir, offline):
     """Print the number of language versions per family."""
     manifest = _load_manifest(manifest_path)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
-    policy = CachePolicy.OFFLINE_ONLY if offline else CachePolicy.PREFER_CACHE
+    policy = PipelineOptions(offline=offline).cache_policy
     try:
         for family in manifest.families:
             try:

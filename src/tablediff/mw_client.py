@@ -101,8 +101,6 @@ class PageDocument:
     def __post_init__(self):
         if not self.html:
             raise ValueError("html must be non-empty")
-        if self.revision_timestamp > self.fetched_at:
-            raise ValueError("revision_timestamp is later than fetched_at")
 
     @cached_property
     def root(self) -> Node:

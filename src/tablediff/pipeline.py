@@ -2,8 +2,8 @@
 
 1. gather (``_gather_editions``): list the family's editions and fetch one
    page per wanted language;
-2. extract (``_extract``): parse each page and extract its data tables;
-3. link (``_link_edition``): choose each table's entity column, take one
+2. extract and 3. link, one edition at a time (``_read_edition``): extract
+   the page's data tables, choose each table's entity column, take one
    mention per row and resolve the mentions' links to QIDs;
 4. align: page metrics, each table's ``{attribute: [columns]}``, the
    attribute presence grid, and the entity matrix, an ordered map
@@ -14,11 +14,11 @@
    attribute compares them by value kind (``detect_conflicts``); then incompleteness;
 6. serialize: the family's part of the report.
 
-``warm_cache`` runs the first three stages only, so ``fetch`` warms exactly
-the QIDs that ``analyze`` links. The pipeline downgrades per-edition problems
-(missing pages, unalignable tables) into findings inside the report instead
-of aborting; a family only counts as failed when no edition could be
-analyzed at all.
+``warm_cache`` runs stage 1 and the same ``_read_edition`` step only, so
+``fetch`` warms exactly the QIDs that ``analyze`` links. The pipeline
+downgrades per-edition problems (missing pages, unalignable tables) into
+findings inside the report instead of aborting; a family only counts as
+failed when no edition could be analyzed at all.
 """
 
 from __future__ import annotations
@@ -142,19 +142,6 @@ def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: Pipel
     return wanted, [gather(language) for language in wanted]
 
 
-def _extract(edition: EditionData) -> None:
-    """Extract the tables of an ok edition's page, which is parsed here on first use.
-
-    A page that cannot be parsed or nests too deeply turns the edition into
-    an error, like a failed fetch.
-    """
-    try:
-        edition.tables = extract_tables(edition.doc)
-    except (ParseError, RecursionError) as exc:
-        logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
-        edition.status, edition.reason, edition.doc = "error", str(exc), None
-
-
 def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiClient,
                   options: PipelineOptions, findings: list[dict]) -> None:
     """Link one mention per row of each table to a QID, into ``edition.linked``.
@@ -182,6 +169,32 @@ def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiCli
             findings.append({"kind": "rows-skipped", **where,
                              "detail": f"{skipped} row(s) with empty entity cells"})
         edition.linked.append((table, mentions, col))
+
+
+def _read_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiClient,
+                  options: PipelineOptions, findings: list[dict],
+                  link_findings: list[dict]) -> Optional[PageDocument]:
+    """Extract and link one edition; return its page if it stays ok, else add its finding.
+
+    The edition gives up its page, so a caller that lets it go before the
+    next call holds one page tree at a time. A page that cannot be parsed or
+    nests too deeply makes the edition an error, like a failed fetch. The
+    findings of linking go to ``link_findings``, the edition's own to ``findings``.
+    """
+    doc, edition.doc = edition.doc, None
+    if edition.status == "ok":
+        try:
+            edition.tables = extract_tables(doc)
+        except (ParseError, RecursionError) as exc:
+            logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
+            edition.status, edition.reason = "error", str(exc)
+    if edition.status != "ok":
+        kind = "edition-absent" if edition.status == "absent" else "fetch-error"
+        findings.append({"kind": kind, "family": entry.id, "language": edition.language,
+                         "detail": edition.reason})
+        return None
+    _link_edition(entry, edition, client, options, link_findings)
+    return doc
 
 
 def _attribute_values(
@@ -235,31 +248,19 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
                          f"got {options.staleness_days!r}")
     window = timedelta(days=options.staleness_days)
     findings: list[dict] = []
+    link_findings: list[dict] = []
     wanted, editions = _gather_editions(entry, client, options, findings)
-    for edition in editions:
-        if edition.status == "ok":
-            _extract(edition)
-
-    for edition in editions:
-        if edition.status != "ok":
-            findings.append({
-                "kind": "edition-absent" if edition.status == "absent" else "fetch-error",
-                "family": entry.id,
-                "language": edition.language,
-                "detail": edition.reason,
-            })
-
-    # Link each edition, then its page metrics and column attributes.
+    # Extract and link each edition, then its page metrics and column attributes.
     columns: TableColumns = {}
     main_attributes: dict[str, Optional[list[Attribute]]] = {}
+    revision_timestamps = {}
     edition_rows = []
     for edition in editions:
-        if edition.status != "ok":
+        doc = _read_edition(entry, edition, client, options, findings, link_findings)
+        if doc is None:
             edition_rows.append({"language": edition.language, "title": edition.title,
                                  "status": edition.status, "detail": edition.reason})
             continue
-        _link_edition(entry, edition, client, options, findings)
-        doc = edition.doc
         metrics = page_stats(
             tables=edition.tables,
             reference_count=count_references(doc),
@@ -273,6 +274,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
         main = metrics["main_table_index"]
         main_attributes[edition.language] = (
             None if main is None else list(columns[(edition.language, main)][1]))
+        revision_timestamps[edition.language] = doc.revision_timestamp
         edition_rows.append({
             "language": edition.language,
             "title": edition.title,
@@ -281,6 +283,8 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             "revision_timestamp": format_ts(doc.revision_timestamp),
             **metrics,
         })
+        del doc  # else this page's tree lives on while the next edition's is built
+    findings.extend(link_findings)
 
     analyzed = [e for e in editions if e.status == "ok"]
     aligned_languages = [e.language for e in analyzed if e.linked]
@@ -289,7 +293,6 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
     presence = build_presence_grid(main_attributes, mapping)
 
     # Compare attributes seen in >= 2 languages, but no entity column: a row key is not a value.
-    revision_timestamps = {e.language: e.doc.revision_timestamp for e in analyzed}
     row_keys = {attr for e in analyzed for table, _mentions, col in e.linked
                 for attr, cols in columns[(e.language, table.table_index)][1].items()
                 if col in cols}
@@ -404,24 +407,19 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
                options: PipelineOptions) -> dict:
     """Populate page, langlink and QID caches without running the analysis.
 
-    Runs the gather, extract and link stages of ``analyze_family``, so it
-    resolves exactly the QIDs an analysis of the manifest links. Those
-    stages read no header mapping: ``mapping`` is unused and stays for
-    callers that pass it positionally. The QID and langlink maps are saved
-    after each family, also when the family fails part way.
+    Gathers each family's editions and runs ``analyze_family``'s extract and
+    link step (``_read_edition``) on each, so it resolves exactly the QIDs an
+    analysis links. That step reads no header mapping: ``mapping`` is unused
+    and stays for callers that pass it positionally. The QID and langlink
+    maps are saved after each family, also when the family fails part way.
     """
     fetched = absent = 0
     for entry in manifest.families:
         with _saving(client):
             _wanted, editions = _gather_editions(entry, client, options, [])
             for edition in editions:
-                if edition.status == "ok":
-                    _extract(edition)
-                    # Drop each page once extracted, so a family's trees never coexist.
-                    edition.doc = None
-                if edition.status != "ok":
+                if _read_edition(entry, edition, client, options, [], []) is None:
                     absent += 1
-                    continue
-                fetched += 1
-                _link_edition(entry, edition, client, options, [])
+                else:
+                    fetched += 1
     return {"fetched": fetched, "absent_or_failed": absent}

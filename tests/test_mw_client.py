@@ -472,7 +472,6 @@ MALFORMED_ANSWERS = {
         {"query": {"pages": [{"revisions": [{"revid": 42}]}]}},
         {"query": {"pages": [{"revisions": [{"timestamp": "yesterday"}]}]}},
         {"query": {"pages": [{"revisions": [{"timestamp": 1748736000}]}]}},
-        {"query": {"pages": [{"revisions": [{"timestamp": "2999-01-01T00:00:00Z"}]}]}},
     ],
     "langlinks": [
         {"query": "Sample Page"},
@@ -518,6 +517,21 @@ def test_malformed_api_answer_raises_network_error_naming_the_request(tmp_path, 
     assert not (tmp_path / "cache" / "pages").exists()
     assert not (tmp_path / "cache" / "qids.json").exists()
     assert not (tmp_path / "cache" / "langlinks.json").exists()
+
+
+def test_revision_later_than_the_local_clock_is_fetched_cached_and_read_offline(tmp_path,
+                                                                                fake_transport):
+    # The API stamps revisions by its own clock and fetched_at is this host's:
+    # on a host whose clock runs behind, a just-edited page is still a page.
+    fake_transport.pages[("en", "Sample Page")]["timestamp"] = "2999-01-01T00:00:00Z"
+    article = ArticleRef("en", "Sample Page")
+    doc = make_client(tmp_path, fake_transport).fetch_page(article)
+    assert doc.revision_timestamp > doc.fetched_at
+    assert doc.to_dict()["revision_timestamp"] == "2999-01-01T00:00:00Z"
+    calls = fake_transport.calls
+    cached = make_client(tmp_path, fake_transport).fetch_page(article, CachePolicy.OFFLINE_ONLY)
+    assert fake_transport.calls == calls
+    assert cached.to_dict() == doc.to_dict()
 
 
 # -- write-behind QID and langlink maps ---------------------------------------

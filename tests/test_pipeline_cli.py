@@ -1391,6 +1391,28 @@ def test_fetch_resolves_the_qids_analyze_links(tmp_path, manifest_path, header_m
     assert warmed == linked
 
 
+
+def _tree_bytes(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("manifest_path, summary", [
+    (GEOGRAPHY_MANIFEST, {"fetched": 39, "absent_or_failed": 6}),
+    (CLIMBERS_MANIFEST, {"fetched": 5, "absent_or_failed": 0}),
+])
+def test_fetch_on_a_warm_cache_sends_no_request_and_writes_nothing(tmp_path, manifest_path,
+                                                                   summary):
+    from tablediff.pipeline import warm_cache
+
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    # The prefer-cache policy of `tablediff fetch`: every page and map entry is a hit.
+    client = MediaWikiClient(cache_dir=cache, transport=NoNetwork())
+    assert warm_cache(load_manifest(manifest_path), HeaderMapping([]), client,
+                      PipelineOptions()) == summary
+    assert _tree_bytes(cache) == _tree_bytes(FIXTURE_CACHE)
+
 def _record_calls(monkeypatch, original):
     """The first argument of every call, at each package name bound to ``original``."""
     seen = []
