@@ -169,11 +169,14 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
     if not 0 <= staleness_days <= timedelta.max.days:  # the window is a timedelta
         raise TableDiffError(f"--staleness-days must be an integer from 0 to "
                              f"{timedelta.max.days}, got {staleness_days}")
+    offline = bool(_resolve(offline, manifest, "offline", False))
+    if offline and refresh:  # an offline run reads only the cache, so it cannot refetch
+        raise TableDiffError("--refresh cannot be combined with an offline run")
     mapping = _load_mapping(header_map_path, manifest)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
     options = PipelineOptions(
         languages=_split_langs(_resolve(langs, manifest, "languages", None)),
-        offline=bool(_resolve(offline, manifest, "offline", False)),
+        offline=offline,
         refresh=bool(refresh),
         rel_tol=rel_tol,
         staleness_days=staleness_days,

@@ -12,7 +12,7 @@ import re
 import unicodedata
 from typing import NamedTuple, Optional
 
-from .mw_client import CachePolicy, MediaWikiClient, qid_numeric
+from .mw_client import CachePolicy, MediaWikiClient
 from .table_parser import WikiTable
 from .value_analysis import is_missing
 
@@ -141,7 +141,7 @@ def build_matrix(mentions_by_language: dict[str, list[EntityMention]]) -> Entity
     def order(item: tuple[EntityKey, dict]):
         key, coverage = item[0], len(item[1])
         if key.is_qid:
-            return (-coverage, 0, qid_numeric(key.value), "", "")
+            return (-coverage, 0, int(key.value[1:]), "", "")
         return (-coverage, 1, 0, key.value, key.language or "")
 
     return dict(sorted(matrix.items(), key=order))

@@ -49,12 +49,6 @@ def is_valid_qid(value) -> bool:
     return isinstance(value, str) and bool(QID_RE.match(value))
 
 
-def qid_numeric(value: str) -> int:
-    if not is_valid_qid(value):
-        raise ValueError(f"not a QID: {value!r}")
-    return int(value[1:])
-
-
 class CachePolicy(str, Enum):
     PREFER_CACHE = "prefer-cache"
     REFRESH = "refresh"
@@ -163,9 +157,9 @@ def utc_now() -> datetime:
 class TokenBucket:
     """Simple thread-safe token bucket; acquire() blocks until a slot frees."""
 
-    def __init__(self, rate: float, burst: Optional[int] = None):
+    def __init__(self, rate: float):
         self.rate = float(rate)
-        self.capacity = float(burst if burst is not None else max(1, int(rate)))
+        self.capacity = float(max(1, int(rate)))
         self._tokens = self.capacity
         self._updated = time.monotonic()
         self._lock = threading.Lock()
@@ -392,7 +386,7 @@ class MediaWikiClient:
                     raise PageMissing(article.language, article.title)
                 raise NetworkError(f"API error: {data['error']}")
             parse = data["parse"]
-            html = parse["text"] if isinstance(parse["text"], str) else parse["text"]["*"]
+            html = parse["text"]
             if not (isinstance(html, str) and html):
                 raise TypeError("page text is not a non-empty string")
             revid = int(parse["revid"])
@@ -447,7 +441,7 @@ class MediaWikiClient:
                 if not pages or pages[0].get("missing"):
                     raise PageMissing(article.language, article.title)
                 for item in pages[0].get("langlinks", []):
-                    pair = [item["lang"], item.get("title") or item.get("*", "")]
+                    pair = [item["lang"], item["title"]]
                     if not _is_title_pair(pair):
                         raise ValueError(f"not a language link: {item!r}")
                     links.append(pair)

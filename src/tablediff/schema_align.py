@@ -84,8 +84,9 @@ class HeaderMapping:
                         )
                     self._index[key] = attr
 
-    def lookup(self, normalized: str, language: str) -> Optional[AttributeKey]:
-        return self._index.get((language, normalized))
+    def lookup(self, normalized: str, language: str) -> Attribute:
+        """Exact alias match for that language, else an Unmapped passthrough."""
+        return self._index.get((language, normalized)) or Unmapped(normalized)
 
 
 def load_header_mapping(path: str | Path) -> HeaderMapping:
@@ -107,12 +108,6 @@ def load_header_mapping(path: str | Path) -> HeaderMapping:
     return HeaderMapping(attributes)
 
 
-def map_attribute(normalized: str, language: str, mapping: HeaderMapping) -> Attribute:
-    """Exact alias match for that language, else an Unmapped passthrough."""
-    found = mapping.lookup(normalized, language)
-    return found if found is not None else Unmapped(normalized)
-
-
 def resolve_columns(table: WikiTable, language: str,
                     mapping: HeaderMapping) -> dict[Attribute, list[int]]:
     """The attribute (or Unmapped) of every column, as ``{attribute: [columns]}``.
@@ -121,7 +116,7 @@ def resolve_columns(table: WikiTable, language: str,
     """
     out: dict[Attribute, list[int]] = {}
     for col, label in enumerate(table.column_labels()):
-        attr = map_attribute(normalize_header(label, language), language, mapping)
+        attr = mapping.lookup(normalize_header(label, language), language)
         out.setdefault(attr, []).append(col)
     return out
 

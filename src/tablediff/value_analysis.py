@@ -80,7 +80,6 @@ class ParsedValue(NamedTuple):
 
     kind: str  # "number" | "percentage" | "ratio" | "text"
     original: str
-    language: str
     magnitude: Optional[float] = None  # ratio stores its derived percentage
     unit: Optional[str] = None
     numerator: Optional[int] = None
@@ -153,10 +152,10 @@ def parse_value(text: str, language: str) -> ParsedValue:
     """
     m = _cell_pattern(language).fullmatch(text.replace("\u00a0", " ").strip())
     if m is None:
-        return ParsedValue("text", text, language)
+        return ParsedValue("text", text)
     percentage, ratio_top, ratio_bottom, number, unit = m.groups()
     if percentage is not None:
-        value = ParsedValue("percentage", text, language, _parse_number(percentage, language))
+        value = ParsedValue("percentage", text, _parse_number(percentage, language))
     elif ratio_top is not None:
         # No other alternative matches "int sep int", so a bad ratio is text.
         try:
@@ -164,12 +163,12 @@ def parse_value(text: str, language: str) -> ParsedValue:
             denominator = _parse_int(ratio_bottom, language)
             magnitude = 100.0 * numerator / denominator
         except (ArithmeticError, ValueError):  # a zero denominator, or too many digits
-            return ParsedValue("text", text, language)
-        value = ParsedValue("ratio", text, language, magnitude, None, numerator, denominator)
+            return ParsedValue("text", text)
+        value = ParsedValue("ratio", text, magnitude, None, numerator, denominator)
     else:
-        value = ParsedValue("number", text, language, _parse_number(number, language),
+        value = ParsedValue("number", text, _parse_number(number, language),
                             _UNITS[unit][0] if unit else None)
-    return value if math.isfinite(_scale(value)[1]) else ParsedValue("text", text, language)
+    return value if math.isfinite(_scale(value)[1]) else ParsedValue("text", text)
 
 
 def format_number(magnitude: float, language: str) -> str:

@@ -209,13 +209,13 @@ def test_page_document_round_trip(tmp_path, fake_transport):
 
 
 def test_token_bucket_allows_burst_then_throttles():
-    bucket = TokenBucket(rate=50, burst=5)
+    bucket = TokenBucket(rate=5)
     start = time.monotonic()
     for _ in range(5):
         bucket.acquire()
     assert time.monotonic() - start < 0.05
-    bucket.acquire()  # sixth must wait ~1/50 s
-    assert time.monotonic() - start >= 0.015
+    bucket.acquire()  # sixth must wait ~1/5 s
+    assert time.monotonic() - start >= 0.15
 
 
 def test_fetch_page_fixture_contains_wikitable(offline_client):
@@ -464,6 +464,7 @@ MALFORMED_ANSWERS = {
         {"parse": {"text": 7, "revid": 42}},
         {"parse": {"text": "<p>x</p>", "revid": "latest"}},
         {"parse": {"text": "<p>x</p>", "revid": None}},
+        {"parse": {"text": {"*": "<p>x</p>"}, "revid": 42}},
     ],
     "revisions": [
         {"query": []},
@@ -482,6 +483,7 @@ MALFORMED_ANSWERS = {
         _langlinks_answer([{"lang": "DE", "title": "Beispielseite"}]),
         _langlinks_answer([{"lang": "de", "title": 7}]),
         _langlinks_answer([], **{"continue": {"continue": "||"}}),
+        _langlinks_answer([{"lang": "de", "*": "Beispielseite"}]),
     ],
     "pageprops": [
         {"query": []},

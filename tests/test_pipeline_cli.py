@@ -440,6 +440,23 @@ def test_cli_negative_or_huge_staleness_days_exit_code_1(tmp_path, days):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "manifest"])
+def test_cli_refresh_on_an_offline_run_exit_code_1(tmp_path, where):
+    manifest, offline = CLIMBERS_MANIFEST, ["--offline"]
+    if where == "manifest":
+        manifest = tmp_path / "m.json"
+        data = json.loads(Path(CLIMBERS_MANIFEST).read_text(encoding="utf-8"))
+        data["defaults"] = {"offline": True}
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        offline = []
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE, *offline,
+                     "--refresh", "--header-map", HEADER_MAP, "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "error: --refresh cannot be combined with an offline run\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_defaults_keep_their_given_values():
     defaults = {"languages": "en, de", "offline": False, "rel_tol": 0, "staleness_days": 30,
                 "jobs": 2, "missing_values": ["n/a"], "format": "csv", "out": "o",
@@ -937,6 +954,30 @@ def test_warm_cache_saves_each_map_once_per_family(tmp_path, monkeypatch, header
     assert writes.count("langlinks.json") == len(families)
     qids = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
     assert len(qids) == 2 * 3 * len(families)
+
+
+def test_refresh_refetches_every_page_of_a_warm_cache(tmp_path, header_mapping):
+    from tablediff.pipeline import warm_cache
+
+    transport = _peaks_transport(["Alpha"])
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=transport)
+    warm_cache(_peaks_manifest(["Alpha"]), header_mapping, client, PipelineOptions())
+    for page in transport.pages.values():
+        page["revid"] += 100
+    transport.qids[("de", "Alpha 0")] = "Q77"
+    transport.log.clear()
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=transport)
+    summary = warm_cache(_peaks_manifest(["Alpha"]), header_mapping, client,
+                         PipelineOptions(refresh=True))
+    assert summary == {"fetched": 2, "absent_or_failed": 0}
+    parsed = sorted((transport._lang(url), params["page"])
+                    for url, params in transport.log if params["action"] == "parse")
+    assert parsed == sorted(transport.pages)
+    for (lang, title), page in transport.pages.items():
+        snapshot = json.loads(client.page_cache_path(lang, title).read_text(encoding="utf-8"))
+        assert snapshot["revision_id"] == page["revid"] > 100
+    qids = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
+    assert qids["de:Alpha 0"] == "Q77"
 
 
 @pytest.mark.parametrize("run", ["warm_cache", "run_pipeline"])

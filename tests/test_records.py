@@ -10,9 +10,8 @@ from tablediff.value_analysis import ParsedValue, parse_value
 RECORDS = [
     (Cell, ("text", "link_title", "is_spanned_copy"),
      {"text": "Mount Everest"}, {"link_title": None, "is_spanned_copy": False}),
-    (ParsedValue, ("kind", "original", "language", "magnitude", "unit", "numerator",
-                   "denominator"),
-     {"kind": "number", "original": "8,848 m", "language": "en"},
+    (ParsedValue, ("kind", "original", "magnitude", "unit", "numerator", "denominator"),
+     {"kind": "number", "original": "8,848 m"},
      {"magnitude": None, "unit": None, "numerator": None, "denominator": None}),
     (EntityMention, ("table_index", "row_index", "surface", "link_title", "qid"),
      {"table_index": 0, "row_index": 2, "surface": "Everest", "link_title": "Mount Everest"},

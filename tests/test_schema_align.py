@@ -5,7 +5,7 @@ import pytest
 from tablediff.errors import MappingConflict
 from tablediff.mw_client import ArticleRef, PageDocument
 from tablediff.schema_align import (AttributeKey, HeaderMapping, Unmapped,
-                                    build_presence_grid, load_header_mapping, map_attribute,
+                                    build_presence_grid, load_header_mapping,
                                     normalize_header, resolve_columns)
 from tablediff.table_parser import extract_tables
 
@@ -34,12 +34,12 @@ def test_normalize_header_examples():
     assert normalize_header("Notes[2]", "en") == "notes"
 
 
-def test_map_attribute_with_bundled_mapping(header_mapping):
-    attr = map_attribute("death rate", "en", header_mapping)
+def test_lookup_with_bundled_mapping(header_mapping):
+    attr = header_mapping.lookup("death rate", "en")
     assert isinstance(attr, AttributeKey) and attr.canonical == "death_rate"
-    attr = map_attribute("死亡率", "zh", header_mapping)
+    attr = header_mapping.lookup("死亡率", "zh")
     assert attr.canonical == "death_rate"
-    result = map_attribute("zzz unknown", "en", header_mapping)
+    result = header_mapping.lookup("zzz unknown", "en")
     assert result == Unmapped("zzz unknown")
 
 

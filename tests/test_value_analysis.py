@@ -96,10 +96,10 @@ def reference_parse_value(text, language):
     integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
     t = text.replace("\u00a0", " ").strip()
     if not t:
-        return ParsedValue(kind="text", original=text, language=language)
+        return ParsedValue(kind="text", original=text)
     m = re.fullmatch(rf"({num})\s*%", t)
     if m:
-        return ParsedValue(kind="percentage", original=text, language=language,
+        return ParsedValue(kind="percentage", original=text,
                            magnitude=_parse_number(m.group(1), language))
     ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
     for sep in ratio_seps:
@@ -108,15 +108,15 @@ def reference_parse_value(text, language):
             numerator = _parse_int(m.group(1), language)
             denominator = _parse_int(m.group(2), language)
             if denominator > 0:
-                return ParsedValue(kind="ratio", original=text, language=language,
+                return ParsedValue(kind="ratio", original=text,
                                    magnitude=100.0 * numerator / denominator,
                                    numerator=numerator, denominator=denominator)
     m = re.fullmatch(rf"({num})\s*({_UNIT_ALTERNATION})?", t)
     if m:
         unit = _UNITS[m.group(2)][0] if m.group(2) else None
-        return ParsedValue(kind="number", original=text, language=language,
+        return ParsedValue(kind="number", original=text,
                            magnitude=_parse_number(m.group(1), language), unit=unit)
-    return ParsedValue(kind="text", original=text, language=language)
+    return ParsedValue(kind="text", original=text)
 
 
 CELL_TOKENS = (list("0123456789") * 3 + [",", ".", " ", "\u00a0", "%", "/", "+", "-"]
@@ -135,7 +135,7 @@ def test_parse_value_matches_uncompiled_reference(text, lang):
     ("80 su 0", "it"), ("80 van 0", "nl"), ("80 op 0", "nl"), ("1,000/0,000", "en"),
 ])
 def test_ratio_over_zero_is_text(text, lang):
-    assert parse_value(text, lang) == ParsedValue("text", text, lang)
+    assert parse_value(text, lang) == ParsedValue("text", text)
     assert parse_value(text, lang) == reference_parse_value(text, lang)
 
 
@@ -148,7 +148,7 @@ def test_ratio_over_zero_is_text(text, lang):
 ], ids=["ratio-400-digits", "number-400-digits", "percentage-310-digits", "ratio-inf-percent",
         "ratio-5000-digits"])
 def test_magnitude_past_a_float_is_text(text):
-    assert parse_value(text, "en") == ParsedValue("text", text, "en")
+    assert parse_value(text, "en") == ParsedValue("text", text)
 
 
 def test_magnitude_past_a_float_in_base_units_is_text():
@@ -172,7 +172,7 @@ def test_magnitude_past_a_float_in_base_units_is_text():
 ])
 def test_nbsp_padded_cells_parse(text, lang, kind, magnitude):
     parsed = parse_value(text, lang)
-    assert (parsed.kind, parsed.original, parsed.language) == (kind, text, lang)
+    assert (parsed.kind, parsed.original) == (kind, text)
     assert math.isclose(parsed.magnitude, magnitude)
     assert parsed == reference_parse_value(text, lang)
 
@@ -277,13 +277,12 @@ def cell_values(draw, magnitudes):
         return MISSING
     if kind == "text":
         # two of the three agree once stripped and casefolded
-        return ParsedValue("text", draw(st.sampled_from(["Himalaya", "Himalayas", "himalaya "])),
-                           "en")
+        return ParsedValue("text", draw(st.sampled_from(["Himalaya", "Himalayas", "himalaya "])))
     magnitude = draw(st.sampled_from(magnitudes))
     if kind == "ratio":
-        return ParsedValue("ratio", f"{magnitude}/100", "en", magnitude, None, int(magnitude), 100)
+        return ParsedValue("ratio", f"{magnitude}/100", magnitude, None, int(magnitude), 100)
     unit = draw(st.sampled_from([None, "m", "ft", "km2"])) if kind == "number" else None
-    return ParsedValue(kind, f"{magnitude} {unit or '%'}", "en", magnitude, unit)
+    return ParsedValue(kind, f"{magnitude} {unit or '%'}", magnitude, unit)
 
 
 @st.composite
