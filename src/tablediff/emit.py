@@ -4,6 +4,8 @@ All emission works off the serialized report, so a stored report.json can be
 re-rendered later without network or cache access. CSV output uses RFC 4180
 quoting and UTF-8 throughout. Each format renders every file to text before
 any is written, so a report that cannot be rendered leaves no output behind.
+Every JSON file the package writes (this report and the cache files of
+``mw_client``) is rendered by ``json_text``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 
 
@@ -35,8 +38,106 @@ def _csv(rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+def _dumps(value, sort_keys: bool = False) -> str:
+    """The text ``json_text`` stands in for, or that text's exception."""
+    return json.dumps(value, ensure_ascii=False, indent=2, allow_nan=False, sort_keys=sort_keys)
+
+
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if -_INF < value < _INF:
+        return float.__repr__(value)
+    return _dumps(value)  # NaN or ±inf: raises json's own ValueError
+
+
+# exact type -> JSON text; other types (subclasses too) take json's own path
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _value: "null",
+}
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps turns it into a string, or json.dumps's error."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _SCALARS[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _append_container(value, lead: str, newline: str, sort_keys: bool, out: list[str]) -> None:
+    """Append ``lead`` and the lines of a dict, list or tuple closed after ``newline``.
+
+    Each item is one piece: its separator, indent, key and, for a scalar, its
+    text. A nested container starts with the piece of its key.
+    """
+    inner = newline + "  "
+    scalars = _SCALARS
+    if isinstance(value, dict):
+        if not value:
+            out.append(lead + "{}")
+            return
+        lead += "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            key = encode_basestring(key if type(key) is str else _key_text(key)) + ": "
+            encode = scalars.get(type(item))
+            if encode is not None:
+                out.append(lead + key + encode(item))
+            elif isinstance(item, (list, tuple, dict)):
+                _append_container(item, lead + key, inner, sort_keys, out)
+            else:
+                out.append(lead + key + _dumps(item))
+            lead = "," + inner
+        out.append(newline + "}")
+    else:
+        if not value:
+            out.append(lead + "[]")
+            return
+        lead += "[" + inner
+        for item in value:
+            encode = scalars.get(type(item))
+            if encode is not None:
+                out.append(lead + encode(item))
+            elif isinstance(item, (list, tuple, dict)):
+                _append_container(item, lead, inner, sort_keys, out)
+            else:
+                out.append(lead + _dumps(item))
+            lead = "," + inner
+        out.append(newline + "]")
+
+
+def json_text(value, sort_keys: bool = False) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2, allow_nan=False, sort_keys=sort_keys)``.
+
+    The same text or the same exception, made without the pure-Python
+    generator chain that ``indent`` selects in ``json``: one recursive walk
+    appends each line to one list, joined once.
+    """
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _dumps(value)
+    out: list[str] = []
+    try:
+        _append_container(value, "", "\n", sort_keys, out)
+    except RecursionError:  # too deep for this walk, or a cycle: json's text or error
+        return _dumps(value, sort_keys)
+    return "".join(out)
+
+
 def render_json(report: dict) -> dict[str, str]:
-    return {"report.json": json.dumps(report, ensure_ascii=False, indent=2, allow_nan=False) + "\n"}
+    return {"report.json": json_text(report) + "\n"}
 
 
 def render_csv(report: dict) -> dict[str, str]:

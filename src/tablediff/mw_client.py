@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 from urllib.parse import quote
 
+from .emit import json_text
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
 from .htmldom import Node, parse_html
 
@@ -287,13 +288,15 @@ class MediaWikiClient:
         """Write JSON through a temp file of its own, then rename it into place.
 
         The temp name is unique, so clients or processes sharing one cache
-        directory never write into each other's temp file.
+        directory never write into each other's temp file. The text is
+        rendered first, so a payload that cannot be encoded makes no temp file.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
+        text = json_text(payload, sort_keys=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -34,6 +34,9 @@ RATIO_PCT_SLACK_PP = 0.05
 
 DEFAULT_STALENESS_DAYS = 180
 
+#: relative gap left by a unit conversion's float rounding (1.007 km * 1000 = 1006.9999999999999 m)
+FLOAT_ROUNDING_REL_TOL = 1e-12
+
 # thousands / decimal separators; en-style is the fallback for unknown codes
 _SEPARATORS = {
     "en": (",", "."),
@@ -182,8 +185,11 @@ def format_number(magnitude: float, language: str) -> str:
 
 
 def relative_difference(a: float, b: float) -> float:
-    """|a-b| scaled by the smaller absolute value; inf when only one is zero."""
-    if a == b:
+    """|a-b| scaled by the smaller absolute value; inf when only one is zero.
+
+    Magnitudes within float rounding of each other differ by 0.
+    """
+    if math.isclose(a, b, rel_tol=FLOAT_ROUNDING_REL_TOL):
         return 0.0
     low = min(abs(a), abs(b))
     if low == 0.0:

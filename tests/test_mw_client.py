@@ -341,6 +341,19 @@ def test_write_atomic_removes_temp_file_when_write_fails(tmp_path):
     assert list(path.parent.iterdir()) == []
 
 
+def test_write_atomic_renders_before_it_makes_a_temp_file(tmp_path, monkeypatch):
+    from tablediff import mw_client
+
+    def no_temp_file(*args, **kwargs):
+        raise AssertionError("temp file made for a payload that cannot be encoded")
+
+    monkeypatch.setattr(mw_client.tempfile, "mkstemp", no_temp_file)
+    with pytest.raises(TypeError):
+        MediaWikiClient._write_atomic(tmp_path / "cache" / "qids.json", {"en:T": object()})
+    with pytest.raises(ValueError):
+        MediaWikiClient._write_atomic(tmp_path / "cache" / "qids.json", {"en:T": float("nan")})
+
+
 def test_http_transport_waits_retry_after_seconds(monkeypatch):
     from tablediff import mw_client
     transport = mw_client.HttpTransport(retry_backoff=0.5)
@@ -550,6 +563,19 @@ def test_lookups_write_nothing_until_save(tmp_path, fake_transport):
     langlinks = json.loads((tmp_path / "cache" / "langlinks.json").read_text(encoding="utf-8"))
     assert qids == {"en:Mount Everest": "Q513"}
     assert langlinks == {"en:Sample Page": [["de", "Beispielseite"], ["fr", "Page exemple"]]}
+
+
+def test_saved_cache_files_are_sorted_two_space_json(tmp_path, fake_transport):
+    client = make_client(tmp_path, fake_transport)
+    client.fetch_page(ArticleRef("en", "Sample Page"))
+    client.list_language_versions(ArticleRef("en", "Sample Page"))
+    client.resolve_qids("en", ["Mount Everest", "Sample Page"])
+    client.save()
+    paths = sorted((tmp_path / "cache").rglob("*.json"))
+    assert {p.name for p in paths} >= {"qids.json", "langlinks.json"}
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2, sort_keys=True)
 
 
 def test_save_with_nothing_unsaved_touches_no_file(tmp_path, fake_transport):

@@ -4,7 +4,7 @@ import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tablediff.entity_align import EntityKey
 from tablediff.schema_align import AttributeKey
@@ -339,6 +339,23 @@ def test_relative_difference_zero_handling():
     assert relative_difference(0.0, 0.0) == 0.0
     assert relative_difference(0.0, 5.0) == math.inf
     assert math.isclose(relative_difference(8849, 8848), 1 / 8848)
+
+
+def test_unit_conversion_rounding_is_no_conflict():
+    # 1.007 km * 1000 is 1006.9999999999999 m: float rounding, not a disagreement.
+    by_lang = {"en": parse_value("1007 m", "en"), "de": parse_value("1,007 km", "de")}
+    assert detect_conflicts("fam", HEIGHT, {E: by_lang}) == ([], [])
+    assert relative_difference(1007.0, 1.007 * 1000.0) == 0.0
+    assert relative_difference(1007.0, 1008.0) == 1 / 1007
+
+
+@example(1007, "en", "de")
+@given(st.integers(0, 10**9), ROUND_TRIP_LANGUAGES, ROUND_TRIP_LANGUAGES)
+def test_a_length_in_metres_and_in_km_agrees(metres, metre_lang, km_lang):
+    by_lang = {"a": parse_value(f"{format_number(metres, metre_lang)} m", metre_lang),
+               "b": parse_value(f"{format_number(metres / 1000, km_lang)} km", km_lang)}
+    assert [v.unit for v in by_lang.values()] == ["m", "km"]
+    assert detect_conflicts("fam", HEIGHT, {E: by_lang}) == ([], [])
 
 
 # -- classification ----------------------------------------------------------
