@@ -35,7 +35,7 @@ class SnapshotError(TableDiffError):
 
 
 class ParseError(TableDiffError):
-    """HTML was malformed beyond what the tolerant parser recovers from."""
+    """Scanning a page failed: a defect in the scan, which reads any markup."""
 
 
 class MappingConflict(TableDiffError):

@@ -1,37 +1,48 @@
-"""Minimal tolerant DOM: a purpose-built HTML tokenizer, html.parser for the rest.
+"""Read a page's data tables and reference count in one pass over its HTML.
 
-``parse_html`` has two paths. The fast path scans the document once with one
-compiled regex (``_TOKEN``), made for the regular markup MediaWiki emits:
-each match is the text up to the next ``<`` plus the markup there, which is
-a comment, a ``<!…>`` declaration, a ``<?…>`` instruction, an end tag, or a
-start tag whose attributes are well delimited. A start tag followed by text
-with no ``<`` and then its end tag spelled the same way (``<td>8,848</td>``:
-most cells, links and reference texts) is one match, a leaf element that
-never enters the stack of open elements; when such a start tag is void,
-self-closing, ``script`` or ``style``, scanning resumes after its ``>``
-instead. Attributes are split with one more regex (``_ATTR``). Text and
-attribute values go through ``html.unescape`` only when they contain ``&``;
-``script`` and ``style`` content is kept raw up to its close tag. A document
-that ``_TOKEN`` cannot scan to its end (a start tag with odd attribute
-syntax, a construct with no closing ``>``) is parsed whole by the stdlib
-``html.parser`` instead, through ``_TreeBuilder``.
+``parse_html`` has two tokenizer paths that feed the same ``_Reader``. The
+fast path scans the document once with one compiled regex (``_TOKEN``), made
+for the regular markup MediaWiki emits: each match is the text up to the
+next ``<`` plus the markup there (a comment, a ``<!…>`` declaration, a
+``<?…>`` instruction, an end tag, or a start tag whose attributes are well
+delimited). A start tag followed by text with no ``<`` and then its end tag
+spelled the same way (``<td>8,848</td>``: most cells) is one match and one
+``leaf`` event, unless the tag is void, self-closing, ``script`` or
+``style``. Attributes are split with ``_ATTR``; text and attribute values go
+through ``html.unescape`` only when they contain ``&``; ``script`` and
+``style`` content is kept raw up to its close tag. A document that
+``_TOKEN`` cannot scan to its end is read afresh by the stdlib
+``html.parser`` through ``_ParserFeed``, with a new reader.
 
-Both paths build the tree that html.parser's events build: tag and attribute
-names lowercased; attribute values unquoted and unescaped, ``None`` for a
-valueless attribute, the last duplicate winning; comments, doctypes and
-processing instructions dropped; text unescaped, possibly split over
-adjacent strings. Malformed input follows html.parser too: ``</ >`` and
-``</3>`` are dropped, ``<!-->`` with no later ``-->`` is text, and an
-unterminated ``<script>`` or ``<style>`` drops its content. Tree rules: a
-close tag with no matching open element is ignored, closing an outer element
-implicitly closes everything nested inside it, void elements take no
-children, and parsing never raises. Nodes hold no parent pointers, so a tree
-has no reference cycles and is freed by reference counting once dropped.
+Both paths give the events html.parser gives: names lowercased, attribute
+values unquoted and unescaped (``None`` when valueless, the last duplicate
+winning), comments, declarations and instructions dropped. Malformed input
+follows html.parser too (``</ >`` and ``</3>`` are dropped, ``<!-->`` with
+no later ``-->`` is text, an unterminated ``<script>`` drops its content),
+with one deliberate difference: ``<![…`` is dropped through the next ``>``
+like any other ``<!…>``, where html.parser raises on most such input.
 
-One deliberate difference from plain ``html.parser``: ``<![…`` (CDATA or a
-marked section) is dropped through the next ``>`` like any other ``<!…>``
-declaration, where the stdlib parser raises on most such input or drops it
-through ``]]>``. Rendered MediaWiki HTML contains neither form.
+The reader keeps the names of the open elements and builds no tree: a close
+tag with no matching open element is ignored, closing an element closes
+everything still open inside it, void and self-closing elements take no
+children, and whatever is open at the end of input closes there. It reads:
+
+- data tables: tables inside no other table whose class includes
+  ``wikitable`` and none of ``EXCLUDED_TABLE_CLASSES``. Their rows are their
+  own ``<tr>`` children, then those of their ``thead``/``tbody``/``tfoot``
+  children; a row's cells are its ``<th>``/``<td>`` children, each read into
+  ``(raw_text, link_title, is_header, rowspan, colspan)``. Rows without
+  cells and tables without rows are left out;
+- a cell's text: all text inside it but that of reference sups (class
+  ``reference`` or an ``id`` starting ``cite_ref``) and ``script``/``style``,
+  with a space for each ``<br>`` and after each element of ``BLOCK_TAGS``,
+  so a nested table's text flattens into its cell;
+- a cell's link: the first anchor that resolves through ``link_target``, is
+  not a red link (class ``new``) and whose parent is not a reference sup; it
+  may sit inside a nested table, or deeper inside a sup;
+- the reference count: the ``<li>`` children of every ``<ol class="references">``.
+
+Reading never raises on bad markup and never recurses, so depth is unbounded.
 """
 
 from __future__ import annotations
@@ -39,44 +50,209 @@ from __future__ import annotations
 import re
 from html import unescape
 from html.parser import HTMLParser
-from typing import Optional
+from typing import NamedTuple, Optional
+from urllib.parse import unquote
 
 VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
     "link", "meta", "param", "source", "track", "wbr",
 }
 
+EXCLUDED_TABLE_CLASSES = {"infobox", "navbox", "metadata", "sidebar"}
 
-class Node:
-    """One element: tag name, attributes, and mixed node/str children."""
+# Elements whose text never counts as cell content.
+NON_CONTENT_TAGS = {"script", "style"}
 
-    __slots__ = ("tag", "attrs", "children")
+# Elements whose end separates words that would otherwise glue together.
+BLOCK_TAGS = frozenset({"p", "div", "li", "tr", "td", "th", "table", "caption"})
 
-    def __init__(self, tag: str, attrs: Optional[dict] = None):
-        self.tag = tag
-        self.attrs = attrs or {}
-        self.children: list = []
+# Links into these namespaces never denote a row entity.
+_NAMESPACE_PREFIXES = (
+    "file:", "image:", "category:", "help:", "template:", "special:",
+    "wikipedia:", "portal:", "talk:", "user:", "wiktionary:", "media:",
+)
 
-    def classes(self) -> set[str]:
-        return set((self.attrs.get("class") or "").split())
+_HTML_SPAN_CAP = 1000  # browsers clamp colspan/rowspan; so do we
 
-    def get(self, name: str, default=None):
-        return self.attrs.get(name, default)
+# HTML's rules for parsing non-negative integers: leading ASCII whitespace,
+# an optional "+", then the leading digits; whatever follows is ignored.
+_SPAN_RE = re.compile(r"[\t\n\f\r ]*\+?([0-9]+)")
 
-    def find_all(self, tag: str, class_: Optional[str] = None) -> list["Node"]:
-        """Element descendants with this tag (and class), in document order."""
-        out = []
-        stack = self.children[::-1]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Node):
-                if node.tag == tag and (class_ is None or class_ in node.classes()):
-                    out.append(node)
-                stack.extend(reversed(node.children))
-        return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Node {self.tag} {self.attrs.get('class', '')!r}>"
+def link_target(href: Optional[str], title_attr: Optional[str]) -> Optional[str]:
+    """Resolve an anchor to an internal page title, or None.
+
+    Only ``/wiki/Title`` hrefs qualify; red links (``action=edit``) and
+    non-article namespaces are skipped.
+    """
+    if not href or not href.startswith("/wiki/"):
+        return None
+    if title_attr:
+        title = title_attr
+    else:
+        title = unquote(href[len("/wiki/"):]).split("#", 1)[0].replace("_", " ")
+    title = title.strip()
+    if not title or title.lower().startswith(_NAMESPACE_PREFIXES):
+        return None
+    return title
+
+
+def _coerce_span(value) -> int:
+    if value is None or value == "1":
+        return 1
+    match = _SPAN_RE.match(value)
+    if match is None:
+        return 1
+    return min(max(int(match.group(1)), 1), _HTML_SPAN_CAP)
+
+
+# Elements a rule reads outside a cell; inside a cell every element counts.
+_STRUCTURE_TAGS = frozenset({"li", "ol", "table", "thead", "tbody", "tfoot", "tr", "td", "th"})
+
+_ROWS = ("row", "section row")  # the roles of a data table's own rows and its sections' rows
+
+
+def _classes(attrs: dict) -> list[str]:
+    return (attrs.get("class") or "").split()
+
+
+def _cell_form(tag: str, attrs: dict) -> tuple[bool, int, int]:
+    """A <th>/<td>'s is_header, rowspan and colspan."""
+    if not attrs:
+        return tag == "th", 1, 1
+    return tag == "th", _coerce_span(attrs.get("rowspan")), _coerce_span(attrs.get("colspan"))
+
+
+class PageScan(NamedTuple):
+    """What one pass reads off a page."""
+
+    tables: list  # each data table's rows of (raw_text, link_title, is_header, rowspan, colspan)
+    references: int  # <li> children of <ol class="references"> elements
+
+
+class _Reader:
+    """The rules above: one page's events in, its ``PageScan`` out.
+
+    Besides the names of the open elements it keeps a role for the few open
+    elements a rule tracks (the data table, its sections, rows and cell,
+    reference sups and script/style inside the cell, reference lists), keyed
+    by stack position. Only one outer table, row and cell is open at a time.
+    """
+
+    def __init__(self):
+        self.stack: list[str] = []  # names of the open elements, innermost last
+        self.roles: dict[int, str] = {}  # stack position -> role of a tracked open element
+        self.in_table = False  # an outer table, data table or not, is open
+        self.tables: list = []
+        self.rows: list = []  # the open data table's own rows
+        self.section_rows: list = []  # its sections' rows
+        self.cells: list = []  # the open row's cells
+        self.parts: Optional[list[str]] = None  # the open cell's text; None outside a cell
+        self.link: Optional[str] = None  # the open cell's first link
+        self.cell = (False, 1, 1)  # the open cell's is_header, rowspan, colspan
+        self.dropped = 0  # open reference sups and script/style elements in the cell
+        self.references = 0
+
+    def start(self, tag: str, attrs: dict, closed: bool = False) -> None:
+        stack = self.stack
+        if self.parts is None and tag not in _STRUCTURE_TAGS:  # no rule reads it
+            if not closed and tag not in VOID_TAGS:
+                stack.append(tag)
+            return
+        parent = self.roles.get(len(stack) - 1)
+        role = None
+        if tag == "li":
+            if parent == "references":
+                self.references += 1
+        elif tag == "ol" and "references" in _classes(attrs):
+            role = "references"
+        if self.parts is not None:
+            if tag == "a":
+                if self.link is None and parent != "sup" and "new" not in _classes(attrs):
+                    self.link = link_target(attrs.get("href"), attrs.get("title"))
+            elif tag == "br":
+                if not self.dropped:
+                    self.parts.append(" ")
+            elif tag in NON_CONTENT_TAGS:
+                role = "dropped"
+                self.dropped += 1
+            elif tag == "sup" and ("reference" in _classes(attrs)
+                                   or (attrs.get("id") or "").startswith("cite_ref")):
+                role = "sup"
+                self.dropped += 1
+        elif not self.in_table:
+            if tag == "table":
+                self.in_table = True
+                classes = set(_classes(attrs))
+                qualifies = "wikitable" in classes and not classes & EXCLUDED_TABLE_CLASSES
+                role = "table" if qualifies else "other table"
+        elif tag == "tr":
+            if parent == "table" or parent == "section":
+                role = "row" if parent == "table" else "section row"
+                self.cells = []
+        elif tag == "td" or tag == "th":
+            if parent in _ROWS:
+                role = "cell"
+                self.parts, self.link, self.cell = [], None, _cell_form(tag, attrs)
+        elif parent == "table" and tag in ("thead", "tbody", "tfoot"):
+            role = "section"
+        stack.append(tag)
+        if role is not None:
+            self.roles[len(stack) - 1] = role
+        if closed or tag in VOID_TAGS:
+            self._close(len(stack) - 1)
+
+    def leaf(self, tag: str, attrs: dict, data: str) -> None:
+        """``start``, ``text`` and ``end`` of an element that holds only ``data``."""
+        if self.parts is None:
+            if tag not in _STRUCTURE_TAGS:
+                return  # no rule reads it
+            if (tag == "td" or tag == "th") and self.roles.get(len(self.stack) - 1) in _ROWS:
+                self.cells.append((data, None, *_cell_form(tag, attrs)))  # most cells
+                return
+        self.start(tag, attrs)
+        self.text(data)
+        self._close(len(self.stack) - 1)
+
+    def text(self, data: str) -> None:
+        if self.parts is not None and not self.dropped:
+            self.parts.append(data)
+
+    def end(self, tag: str) -> None:
+        """Close the innermost open element with this name, if any."""
+        stack = self.stack
+        for depth in range(len(stack) - 1, -1, -1):
+            if stack[depth] == tag:
+                self._close(depth)
+                return
+
+    def _close(self, depth: int) -> None:
+        """Close the open elements from stack position ``depth`` up, innermost first."""
+        stack, roles = self.stack, self.roles
+        for pos in range(len(stack) - 1, depth - 1, -1):
+            role = roles.pop(pos, None)
+            if role == "cell":
+                self.cells.append(("".join(self.parts), self.link, *self.cell))
+                self.parts = None
+            elif role == "sup" or role == "dropped":
+                self.dropped -= 1
+            elif role in _ROWS:
+                if self.cells:
+                    (self.rows if role == "row" else self.section_rows).append(self.cells)
+            elif role == "table":
+                if self.rows or self.section_rows:
+                    self.tables.append(self.rows + self.section_rows)
+                self.rows, self.section_rows = [], []
+                self.in_table = False
+            elif role == "other table":
+                self.in_table = False
+            if self.parts is not None and not self.dropped and stack[pos] in BLOCK_TAGS:
+                self.parts.append(" ")
+        del stack[depth:]
+
+    def finish(self) -> PageScan:
+        self._close(0)
+        return PageScan(self.tables, self.references)
 
 
 # Character classes follow html.parser so both tokenize a tag the same way.
@@ -89,7 +265,7 @@ _ATTR_VALUE = r"\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+"
 # 3 its attribute text, 4 "/" when self-closing, 5 when the start tag is
 # followed by text with no "<" and then its end tag spelled exactly
 # "</name>", that text (a leaf element in one match); 6 or 7 an end tag name;
-# 8 markup that builds nothing (comments, declarations, processing
+# 8 markup that gives no event (comments, declarations, processing
 # instructions, end tags without a name). At the end of input only group 1
 # is set.
 _TOKEN = re.compile(
@@ -115,32 +291,24 @@ def _attr_value(value: str) -> str:
     return unescape(value) if "&" in value else value
 
 
-class _TreeBuilder(HTMLParser):
-    """The tree of html.parser's events, for documents ``_TOKEN`` cannot scan."""
+class _ParserFeed(HTMLParser):
+    """html.parser's events, fed to a reader, for documents ``_TOKEN`` cannot scan."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.open_elements = [Node("#document")]  # innermost open element last
+        self.reader = _Reader()
 
     def handle_starttag(self, tag, attrs):
-        node = Node(tag, dict(attrs))
-        self.open_elements[-1].children.append(node)
-        if tag not in VOID_TAGS:
-            self.open_elements.append(node)
+        self.reader.start(tag, dict(attrs))
 
     def handle_startendtag(self, tag, attrs):
-        self.open_elements[-1].children.append(Node(tag, dict(attrs)))
+        self.reader.start(tag, dict(attrs), closed=True)
 
     def handle_endtag(self, tag):
-        # Close the innermost open element with this name, if any; never the root.
-        for depth in range(len(self.open_elements) - 1, 0, -1):
-            if self.open_elements[depth].tag == tag:
-                del self.open_elements[depth:]
-                return
+        self.reader.end(tag)
 
     def handle_data(self, data):
-        if data:
-            self.open_elements[-1].children.append(data)
+        self.reader.text(data)
 
     def parse_marked_section(self, i, report=1):
         # "<![" is dropped through the next ">", as _TOKEN drops any "<!…>".
@@ -148,65 +316,51 @@ class _TreeBuilder(HTMLParser):
         return end + 1 if end >= 0 else -1
 
 
-def parse_html(html: str) -> Node:
-    """Parse an HTML document into a Node tree. Never raises on bad markup."""
-    root = current = Node("#document")
-    open_elements = [root]  # the root, then each element still open, innermost last
+def parse_html(html: str) -> PageScan:
+    """Read a page's data tables and reference count. Never raises on bad markup."""
+    reader = _Reader()
+    start, leaf, text, end = reader.start, reader.leaf, reader.text, reader.end
     n = len(html)
     pos = 0
     match = _TOKEN.match
     while pos < n:
         m = match(html, pos)
         if m is None:
-            # Markup outside the regular shape: let html.parser build the whole tree.
-            builder = _TreeBuilder()
-            builder.feed(html)
-            builder.close()
-            return builder.open_elements[0]
+            # Markup outside the regular shape: html.parser reads the whole page afresh.
+            feed = _ParserFeed()
+            feed.feed(html)
+            feed.close()
+            return feed.reader.finish()
         pos = m.end()
-        text, tag, attr_text, slash, leaf_text, end_name, loose_end_name, _ = m.groups()
-        if text:
-            current.children.append(unescape(text) if "&" in text else text)
+        data, tag, attr_text, slash, leaf_text, end_name, loose_end_name, _ = m.groups()
+        if data:
+            text(unescape(data) if "&" in data else data)
         if tag is None:
             end_name = end_name or loose_end_name
             if end_name:
-                # Close the innermost open element with this name, if any.
-                end_name = end_name.lower()
-                for depth in range(len(open_elements) - 1, 0, -1):
-                    if open_elements[depth].tag == end_name:
-                        del open_elements[depth:]
-                        current = open_elements[-1]
-                        break
+                end(end_name.lower())
             continue
         tag = tag.lower()
         attrs = {}
         if attr_text:
             for name, eq, value in _ATTR.findall(attr_text):
                 attrs[name.lower()] = _attr_value(value) if eq else None
-        self_closing = slash == "/"
+        closed = slash == "/"
         if leaf_text is not None:
-            if self_closing or tag in VOID_TAGS or tag in _RAW_TEXT_END:
+            if closed or tag in VOID_TAGS or tag in _RAW_TEXT_END:
                 pos = m.end(4) + 1  # rescan from just after the start tag's ">"
             else:
-                # A leaf element: the tree the start tag, text and end tag would build.
-                node = Node(tag, attrs)
-                if leaf_text:
-                    node.children.append(unescape(leaf_text) if "&" in leaf_text else leaf_text)
-                current.children.append(node)
+                # A leaf element: the start tag, text and end tag in one match.
+                leaf(tag, attrs, unescape(leaf_text) if "&" in leaf_text else leaf_text)
                 continue
-        node = Node(tag, attrs)
-        current.children.append(node)
-        if self_closing or tag in VOID_TAGS:
-            continue
+        start(tag, attrs, closed)
         raw_end = _RAW_TEXT_END.get(tag)
-        if raw_end is not None:
+        if raw_end is not None and not closed:
             close = raw_end.search(html, pos)
             if close is None:
                 break  # unterminated: html.parser drops the content too
             if close.start() > pos:
-                node.children.append(html[pos:close.start()])
+                text(html[pos:close.start()])
+            end(tag)
             pos = close.end()
-            continue
-        open_elements.append(node)
-        current = node
-    return root
+    return reader.finish()

@@ -27,7 +27,7 @@ from urllib.parse import quote
 
 from .emit import json_text
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
-from .htmldom import Node, parse_html
+from .htmldom import PageScan, parse_html
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +98,11 @@ class PageDocument:
             raise ValueError("html must be non-empty")
 
     @cached_property
-    def root(self) -> Node:
-        """The parsed HTML tree, built on first access and kept with the page.
+    def scan(self) -> PageScan:
+        """The page's data tables and reference count, read on first access and kept.
 
         Table extraction and reference counting both read it, so each page
-        is parsed once.
+        is scanned once.
         """
         try:
             return parse_html(self.html)
@@ -514,13 +514,8 @@ class MediaWikiClient:
 def count_references(doc: PageDocument) -> int:
     """Number of distinct reference-list items in the rendered page.
 
-    Counts ``<li>`` items inside ``<ol class="references">`` containers, so a
-    source cited from ten inline markers still counts once. Returns 0 when
-    the page has no reference list.
+    Counts the ``<li>`` children of ``<ol class="references">`` containers,
+    so a source cited from ten inline markers still counts once. Returns 0
+    when the page has no reference list.
     """
-    total = 0
-    for ol in doc.root.find_all("ol", class_="references"):
-        for child in ol.children:
-            if getattr(child, "tag", None) == "li":
-                total += 1
-    return total
+    return doc.scan.references

@@ -177,15 +177,15 @@ def _read_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiCli
     """Extract and link one edition; return its page if it stays ok, else add its finding.
 
     The edition gives up its page, so a caller that lets it go before the
-    next call holds one page tree at a time. A page that cannot be parsed or
-    nests too deeply makes the edition an error, like a failed fetch. The
-    findings of linking go to ``link_findings``, the edition's own to ``findings``.
+    next call holds one page and its scan at a time. A page whose scan fails
+    makes the edition an error, like a failed fetch. The findings of linking
+    go to ``link_findings``, the edition's own to ``findings``.
     """
     doc, edition.doc = edition.doc, None
     if edition.status == "ok":
         try:
             edition.tables = extract_tables(doc)
-        except (ParseError, RecursionError) as exc:
+        except ParseError as exc:
             logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
             edition.status, edition.reason = "error", str(exc)
     if edition.status != "ok":
@@ -283,7 +283,7 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
             "revision_timestamp": format_ts(doc.revision_timestamp),
             **metrics,
         })
-        del doc  # else this page's tree lives on while the next edition's is built
+        del doc  # else this page and its scan live on while the next edition's is read
     findings.extend(link_findings)
 
     analyzed = [e for e in editions if e.status == "ok"]

@@ -9,7 +9,8 @@ from html.parser import HTMLParser
 
 import numpy as np
 
-from tablediff.htmldom import Node
+from tablediff.htmldom import (BLOCK_TAGS, EXCLUDED_TABLE_CLASSES, NON_CONTENT_TAGS, VOID_TAGS,
+                              _coerce_span, link_target)
 from tablediff.schema_align import attribute_row
 from tablediff.value_analysis import (MISSING, ParsedValue, _pair_difference,
                                       _record, classify, is_missing, parse_value)
@@ -106,14 +107,37 @@ def layout_to_html(layout, rng=None):
     return '<table class="wikitable"><tbody>' + "".join(rows) + "</tbody></table>"
 
 
-_VOID_TAGS = {
-    "area", "base", "br", "col", "embed", "hr", "img", "input",
-    "link", "meta", "param", "source", "track", "wbr",
-}
+class Node:
+    """One element of the oracle tree: tag name, attributes, and mixed node/str children."""
+
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag, attrs=None):
+        self.tag = tag
+        self.attrs = attrs or {}
+        self.children = []
+
+    def classes(self):
+        return set((self.attrs.get("class") or "").split())
+
+    def get(self, name, default=None):
+        return self.attrs.get(name, default)
+
+    def find_all(self, tag, class_=None):
+        """Element descendants with this tag (and class), in document order."""
+        out = []
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Node):
+                if node.tag == tag and (class_ is None or class_ in node.classes()):
+                    out.append(node)
+                stack.extend(reversed(node.children))
+        return out
 
 
 class _TreeBuilder(HTMLParser):
-    """The stdlib-parser tree builder that ``parse_html`` replaced."""
+    """The element tree of html.parser's events, as the page tree was built."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -123,7 +147,7 @@ class _TreeBuilder(HTMLParser):
     def handle_starttag(self, tag, attrs):
         node = Node(tag, dict(attrs))
         self.open_elements[-1].children.append(node)
-        if tag not in _VOID_TAGS:
+        if tag not in VOID_TAGS:
             self.open_elements.append(node)
 
     def handle_startendtag(self, tag, attrs):
@@ -140,6 +164,11 @@ class _TreeBuilder(HTMLParser):
         if data:
             self.open_elements[-1].children.append(data)
 
+    def parse_marked_section(self, i, report=1):
+        # "<![" is dropped through the next ">", as parse_html drops any "<!…>".
+        end = self.rawdata.find(">", i + 3)
+        return end + 1 if end >= 0 else -1
+
 
 def oracle_parse_html(html):
     """Reference tree built from ``html.parser`` events."""
@@ -149,18 +178,88 @@ def oracle_parse_html(html):
     return builder.root
 
 
-def tree_shape(node):
-    """Nested (tag, attrs, children) tuples with adjacent strings merged."""
-    children = []
+# -- the tree walks: each page's tables and reference count -------------------
+
+def _is_reference_sup(node):
+    return node.tag == "sup" and (
+        "reference" in node.classes() or str(node.get("id", "")).startswith("cite_ref"))
+
+
+def _walk_cell(node, parts, link):
     for child in node.children:
         if isinstance(child, str):
-            if children and isinstance(children[-1], str):
-                children[-1] += child
+            parts.append(child)
+            continue
+        tag = child.tag
+        if tag in NON_CONTENT_TAGS or _is_reference_sup(child):
+            if link is None:
+                link = _walk_cell(child, [], None)
+            continue
+        if tag == "br":
+            parts.append(" ")
+            continue
+        if tag == "a" and link is None and not _is_reference_sup(node) \
+                and "new" not in child.classes():
+            link = link_target(child.get("href"), child.get("title"))
+        link = _walk_cell(child, parts, link)
+        if tag in BLOCK_TAGS:
+            parts.append(" ")
+    return link
+
+
+def _raw_cell(node):
+    """A <th>/<td>: (raw_text, link_title, is_header, rowspan, colspan)."""
+    parts = []
+    link = _walk_cell(node, parts, None)
+    return ("".join(parts), link, node.tag == "th",
+            _coerce_span(node.get("rowspan")), _coerce_span(node.get("colspan")))
+
+
+def _outer_tables(root):
+    """Tables inside no other table, in document order; never enters a table."""
+    out = []
+    stack = root.children[::-1]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node):
+            if node.tag == "table":
+                out.append(node)
             else:
-                children.append(child)
-        else:
-            children.append(tree_shape(child))
-    return (node.tag, node.attrs, children)
+                stack.extend(reversed(node.children))
+    return out
+
+
+def _table_rows(table):
+    """The table's own <tr> rows, then those of its sections; never a nested table's."""
+    children = [c for c in table.children if isinstance(c, Node)]
+    rows = [c for c in children if c.tag == "tr"]
+    for section in children:
+        if section.tag in ("thead", "tbody", "tfoot"):
+            rows += [c for c in section.children if isinstance(c, Node) and c.tag == "tr"]
+    return rows
+
+
+def oracle_scan(html):
+    """(raw rows of each data table, reference count) read off the html.parser tree.
+
+    The tree walks ``table_parser`` and ``count_references`` made before the
+    page scan read both straight off the markup.
+    """
+    root = oracle_parse_html(html)
+    tables = []
+    for table in _outer_tables(root):
+        classes = table.classes()
+        if "wikitable" not in classes or classes & EXCLUDED_TABLE_CLASSES:
+            continue
+        rows = [[_raw_cell(c) for c in tr.children
+                 if isinstance(c, Node) and c.tag in ("th", "td")]
+                for tr in _table_rows(table)]
+        rows = [row for row in rows if row]
+        if rows:
+            tables.append(rows)
+    references = sum(1 for ol in root.find_all("ol", class_="references")
+                     for child in ol.children if getattr(child, "tag", None) == "li")
+    return tables, references
 
 
 def oracle_collect_attribute_values(matrix, columns, attribute, extra_missing):

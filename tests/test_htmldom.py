@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,65 +8,80 @@ from hypothesis import given, settings, strategies as st
 from tablediff import htmldom
 from tablediff.htmldom import parse_html
 from tablediff.mw_client import PageDocument, count_references
-from tablediff.table_parser import _cell_content, extract_tables
+from tablediff.table_parser import extract_tables
 
 from conftest import FIXTURE_CACHE
-from oracles import oracle_parse_html, tree_shape
+from oracles import oracle_scan
 
 
-def text(node) -> str:
-    """A node's visible text, as the table cell walk collects it."""
-    return _cell_content(node)[0]
+def in_cell(html: str) -> str:
+    """``html`` as the one cell of a data table, where the reader reads it."""
+    return f'<table class="wikitable"><tr><td>{html}</td></tr></table>'
+
+
+def assert_same_scan(html):
+    """The scan's tables and reference count equal those of the tree oracle."""
+    assert parse_html(html) == oracle_scan(html)
+
+
+def cell_text(html: str) -> str:
+    """The raw text of the one cell of ``in_cell(html)``, checked against the oracle."""
+    html = in_cell(html)
+    assert_same_scan(html)
+    [[[cell]]] = parse_html(html).tables
+    return cell[0]
 
 
 def test_basic_tree_and_classes():
-    root = parse_html('<div class="a b"><p>hi <b>there</b></p></div>')
-    div = root.find_all("div")[0]
-    assert div.classes() == {"a", "b"}
-    assert "hi there" in text(div)
+    html = ('<table class="sortable wikitable jquery-tablesorter"><tr><td>'
+            '<div class="a b"><p>hi <b>there</b></p></div></td></tr></table>')
+    assert_same_scan(html)
+    assert parse_html(html).tables == [[[("hi there  ", None, False, 1, 1)]]]
 
 
 def test_stray_close_tags_ignored():
-    root = parse_html("<p>one</p></div></table><p>two</p>")
-    assert [text(p).strip() for p in root.find_all("p")] == ["one", "two"]
+    assert cell_text("<p>one</p></div></span><p>two</p>") == "one two "
+    html = '</td></tr></table>' + in_cell("x")
+    assert_same_scan(html)
+    assert parse_html(html).tables == [[[("x", None, False, 1, 1)]]]
 
 
 def test_unclosed_elements_close_implicitly():
-    root = parse_html("<div><span>inner<p>deep</div><p>after</p>")
-    paragraphs = root.find_all("p")
-    assert len(paragraphs) == 2
-    assert paragraphs[1] in root.children
+    # </div> closes the span and p inside it; "after" is in a p of its own.
+    assert cell_text("<div><span>inner<p>deep</div><p>after</p>") == "innerdeep  after "
+    # whatever is open at the end of input closes there
+    html = '<table class="wikitable"><tr><td>x<td>y'
+    assert_same_scan(html)
+    assert parse_html(html).tables == [[[("xy ", None, False, 1, 1)]]]
 
 
 def test_void_elements_take_no_children():
-    root = parse_html("<p>a<br>b<img src='x'>c</p>")
-    p = root.find_all("p")[0]
-    assert text(p).replace(" ", "") == "abc"
-    assert not root.find_all("br")[0].children
+    # Text after a void element is its parent's, so it is not dropped with the <br>.
+    assert cell_text("<p>a<br>b<img src='x'>c</p>") == "a bc "
 
 
 def test_entity_references_decoded():
-    root = parse_html("<td>Tote&nbsp;/&nbsp;Besteigungen &amp; mehr</td>")
-    assert text(root.find_all("td")[0]) == "Tote / Besteigungen & mehr"
+    assert cell_text("Tote&nbsp;/&nbsp;Besteigungen &amp; mehr") == (
+        "Tote\u00a0/\u00a0Besteigungen & mehr")
 
 
 def test_script_and_style_text_excluded():
-    root = parse_html("<div><style>.x{}</style><script>var a;</script>visible</div>")
-    assert text(root.find_all("div")[0]).strip() == "visible"
+    assert cell_text("<div><style>.x{}</style><script>var a;</script>visible</div>") == (
+        "visible ")
 
 
-# -- differential: the tokenizer against the html.parser tree builder --------
+# -- differential: the scan against the html.parser tree oracle --------------
 
 VENDORED_PAGES = sorted(FIXTURE_CACHE.glob("pages/*/*.json"))
 
 
-def assert_same_tree(html):
-    assert tree_shape(parse_html(html)) == tree_shape(oracle_parse_html(html))
+def page_html(path):
+    return json.loads(path.read_text(encoding="utf-8"))["html"]
 
 
 @pytest.mark.parametrize("path", VENDORED_PAGES, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_vendored_page_tree_matches_oracle(path):
-    assert_same_tree(json.loads(path.read_text(encoding="utf-8"))["html"])
+    assert_same_scan(page_html(path))
 
 
 def test_vendored_corpus_is_all_there():
@@ -76,14 +92,26 @@ def test_vendored_pages_never_take_the_html_parser_path(monkeypatch):
     # Rendered MediaWiki markup is regular: the fast tokenizer scans every page to its end.
     def fallback():
         raise AssertionError("html.parser path taken")
-    monkeypatch.setattr(htmldom, "_TreeBuilder", fallback)
+    monkeypatch.setattr(htmldom, "_ParserFeed", fallback)
     for path in VENDORED_PAGES:
-        parse_html(json.loads(path.read_text(encoding="utf-8"))["html"])
+        parse_html(page_html(path))
 
 
-def test_dropped_page_trees_leave_no_cyclic_garbage():
-    # A tree holds no reference cycle, so reference counting alone frees a
+def test_vendored_pages_read_the_same_on_the_html_parser_path(monkeypatch):
+    fast = [parse_html(page_html(path)) for path in VENDORED_PAGES]
+    assert sum(len(scan.tables) for scan in fast) > 0
+    # A token pattern that never matches sends every page to html.parser.
+    monkeypatch.setattr(htmldom, "_TOKEN", re.compile(r"(?!)"))
+    assert [parse_html(page_html(path)) for path in VENDORED_PAGES] == fast
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["token-scan", "html-parser"])
+def test_scanned_pages_leave_no_cyclic_garbage(monkeypatch, fallback):
+    # Neither tokenizer path leaves a reference cycle (a feed and a reader
+    # pointing at each other, say), so reference counting alone frees a
     # dropped page: the cyclic collector finds nothing to collect.
+    if fallback:
+        monkeypatch.setattr(htmldom, "_TOKEN", re.compile(r"(?!)"))
     pages = [json.loads(path.read_text(encoding="utf-8")) for path in VENDORED_PAGES]
     gc.collect()
     gc.disable()
@@ -111,7 +139,7 @@ def test_dropped_page_trees_leave_no_cyclic_garbage():
     "<td>a&amp;b</td>", "<td></td>", "<td><td>x</td>y</td>",
 ])
 def test_edge_cases_match_oracle(html):
-    assert_same_tree(html)
+    assert_same_scan(in_cell(html))
 
 
 MEDIAWIKI_PIECES = [
@@ -150,14 +178,14 @@ mediawiki_documents = st.lists(
 @settings(max_examples=400, deadline=None)
 @given(mediawiki_documents)
 def test_mediawiki_like_documents_match_oracle(html):
-    assert_same_tree(html)
+    assert_same_scan(in_cell(html))
 
 
 # html.parser raises on most "<![" input, which parse_html drops instead.
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet="<>/!?-=\"' \tab&;#x1\x00\n\xa0\vAS", max_size=40))
 def test_markup_soup_matches_oracle(html):
-    assert_same_tree(html)
+    assert_same_scan(in_cell(html))
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,10 +195,52 @@ def test_parse_html_never_raises(html):
 
 
 def test_marked_section_is_dropped_not_raised():
-    root = parse_html("a<![if gte mso 9]>b<![endif]>c<![x>d")
-    assert text(root) == "abcd"
+    assert cell_text("a<![if gte mso 9]>b<![endif]>c<![x>d") == "abcd"
     # The irregular tag "<a/b>" sends these to the html.parser path.
-    root = parse_html("<a/b>a<![if gte mso 9]>b<![endif]>c<![x>d")
-    assert tree_shape(root) == ("#document", {}, [("a", {"b": None}, ["abcd"])])
-    root = parse_html("<a/b>a<![x")
-    assert tree_shape(root) == ("#document", {}, [("a", {"b": None}, ["a<![x"])])
+    assert cell_text("<a/b>a<![if gte mso 9]>b<![endif]>c<![x>d") == "abcd"
+    # With no ">" after it, "<![" is text.
+    html = '<table class="wikitable"><tr><td><a/b>a<![x'
+    assert_same_scan(html)
+    assert parse_html(html).tables == [[[("a<![x", None, False, 1, 1)]]]
+
+
+# -- property: random table markup against the tree oracle -------------------
+
+TABLE_PIECES = [
+    '<table class="wikitable">', '<table class="wikitable sortable">',
+    '<table class="infobox wikitable">', '<table class="navbox">', "<table>", "</table>",
+    "<thead>", "<tbody>", "<tfoot>", "</thead>", "</tbody>", "</tfoot>",
+    "<tr><td>", "</td><td>", "</td></tr><tr><th>", "</th><td>", "</td></tr>",
+    "<tr>", "</tr>", "<tr/>", "<td>", "<th>", "</td>", "</th>", "<td/>", "<th scope=col>",
+    '<td rowspan="2">', '<th colspan="3">', '<td rowspan="x" colspan="2px">', "<td rowspan>",
+    "<td>8,848</td>", "<th>Height</th>", "<caption>", "</caption>",
+    '<sup class="reference">', '<sup id="cite_ref-1">', '<sup class="noprint">', "<sup>", "</sup>",
+    '<a href="/wiki/A">', '<a href="/wiki/B_b" title="Bee">', '<a href="/wiki/C" class="new">',
+    '<a href="/w/index.php?title=D&amp;action=edit&amp;redlink=1">', '<a href="/wiki/File:X.jpg">',
+    '<a href="#cite_note-1">', '<sup class="reference"><a href="/wiki/N">[1]</a></sup>',
+    '<sup id="cite_ref-2"><a href="/wiki/M">[2]</a></sup>', '<sup class="reference">a<br>b</sup>', '<a href="/wiki/E">E</a>', '<a href="/wiki/F"/>', "</a>",
+    "<br>", "<br/>", "</br>", "<p>", "</p>", "<div>", "</div>", "<li>", "</li>", "<li>r</li>",
+    "<span>", "</span>", "<b>", "</b>",
+    '<script>var s = "<a href=\'/wiki/S\'>";</script>', "<style>.a{}</style>", "<script>", "<style>",
+    '<ol class="references">', '<ol class="references"><li>', "<ol>", "</ol>", "<ul>", "</ul>",
+    "<a/b>", "<a b='c", "<!-- c -->", "&amp;", "&nbsp;", "[1]", " ", "x", "Everest",
+]
+
+# Most documents open a data table's first cell, so that the rest reaches the reader.
+TABLE_STARTS = [
+    "", '<table class="wikitable"><tr><td>', '<table class="wikitable"><tbody><tr><th>',
+    '<p>x</p><table class="wikitable"><thead><tr><th>H</th></tr></thead><tr><td>',
+    '<table class="navbox"><tr><td>n</td></tr></table><table class="wikitable"><tr><td>',
+]
+
+table_documents = st.tuples(
+    st.sampled_from(TABLE_STARTS),
+    st.lists(st.one_of(st.sampled_from(TABLE_PIECES),
+                       st.text(alphabet="ab <>/&;\"'=", max_size=4)), max_size=50),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_documents)
+def test_random_table_markup_matches_oracle(html):
+    assert_same_scan(html)

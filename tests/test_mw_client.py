@@ -11,6 +11,7 @@ from tablediff.mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageD
                                  TokenBucket, count_references, is_valid_qid)
 
 from conftest import FakeTransport
+from oracles import oracle_scan
 
 
 def make_client(tmp_path, transport):
@@ -198,6 +199,21 @@ def test_count_references_dedupes_inline_markers():
     )
     # Three list items; the doubled inline marker must not double-count.
     assert count_references(make_doc(html)) == 3
+
+
+@pytest.mark.parametrize("html, count", [
+    # an ol.references nested inside another one: both count their items
+    ('<ol class="references"><li>a<ol class="references"><li>b</li><li>c</li></ol></li></ol>', 3),
+    # an li that is not a direct child of the ol is not counted
+    ('<ol class="references"><li>a</li><div><li>b</li></div><li><ul><li>c</li></ul></li></ol>', 2),
+    # an ol.references inside a wikitable cell still counts
+    ('<table class="wikitable"><tr><td>x<ol class="references"><li>a</li><li>b</li></ol>'
+     "</td></tr></table>", 2),
+    # leaf <li>x</li> tokens count, as do an unclosed li and a self-closing one
+    ('<ol class="references"><li>x</li><li>y</li><li/><li>z</ol>', 4),
+])
+def test_count_references_rules(html, count):
+    assert count_references(make_doc(html)) == count == oracle_scan(html)[1]
 
 
 def test_page_document_round_trip(tmp_path, fake_transport):

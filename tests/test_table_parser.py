@@ -5,13 +5,13 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tablediff.htmldom import Node
+from tablediff.htmldom import _HTML_SPAN_CAP, link_target, parse_html
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.table_parser import (_HTML_SPAN_CAP, Cell, _cell_content, detect_header,
-                                    expand_spans, extract_tables, link_target, normalize_text)
+from tablediff.table_parser import (Cell, detect_header, expand_spans, extract_tables,
+                                    normalize_text)
 
 from conftest import FIXTURE_CACHE, REPO
-from oracles import oracle_expand, oracle_header_flags
+from oracles import oracle_expand, oracle_header_flags, oracle_scan
 
 TS = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
@@ -137,13 +137,16 @@ def test_first_link_rule(cell_html, text, link):
 
 
 def test_first_link_searches_inside_script_and_style():
-    # The tokenizer keeps script/style content raw, so only a built tree holds
-    # an element there; the rule still searches it while dropping its text.
-    td = Node("td")
-    style = Node("style")
-    style.children.append(Node("a", {"href": "/wiki/Styled"}))
-    td.children += [style, "visible"]
-    assert _cell_content(td) == ("visible", "Styled")
+    # Both tokenizer paths keep script/style content raw, so no anchor can sit
+    # inside one: the link search goes through it while its text is dropped.
+    for cell_html in [
+        '<style><a href="/wiki/Styled">s</a></style>visible <a href="/wiki/Real">R</a>',
+        # "<a/b>" sends the page to the html.parser path
+        '<a/b><script><a href="/wiki/Scripted">s</a></script>visible <a href="/wiki/Real">R</a>',
+    ]:
+        html = table_html(f"<tr><td>{cell_html}</td></tr>")
+        tables = [[[("visible R", "Real", False, 1, 1)]]]
+        assert parse_html(html) == (tables, 0) == oracle_scan(html)
 
 
 # -- golden table bytes ------------------------------------------------------
