@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from .mw_client import CachePolicy, MediaWikiClient
 from .table_parser import WikiTable
-from .value_analysis import is_missing
+from .value_analysis import missing_markers
 
 
 class EntityMention(NamedTuple):
@@ -82,10 +82,11 @@ def extract_row_entities(table: WikiTable, col: int,
     defaults plus ``extra_missing``) are skipped: the caller can itemize
     them as ``row_index`` gaps.
     """
+    markers = missing_markers(extra_missing)
     mentions = []
     for row_index, row in enumerate(table.body_rows):
         cell = row[col]
-        if cell.link_title is None and is_missing(cell.text, extra_missing):
+        if cell.link_title is None and cell.text in markers:
             continue
         mentions.append(EntityMention(
             table_index=table.table_index,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .table_parser import WikiTable
-from .value_analysis import is_missing
+from .value_analysis import missing_markers
 
 
 def select_main_table(tables: list[WikiTable], override: Optional[int] = None) -> Optional[int]:
@@ -41,10 +41,11 @@ def column_completeness(table: WikiTable, extra_missing: tuple[str, ...] = ()) -
     cells inserted during span repair are empty and therefore missing. A
     table with zero body rows is vacuously complete.
     """
+    markers = missing_markers(extra_missing)
     total = table.n_cols
     incomplete = 0
     for col in range(total):
-        if any(is_missing(row[col].text, extra_missing) for row in table.body_rows):
+        if any(row[col].text in markers for row in table.body_rows):
             incomplete += 1
     return total, total - incomplete, incomplete
 

@@ -43,7 +43,7 @@ from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, 
 from .schema_align import Attribute, HeaderMapping, build_presence_grid, resolve_columns
 from .table_parser import WikiTable, extract_tables
 from .value_analysis import (MISSING, CellValue, detect_conflicts, detect_incompleteness,
-                             is_missing, parse_value)
+                             missing_markers, parse_value)
 
 logger = logging.getLogger(__name__)
 
@@ -213,6 +213,7 @@ def _attribute_values(
     matrix's order; an entity with no language is left out. Equal attributes
     share one entry.
     """
+    markers = missing_markers(extra_missing)
     values: dict[Attribute, dict[EntityKey, dict[str, CellValue]]] = {a: {} for a in attributes}
     # Per table: its body rows and, for each compared attribute it carries,
     # that attribute's output dict and columns.
@@ -233,7 +234,7 @@ def _attribute_values(
                     value: CellValue = MISSING
                     for col in cols:
                         text = row[col].text
-                        if not is_missing(text, extra_missing):
+                        if text not in markers:
                             value = parse_value(text, language)
                             break
                     by_language[language] = value

@@ -21,12 +21,13 @@ from typing import NamedTuple, Optional, Union
 
 from .mw_client import format_ts
 from .schema_align import Attribute, attribute_row
+from .table_parser import normalize_text
 
 CLASS_INVALIDITY = "Invalidity-candidate"
 CLASS_TIMELINESS = "Timeliness-candidate"
 CLASS_INCOMPLETENESS = "Incompleteness"
 
-#: cell contents treated as "no value" once trimmed
+#: cell contents treated as "no value", in the form ``normalize_text`` gives cells
 DEFAULT_MISSING_VOCAB = frozenset({"", "—", "–", "-", "N/A", "n/a", "?"})
 
 #: rounding slack, in percentage points, between a ratio and a stated percentage
@@ -73,9 +74,21 @@ _RATIO_WORDS = {
 MISSING = None
 
 
+@lru_cache(maxsize=None)
+def missing_markers(extra_vocab: tuple[str, ...] = ()) -> frozenset[str]:
+    """The cell texts that count as missing: the defaults plus ``extra_vocab``.
+
+    Each extra marker is put in the form ``normalize_text`` gives a cell, so
+    ``"1953\u00a0"`` or ``"unknown [1]"`` marks the cells that read ``1953``
+    or ``unknown``. A ``Cell.text`` has that form already, so it is missing
+    iff it is in this set.
+    """
+    return DEFAULT_MISSING_VOCAB | {normalize_text(marker) for marker in extra_vocab}
+
+
 def is_missing(text: str, extra_vocab: tuple[str, ...] = ()) -> bool:
-    trimmed = text.replace("\u00a0", " ").strip()
-    return trimmed in DEFAULT_MISSING_VOCAB or trimmed in extra_vocab
+    """Whether raw cell text counts as missing once read as a cell."""
+    return normalize_text(text) in missing_markers(extra_vocab)
 
 
 class ParsedValue(NamedTuple):
@@ -110,37 +123,31 @@ def _separators(language: str) -> tuple[str, str]:
     return _SEPARATORS.get(language, (",", "."))
 
 
-def _parse_number(token: str, language: str) -> float:
-    group, dec = _separators(language)
-    cleaned = token.replace(group, "").replace(dec, ".")
-    return float(cleaned)
-
-
-def _parse_int(token: str, language: str) -> int:
-    group, _ = _separators(language)
-    return int(token.replace(group, ""))
-
-
 _UNIT_ALTERNATION = "|".join(sorted(map(re.escape, _UNITS), key=len, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _cell_pattern(language: str) -> re.Pattern:
-    """One language's compiled cell pattern, tried alternative by alternative.
+    """One language's compiled cell pattern, number first.
 
-    The alternatives are percentage ``(number)%``, ratio ``(int) sep (int)``
-    with "/" or one of the language's ratio words as ``sep``, and number
-    ``(number) (unit)?``, so a match's groups are (percentage, numerator,
-    denominator, number, unit) with the others None.
+    The alternatives are ``(number) (% | unit)?`` and ratio ``(int) sep
+    (int)`` with "/" or one of the language's ratio words as ``sep``, so a
+    match's groups are (number, "%", unit, numerator, denominator) with the
+    others None. Under ``fullmatch`` of stripped text they accept disjoint
+    strings: a ratio's separator is neither a unit nor part of a number.
     """
     group, dec = _separators(language)
     g, d = re.escape(group), re.escape(dec)
     integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
     num = rf"[+-]?(?:{integer})(?:{d}\d+)?"
     ratio_seps = "|".join([r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())])
-    return re.compile(rf"({num})\s*%"
-                      rf"|({integer})\s*(?:{ratio_seps})\s*({integer})"
-                      rf"|({num})\s*({_UNIT_ALTERNATION})?")
+    return re.compile(rf"({num})(?:\s*(?:(%)|({_UNIT_ALTERNATION})))?"
+                      rf"|({integer})\s*(?:{ratio_seps})\s*({integer})")
+
+
+# Builds a ParsedValue from all six fields in order, without the Python-level
+# __new__ that NamedTuple generates: parse_value's numeric results take it.
+_new_value = tuple.__new__
 
 
 def parse_value(text: str, language: str) -> ParsedValue:
@@ -156,22 +163,30 @@ def parse_value(text: str, language: str) -> ParsedValue:
     m = _cell_pattern(language).fullmatch(text.replace("\u00a0", " ").strip())
     if m is None:
         return ParsedValue("text", text)
-    percentage, ratio_top, ratio_bottom, number, unit = m.groups()
-    if percentage is not None:
-        value = ParsedValue("percentage", text, _parse_number(percentage, language))
-    elif ratio_top is not None:
-        # No other alternative matches "int sep int", so a bad ratio is text.
-        try:
-            numerator = _parse_int(ratio_top, language)
-            denominator = _parse_int(ratio_bottom, language)
-            magnitude = 100.0 * numerator / denominator
-        except (ArithmeticError, ValueError):  # a zero denominator, or too many digits
+    number, percent, unit, top, bottom = m.groups()
+    group, dec = _separators(language)
+    if number is not None:
+        magnitude = float(number.replace(group, "").replace(dec, "."))
+        if percent is not None:
+            kind, canonical, base = "percentage", None, magnitude
+        elif unit is not None:
+            canonical, _dimension, factor = _UNITS[unit]
+            kind, base = "number", magnitude * factor
+        else:
+            kind, canonical, base = "number", None, magnitude
+        if not math.isfinite(base):  # on its comparison scale, see _scale
             return ParsedValue("text", text)
-        value = ParsedValue("ratio", text, magnitude, None, numerator, denominator)
-    else:
-        value = ParsedValue("number", text, _parse_number(number, language),
-                            _UNITS[unit][0] if unit else None)
-    return value if math.isfinite(_scale(value)[1]) else ParsedValue("text", text)
+        return _new_value(ParsedValue, (kind, text, magnitude, canonical, None, None))
+    # No other alternative matches "int sep int", so a bad ratio is text.
+    try:
+        numerator = int(top.replace(group, ""))
+        denominator = int(bottom.replace(group, ""))
+        magnitude = 100.0 * numerator / denominator
+    except (ArithmeticError, ValueError):  # a zero denominator, or too many digits
+        return ParsedValue("text", text)
+    if not math.isfinite(magnitude):
+        return ParsedValue("text", text)
+    return _new_value(ParsedValue, ("ratio", text, magnitude, None, numerator, denominator))
 
 
 def format_number(magnitude: float, language: str) -> str:

@@ -5,6 +5,8 @@ code with the oracles that judge them. An oracle may still call the package's
 helpers for the steps below the one it judges, such as ``parse_value``.
 """
 
+import math
+import re
 from html.parser import HTMLParser
 
 import numpy as np
@@ -12,8 +14,9 @@ import numpy as np
 from tablediff.htmldom import (BLOCK_TAGS, EXCLUDED_TABLE_CLASSES, NON_CONTENT_TAGS, VOID_TAGS,
                               _coerce_span, link_target)
 from tablediff.schema_align import attribute_row
-from tablediff.value_analysis import (MISSING, ParsedValue, _pair_difference,
-                                      _record, classify, is_missing, parse_value)
+from tablediff.value_analysis import (_RATIO_WORDS, _SEPARATORS, _UNIT_ALTERNATION, _UNITS,
+                                      MISSING, ParsedValue, _pair_difference, _record, classify,
+                                      is_missing, parse_value)
 
 
 def _paint(layout):
@@ -260,6 +263,60 @@ def oracle_scan(html):
     references = sum(1 for ol in root.find_all("ol", class_="references")
                      for child in ol.children if getattr(child, "tag", None) == "li")
     return tables, references
+
+
+def _oracle_separators(language):
+    """(group, decimal) separators; en's for a language with no entry."""
+    return _SEPARATORS.get(language, (",", "."))
+
+
+def _oracle_number(token, language):
+    group, dec = _oracle_separators(language)
+    return float(token.replace(group, "").replace(dec, "."))
+
+
+def _oracle_int(token, language):
+    group, _ = _oracle_separators(language)
+    return int(token.replace(group, ""))
+
+
+def oracle_parse_value(text, language):
+    """``parse_value`` as one ``re.fullmatch`` per cell form, tried in turn.
+
+    Percentage, then ratio with each separator, then number with an optional
+    unit. A form whose magnitude cannot be computed, or is not finite in its
+    unit's base unit, does not apply; text that no form fits is ``text``.
+    """
+    group, dec = _oracle_separators(language)
+    g, d = re.escape(group), re.escape(dec)
+    integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
+    num = rf"[+-]?(?:{integer})(?:{d}\d+)?"
+    t = text.replace("\u00a0", " ").strip()
+    m = re.fullmatch(rf"({num})\s*%", t)
+    if m:
+        magnitude = _oracle_number(m.group(1), language)
+        if math.isfinite(magnitude):
+            return ParsedValue(kind="percentage", original=text, magnitude=magnitude)
+    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
+    for sep in ratio_seps:
+        m = re.fullmatch(rf"({integer})\s*(?:{sep})\s*({integer})", t)
+        if m:
+            try:
+                numerator = _oracle_int(m.group(1), language)
+                denominator = _oracle_int(m.group(2), language)
+                magnitude = 100.0 * numerator / denominator
+            except (ZeroDivisionError, OverflowError, ValueError):
+                continue
+            if math.isfinite(magnitude):
+                return ParsedValue(kind="ratio", original=text, magnitude=magnitude,
+                                   numerator=numerator, denominator=denominator)
+    m = re.fullmatch(rf"({num})\s*({_UNIT_ALTERNATION})?", t)
+    if m:
+        magnitude = _oracle_number(m.group(1), language)
+        unit, _dimension, factor = _UNITS[m.group(2)] if m.group(2) else (None, None, 1.0)
+        if math.isfinite(magnitude * factor):
+            return ParsedValue(kind="number", original=text, magnitude=magnitude, unit=unit)
+    return ParsedValue(kind="text", original=text)
 
 
 def oracle_collect_attribute_values(matrix, columns, attribute, extra_missing):

@@ -682,6 +682,23 @@ def test_missing_values_config_extends_vocabulary(tmp_path, header_mapping):
     assert en["columns"]["incomplete"] > 1
 
 
+def test_missing_values_entries_match_cells_as_cells_read(tmp_path):
+    data = json.loads(Path(GEOGRAPHY_MANIFEST).read_text(encoding="utf-8"))
+    reports = {}
+    for marker in ["1953", "1953 ", "1953\u00a0", "1953 [1]"]:
+        data["defaults"] = {"missing_values": [marker]}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / f"out-{len(reports)}"
+        result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                         "--offline", "--header-map", HEADER_MAP, "--out", out)
+        assert result.exit_code == 0, result.output
+        reports[marker] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    for marker, report in reports.items():
+        assert report["families"] == reports["1953"]["families"], repr(marker)
+        assert report["manifest"]["defaults"]["missing_values"] == [marker]  # echoed as written
+
+
 def test_langs_flag_restricts_run_languages(tmp_path):
     out = tmp_path / "out"
     result = run_cli("analyze", "--manifest", GEOGRAPHY_MANIFEST, "--cache-dir", FIXTURE_CACHE,

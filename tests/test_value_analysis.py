@@ -1,22 +1,23 @@
 import itertools
 import math
-import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tablediff.entity_align import EntityKey
+from tablediff.entity_align import EntityKey, extract_row_entities
+from tablediff.metrics import column_completeness
 from tablediff.schema_align import AttributeKey
+from tablediff.table_parser import Cell, WikiTable, normalize_text
 from tablediff import value_analysis
-from tablediff.value_analysis import (_RATIO_WORDS, _UNIT_ALTERNATION, _UNITS, CLASS_INVALIDITY,
-                                      CLASS_TIMELINESS, MISSING, ParsedValue, _parse_int, _parse_number,
-                                      _separators, classify, detect_conflicts,
-                                      detect_incompleteness, format_number, is_missing, parse_value,
+from tablediff.value_analysis import (_SEPARATORS, _UNITS, CLASS_INVALIDITY, CLASS_TIMELINESS,
+                                      DEFAULT_MISSING_VOCAB, MISSING, ParsedValue, classify,
+                                      detect_conflicts, detect_incompleteness, format_number,
+                                      is_missing, missing_markers, parse_value,
                                       relative_difference)
 
 
-from oracles import oracle_detect_conflicts, oracle_text_divergence
+from oracles import oracle_detect_conflicts, oracle_parse_value, oracle_text_divergence
 
 
 def ts(year, month, day):
@@ -69,6 +70,64 @@ def test_missing_vocabulary():
     assert is_missing("tbd", extra_vocab=("tbd",))
 
 
+# Raw cell text as pages hold it: odd spaces, line breaks and footnote markers.
+RAW_PIECES = ["", " ", "\u00a0", "\u2009", "\u3000", "\t", "\n", "[1]", "[a]", "—", "–", "-",
+              "N/A", "n/a", "?", "1953", "tbd", "x"]
+RAW_TEXTS = st.lists(st.sampled_from(RAW_PIECES), max_size=6).map("".join)
+EXTRA_MARKERS = st.lists(RAW_TEXTS, max_size=3).map(tuple)
+
+
+@settings(max_examples=300)
+@given(RAW_TEXTS, EXTRA_MARKERS)
+@example("tbd\u00a0[1]", ("\u3000tbd",))
+@example("1953", ("1953\u00a0",))
+def test_a_cell_is_missing_iff_its_text_is_a_marker(raw, extra):
+    text = normalize_text(raw)  # every Cell.text comes out of normalize_text
+    assert text == text.strip() and "\u00a0" not in text
+    assert is_missing(text, extra) == (text in missing_markers(extra))
+    assert is_missing(raw, extra) == is_missing(text, extra)
+
+
+def test_extra_markers_match_cells_in_cell_form():
+    for marker in ["tbd", "tbd ", "\u00a0tbd", "tbd\u00a0", "tbd [1]", "\ttbd\n"]:
+        assert "tbd" in missing_markers((marker,)), repr(marker)
+        assert is_missing("tbd", (marker,)), repr(marker)
+    assert missing_markers() == DEFAULT_MISSING_VOCAB
+    assert "tb d" not in missing_markers(("tbd",))
+
+
+def oracle_column_completeness(table, extra):
+    incomplete = sum(1 for col in range(table.n_cols)
+                     if any(is_missing(row[col].text, extra) for row in table.body_rows))
+    return table.n_cols, table.n_cols - incomplete, incomplete
+
+
+def oracle_row_entities(table, col, extra):
+    return [(row_index, row[col].text, row[col].link_title)
+            for row_index, row in enumerate(table.body_rows)
+            if row[col].link_title is not None or not is_missing(row[col].text, extra)]
+
+
+@st.composite
+def drawn_tables(draw):
+    """Tables whose cells hold normalized raw text and, at times, a link."""
+    n_cols = draw(st.integers(1, 3))
+    cell = st.builds(lambda raw, link: Cell(normalize_text(raw), link),
+                     RAW_TEXTS, st.sampled_from([None, None, "Everest"]))
+    body_rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), max_size=4))
+    return WikiTable(0, [], body_rows, n_cols)
+
+
+@settings(max_examples=200)
+@given(drawn_tables(), EXTRA_MARKERS)
+def test_marker_walks_match_is_missing_oracles(table, extra):
+    assert column_completeness(table, extra) == oracle_column_completeness(table, extra)
+    for col in range(table.n_cols):
+        mentions = extract_row_entities(table, col, extra)
+        assert ([(m.row_index, m.surface, m.link_title) for m in mentions]
+                == oracle_row_entities(table, col, extra))
+
+
 ROUND_TRIP_LANGUAGES = st.sampled_from(["en", "zh", "de", "it", "nl", "fr"])  # fr: en fallback
 
 
@@ -88,46 +147,28 @@ def test_round_trip_decimals(size, negative, lang):
 
 
 
-def reference_parse_value(text, language):
-    """parse_value as it was before its patterns were compiled once per language."""
-    group, dec = _separators(language)
-    g, d = re.escape(group), re.escape(dec)
-    num = rf"[+-]?(?:\d{{1,3}}(?:{g}\d{{3}})+|\d+)(?:{d}\d+)?"
-    integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
-    t = text.replace("\u00a0", " ").strip()
-    if not t:
-        return ParsedValue(kind="text", original=text)
-    m = re.fullmatch(rf"({num})\s*%", t)
-    if m:
-        return ParsedValue(kind="percentage", original=text,
-                           magnitude=_parse_number(m.group(1), language))
-    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
-    for sep in ratio_seps:
-        m = re.fullmatch(rf"({integer})\s*(?:{sep})\s*({integer})", t)
-        if m:
-            numerator = _parse_int(m.group(1), language)
-            denominator = _parse_int(m.group(2), language)
-            if denominator > 0:
-                return ParsedValue(kind="ratio", original=text,
-                                   magnitude=100.0 * numerator / denominator,
-                                   numerator=numerator, denominator=denominator)
-    m = re.fullmatch(rf"({num})\s*({_UNIT_ALTERNATION})?", t)
-    if m:
-        unit = _UNITS[m.group(2)][0] if m.group(2) else None
-        return ParsedValue(kind="number", original=text,
-                           magnitude=_parse_number(m.group(1), language), unit=unit)
-    return ParsedValue(kind="text", original=text)
-
-
-CELL_TOKENS = (list("0123456789") * 3 + [",", ".", " ", "\u00a0", "%", "/", "+", "-"]
+CELL_TOKENS = (list("0123456789") * 3 + [",", ".", " ", "\u00a0", "\u2009", "%", "/", "+", "-"]
                + sorted(_UNITS) + [" out of ", " of ", " von ", " su ", " van ", " op "])
 
 
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from(CELL_TOKENS), max_size=12).map("".join),
-       st.sampled_from(["en", "de", "zh", "it", "nl", "fr"]))
+       st.sampled_from(["en", "de", "zh", "it", "nl", "fr", "es"]))
+@example("5 m%", "en")  # a unit, then "%"
+@example("5%", "en")
+@example("80/302%", "de")  # a ratio, then "%"
+@example("80 von 302 %", "de")
+@example("-\u00a05", "en")  # signs set off by NBSP
+@example("+\u00a05\u00a0%", "it")
+@example("\u00a0-5\u00a0km", "zh")
+@example("1.234,5", "en")  # the other convention's separators
+@example("1,234.5", "de")
+@example("1,234.5 km", "nl")
+@example("1.234,5", "es")  # a language with no conventions reads en's
+@example("1,234.5", "es")
+@example("80 of 302", "es")
 def test_parse_value_matches_uncompiled_reference(text, lang):
-    assert parse_value(text, lang) == reference_parse_value(text, lang)
+    assert parse_value(text, lang) == oracle_parse_value(text, lang)
 
 
 @pytest.mark.parametrize("text,lang", [
@@ -136,19 +177,26 @@ def test_parse_value_matches_uncompiled_reference(text, lang):
 ])
 def test_ratio_over_zero_is_text(text, lang):
     assert parse_value(text, lang) == ParsedValue("text", text)
-    assert parse_value(text, lang) == reference_parse_value(text, lang)
+    assert parse_value(text, lang) == oracle_parse_value(text, lang)
 
 
-@pytest.mark.parametrize("text", [
-    "1" * 400 + "/3",   # the numerator is past any float
-    "1" * 400,          # float() reads it as inf
-    "1" * 310 + "%",
-    "1" * 308 + "/1",   # 100x a finite numerator is inf
-    "1" * 5000 + "/2",  # past the digits int() reads
-], ids=["ratio-400-digits", "number-400-digits", "percentage-310-digits", "ratio-inf-percent",
-        "ratio-5000-digits"])
-def test_magnitude_past_a_float_is_text(text):
-    assert parse_value(text, "en") == ParsedValue("text", text)
+HUGE_MAGNITUDES = [
+    ("ratio-400-digits", "1" * 400 + "/3"),     # the numerator is past any float
+    ("number-400-digits", "1" * 400),           # float() reads it as inf
+    ("percentage-310-digits", "1" * 310 + "%"),
+    ("ratio-inf-percent", "1" * 308 + "/1"),    # 100x a finite numerator is inf
+    ("ratio-5000-digits", "1" * 5000 + "/2"),   # past the digits int() reads
+    ("km-308-digits", "1" * 308 + " km"),       # finite, but inf in metres
+]
+
+
+# en, the fallback convention, is the case without a language suffix.
+@pytest.mark.parametrize("text,lang", [
+    pytest.param(text, lang, id=name if lang == "en" else f"{name}-{lang}")
+    for lang in [*_SEPARATORS, "fr"] for name, text in HUGE_MAGNITUDES])
+def test_magnitude_past_a_float_is_text(text, lang):
+    assert parse_value(text, lang) == ParsedValue("text", text)
+    assert oracle_parse_value(text, lang) == ParsedValue("text", text)
 
 
 def test_magnitude_past_a_float_in_base_units_is_text():
@@ -174,7 +222,7 @@ def test_nbsp_padded_cells_parse(text, lang, kind, magnitude):
     parsed = parse_value(text, lang)
     assert (parsed.kind, parsed.original) == (kind, text)
     assert math.isclose(parsed.magnitude, magnitude)
-    assert parsed == reference_parse_value(text, lang)
+    assert parsed == oracle_parse_value(text, lang)
 
 
 # -- conflicts ---------------------------------------------------------------
