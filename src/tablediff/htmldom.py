@@ -8,7 +8,13 @@ next ``<`` plus the markup there (a comment, a ``<!…>`` declaration, a
 delimited). A start tag followed by text with no ``<`` and then its end tag
 spelled the same way (``<td>8,848</td>``: most cells) is one match and one
 ``leaf`` event, unless the tag is void, self-closing, ``script`` or
-``style``. Attributes are split with ``_ATTR``; text and attribute values go
+``style``. When a leaf event adds a cell to the open row of a data table,
+the leaf ``<td>``/``<th>`` cells right behind it, with only text between
+them (which a row does not read), are read as runs: one match bounds a run
+and one ``findall`` splits it into the cells that their leaf events would
+add. Nowhere else (inside a cell, so in a nested table, or in a table that
+is not a data table) is a run taken.
+Attributes are split with ``_ATTR``; text and attribute values go
 through ``html.unescape`` only when they contain ``&``; ``script`` and
 ``style`` content is kept raw up to its close tag. A document that
 ``_TOKEN`` cannot scan to its end is read afresh by the stdlib
@@ -38,8 +44,9 @@ children, and whatever is open at the end of input closes there. It reads:
   with a space for each ``<br>`` and after each element of ``BLOCK_TAGS``,
   so a nested table's text flattens into its cell;
 - a cell's link: the first anchor that resolves through ``link_target``, is
-  not a red link (class ``new``) and whose parent is not a reference sup; it
-  may sit inside a nested table, or deeper inside a sup;
+  not a red link (class ``new``) or an image's link to its file page (class
+  ``mw-file-description`` or ``image``) and whose parent is not a reference
+  sup; it may sit inside a nested table, or deeper inside a sup;
 - the reference count: the ``<li>`` children of every ``<ol class="references">``.
 
 Reading never raises on bad markup and never recurses, so depth is unbounded.
@@ -66,11 +73,28 @@ NON_CONTENT_TAGS = {"script", "style"}
 # Elements whose end separates words that would otherwise glue together.
 BLOCK_TAGS = frozenset({"p", "div", "li", "tr", "td", "th", "table", "caption"})
 
-# Links into these namespaces never denote a row entity.
+# Links into these namespaces never denote a row entity. Besides the canonical
+# names, the bundled editions' local names of the File (6) and Category (14)
+# namespaces. These were written from memory of MediaWiki's namespace names,
+# not checked against a siteinfo answer (meta=siteinfo&siprop=namespaces|
+# namespacealiases) or a page here: no bundled page has a File or Category
+# href. A rendered href carries a namespace's primary name, believed to be de
+# Datei/Kategorie, nl Bestand/Categorie and it Categoria; the entries marked
+# as aliases may appear only in hand-written links.
 _NAMESPACE_PREFIXES = (
     "file:", "image:", "category:", "help:", "template:", "special:",
     "wikipedia:", "portal:", "talk:", "user:", "wiktionary:", "media:",
+    "datei:", "kategorie:",  # de primary
+    "bild:",  # de alias of Datei
+    "bestand:", "categorie:",  # nl primary
+    "afbeelding:",  # nl alias of Bestand
+    "categoria:",  # it primary; its File name is the canonical "file:"
+    "immagine:",  # it alias of File
+    "文件:", "分类:",  # zh aliases of File and Category
 )
+
+# Anchors around an image (a flag icon, say) link to its file page, never to an entity.
+_SKIPPED_LINK_CLASSES = frozenset({"new", "mw-file-description", "image"})
 
 _HTML_SPAN_CAP = 1000  # browsers clamp colspan/rowspan; so do we
 
@@ -83,18 +107,16 @@ def link_target(href: Optional[str], title_attr: Optional[str]) -> Optional[str]
     """Resolve an anchor to an internal page title, or None.
 
     Only ``/wiki/Title`` hrefs qualify; red links (``action=edit``) and
-    non-article namespaces are skipped.
+    hrefs into non-article namespaces are skipped. The title is the
+    ``title`` attribute when there is one, else the href's.
     """
     if not href or not href.startswith("/wiki/"):
         return None
-    if title_attr:
-        title = title_attr
-    else:
-        title = unquote(href[len("/wiki/"):]).split("#", 1)[0].replace("_", " ")
-    title = title.strip()
-    if not title or title.lower().startswith(_NAMESPACE_PREFIXES):
+    path_title = unquote(href[len("/wiki/"):]).split("#", 1)[0].replace("_", " ").strip()
+    if path_title.lower().startswith(_NAMESPACE_PREFIXES):
         return None
-    return title
+    title = title_attr.strip() if title_attr else path_title
+    return title or None
 
 
 def _coerce_span(value) -> int:
@@ -168,7 +190,8 @@ class _Reader:
             role = "references"
         if self.parts is not None:
             if tag == "a":
-                if self.link is None and parent != "sup" and "new" not in _classes(attrs):
+                if (self.link is None and parent != "sup"
+                        and _SKIPPED_LINK_CLASSES.isdisjoint(_classes(attrs))):
                     self.link = link_target(attrs.get("href"), attrs.get("title"))
             elif tag == "br":
                 if not self.dropped:
@@ -202,17 +225,22 @@ class _Reader:
         if closed or tag in VOID_TAGS:
             self._close(len(stack) - 1)
 
-    def leaf(self, tag: str, attrs: dict, data: str) -> None:
-        """``start``, ``text`` and ``end`` of an element that holds only ``data``."""
+    def leaf(self, tag: str, attrs: dict, data: str) -> bool:
+        """``start``, ``text`` and ``end`` of an element that holds only ``data``.
+
+        True when it was a cell of the open row, so the reader is still in that
+        row and outside any cell.
+        """
         if self.parts is None:
             if tag not in _STRUCTURE_TAGS:
-                return  # no rule reads it
+                return False  # no rule reads it
             if (tag == "td" or tag == "th") and self.roles.get(len(self.stack) - 1) in _ROWS:
                 self.cells.append((data, None, *_cell_form(tag, attrs)))  # most cells
-                return
+                return True
         self.start(tag, attrs)
         self.text(data)
         self._close(len(self.stack) - 1)
+        return False
 
     def text(self, data: str) -> None:
         if self.parts is not None and not self.dropped:
@@ -259,6 +287,7 @@ class _Reader:
 _TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
 _ATTR_NAME = r"[^\s/>\"'=][^\s/=>]*"
 _ATTR_VALUE = r"\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+"
+_ATTRS = rf"(?:\s+{_ATTR_NAME}(?:\s*=\s*(?:{_ATTR_VALUE}))?)*"
 
 # Text up to the next "<" (group 1), then the markup there: 2 a start tag
 # name (never cut short: html.parser ends it only at one of "\t\n\r\f />"),
@@ -270,7 +299,7 @@ _ATTR_VALUE = r"\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+"
 # is set.
 _TOKEN = re.compile(
     r"([^<]*)(?:"
-    rf"<({_TAG_NAME})(?=[\t\n\r\f />])((?:\s+{_ATTR_NAME}(?:\s*=\s*(?:{_ATTR_VALUE}))?)*)\s*(/?)>"
+    rf"<({_TAG_NAME})(?=[\t\n\r\f />])({_ATTRS})\s*(/?)>"
     r"(?:([^<]*)</\2>)?"
     r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"
     rf"|</({_TAG_NAME})[^>]*>"
@@ -278,6 +307,14 @@ _TOKEN = re.compile(
     r"|\Z)"
 )
 _ATTR = re.compile(rf"\s+({_ATTR_NAME})(\s*=\s*({_ATTR_VALUE}))?")
+
+# A leaf cell: _TOKEN's leaf element named td or th (group 1, as spelled) and
+# not self-closing, with its attribute text (2) and its text (3), after text
+# with no "<", which a row reads nothing of. _LEAF_RUN is one or more of them
+# back to back.
+_LEAF_CELL = re.compile(rf"[^<]*<([tT][dDhH])(?=[\t\n\r\f />])({_ATTRS})\s*>([^<]*)</\1>")
+_LEAF_RUN = re.compile(rf"(?:{_LEAF_CELL.pattern})+")
+_HEADER_NAMES = frozenset({"th", "tH", "Th", "TH"})
 
 _RAW_TEXT_END = {
     "script": re.compile(r"</\s*script\s*>", re.IGNORECASE),
@@ -289,6 +326,32 @@ def _attr_value(value: str) -> str:
     if value[:1] in ("'", '"'):
         value = value[1:-1]
     return unescape(value) if "&" in value else value
+
+
+def _attributes(attr_text: str) -> dict:
+    """A start tag's attributes by lowercased name, the last duplicate winning."""
+    attrs = {}
+    for name, eq, value in _ATTR.findall(attr_text):
+        attrs[name.lower()] = _attr_value(value) if eq else None
+    return attrs
+
+
+def _run_cell(name: str, attr_text: str, data: str) -> tuple:
+    """A leaf cell of a run that has attributes or a character reference, read as ``leaf`` does."""
+    return (unescape(data) if "&" in data else data, None,
+            *_cell_form(name.lower(), _attributes(attr_text)))
+
+
+def _read_runs(cells: list, html: str, pos: int) -> int:
+    """Add the leaf cells from ``pos`` on to the open row ``cells``; return where they end."""
+    run = _LEAF_RUN.match(html, pos)
+    if run is None:
+        return pos
+    cells.extend([
+        (data, None, name in _HEADER_NAMES, 1, 1) if not attr_text and "&" not in data
+        else _run_cell(name, attr_text, data)
+        for name, attr_text, data in _LEAF_CELL.findall(html, pos, run.end())])
+    return run.end()
 
 
 class _ParserFeed(HTMLParser):
@@ -341,17 +404,16 @@ def parse_html(html: str) -> PageScan:
                 end(end_name.lower())
             continue
         tag = tag.lower()
-        attrs = {}
-        if attr_text:
-            for name, eq, value in _ATTR.findall(attr_text):
-                attrs[name.lower()] = _attr_value(value) if eq else None
+        attrs = _attributes(attr_text) if attr_text else {}
         closed = slash == "/"
         if leaf_text is not None:
             if closed or tag in VOID_TAGS or tag in _RAW_TEXT_END:
                 pos = m.end(4) + 1  # rescan from just after the start tag's ">"
             else:
                 # A leaf element: the start tag, text and end tag in one match.
-                leaf(tag, attrs, unescape(leaf_text) if "&" in leaf_text else leaf_text)
+                if leaf(tag, attrs, unescape(leaf_text) if "&" in leaf_text else leaf_text):
+                    # A cell of the open row: the leaf cells right after it join the row too.
+                    pos = _read_runs(reader.cells, html, pos)
                 continue
         start(tag, attrs, closed)
         raw_end = _RAW_TEXT_END.get(tag)

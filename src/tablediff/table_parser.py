@@ -6,9 +6,12 @@ artifact class and are skipped. Nested tables are flattened into the text of
 the cell that holds them and never emitted separately.
 
 The scan reads each <th>/<td> into a plain ``(raw_text, link_title,
-is_header, rowspan, colspan)`` tuple as the markup goes by; ``expand_spans``
-then places the tuples straight into one Python list per grid row, so no
-per-cell object exists between the markup and the final ``Cell``.
+is_header, rowspan, colspan)`` tuple as the markup goes by. For a table in
+which some cell spans more than one slot, ``expand_spans`` places the tuples
+straight into one Python list per grid row, so no per-cell object exists
+between the markup and the final ``Cell``. A table with no span skips that
+slot bookkeeping: each of its rows becomes one grid row as it stands, padded
+to the widest, and its header rows are the leading rows of <th> cells only.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ def normalize_text(raw: str) -> str:
     markers matching the patterns above are at risk; bracketed text in link
     labels does not take those shapes.
     """
-    text = raw.replace("\u00a0", " ")
-    if "[" in text:
-        text = FOOTNOTE_RE.sub("", text)
-    return " ".join(text.split())
+    if "[" in raw:
+        raw = FOOTNOTE_RE.sub("", raw)
+    return " ".join(raw.split())
 
 
 class Cell(NamedTuple):
@@ -50,8 +52,13 @@ class Cell(NamedTuple):
     is_spanned_copy: bool = False
 
 
+# Builds a Cell from all three fields in order, without the Python-level
+# __new__ that NamedTuple generates: the cells of span-free tables take it.
+_new_cell = tuple.__new__
+
 # Every unclaimed grid position: an empty, non-header cell.
-_PAD = (Cell(""), False)
+_PAD_CELL = Cell("")
+_PAD = (_PAD_CELL, False)
 
 
 @dataclass
@@ -156,12 +163,52 @@ def detect_header(grid: list[list[Cell]],
     return grid[:split], grid[split:]
 
 
+def _has_span(raw_rows: list[list[tuple]]) -> bool:
+    """Whether any cell of the rows has a rowspan or colspan above 1 (each is at least 1)."""
+    for row in raw_rows:
+        for cell in row:
+            if cell[3] != 1 or cell[4] != 1:  # rowspan, colspan
+                return True
+    return False
+
+
+def _span_free_grid(raw_rows: list[list[tuple]]) -> tuple[list[list[Cell]], int]:
+    """``expand_spans`` and ``detect_header`` for rows none of whose cells spans.
+
+    Each row's cells stay where they are, padded with empty cells to the
+    widest row. Returns the grid and the number of header rows: the leading
+    rows of <th> cells only that are as wide as the grid (a pad is never a
+    header cell), else the first row.
+    """
+    width = max(map(len, raw_rows))
+    grid = []
+    for row in raw_rows:
+        cells = [_new_cell(Cell, (normalize_text(raw_text), link, False))
+                 for raw_text, link, _, _, _ in row]
+        if len(cells) < width:
+            cells += [_PAD_CELL] * (width - len(cells))
+        grid.append(cells)
+    split = 0
+    for row in raw_rows:
+        if len(row) < width or not all(cell[2] for cell in row):
+            break
+        split += 1
+    return grid, split or 1
+
+
 def extract_tables(doc: PageDocument) -> list[WikiTable]:
-    """All data tables of a page, in document order."""
+    """All data tables of a page, in document order.
+
+    A table with no spanning cell skips the slot bookkeeping of ``expand_spans``.
+    """
     out: list[WikiTable] = []
     for raw_rows in doc.scan.tables:
-        grid, flags = expand_spans(raw_rows)
-        header_rows, body_rows = detect_header(grid, flags)
+        if _has_span(raw_rows):
+            grid, flags = expand_spans(raw_rows)
+            header_rows, body_rows = detect_header(grid, flags)
+        else:
+            grid, split = _span_free_grid(raw_rows)
+            header_rows, body_rows = grid[:split], grid[split:]
         out.append(WikiTable(
             table_index=len(out),
             header_rows=header_rows,

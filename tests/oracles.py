@@ -14,9 +14,18 @@ import numpy as np
 from tablediff.htmldom import (BLOCK_TAGS, EXCLUDED_TABLE_CLASSES, NON_CONTENT_TAGS, VOID_TAGS,
                               _coerce_span, link_target)
 from tablediff.schema_align import attribute_row
+from tablediff.table_parser import FOOTNOTE_RE
 from tablediff.value_analysis import (_RATIO_WORDS, _SEPARATORS, _UNIT_ALTERNATION, _UNITS,
                                       MISSING, ParsedValue, _pair_difference, _record, classify,
                                       is_missing, parse_value)
+
+
+def oracle_normalize_text(raw):
+    """``normalize_text`` as it was first written: NBSP replaced before the split."""
+    text = raw.replace("\u00a0", " ")
+    if "[" in text:
+        text = FOOTNOTE_RE.sub("", text)
+    return " ".join(text.split())
 
 
 def _paint(layout):
@@ -202,7 +211,7 @@ def _walk_cell(node, parts, link):
             parts.append(" ")
             continue
         if tag == "a" and link is None and not _is_reference_sup(node) \
-                and "new" not in child.classes():
+                and not child.classes() & {"new", "mw-file-description", "image"}:
             link = link_target(child.get("href"), child.get("title"))
         link = _walk_cell(child, parts, link)
         if tag in BLOCK_TAGS:

@@ -244,3 +244,104 @@ table_documents = st.tuples(
 @given(table_documents)
 def test_random_table_markup_matches_oracle(html):
     assert_same_scan(html)
+
+
+# -- runs of leaf cells ---------------------------------------------------------
+
+def scan_on_both_paths(html):
+    """The scan of ``html`` by the token path and by the html.parser path."""
+    feed = htmldom._ParserFeed()
+    feed.feed(html)
+    feed.close()
+    return parse_html(html), feed.reader.finish()
+
+
+@pytest.fixture
+def leaves(monkeypatch):
+    """The text of every leaf event the reader gets, in order."""
+    events = []
+    leaf = htmldom._Reader.leaf
+
+    def recorded(self, tag, attrs, data):
+        events.append(data)
+        return leaf(self, tag, attrs, data)
+
+    monkeypatch.setattr(htmldom._Reader, "leaf", recorded)
+    return events
+
+
+def test_leaf_cells_after_a_row_cell_are_read_as_runs(leaves):
+    html = ('<table class="wikitable"><tr><th>H</th>\n<TH>I</TH><th colspan="2">J</th></tr>'
+            '<tr><td>1</td> <td>2</td><td>a&amp;b</td><td rowspan=2>3</td>'
+            '<td><a href="/wiki/X">X</a></td><td>4</td><td>5</td></tr></table>')
+    assert_same_scan(html)
+    # One leaf event per row cell that starts a run, and one for the anchor in a cell.
+    assert leaves == ["H", "1", "X", "4"]
+    assert parse_html(html).tables == [[
+        [("H", None, True, 1, 1), ("I", None, True, 1, 1), ("J", None, True, 1, 2)],
+        [("1", None, False, 1, 1), ("2", None, False, 1, 1), ("a&b", None, False, 1, 1),
+         ("3", None, False, 2, 1), ("X", "X", False, 1, 1), ("4", None, False, 1, 1),
+         ("5", None, False, 1, 1)],
+    ]]
+
+
+def test_no_run_outside_a_data_table_row(leaves):
+    html = ('<table class="navbox"><tr><td>a</td><td>b</td></tr></table>'
+            + in_cell('<table class="wikitable"><tr><td>c</td><td>d</td></tr></table>'))
+    assert_same_scan(html)
+    assert leaves == ["a", "b", "c", "d"]
+
+
+RUN_CELLS = [
+    # leaf cells, which runs read
+    "<td>1</td>", "<td>8,848</td>", "<td></td>", "<td> x </td>", "<td>a&amp;b</td>",
+    "<td>&nbsp;</td>", "<th>H</th>", "<TD>u</TD>", "<Th>v</Th>", '<td rowspan="2">r</td>',
+    "<th colspan=2>c</th>", '<td rowspan="x" colspan="2px">j</td>', "<td rowspan=1>o</td>",
+    "<td nowrap>n</td>", '<td title="a > b">t</td>', '<td class="a" class="b">d</td>',
+    "<td align=right>&minus;5</td>", "<td >s</td>",
+    # cells that are not leaf cells, or not cells at all
+    "<td>x</th>", "<td>y</td >", "<Td>z</td>", "<td/>", "<td />z</td>", "<td\v>w</td>", "<td>",
+    "</td>", "<th>", "</th>", "<tr>", "</tr>",
+    '<td><a href="/wiki/K2" title="K2">K2</a></td>',
+    '<td><a href="/wiki/E">E</a><sup class="reference"><a href="#c">[1]</a></sup></td>',
+    '<td rowspan=2><a href="/wiki/R">R</a></td>', '<td>9<sup id="cite_ref-1">[1]</sup></td>',
+    '<td><span class="flagicon"><a href="/wiki/Datei:F.svg" class="mw-file-description">'
+    '<img src="f.svg"></a></span> <a href="/wiki/Nepal">Nepal</a></td>',
+    # tables nested in a cell, with runs of their own
+    '<td><table class="wikitable"><tr><td>i1</td><td>i2</td><td rowspan=3>i3</td></tr>'
+    "</table>out</td>",
+    "<td>pre<table><tbody><tr><th>n</th><td>m</td><td>&amp;</td></tr></tbody></table></td>",
+]
+RUN_GAPS = ["", "", "\n", " ", "\t", "&amp;", "x", "<!-- c -->"]
+
+
+@st.composite
+def run_tables(draw):
+    """One or two tables whose rows mix runs of leaf cells with every other kind of cell."""
+    def rows():
+        out = ""
+        for _ in range(draw(st.integers(0, 4))):
+            cells = draw(st.lists(st.tuples(st.sampled_from(RUN_GAPS), st.sampled_from(RUN_CELLS)),
+                                  max_size=8))
+            out += "<tr>" + "".join(gap + cell for gap, cell in cells)
+            out += draw(st.sampled_from(["</tr>", "\n</tr>", " &amp; </tr>", ""]))
+        return out
+
+    def table():
+        opening = draw(st.sampled_from(['<table class="wikitable">', '<table class="navbox">',
+                                        '<table class="sortable wikitable">', "<table>"]))
+        section, section_end = draw(st.sampled_from([("", ""), ("<tbody>", "</tbody>"),
+                                                     ("<thead>", "</thead>"), ("<tbody>", "")]))
+        html = opening + rows() + section + rows() + section_end + "</table>"
+        if draw(st.booleans()):  # nested in a cell of a data table, with a run after it
+            html = f'<table class="wikitable"><tr><td>{html}</td><td>1</td><td>2</td></tr></table>'
+        return html
+
+    return "\n".join(table() for _ in range(draw(st.integers(1, 2))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_tables())
+def test_runs_of_leaf_cells_match_oracle(html):
+    expected = oracle_scan(html)
+    assert scan_on_both_paths(html) == (expected, expected)

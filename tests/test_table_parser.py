@@ -5,13 +5,15 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tablediff import table_parser
 from tablediff.htmldom import _HTML_SPAN_CAP, link_target, parse_html
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.table_parser import (Cell, detect_header, expand_spans, extract_tables,
-                                    normalize_text)
+from tablediff.table_parser import (Cell, _span_free_grid, detect_header, expand_spans,
+                                    extract_tables, normalize_text)
 
 from conftest import FIXTURE_CACHE, REPO
-from oracles import oracle_expand, oracle_header_flags, oracle_scan
+from oracles import (layout_to_html, oracle_expand, oracle_header_flags, oracle_normalize_text,
+                     oracle_scan)
 
 TS = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
@@ -45,6 +47,19 @@ def test_normalize_idempotent(text):
     assert normalize_text(once) == once
 
 
+# str.split() and re's \s both take NBSP for whitespace, so replacing it first changes nothing.
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(["\u00a0", " ", "\u2009", "\u3000", "\t", "\n", "[", "]", "1", "12",
+                              "a", "iv", "note", "nb", "N", "x", "[1]", "[\u00a01\u00a0]",
+                              "[note\u00a03]", "[a\u00a02]", "8,848"]),
+             max_size=20).map("".join),
+))
+def test_normalize_matches_the_nbsp_replacing_definition(text):
+    assert normalize_text(text) == oracle_normalize_text(text)
+
+
 # -- link extraction ---------------------------------------------------------
 
 def test_link_target_resolution():
@@ -54,6 +69,38 @@ def test_link_target_resolution():
     assert link_target("/wiki/File:Photo.jpg", None) is None
     assert link_target("/w/index.php?title=X&action=edit&redlink=1", None) is None
     assert link_target(None, "X") is None
+
+
+@pytest.mark.parametrize("href, title", [
+    ("/wiki/File:Foo.jpg", "A caption"),  # the namespace is the href's, not the title's
+    ("/wiki/Datei:Flag_of_Nepal.svg", None),
+    ("/wiki/Bild:Flag_of_Nepal.svg", None),
+    ("/wiki/Kategorie:Achttausender", None),
+    ("/wiki/Bestand:Flag_of_Nepal.svg", None),
+    ("/wiki/Afbeelding:Flag_of_Nepal.svg", None),
+    ("/wiki/Categorie:Achtduizender", "Categorie:Achtduizender"),
+    ("/wiki/Immagine:Flag_of_Nepal.svg", None),
+    ("/wiki/Categoria:Ottomila", None),
+    ("/wiki/%E6%96%87%E4%BB%B6:Flag_of_Nepal.svg", None),  # 文件:
+    ("/wiki/%E5%88%86%E7%B1%BB:%E5%B1%B1", None),  # 分类:山
+])
+def test_link_target_skips_local_file_and_category_hrefs(href, title):
+    assert link_target(href, title) is None
+
+
+@pytest.mark.parametrize("anchor", [
+    # the de flag icon: a file link in the edition's own namespace name
+    '<a href="/wiki/Datei:Flag_of_Nepal.svg" class="mw-file-description"><img src="f.svg"></a>',
+    # anchors around an image are skipped by class, whatever their href
+    '<a href="/wiki/Flag_of_Nepal.svg" class="mw-file-description"><img src="f.svg"></a>',
+    '<a href="/wiki/Flag_of_Nepal.svg" class="image" title="Flag"><img src="f.svg"></a>',
+])
+def test_flag_icon_is_not_the_cell_link(anchor):
+    html = table_html('<tr><th>Land</th></tr><tr><td><span class="flagicon">'
+                      f'{anchor}</span> <a href="/wiki/Nepal" title="Nepal">Nepal</a></td></tr>')
+    assert parse_html(html) == oracle_scan(html)
+    cell = extract_tables(doc(html))[0].body_rows[0][0]
+    assert (cell.text, cell.link_title) == ("Nepal", "Nepal")
 
 
 # -- extraction and filtering ------------------------------------------------
@@ -299,6 +346,107 @@ def test_spanned_copies_carry_anchor_link():
     assert [(c.text, c.link_title) for c in spanned] == [("Everest", "Mount Everest")] * 4
     assert [c.is_spanned_copy for c in spanned] == [False, True, True, True]
     assert body[1][2] == Cell("2")
+
+
+# -- span-free tables --------------------------------------------------------
+
+def spans(raw_rows):
+    """Whether any raw cell has a rowspan or colspan above 1."""
+    return any(rowspan > 1 or colspan > 1 for row in raw_rows for *_, rowspan, colspan in row)
+
+
+@pytest.fixture
+def expanded(monkeypatch):
+    """The raw rows of every table that extract_tables hands to expand_spans."""
+    calls = []
+    monkeypatch.setattr(table_parser, "expand_spans",
+                        lambda raw_rows: calls.append(raw_rows) or expand_spans(raw_rows))
+    return calls
+
+
+@pytest.mark.parametrize("html, spanned", [
+    (table_html("<tr><th>A</th><th>B</th></tr><tr><td>a</td><td>b</td></tr>"), [False]),
+    (table_html('<tr><td rowspan="1" colspan="1">a</td><td rowspan="0" colspan="x">b</td></tr>'),
+     [False]),
+    (table_html('<tr><td>a</td><td rowspan="2">b</td></tr><tr><td>c</td></tr>'), [True]),
+    (table_html('<tr><th>A</th><th colspan="2">B</th></tr>'), [True]),
+    # a span in a table nested in a cell, or in a table that is not a data table, marks none
+    (table_html('<tr><td><table><tr><td colspan="2">n</td></tr></table></td></tr>'), [False]),
+    ('<table class="navbox"><tr><td rowspan="2">n</td></tr></table>'
+     + table_html("<tr><td>a</td></tr>") + table_html('<tr><td colspan="3">b</td></tr>'),
+     [False, True]),
+])
+def test_only_tables_with_a_spanning_cell_take_expand_spans(html, spanned, expanded):
+    tables = parse_html(html).tables
+    assert [spans(rows) for rows in tables] == spanned
+    extract_tables(doc(html))
+    assert expanded == [rows for rows, flag in zip(tables, spanned) if flag]
+
+
+def test_a_span_only_in_a_tbody_row_takes_the_general_path(expanded):
+    # The table's own rows span nothing; its section's do.
+    html = ('<table class="wikitable"><tr><th>A</th><th>B</th></tr>'
+            '<tbody><tr><td rowspan="2">x</td><td>1</td></tr><tr><td>2</td></tr></tbody></table>')
+    table = extract_tables(doc(html))[0]
+    assert len(expanded) == 1
+    assert [[c.text for c in row] for row in table.body_rows] == [["x", "1"], ["x", "2"]]
+    assert table.body_rows[1][0] == Cell("x", is_spanned_copy=True)
+
+
+def test_vendored_span_free_tables_skip_expand_spans(expanded):
+    tables = []
+    for path in sorted((FIXTURE_CACHE / "pages").rglob("*.json")):
+        page = PageDocument.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        extract_tables(page)
+        tables += page.scan.tables
+    assert expanded == [rows for rows in tables if spans(rows)]
+    assert sum(not spans(rows) for rows in tables) > len(expanded)
+
+
+@st.composite
+def span_free_tables(draw):
+    """Raw rows of unit-span cells (ragged, some linked) and their layout and th/td flags."""
+    layout, headers, raw_rows = [], [], []
+    for r in range(draw(st.integers(1, 6))):
+        n_cells = draw(st.integers(1, 5))
+        all_th = draw(st.booleans())
+        flags = [all_th or draw(st.booleans()) for _ in range(n_cells)]
+        texts = [draw(st.sampled_from([f"r{r}c{i}", f" r{r}c{i}[1] ", "", "\u00a0"]))
+                 for i in range(n_cells)]
+        links = [draw(st.sampled_from([None, f"L{r}{i}"])) for i in range(n_cells)]
+        layout.append([(1, 1, normalize_text(text)) for text in texts])
+        headers.append(flags)
+        raw_rows.append([(text, link, flag, 1, 1) for text, link, flag in zip(texts, links, flags)])
+    return raw_rows, layout, headers
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_free_tables())
+def test_span_free_grid_matches_occupancy_oracle(table):
+    raw_rows, layout, headers = table
+    grid, split = _span_free_grid(raw_rows)
+    assert [[(c.text, c.is_spanned_copy) for c in row] for row in grid] == oracle_expand(layout)
+    assert all(type(c) is Cell for row in grid for c in row)
+    for raw_row, row in zip(raw_rows, grid):
+        assert [c.link_title for c in row] == [cell[1] for cell in raw_row] + [None] * (
+            len(row) - len(raw_row))
+    flags = oracle_header_flags(layout, headers)
+    assert split == (next((r for r, row in enumerate(flags) if not all(row)), len(flags)) or 1)
+    general = detect_header(*expand_spans(raw_rows))
+    assert (grid[:split], grid[split:]) == general
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=4),
+                min_size=1, max_size=5))
+def test_extract_tables_matches_the_general_path(spans):
+    # Both paths of extract_tables give what expand_spans and detect_header give.
+    html = layout_to_html([[(rs, cs, f"r{r}c{i}") for i, (rs, cs) in enumerate(row)]
+                           for r, row in enumerate(spans)])
+    [table] = extract_tables(doc(html))
+    header_rows, body_rows = detect_header(*expand_spans(parse_html(html).tables[0]))
+    assert (table.header_rows, table.body_rows) == (header_rows, body_rows)
+    assert table.n_cols == len(header_rows[0])
 
 
 # -- header detection --------------------------------------------------------
