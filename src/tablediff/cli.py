@@ -10,14 +10,13 @@ Subcommands separate the slow network phase from repeatable analysis:
 
 from __future__ import annotations
 
+import argparse
 import json
 import logging
 import math
 import sys
 from datetime import timedelta
 from pathlib import Path
-
-import click
 
 from .emit import emit
 from .errors import ManifestError, MappingConflict, TableDiffError
@@ -26,8 +25,6 @@ from .mw_client import MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
 from .resources import bundled_header_map, bundled_manifest
 from .schema_align import HeaderMapping, load_header_mapping
-
-logger = logging.getLogger(__name__)
 
 EXIT_MANIFEST_ERROR = 1
 EXIT_FAMILY_FAILED = 2
@@ -69,40 +66,6 @@ def _split_langs(value) -> list[str] | str | None:
     return "all" if langs == ["all"] else langs
 
 
-manifest_option = click.option("--manifest", "manifest_path", type=click.Path(), default=None,
-                               help="Dataset manifest JSON (default: bundled geography set).")
-langs_option = click.option("--langs", default=None,
-                            help="Comma-separated language codes, or 'all' for every listed "
-                                 "edition; overrides the manifest.")
-cache_dir_option = click.option("--cache-dir", default=None,
-                                help="Cache directory (or $TABLEDIFF_CACHE_DIR).")
-jobs_option = click.option("--jobs", type=int, default=None, help="Parallel fetch workers.")
-
-
-class _Group(click.Group):
-    """Ends any command that raises a toolkit or OS error with an error line and exit 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (TableDiffError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_MANIFEST_ERROR)
-
-
-@click.group(cls=_Group)
-@click.option("--verbose", is_flag=True, help="Log progress to stderr.")
-def main(verbose: bool):
-    logging.basicConfig(level=logging.INFO if verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
-@main.command()
-@manifest_option
-@langs_option
-@cache_dir_option
-@jobs_option
-@click.option("--refresh", is_flag=True, help="Bypass the cache and refetch.")
 def fetch(manifest_path, langs, cache_dir, jobs, refresh):
     """Populate the cache for every family in the manifest."""
     manifest = _load_manifest(manifest_path)
@@ -113,14 +76,9 @@ def fetch(manifest_path, langs, cache_dir, jobs, refresh):
         jobs=int(_resolve(jobs, manifest, "jobs", 1)),
     )
     summary = warm_cache(manifest, HeaderMapping([]), client, options)
-    click.echo(f"fetched {summary['fetched']} page(s); "
-               f"{summary['absent_or_failed']} absent or failed")
+    print(f"fetched {summary['fetched']} page(s); {summary['absent_or_failed']} absent or failed")
 
 
-@main.command()
-@manifest_option
-@cache_dir_option
-@click.option("--offline", is_flag=True, help="Serve only from the cache.")
 def langs(manifest_path, cache_dir, offline):
     """Print the number of language versions per family."""
     manifest = _load_manifest(manifest_path)
@@ -130,33 +88,13 @@ def langs(manifest_path, cache_dir, offline):
         for family in manifest.families:
             try:
                 versions = client.list_language_versions(family.seed, policy)
-                click.echo(f"{family.seed.title}\t{len(versions)}")
+                print(f"{family.seed.title}\t{len(versions)}")
             except TableDiffError as exc:
-                click.echo(f"{family.seed.title}\terror: {exc}")
+                print(f"{family.seed.title}\terror: {exc}")
     finally:
         client.save()
 
 
-@main.command()
-@manifest_option
-@langs_option
-@cache_dir_option
-@jobs_option
-@click.option("--offline", is_flag=True, default=None, help="Never touch the network.")
-@click.option("--refresh", is_flag=True, default=None,
-              help="Refetch everything (live results will drift from bundled goldens).")
-@click.option("--rel-tol", type=float, default=None,
-              help="Relative tolerance before a numeric disagreement counts (default 0).")
-@click.option("--staleness-days", type=int, default=None,
-              help="Revision-age gap behind the timeliness heuristic (default 180).")
-@click.option("--header-map", "header_map_path", type=click.Path(), default=None,
-              help="Attribute mapping JSON (default: bundled mapping).")
-@click.option("--all-tables", is_flag=True, default=None,
-              help="Column completeness over every table, not just the main one "
-                   "(beyond the standard protocol).")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "plotdata"]), default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=None,
-              help="Output directory (default ./tablediff-out).")
 def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
             staleness_days, header_map_path, all_tables, fmt, out_dir):
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
@@ -191,23 +129,85 @@ def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
     if fmt != "json":
         paths += emit(report, fmt, out_dir)
     for path in paths:
-        click.echo(str(path))
+        print(path)
     if any(f["status"] == "failed" for f in report["families"]):
         sys.exit(EXIT_FAMILY_FAILED)
 
 
-@main.command(name="report")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
-              help="A previously emitted report.json.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "plotdata"]), required=True)
-@click.option("--out", "out_dir", type=click.Path(), default="tablediff-out")
 def rerender(in_path, fmt, out_dir):
     """Re-render a stored report into csv or plotdata files (no network)."""
     try:
         for path in emit(json.loads(Path(in_path).read_text(encoding="utf-8")), fmt, out_dir):
-            click.echo(str(path))
-    except (ValueError, KeyError, TypeError) as exc:
+            print(path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise TableDiffError(f"not a tablediff report: {in_path}: {type(exc).__name__}: {exc}") from exc
+
+
+# Flags of more than one subcommand; each subcommand lists the ones it takes.
+SHARED_OPTIONS = {
+    "--manifest": dict(dest="manifest_path", metavar="PATH",
+                       help="Dataset manifest JSON (default: bundled geography set)."),
+    "--langs": dict(help="Comma-separated language codes, or 'all' for every listed edition."),
+    "--cache-dir": dict(metavar="PATH", help="Cache directory (or $TABLEDIFF_CACHE_DIR)."),
+    "--jobs": dict(type=int, metavar="N", help="Parallel fetch workers."),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --manif is a usage error, not --manifest.
+    parser = argparse.ArgumentParser(prog="tablediff", allow_abbrev=False)
+    parser.add_argument("--verbose", action="store_true", help="Log progress to stderr.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, name, *shared):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for flag in shared:
+            sub.add_argument(flag, **SHARED_OPTIONS[flag])
+        return sub
+
+    sub = command(fetch, "fetch", "--manifest", "--langs", "--cache-dir", "--jobs")
+    sub.add_argument("--refresh", action="store_true", help="Bypass the cache and refetch.")
+    sub = command(langs, "langs", "--manifest", "--cache-dir")
+    sub.add_argument("--offline", action="store_true", help="Serve only from the cache.")
+    sub = command(analyze, "analyze", "--manifest", "--langs", "--cache-dir", "--jobs")
+    sub.add_argument("--offline", action="store_true", help="Never touch the network.")
+    sub.add_argument("--refresh", action="store_true",
+                     help="Refetch everything (live results will drift from bundled goldens).")
+    sub.add_argument("--rel-tol", type=float, metavar="F",
+                     help="Relative tolerance before a numeric disagreement counts (default 0).")
+    sub.add_argument("--staleness-days", type=int, metavar="N",
+                     help="Revision-age gap behind the timeliness heuristic (default 180).")
+    sub.add_argument("--header-map", dest="header_map_path", metavar="PATH",
+                     help="Attribute mapping JSON (default: bundled mapping).")
+    sub.add_argument("--all-tables", action="store_true",
+                     help="Column completeness over every table, not just the main one "
+                          "(beyond the standard protocol).")
+    sub.add_argument("--format", dest="fmt", choices=["json", "csv", "plotdata"])
+    sub.add_argument("--out", dest="out_dir", metavar="DIR",
+                     help="Output directory (default ./tablediff-out).")
+    # None when not given, not False, so that _resolve falls back to the manifest defaults.
+    sub.set_defaults(offline=None, refresh=None, all_tables=None)
+    sub = command(rerender, "report")
+    sub.add_argument("--in", dest="in_path", metavar="PATH", required=True,
+                     help="A previously emitted report.json.")
+    sub.add_argument("--format", dest="fmt", choices=["csv", "plotdata"], required=True)
+    sub.add_argument("--out", dest="out_dir", metavar="DIR", default="tablediff-out")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names; a usage error exits 2."""
+    options = vars(_parser().parse_args(argv))
+    logging.basicConfig(level=logging.INFO if options.pop("verbose") else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+    run = options.pop("run")
+    try:
+        run(**options)
+    except (TableDiffError, OSError) as exc:  # an error line and exit 1, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_MANIFEST_ERROR)
 
 
 if __name__ == "__main__":

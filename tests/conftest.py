@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tablediff.cli import main
 from tablediff.manifest import load_manifest
 from tablediff.mw_client import MediaWikiClient
 from tablediff.pipeline import PipelineOptions, run_pipeline
@@ -61,6 +65,46 @@ def mentions_by_language(tables_by_lang):
     """build_matrix's input from {language: [(table, mentions)]}."""
     return {lang: [m for _table, ms in linked for m in ms]
             for lang, linked in tables_by_lang.items()}
+
+
+@dataclass
+class CliResult:
+    """What one in-process run of the CLI wrote and how it ended."""
+
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in the order they were written
+    exit_code: int
+    exception: BaseException | None  # a non-zero SystemExit, or what the command raised
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies every write into a shared one."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return super().write(text)
+
+
+def run_cli(*args) -> CliResult:
+    """Run ``tablediff ARGS`` in this process; any exception other than SystemExit is exit 1."""
+    output = io.StringIO()
+    stdout, stderr = _Tee(output), _Tee(output)
+    exit_code, exception = 0, None
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            main([str(a) for a in args])
+    except SystemExit as exc:
+        exit_code = 0 if exc.code is None else exc.code
+        exception = exc if exit_code else None
+    except Exception as exc:  # reported in the result, as a process would report it
+        exit_code, exception = 1, exc
+    return CliResult(stdout.getvalue(), stderr.getvalue(), output.getvalue(), exit_code,
+                     exception)
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,6 @@ import json
 import random
 import time
 
-from click.testing import CliRunner
-
-from tablediff.cli import main as cli_main
 from tablediff.entity_align import (build_matrix, detect_entity_column, extract_row_entities,
                                     link_mentions)
 from tablediff.mw_client import ArticleRef, CachePolicy
@@ -21,12 +18,8 @@ from tablediff.table_parser import extract_tables
 from tablediff.value_analysis import detect_conflicts, parse_value
 
 from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, FIXTURE_TITLES,
-                      GEOGRAPHY_MANIFEST, HEADER_MAP, mentions_by_language)
+                      GEOGRAPHY_MANIFEST, HEADER_MAP, mentions_by_language, run_cli)
 from oracles import layout_to_html, oracle_expand, random_span_layout
-
-
-def run_cli(*args):
-    return CliRunner().invoke(cli_main, [str(a) for a in args])
 
 
 def analyze_cli(out_dir, *extra):

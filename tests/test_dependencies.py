@@ -1,6 +1,7 @@
-"""The runtime stays the standard library plus ``requests`` and ``click``.
+"""The runtime stays the standard library plus ``requests``.
 
-Offline commands do not even load ``requests``: only a live request does.
+Offline commands do not even load ``requests``: only a live request does, so they
+run on the standard library alone.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 from conftest import CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, REPO
 
 PACKAGE = REPO / "src" / "tablediff"
-RUNTIME_DEPENDENCIES = {"requests", "click"}
+RUNTIME_DEPENDENCIES = {"requests"}
 
 
 def imported_top_level_modules(path: Path) -> set[str]:
@@ -49,7 +50,7 @@ OFFLINE_COMMANDS = """
 import json, sys
 from tablediff import cli
 for args in json.loads(sys.argv[1]):
-    cli.main(args, standalone_mode=False)
+    cli.main(args)
 print(json.dumps(sorted(name for name in sys.modules
                         if name.split(".")[0] in ("requests", "urllib3"))))
 """

@@ -6,11 +6,9 @@ import threading
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tablediff import pipeline
-from tablediff.cli import main
 from tablediff.entity_align import EntityKey
 from tablediff.errors import ManifestError
 from tablediff.manifest import load_manifest, parse_manifest
@@ -19,12 +17,9 @@ from tablediff.pipeline import PipelineOptions, _attribute_values, run_pipeline
 from tablediff.schema_align import AttributeKey, HeaderMapping, Unmapped
 from tablediff.table_parser import Cell, WikiTable
 
-from conftest import CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP, FakeTransport
+from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP,
+                      FakeTransport, run_cli)
 from oracles import oracle_collect_attribute_values
-
-
-def run_cli(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 # -- manifest ----------------------------------------------------------------
@@ -1318,6 +1313,22 @@ def _report_in(content):
     return case
 
 
+def _bundled_report_with(mutate):
+    """The climbers report.json, its first record changed by ``mutate``."""
+    def case(tmp_path, monkeypatch):
+        run = run_cli(*_offline_analyze(CLIMBERS_MANIFEST, FIXTURE_CACHE, tmp_path / "run"))
+        assert run.exit_code == 0, run.output
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        mutate(report["families"][0]["records"][0])
+        return _report_in(json.dumps(report))(tmp_path, monkeypatch)
+    return case
+
+
+def _report_in_missing(tmp_path, monkeypatch):
+    return ["report", "--in", tmp_path / "missing.json", "--format", "csv",
+            "--out", tmp_path / "csv"]
+
+
 ERROR_EXITS = {
     "fetch-network-error": (_network_error("fetch"), "HTTP 503 from fake API"),
     "analyze-network-error": (_network_error("analyze"), "HTTP 503 from fake API"),
@@ -1333,6 +1344,11 @@ ERROR_EXITS = {
     "report-not-json": (_report_in("{not json"), "not a tablediff report: "),
     "report-empty-object": (_report_in("{}"), "not a tablediff report: "),
     "report-list": (_report_in("[]"), "not a tablediff report: "),
+    "report-entity-not-object": (_bundled_report_with(lambda rec: rec.update(entity="Q1")),
+                                 "not a tablediff report: "),
+    "report-value-not-object": (_bundled_report_with(lambda rec: rec["values"].update(en="12")),
+                                "not a tablediff report: "),
+    "report-in-missing": (_report_in_missing, "No such file or directory"),
 }
 
 
@@ -1344,6 +1360,39 @@ def test_cli_toolkit_or_os_error_exit_code_1(tmp_path, monkeypatch, case, expect
     assert result.stderr.startswith("error: "), result.output
     assert expected in result.stderr, result.stderr
     assert "Traceback" not in result.output
+
+
+def _analyze_climbers(out, *extra):
+    return [*_offline_analyze(CLIMBERS_MANIFEST, FIXTURE_CACHE, out), *extra]
+
+
+USAGE_ERRORS = {
+    "no-command": lambda out: [],
+    "unknown-option": lambda out: _analyze_climbers(out, "--bogus"),
+    "abbreviated-option": lambda out: ["analyze", "--manif", CLIMBERS_MANIFEST, "--cache-dir",
+                                       FIXTURE_CACHE, "--offline", "--out", out],
+    "format-not-a-choice": lambda out: _analyze_climbers(out, "--format", "xml"),
+    "jobs-not-an-integer": lambda out: _analyze_climbers(out, "--jobs", "two"),
+    "report-without-in": lambda out: ["report", "--format", "csv", "--out", out],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_cli_usage_error_exit_code_2(tmp_path, argv):
+    result = run_cli(*argv(tmp_path / "out"))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert any(line.lower().startswith("usage:") for line in result.stderr.splitlines()), \
+        result.stderr
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fetch", "langs", "analyze", "report"])
+def test_command_help_exits_0(command):
+    result = run_cli(command, "--help")
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith(f"usage: tablediff {command} "), result.stdout
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plotdata"])
