@@ -130,6 +130,8 @@ def _coerce_span(value) -> int:
 
 # Elements a rule reads outside a cell; inside a cell every element counts.
 _STRUCTURE_TAGS = frozenset({"li", "ol", "table", "thead", "tbody", "tfoot", "tr", "td", "th"})
+# Those of them whose attributes a rule reads (class, rowspan, colspan).
+_ATTRIBUTE_TAGS = frozenset({"ol", "table", "td", "th"})
 
 _ROWS = ("row", "section row")  # the roles of a data table's own rows and its sections' rows
 
@@ -404,7 +406,11 @@ def parse_html(html: str) -> PageScan:
                 end(end_name.lower())
             continue
         tag = tag.lower()
-        attrs = _attributes(attr_text) if attr_text else {}
+        # Split the attributes only where a rule reads them: inside a cell, every element.
+        if attr_text and (reader.parts is not None or tag in _ATTRIBUTE_TAGS):
+            attrs = _attributes(attr_text)
+        else:
+            attrs = {}
         closed = slash == "/"
         if leaf_text is not None:
             if closed or tag in VOID_TAGS or tag in _RAW_TEXT_END:

@@ -19,10 +19,16 @@
 downgrades per-edition problems (missing pages, unalignable tables) into
 findings inside the report instead of aborting; a family only counts as
 failed when no edition could be analyzed at all.
+
+``run_pipeline`` and ``warm_cache`` pause Python's cyclic garbage collector
+for each family (its steps and the cache save after them) and restore its
+state afterwards: the pipeline builds no reference cycles, so a collection
+there would free nothing. Between families the collector runs as before.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -341,7 +347,16 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
 
 @contextmanager
 def _saving(client: MediaWikiClient):
-    """Save the client's maps after the block; one that raised keeps its error if the save fails."""
+    """Run one family's steps, then save the client's maps, with the cyclic collector paused.
+
+    A block that raised keeps its error if the save fails. The family's pages,
+    scans and records form no reference cycles, so a collection inside the
+    block would free nothing; the collector is turned back on, if it was on,
+    when the block and the save are done, so any cyclic garbage (say, of a
+    live HTTP stack) waits for one family at most.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         yield
     except BaseException:
@@ -350,7 +365,11 @@ def _saving(client: MediaWikiClient):
         except (SnapshotError, OSError) as exc:
             logger.warning("cache save failed: %s", exc)
         raise
-    client.save()
+    else:
+        client.save()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,

@@ -107,6 +107,29 @@ def run_cli(*args) -> CliResult:
                      exception)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_network():
+    """Every request the HTTP stack would send fails, so no test reaches the network.
+
+    A client built with the live transport (say, by a CLI test over the
+    vendored cache) then gets a ``NetworkError`` instead of fetching, or
+    rewriting a vendored snapshot on ``--refresh``. Tests of ``HttpTransport``
+    stub ``session.get`` or ``requests.Session``, so they never get this far.
+    """
+    try:
+        import requests
+    except ImportError:  # no HTTP stack to send with
+        yield
+        return
+
+    def refuse(adapter, request, *args, **kwargs):
+        raise requests.ConnectionError(f"tests send no requests: {request.url}", request=request)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(requests.adapters.HTTPAdapter, "send", refuse)
+        yield
+
+
 @pytest.fixture(scope="session")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))

@@ -126,6 +126,28 @@ def test_scanned_pages_leave_no_cyclic_garbage(monkeypatch, fallback):
         gc.enable()
 
 
+def test_attributes_are_split_only_where_a_rule_reads_them(monkeypatch):
+    # Outside a cell only table, ol, td and th have attributes a rule reads;
+    # inside a cell every element's attributes are read.
+    split = []
+    original = htmldom._attributes
+
+    def recording(attr_text):
+        split.append(re.search(r'class="([^"]*)"', attr_text).group(1))
+        return original(attr_text)
+
+    monkeypatch.setattr(htmldom, "_attributes", recording)
+    html = ('<div class="div-out"><ul><li class="li-out">x</li></ul><span class="span-out">y</span>'
+            '<ol class="references"><li class="li-ref">r</li></ol>'
+            '<table class="wikitable"><tr class="tr-out"><th class="th">H</th><th>G</th></tr>'
+            '<tr><td class="td"><span class="span-in">A</span></td><td>1</td></tr></table></div>')
+    scan = parse_html(html)
+    assert split == ["references", "wikitable", "th", "td", "span-in"]
+    monkeypatch.setattr(htmldom, "_attributes", original)
+    assert scan == oracle_scan(html)
+    assert scan.references == 1
+
+
 @pytest.mark.parametrize("html", [
     "</ >x", "</3>y", "<!-->x", "<!--->x", "<!-->x<!-- y -->z", "<p><style>x", "<p><script>x",
     "<script>a</b>c</SCRIPT >d", "<a\xa0b>x</a\xa0b>", "<a\vb c=d>", "<br\xa0A!1;\x00\n</>",

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tablediff.errors import CacheMiss, PageMissing, SnapshotError
+from tablediff.errors import CacheMiss, NetworkError, PageMissing, SnapshotError
 from tablediff.mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument,
                                  TokenBucket, count_references, is_valid_qid)
 
@@ -461,6 +461,16 @@ def test_http_transport_threads_sending_first_requests_together_share_one_sessio
     assert answers == [{"ok": True}] * n_threads
     assert len(built) == 1
     assert transport.calls == n_threads
+
+
+def test_default_transport_sends_nothing_under_the_tests(tmp_path):
+    # conftest's no_network fixture: a live client that misses its cache fails offline.
+    pytest.importorskip("requests")
+    client = MediaWikiClient(cache_dir=tmp_path / "cache")
+    with pytest.raises(NetworkError, match="tests send no requests"):
+        client.fetch_page(ArticleRef("en", "Mount Everest"), CachePolicy.PREFER_CACHE)
+    assert client.transport.calls == 1
+    assert not (tmp_path / "cache" / "pages").exists()
 
 
 class _MalformedAnswer(FakeTransport):

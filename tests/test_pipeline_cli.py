@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import shutil
@@ -1524,6 +1525,129 @@ def test_fetch_on_a_warm_cache_sends_no_request_and_writes_nothing(tmp_path, man
     assert warm_cache(load_manifest(manifest_path), HeaderMapping([]), client,
                       PipelineOptions()) == summary
     assert _tree_bytes(cache) == _tree_bytes(FIXTURE_CACHE)
+
+# -- the cyclic collector, paused per family -----------------------------------
+
+@pytest.fixture()
+def collector_state():
+    """The cyclic collector's state before the test, restored after it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _offline_climbers(header_mapping, warm=False, save_fails=False, **options):
+    """``run_pipeline`` (or ``warm_cache``) of the climbers manifest over the vendored cache."""
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE, transport=NoNetwork())
+    if save_fails:
+        def save():
+            raise OSError("disk full")
+
+        client.save = save
+    run = pipeline.warm_cache if warm else run_pipeline
+    return run(load_manifest(CLIMBERS_MANIFEST), header_mapping, client,
+               PipelineOptions(offline=True, **options))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["run_pipeline", "warm_cache"])
+def test_family_steps_and_the_save_run_with_the_collector_paused(monkeypatch, header_mapping,
+                                                                 collector_state, warm):
+    states = []
+    read_edition = pipeline._read_edition
+    save = MediaWikiClient.save
+
+    def recording_read(*args):
+        states.append(("read", gc.isenabled()))
+        return read_edition(*args)
+
+    def recording_save(self):
+        states.append(("save", gc.isenabled()))
+        return save(self)
+
+    monkeypatch.setattr(pipeline, "_read_edition", recording_read)
+    monkeypatch.setattr(MediaWikiClient, "save", recording_save)
+    gc.enable()
+    _offline_climbers(header_mapping, warm)
+    assert states == [("read", False)] * 5 + [("save", False)]
+    assert gc.isenabled()
+
+
+# case: (_offline_climbers keywords, the exception the run raises)
+PAUSED_RUNS = {
+    "run_pipeline": ({}, None),
+    "warm_cache": ({"warm": True}, None),
+    "family-raises": ({"staleness_days": -1}, ValueError),
+    "save-fails": ({"save_fails": True}, OSError),
+    "warm-cache-save-fails": ({"warm": True, "save_fails": True}, OSError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", sorted(PAUSED_RUNS))
+def test_a_run_leaves_the_collector_as_the_caller_had_it(header_mapping, collector_state, case,
+                                                         enabled):
+    keywords, raises = PAUSED_RUNS[case]
+    (gc.enable if enabled else gc.disable)()
+    if raises is None:
+        _offline_climbers(header_mapping, **keywords)
+    else:
+        with pytest.raises(raises):
+            _offline_climbers(header_mapping, **keywords)
+    assert gc.isenabled() is enabled
+
+
+def _cyclic_garbage(run) -> list[str]:
+    """The types of the objects that ``run()`` leaves in reference cycles."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what a collection finds, to name it
+    try:
+        run()
+        gc.collect()
+        return sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("manifest_path", [GEOGRAPHY_MANIFEST, CLIMBERS_MANIFEST])
+def test_analysis_builds_no_reference_cycles(header_mapping, manifest_path):
+    # The premise of the pause: a collection during a family would free nothing.
+    reports = []
+    run = lambda: reports.append(run_pipeline(
+        load_manifest(manifest_path), header_mapping,
+        MediaWikiClient(cache_dir=FIXTURE_CACHE, transport=NoNetwork()),
+        PipelineOptions(offline=True)))
+    assert _cyclic_garbage(run) == []
+    assert reports[0]["families"]
+
+
+def test_failed_and_absent_editions_build_no_reference_cycles(tmp_path, header_mapping):
+    cache, _broken = _cache_with_broken_snapshot(tmp_path)
+    (cache / "pages" / "it" / "Sette%20Vette.json").unlink()
+    reports = []
+    run = lambda: reports.append(run_pipeline(
+        load_manifest(GEOGRAPHY_MANIFEST), header_mapping,
+        MediaWikiClient(cache_dir=cache, transport=NoNetwork()), PipelineOptions(offline=True)))
+    assert _cyclic_garbage(run) == []
+    findings = {(f["kind"], f.get("language")) for family in reports[0]["families"]
+                for f in family["findings"]}
+    assert {("fetch-error", "en"), ("edition-absent", "it")} <= findings
+
+
+def test_warm_cache_builds_no_reference_cycles(tmp_path, header_mapping):
+    families = ["Alpha", "Beta"]
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=_peaks_transport(families))
+    summaries = []
+    run = lambda: summaries.append(pipeline.warm_cache(
+        _peaks_manifest(families), header_mapping, client, PipelineOptions()))
+    assert _cyclic_garbage(run) == []
+    assert summaries == [{"fetched": 4, "absent_or_failed": 0}]
+
 
 def _record_calls(monkeypatch, original):
     """The first argument of every call, at each package name bound to ``original``."""
