@@ -83,6 +83,7 @@ def langs(manifest_path, cache_dir, offline):
     """Print the number of language versions per family."""
     manifest = _load_manifest(manifest_path)
     client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
+    offline = bool(_resolve(offline, manifest, "offline", False))
     policy = PipelineOptions(offline=offline).cache_policy
     try:
         for family in manifest.families:
@@ -171,6 +172,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--refresh", action="store_true", help="Bypass the cache and refetch.")
     sub = command(langs, "langs", "--manifest", "--cache-dir")
     sub.add_argument("--offline", action="store_true", help="Serve only from the cache.")
+    sub.set_defaults(offline=None)  # None when not given, so the manifest's default applies
     sub = command(analyze, "analyze", "--manifest", "--langs", "--cache-dir", "--jobs")
     sub.add_argument("--offline", action="store_true", help="Never touch the network.")
     sub.add_argument("--refresh", action="store_true",

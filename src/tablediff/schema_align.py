@@ -56,8 +56,7 @@ def normalize_header(raw: str, language: str) -> str:
     are removed, and whitespace runs collapse to one space; no spaces are
     inserted into CJK text.
     """
-    text = raw.replace("\u00a0", " ")
-    text = FOOTNOTE_RE.sub("", text)
+    text = FOOTNOTE_RE.sub("", raw)
     text = _PAREN_RE.sub("", text)
     text = text.casefold()
     return re.sub(r"\s+", " ", text).strip()

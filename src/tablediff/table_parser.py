@@ -6,12 +6,12 @@ artifact class and are skipped. Nested tables are flattened into the text of
 the cell that holds them and never emitted separately.
 
 The scan reads each <th>/<td> into a plain ``(raw_text, link_title,
-is_header, rowspan, colspan)`` tuple as the markup goes by. For a table in
-which some cell spans more than one slot, ``expand_spans`` places the tuples
-straight into one Python list per grid row, so no per-cell object exists
-between the markup and the final ``Cell``. A table with no span skips that
-slot bookkeeping: each of its rows becomes one grid row as it stands, padded
-to the widest, and its header rows are the leading rows of <th> cells only.
+is_header, rowspan, colspan)`` tuple as the markup goes by, and
+``build_grid`` turns a table's rows into its grid in one pass, top to
+bottom, counting the leading header rows on the way. Most rows neither span
+nor sit under a span: such a row becomes one grid row as it stands. Only
+the others take their slots from a map of the cells that spans claimed in
+them. No per-cell object exists between the markup and the final ``Cell``.
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ class Cell(NamedTuple):
 
 
 # Builds a Cell from all three fields in order, without the Python-level
-# __new__ that NamedTuple generates: the cells of span-free tables take it.
+# __new__ that NamedTuple generates: the cells of rows taken as they stand use it.
 _new_cell = tuple.__new__
 
 # Every unclaimed grid position: an empty, non-header cell.
 _PAD_CELL = Cell("")
-_PAD = (_PAD_CELL, False)
 
 
 @dataclass
@@ -92,127 +91,77 @@ class WikiTable:
         return labels
 
 
-def expand_spans(raw_rows: list[list[tuple]]) -> tuple[list[list[Cell]], list[list[bool]]]:
-    """Materialize rowspan/colspan into a rectangular Cell grid.
+def build_grid(raw_rows: list[list[tuple]]) -> tuple[list[list[Cell]], int]:
+    """Materialize rowspan/colspan into a rectangular Cell grid; count its header rows.
 
-    Every grid row is one list of ``(Cell, is_header)`` entries in which
-    ``None`` marks a free slot. Rows are processed top to bottom, cells left
-    to right. The column cursor skips filled slots; each cell fills the free
-    slot there and then copies itself into the free slots of its ``rowspan x
-    colspan`` rectangle, extending the lists of the rows below as needed
-    (a slot already filled stays with its first claimant). Rowspans are
-    clipped at the last row; empty rows never reach this function. Every
-    position beyond the anchor holds a copy flagged ``is_spanned_copy``. The
-    grid is as wide as the last claimed column + 1; free and missing slots
-    become empty cells.
+    Rows are placed top to bottom, cells left to right. A row that no earlier
+    span reaches and none of whose cells spans is taken as it stands. Any
+    other row starts from the slots that earlier spans claimed in it: the
+    column cursor skips claimed slots, and each cell takes the free slot there
+    and copies itself, flagged ``is_spanned_copy``, into the free slots of its
+    ``rowspan x colspan`` rectangle (a claimed slot keeps its first claimant).
+    Rowspans are clipped at the last row; empty rows never reach this
+    function. The grid is as wide as the last claimed column + 1, and free or
+    missing slots become empty cells.
 
-    Returns the cell grid and a parallel header-flag grid (pads are never
-    header cells).
+    The header rows are the leading rows whose every slot holds a <th> cell
+    or a copy of one (an empty slot is not a header cell), else the first row.
     """
-    slots: list[list] = [[] for _ in raw_rows]
-    for r, row in enumerate(raw_rows):
-        line = slots[r]
-        cursor = 0
-        for raw_text, link, is_header, rowspan, colspan in row:
-            filled = len(line)
-            while cursor < filled and line[cursor] is not None:
-                cursor += 1
-            text = normalize_text(raw_text)
-            if cursor == filled:
-                line.append((Cell(text, link), is_header))
-            else:
-                line[cursor] = (Cell(text, link), is_header)
-            if rowspan > 1 or colspan > 1:
-                copy = (Cell(text, link, is_spanned_copy=True), is_header)
-                stop = cursor + colspan
-                for below in slots[r:r + rowspan]:
-                    if len(below) < stop:
-                        below += [None] * (stop - len(below))
-                    for c in range(cursor, stop):
-                        if below[c] is None:
-                            below[c] = copy
-            cursor += colspan
-
-    width = max(map(len, slots), default=0) or min(len(slots), 1)
-    grid, headers = [], []
-    for line in slots:
-        if len(line) < width:
-            line += [_PAD] * (width - len(line))
-        if None in line:
-            line = [entry or _PAD for entry in line]
-        grid.append([cell for cell, _ in line])
-        headers.append([is_header for _, is_header in line])
-    return grid, headers
-
-
-def detect_header(grid: list[list[Cell]],
-                  header_flags: list[list[bool]]) -> tuple[list[list[Cell]], list[list[Cell]]]:
-    """Split a rectangular grid into header rows and body rows.
-
-    Leading rows made up entirely of <th> cells are the header; when there is
-    no such row the first row is promoted instead.
-    """
-    split = 0
-    for flags in header_flags:
-        if flags and all(flags):
-            split += 1
-        else:
-            break
-    if split == 0 and grid:
-        return [grid[0]], grid[1:]
-    return grid[:split], grid[split:]
-
-
-def _has_span(raw_rows: list[list[tuple]]) -> bool:
-    """Whether any cell of the rows has a rowspan or colspan above 1 (each is at least 1)."""
-    for row in raw_rows:
-        for cell in row:
-            if cell[3] != 1 or cell[4] != 1:  # rowspan, colspan
-                return True
-    return False
-
-
-def _span_free_grid(raw_rows: list[list[tuple]]) -> tuple[list[list[Cell]], int]:
-    """``expand_spans`` and ``detect_header`` for rows none of whose cells spans.
-
-    Each row's cells stay where they are, padded with empty cells to the
-    widest row. Returns the grid and the number of header rows: the leading
-    rows of <th> cells only that are as wide as the grid (a pad is never a
-    header cell), else the first row.
-    """
-    width = max(map(len, raw_rows))
+    claimed: dict[int, dict] = {}  # row -> column -> (Cell copy, is_header)
     grid = []
-    for row in raw_rows:
-        cells = [_new_cell(Cell, (normalize_text(raw_text), link, False))
-                 for raw_text, link, _, _, _ in row]
+    header_widths = []  # width of each row of the leading run of header rows
+    for r, row in enumerate(raw_rows):
+        slots = claimed.pop(r, None)
+        if slots is None:
+            for cell in row:
+                if cell[3] != 1 or cell[4] != 1:  # rowspan, colspan
+                    slots = {}
+                    break
+        if slots is None:
+            cells = [_new_cell(Cell, (normalize_text(raw_text), link, False))
+                     for raw_text, link, _, _, _ in row]
+            is_header = len(header_widths) == r and all(cell[2] for cell in row)
+        else:
+            cursor = 0
+            for raw_text, link, th, rowspan, colspan in row:
+                while cursor in slots:
+                    cursor += 1
+                text = normalize_text(raw_text)
+                slots[cursor] = (Cell(text, link), th)
+                if rowspan > 1 or colspan > 1:
+                    copy = (Cell(text, link, True), th)
+                    columns = range(cursor, cursor + colspan)
+                    for c in columns[1:]:
+                        slots.setdefault(c, copy)
+                    for below in range(r + 1, min(r + rowspan, len(raw_rows))):
+                        taken = claimed.setdefault(below, {})
+                        for c in columns:
+                            taken.setdefault(c, copy)
+                cursor += colspan
+            cells = [slots[c][0] if c in slots else _PAD_CELL for c in range(max(slots) + 1)]
+            is_header = (len(header_widths) == r and len(slots) == len(cells)
+                         and all(flag for _, flag in slots.values()))
+        if is_header:
+            header_widths.append(len(cells))
+        grid.append(cells)
+
+    width = max(map(len, grid))
+    for cells in grid:
         if len(cells) < width:
             cells += [_PAD_CELL] * (width - len(cells))
-        grid.append(cells)
-    split = 0
-    for row in raw_rows:
-        if len(row) < width or not all(cell[2] for cell in row):
-            break
-        split += 1
+    split = next((i for i, n in enumerate(header_widths) if n < width), len(header_widths))
     return grid, split or 1
 
 
 def extract_tables(doc: PageDocument) -> list[WikiTable]:
-    """All data tables of a page, in document order.
-
-    A table with no spanning cell skips the slot bookkeeping of ``expand_spans``.
-    """
+    """All data tables of a page, in document order."""
     out: list[WikiTable] = []
     for raw_rows in doc.scan.tables:
-        if _has_span(raw_rows):
-            grid, flags = expand_spans(raw_rows)
-            header_rows, body_rows = detect_header(grid, flags)
-        else:
-            grid, split = _span_free_grid(raw_rows)
-            header_rows, body_rows = grid[:split], grid[split:]
+        grid, split = build_grid(raw_rows)
         out.append(WikiTable(
             table_index=len(out),
-            header_rows=header_rows,
-            body_rows=body_rows,
+            header_rows=grid[:split],
+            body_rows=grid[split:],
             n_cols=len(grid[0]),
         ))
     return out

@@ -140,7 +140,9 @@ def _cell_pattern(language: str) -> re.Pattern:
     g, d = re.escape(group), re.escape(dec)
     integer = rf"\d{{1,3}}(?:{g}\d{{3}})+|\d+"
     num = rf"[+-]?(?:{integer})(?:{d}\d+)?"
-    ratio_seps = "|".join([r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())])
+    # Each space of a ratio word, like the spaces around it, is any whitespace.
+    words = [r"\s".join(map(re.escape, w.split())) for w in _RATIO_WORDS.get(language, ())]
+    ratio_seps = "|".join([r"/"] + [rf"\s{w}\s" for w in words])
     return re.compile(rf"({num})(?:\s*(?:(%)|({_UNIT_ALTERNATION})))?"
                       rf"|({integer})\s*(?:{ratio_seps})\s*({integer})")
 
@@ -160,7 +162,7 @@ def parse_value(text: str, language: str) -> ParsedValue:
     whose magnitude is no longer finite once converted to its unit's base
     (``1e308 km`` in metres) is text too, so comparisons never meet ``inf``.
     """
-    m = _cell_pattern(language).fullmatch(text.replace("\u00a0", " ").strip())
+    m = _cell_pattern(language).fullmatch(text.strip())
     if m is None:
         return ParsedValue("text", text)
     number, percent, unit, top, bottom = m.groups()

@@ -306,7 +306,8 @@ def oracle_parse_value(text, language):
         magnitude = _oracle_number(m.group(1), language)
         if math.isfinite(magnitude):
             return ParsedValue(kind="percentage", original=text, magnitude=magnitude)
-    ratio_seps = [r"/"] + [rf"\s{re.escape(w)}\s" for w in _RATIO_WORDS.get(language, ())]
+    words = [r"\s".join(map(re.escape, w.split())) for w in _RATIO_WORDS.get(language, ())]
+    ratio_seps = [r"/"] + [rf"\s{w}\s" for w in words]
     for sep in ratio_seps:
         m = re.fullmatch(rf"({integer})\s*(?:{sep})\s*({integer})", t)
         if m:

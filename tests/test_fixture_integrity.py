@@ -7,9 +7,11 @@ parser bug cannot mask a corrupted fixture (or vice versa).
 
 import json
 import re
+import subprocess
+import sys
 from urllib.parse import quote
 
-from conftest import FIXTURE_CACHE, FIXTURE_TITLES as TITLES
+from conftest import FIXTURE_CACHE, FIXTURE_TITLES as TITLES, REPO
 
 WIKITABLE_RE = re.compile(r'<table class="wikitable[" ]')
 REF_ITEM_RE = re.compile(r'<li id="cite_note-')
@@ -87,3 +89,19 @@ def test_fixture_documents_are_wellformed_page_documents():
         assert doc.revision_timestamp <= doc.fetched_at
         count += 1
     assert count == 44
+
+
+def test_fixture_builder_regenerates_the_vendored_files(tmp_path):
+    # --repo-root always: the script first removes <root>/fixtures/cache.
+    result = subprocess.run([sys.executable, str(REPO / "scripts" / "build_fixtures.py"),
+                             "--repo-root", str(tmp_path)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file())
+    vendored = sorted(p.relative_to(REPO).as_posix() for p in FIXTURE_CACHE.rglob("*")
+                      if p.is_file())
+    assert written == sorted(vendored + ["fixtures/golden/geography_stats.json",
+                                         "mappings/geography.json"])
+    for rel in written:
+        assert (tmp_path / rel).read_bytes() == (REPO / rel).read_bytes(), rel

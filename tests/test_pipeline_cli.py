@@ -315,6 +315,24 @@ def test_cli_langs_counts_match_fixture_snapshot(tmp_path):
     assert counts["Lists of earthquakes"] == "38"
 
 
+def test_cli_langs_takes_offline_from_manifest_defaults(tmp_path):
+    # The seed's langlinks entry is missing from the cache: read offline, that is
+    # a snapshot error; read online, it would be a request to Wikipedia.
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    seed = "List of climbers who have summited all 14 eight-thousanders"
+    entries = json.loads((cache / "langlinks.json").read_text(encoding="utf-8"))
+    del entries[f"en:{seed}"]
+    (cache / "langlinks.json").write_text(json.dumps(entries), encoding="utf-8")
+    manifest = json.loads(CLIMBERS_MANIFEST.read_text(encoding="utf-8"))
+    manifest["defaults"] = {"offline": True, "cache_dir": str(cache)}
+    path = tmp_path / "climbers.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    result = run_cli("langs", "--manifest", path)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"{seed}\terror: no cached snapshot for en:{seed}\n"
+
+
 def test_cli_flags_override_manifest_defaults(tmp_path):
     manifest = tmp_path / "m.json"
     data = json.loads(Path(GEOGRAPHY_MANIFEST).read_text(encoding="utf-8"))

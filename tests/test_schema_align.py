@@ -1,6 +1,7 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tablediff.errors import MappingConflict
 from tablediff.mw_client import ArticleRef, PageDocument
@@ -32,6 +33,18 @@ def test_normalize_header_examples():
     assert normalize_header("高度（米）", "zh") == "高度"
     assert normalize_header("Depth (m) (est.)", "en") == "depth"
     assert normalize_header("Notes[2]", "en") == "notes"
+
+
+# FOOTNOTE_RE's, _PAREN_RE's and the collapse's \s take NBSP for whitespace,
+# so reading it as a space first changes nothing.
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["\u00a0", " ", "\t", "(", ")", "（", "）", "[", "]", "1", "a",
+                                 "note", "nb", "Height", "高度", "米", "m", "ß", "İ"]),
+                max_size=16).map("".join))
+@example("Height\u00a0(m)")
+@example("Notes\u00a0[note\u00a02]")
+def test_normalize_header_reads_nbsp_as_a_space(text):
+    assert normalize_header(text, "en") == normalize_header(text.replace("\u00a0", " "), "en")
 
 
 def test_lookup_with_bundled_mapping(header_mapping):

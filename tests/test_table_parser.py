@@ -3,13 +3,11 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tablediff import table_parser
 from tablediff.htmldom import _HTML_SPAN_CAP, link_target, parse_html
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.table_parser import (Cell, _span_free_grid, detect_header, expand_spans,
-                                    extract_tables, normalize_text)
+from tablediff.table_parser import Cell, build_grid, extract_tables, normalize_text
 
 from conftest import FIXTURE_CACHE, REPO
 from oracles import (layout_to_html, oracle_expand, oracle_header_flags, oracle_normalize_text,
@@ -236,36 +234,42 @@ def raw(text, rowspan=1, colspan=1, header=False):
     return (text, None, header, rowspan, colspan)
 
 
+def oracle_header_count(layout, headers):
+    """The leading rows whose oracle flags are all true, else 1 (the first row promoted)."""
+    flags = oracle_header_flags(layout, headers)
+    return next((r for r, row in enumerate(flags) if not all(row)), len(flags)) or 1
+
+
 def test_expand_identity_on_1x1():
-    grid, flags = expand_spans([[raw("a")]])
+    grid, _ = build_grid([[raw("a")]])
     assert len(grid) == 1 and len(grid[0]) == 1
     assert grid[0][0].text == "a"
     assert not grid[0][0].is_spanned_copy
 
 
 def test_expand_rowspan_copies_down():
-    grid, _ = expand_spans([[raw("span", rowspan=2), raw("b")], [raw("c")]])
+    grid, _ = build_grid([[raw("span", rowspan=2), raw("b")], [raw("c")]])
     assert [c.text for c in grid[0]] == ["span", "b"]
     assert [c.text for c in grid[1]] == ["span", "c"]
     assert grid[1][0].is_spanned_copy and not grid[0][0].is_spanned_copy
 
 
 def test_expand_colspan_occupies_adjacent_columns():
-    grid, _ = expand_spans([[raw("wide", colspan=3), raw("x")],
-                            [raw("a"), raw("b"), raw("c"), raw("d")]])
+    grid, _ = build_grid([[raw("wide", colspan=3), raw("x")],
+                          [raw("a"), raw("b"), raw("c"), raw("d")]])
     assert all(len(row) == 4 for row in grid)
     assert [c.text for c in grid[0]] == ["wide", "wide", "wide", "x"]
     assert [c.is_spanned_copy for c in grid[0]] == [False, True, True, False]
 
 
 def test_expand_pads_ragged_rows():
-    grid, _ = expand_spans([[raw("a"), raw("b")], [raw("c")]])
+    grid, _ = build_grid([[raw("a"), raw("b")], [raw("c")]])
     assert [c.text for c in grid[1]] == ["c", ""]
     assert not grid[1][1].is_spanned_copy
 
 
 def test_expand_rowspan_clipped_at_table_end():
-    grid, _ = expand_spans([[raw("deep", rowspan=99)], [raw("x"), raw("y")]])
+    grid, _ = build_grid([[raw("deep", rowspan=99)], [raw("x"), raw("y")]])
     assert len(grid) == 2
     assert grid[1][0].text == "deep"
 
@@ -350,57 +354,13 @@ def test_spanned_copies_carry_anchor_link():
 
 # -- span-free tables --------------------------------------------------------
 
-def spans(raw_rows):
-    """Whether any raw cell has a rowspan or colspan above 1."""
-    return any(rowspan > 1 or colspan > 1 for row in raw_rows for *_, rowspan, colspan in row)
-
-
-@pytest.fixture
-def expanded(monkeypatch):
-    """The raw rows of every table that extract_tables hands to expand_spans."""
-    calls = []
-    monkeypatch.setattr(table_parser, "expand_spans",
-                        lambda raw_rows: calls.append(raw_rows) or expand_spans(raw_rows))
-    return calls
-
-
-@pytest.mark.parametrize("html, spanned", [
-    (table_html("<tr><th>A</th><th>B</th></tr><tr><td>a</td><td>b</td></tr>"), [False]),
-    (table_html('<tr><td rowspan="1" colspan="1">a</td><td rowspan="0" colspan="x">b</td></tr>'),
-     [False]),
-    (table_html('<tr><td>a</td><td rowspan="2">b</td></tr><tr><td>c</td></tr>'), [True]),
-    (table_html('<tr><th>A</th><th colspan="2">B</th></tr>'), [True]),
-    # a span in a table nested in a cell, or in a table that is not a data table, marks none
-    (table_html('<tr><td><table><tr><td colspan="2">n</td></tr></table></td></tr>'), [False]),
-    ('<table class="navbox"><tr><td rowspan="2">n</td></tr></table>'
-     + table_html("<tr><td>a</td></tr>") + table_html('<tr><td colspan="3">b</td></tr>'),
-     [False, True]),
-])
-def test_only_tables_with_a_spanning_cell_take_expand_spans(html, spanned, expanded):
-    tables = parse_html(html).tables
-    assert [spans(rows) for rows in tables] == spanned
-    extract_tables(doc(html))
-    assert expanded == [rows for rows, flag in zip(tables, spanned) if flag]
-
-
-def test_a_span_only_in_a_tbody_row_takes_the_general_path(expanded):
+def test_a_span_only_in_a_tbody_row_is_expanded():
     # The table's own rows span nothing; its section's do.
     html = ('<table class="wikitable"><tr><th>A</th><th>B</th></tr>'
             '<tbody><tr><td rowspan="2">x</td><td>1</td></tr><tr><td>2</td></tr></tbody></table>')
     table = extract_tables(doc(html))[0]
-    assert len(expanded) == 1
     assert [[c.text for c in row] for row in table.body_rows] == [["x", "1"], ["x", "2"]]
     assert table.body_rows[1][0] == Cell("x", is_spanned_copy=True)
-
-
-def test_vendored_span_free_tables_skip_expand_spans(expanded):
-    tables = []
-    for path in sorted((FIXTURE_CACHE / "pages").rglob("*.json")):
-        page = PageDocument.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        extract_tables(page)
-        tables += page.scan.tables
-    assert expanded == [rows for rows in tables if spans(rows)]
-    assert sum(not spans(rows) for rows in tables) > len(expanded)
 
 
 @st.composite
@@ -422,31 +382,29 @@ def span_free_tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(span_free_tables())
-def test_span_free_grid_matches_occupancy_oracle(table):
+def test_span_free_rows_match_occupancy_oracle(table):
     raw_rows, layout, headers = table
-    grid, split = _span_free_grid(raw_rows)
+    grid, split = build_grid(raw_rows)
     assert [[(c.text, c.is_spanned_copy) for c in row] for row in grid] == oracle_expand(layout)
     assert all(type(c) is Cell for row in grid for c in row)
     for raw_row, row in zip(raw_rows, grid):
         assert [c.link_title for c in row] == [cell[1] for cell in raw_row] + [None] * (
             len(row) - len(raw_row))
-    flags = oracle_header_flags(layout, headers)
-    assert split == (next((r for r, row in enumerate(flags) if not all(row)), len(flags)) or 1)
-    general = detect_header(*expand_spans(raw_rows))
-    assert (grid[:split], grid[split:]) == general
+    assert split == oracle_header_count(layout, headers)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=4),
                 min_size=1, max_size=5))
-def test_extract_tables_matches_the_general_path(spans):
-    # Both paths of extract_tables give what expand_spans and detect_header give.
-    html = layout_to_html([[(rs, cs, f"r{r}c{i}") for i, (rs, cs) in enumerate(row)]
-                           for r, row in enumerate(spans)])
-    [table] = extract_tables(doc(html))
-    header_rows, body_rows = detect_header(*expand_spans(parse_html(html).tables[0]))
-    assert (table.header_rows, table.body_rows) == (header_rows, body_rows)
-    assert table.n_cols == len(header_rows[0])
+def test_extract_tables_matches_occupancy_oracle(spans):
+    # Every cell is a <td>, so the first row is promoted to the header.
+    layout = [[(rs, cs, f"r{r}c{i}") for i, (rs, cs) in enumerate(row)]
+              for r, row in enumerate(spans)]
+    [table] = extract_tables(doc(layout_to_html(layout)))
+    grid = table.header_rows + table.body_rows
+    assert [[(c.text, c.is_spanned_copy) for c in row] for row in grid] == oracle_expand(layout)
+    assert len(table.header_rows) == 1
+    assert table.n_cols == len(grid[0])
 
 
 # -- header detection --------------------------------------------------------
@@ -465,17 +423,23 @@ def test_th_rowspan_copy_keeps_header_flag():
     assert [[c.text for c in row] for row in table.body_rows] == [["Everest", "8849"]]
 
 
-def test_detect_header_th_rows():
-    grid, flags = expand_spans([[raw("H", header=True)], [raw("a")]])
-    header, body = detect_header(grid, flags)
-    assert len(header) == 1 and len(body) == 1
+def test_header_is_the_leading_th_rows():
+    th = [raw("H", header=True)]
+    assert build_grid([th, th, [raw("a")], th])[1] == 2
 
 
-def test_detect_header_fallback_promotes_first_row():
-    grid, flags = expand_spans([[raw("a")], [raw("b")]])
-    header, body = detect_header(grid, flags)
-    assert header[0][0].text == "a"
-    assert body[0][0].text == "b"
+def test_header_fallback_promotes_first_row():
+    grid, split = build_grid([[raw("a")], [raw("b")]])
+    assert split == 1
+    assert [row[0].text for row in grid] == ["a", "b"]
+
+
+def test_narrow_th_row_ends_the_header():
+    # The second row is all <th> but one slot short, and a pad is no header cell.
+    grid, split = build_grid([[raw("A", header=True), raw("B", header=True)],
+                              [raw("a", header=True)], [raw("b"), raw("c")]])
+    assert split == 1
+    assert grid[1] == [Cell("a"), Cell("")]
 
 
 def test_multi_row_header_labels_join():
@@ -513,9 +477,9 @@ def layout_to_raw(layout, headers):
 
 @settings(max_examples=300, deadline=None)
 @given(span_layouts())
-def test_expand_matches_occupancy_oracle(layout_and_headers):
+def test_build_grid_matches_occupancy_oracle(layout_and_headers):
     layout, headers = layout_and_headers
-    grid, flags = expand_spans(layout_to_raw(layout, headers))
+    grid, split = build_grid(layout_to_raw(layout, headers))
     expected = oracle_expand(layout)
     assert len(grid) == len(expected)
     widths = {len(row) for row in grid}
@@ -524,4 +488,46 @@ def test_expand_matches_occupancy_oracle(layout_and_headers):
         for cell, (text, is_copy) in zip(grow, erow):
             assert cell.text == text
             assert cell.is_spanned_copy == is_copy
-    assert flags == oracle_header_flags(layout, headers)
+    assert split == oracle_header_count(layout, headers)
+
+
+@st.composite
+def mostly_unit_layouts(draw):
+    """Rows of mostly 1x1 cells with a few rowspans, plus th/td flags and links.
+
+    Most rows span nothing, and some of those sit under a rowspan from above.
+    A leading run of rows is all <th>, of varied widths, so some header rows are
+    narrower than the grid and some are completed by the copy of a <th> rowspan;
+    a later row is sometimes all <th> too.
+    """
+    layout, headers, links = [], [], []
+    n_rows = draw(st.integers(1, 8))
+    n_header = draw(st.integers(0, min(3, n_rows)))
+    for r in range(n_rows):
+        n_cells = draw(st.integers(1, 4))
+        layout.append([(draw(st.sampled_from([1] * 6 + [2, 3])),
+                        draw(st.sampled_from([1] * 9 + [2])), f"r{r}c{i}")
+                       for i in range(n_cells)])
+        all_th = r < n_header or draw(st.integers(0, 3)) == 0
+        headers.append([all_th or draw(st.integers(0, 4)) == 0 for _ in range(n_cells)])
+        links.append([draw(st.sampled_from([None, f"L{r}{i}"])) for i in range(n_cells)])
+    return layout, headers, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_unit_layouts())
+# The copy of a <th> rowspan completes the second header row; the third row is
+# taken as it stands, and the last is reached only by the rowspan above it.
+@example(([[(2, 1, "N"), (1, 1, "H")], [(1, 1, "m")], [(1, 1, "a"), (1, 1, "b")],
+           [(1, 1, "c"), (2, 1, "d")], [(1, 1, "e")]],
+          [[True, True], [True], [False, False], [False, False], [False]],
+          [["Name", None], [None], [None, "B"], [None, "D"], [None]]))
+def test_mostly_unit_rows_match_occupancy_oracle(table):
+    layout, headers, links = table
+    raw_rows = [[(text, link, th, rs, cs) for (rs, cs, text), th, link in zip(*row)]
+                for row in zip(layout, headers, links)]
+    grid, split = build_grid(raw_rows)
+    assert [[(c.text, c.is_spanned_copy) for c in row] for row in grid] == oracle_expand(layout)
+    assert split == oracle_header_count(layout, headers)
+    link_of = {text: link for row in raw_rows for text, link, *_ in row}
+    assert all(c.link_title == link_of.get(c.text) for row in grid for c in row)

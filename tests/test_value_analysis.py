@@ -216,6 +216,7 @@ def test_magnitude_past_a_float_in_base_units_is_text():
     ("\u00a080\u00a0/\u00a0302", "de", "ratio", 100 * 80 / 302),
     ("80\u00a0von\u00a0302", "de", "ratio", 100 * 80 / 302),
     ("80\u00a0out of\u00a0302\u00a0", "en", "ratio", 100 * 80 / 302),
+    ("80 out\u00a0of 302", "en", "ratio", 100 * 80 / 302),
     ("8,848\u00a0m", "en", "number", 8848.0),
 ])
 def test_nbsp_padded_cells_parse(text, lang, kind, magnitude):
@@ -223,6 +224,17 @@ def test_nbsp_padded_cells_parse(text, lang, kind, magnitude):
     assert (parsed.kind, parsed.original) == (kind, text)
     assert math.isclose(parsed.magnitude, magnitude)
     assert parsed == oracle_parse_value(text, lang)
+
+
+# str.strip() and re's \s take NBSP for whitespace, so reading it as a space changes nothing.
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(CELL_TOKENS + ["\u00a0", "\t", "out", "of", "von", "van", "su", "op"]),
+                max_size=12).map("".join),
+       st.sampled_from(["en", "de", "zh", "it", "nl", "fr"]))
+@example("80 out\u00a0of 302", "en")
+def test_nbsp_reads_as_a_space(text, lang):
+    spaced = text.replace("\u00a0", " ")
+    assert parse_value(text, lang)._replace(original=spaced) == parse_value(spaced, lang)
 
 
 # -- conflicts ---------------------------------------------------------------
