@@ -25,7 +25,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from tablediff.schema_align import normalize_header  # noqa: E402
-from tablediff.value_analysis import format_number  # noqa: E402
+from tablediff.value_analysis import _separators  # noqa: E402
 
 LANGS = ["en", "de", "zh", "it", "nl"]
 FETCHED_AT = "2025-07-01T00:00:00Z"
@@ -667,6 +667,16 @@ def anchor(title: str, label: str | None = None, with_title_attr: bool = True) -
     if with_title_attr:
         return f'<a href="{wiki_href(title)}" title="{esc(title)}">{esc(label)}</a>'
     return f'<a href="{wiki_href(title)}">{esc(label)}</a>'
+
+
+def format_number(magnitude: float, language: str) -> str:
+    """Locale rendering of a magnitude (round-trip partner of ``parse_value``)."""
+    group, dec = _separators(language)
+    if magnitude == int(magnitude):
+        body = f"{int(magnitude):,}"
+    else:
+        body = f"{magnitude:,}"
+    return body.translate({ord(","): group, ord("."): dec})
 
 
 def filler_header(lang: str, index: int) -> str:

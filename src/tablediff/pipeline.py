@@ -1,24 +1,31 @@
 """End-to-end analysis of one article family, in stages.
 
-1. gather (``_gather_editions``): list the family's editions and fetch one
-   page per wanted language;
+1. gather (``_gather_editions``): list the family's editions and fetch the
+   page of each wanted language, every page before the first is read;
 2. extract and 3. link, one edition at a time (``_read_edition``): extract
    the page's data tables, choose each table's entity column, take one
-   mention per row and resolve the mentions' links to QIDs;
-4. align: page metrics, each table's ``{attribute: [columns]}``, the
-   attribute presence grid, and the entity matrix, an ordered map
-   ``{entity: {language: [(table_index, row_index), ...]}}``;
+   mention per row and resolve the mentions' links to QIDs. The step gives
+   back the page, its tables and its linked tables, or the status and
+   reason of an edition without a page;
+4. align: ``analyze_family`` folds each edition into the family as it is
+   read (its report row, page metrics, each table's
+   ``{attribute: [columns]}``, its mentions and the attributes of its
+   entity columns), then builds the attribute presence grid and the entity
+   matrix, an ordered map ``{entity: {language: [(table_index, row_index), ...]}}``;
 5. analyze: one walk over the matrix takes each entity's first non-missing
    value per language for every attribute seen in two or more languages and
    no linked table's entity column (``_attribute_values``); one pass per
    attribute compares them by value kind (``detect_conflicts``); then incompleteness;
 6. serialize: the family's part of the report.
 
-``warm_cache`` runs stage 1 and the same ``_read_edition`` step only, so
-``fetch`` warms exactly the QIDs that ``analyze`` links. The pipeline
-downgrades per-edition problems (missing pages, unalignable tables) into
-findings inside the report instead of aborting; a family only counts as
-failed when no edition could be analyzed at all.
+A page leaves the gathered editions when its step starts and is dropped
+once the family has read it, so each page is freed once it is read and at
+most one page is scanned at a time. ``warm_cache`` runs stage 1 and the
+same ``_read_edition`` step only, so ``fetch`` warms exactly the QIDs that
+``analyze`` links. The pipeline downgrades per-edition problems (missing
+pages, unalignable tables) into findings inside the report instead of
+aborting; a family only counts as failed when no edition could be analyzed
+at all.
 
 ``run_pipeline`` and ``warm_cache`` pause Python's cyclic garbage collector
 for each family (its steps and the cache save after them) and restore its
@@ -31,9 +38,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from typing import Optional
 
@@ -75,132 +83,96 @@ class PipelineOptions:
         return CachePolicy.PREFER_CACHE
 
 
-@dataclass
-class EditionData:
-    """Working state for one fetched language edition of a family."""
-
-    language: str
-    title: str
-    status: str  # "ok" | "absent" | "error"
-    doc: Optional[PageDocument] = None
-    tables: list[WikiTable] = field(default_factory=list)
-    # (table, linked mentions, entity column) per table the link stage aligned
-    linked: list[tuple[WikiTable, list[EntityMention], int]] = field(default_factory=list)
-    reason: str = ""
-
-
 # Per (language, table index): the table and its columns grouped by attribute.
 TableColumns = dict[tuple[str, int], tuple[WikiTable, dict[Attribute, list[int]]]]
-
-
-def _edition_titles(entry: FamilyEntry, client: MediaWikiClient,
-                    options: PipelineOptions, findings: list[dict]) -> dict[str, str]:
-    try:
-        versions = client.list_language_versions(entry.seed, options.cache_policy)
-        return {ref.language: ref.title for ref in versions}
-    except (PageMissing, CacheMiss, NetworkError, SnapshotError) as exc:
-        findings.append({
-            "kind": "langlinks-unavailable",
-            "family": entry.id,
-            "detail": f"{type(exc).__name__}: {exc}",
-        })
-        return {entry.seed.language: entry.seed.title}
-
-
-def _fetch_edition(client: MediaWikiClient, language: str, title: str,
-                   options: PipelineOptions) -> EditionData:
-    article = ArticleRef(language, title)
-    try:
-        doc = client.fetch_page(article, options.cache_policy)
-    except PageMissing:
-        return EditionData(language, title, "absent", reason="page missing in this edition")
-    except CacheMiss:
-        return EditionData(language, title, "absent", reason="no cached snapshot (offline run)")
-    except (NetworkError, SnapshotError) as exc:
-        logger.warning("fetch failed for %s:%s: %s", language, title, exc)
-        return EditionData(language, title, "error", reason=str(exc))
-    return EditionData(language, title, "ok", doc=doc)
+# A gathered edition's page, or the status ("absent" or "error") and reason
+# of an edition without one.
+Fetched = PageDocument | tuple[str, str]
+# A table the link step aligned: the table, its linked mentions and its entity column.
+Linked = tuple[WikiTable, list[EntityMention], int]
 
 
 def _gather_editions(entry: FamilyEntry, client: MediaWikiClient, options: PipelineOptions,
-                     findings: list[dict]) -> tuple[list[str], list[EditionData]]:
-    """The distinct languages to analyze and one fetched edition per language, in order.
+                     findings: list[dict]) -> tuple[dict[str, str], dict[str, Fetched]]:
+    """Two maps over the distinct languages to analyze, in order: the titles and what was fetched.
 
-    With ``options.jobs > 1`` the page fetches of a run that may reach the
-    network run in that many threads. An offline run reads its pages in the
-    calling thread: a cache read and its JSON decoding hold the GIL, so
-    threads there only add pool start-up and lock contention.
+    Every page of the family is fetched before any is read. With
+    ``options.jobs > 1`` the fetches of a run that may reach the network run
+    in that many threads. An offline run reads its pages in the calling
+    thread: a cache read and its JSON decoding hold the GIL, so threads there
+    only add pool start-up and lock contention.
     """
-    titles = _edition_titles(entry, client, options, findings)
+    try:
+        listed = {ref.language: ref.title
+                  for ref in client.list_language_versions(entry.seed, options.cache_policy)}
+    except (PageMissing, CacheMiss, NetworkError, SnapshotError) as exc:
+        findings.append({"kind": "langlinks-unavailable", "family": entry.id,
+                         "detail": f"{type(exc).__name__}: {exc}"})
+        listed = {entry.seed.language: entry.seed.title}
     requested = options.languages or entry.languages
-    wanted = sorted(titles) if requested == "all" else list(dict.fromkeys(requested))
+    wanted = sorted(listed) if requested == "all" else list(dict.fromkeys(requested))
 
-    def gather(language: str) -> EditionData:
-        title = titles.get(language)
-        if title is None:
-            return EditionData(language, entry.seed.title, "absent",
-                               reason="no edition listed for this language")
-        return _fetch_edition(client, language, title, options)
+    def fetch(language: str) -> Fetched:
+        if language not in listed:
+            return "absent", "no edition listed for this language"
+        try:
+            return client.fetch_page(ArticleRef(language, listed[language]), options.cache_policy)
+        except PageMissing:
+            return "absent", "page missing in this edition"
+        except CacheMiss:
+            return "absent", "no cached snapshot (offline run)"
+        except (NetworkError, SnapshotError) as exc:
+            logger.warning("fetch failed for %s:%s: %s", language, listed[language], exc)
+            return "error", str(exc)
 
+    titles = {language: listed.get(language, entry.seed.title) for language in wanted}
     if options.jobs > 1 and len(wanted) > 1 and not options.offline:
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            return wanted, list(pool.map(gather, wanted))
-    return wanted, [gather(language) for language in wanted]
+            return titles, dict(zip(wanted, pool.map(fetch, wanted)))
+    return titles, {language: fetch(language) for language in wanted}
 
 
-def _link_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiClient,
-                  options: PipelineOptions, findings: list[dict]) -> None:
-    """Link one mention per row of each table to a QID, into ``edition.linked``.
+def _read_edition(entry: FamilyEntry, language: str, fetched: Fetched, client: MediaWikiClient,
+                  options: PipelineOptions, link_findings: list[dict],
+                  ) -> tuple[PageDocument, list[WikiTable], list[Linked]] | tuple[str, str]:
+    """Extract and link one gathered edition: its page, tables and linked tables.
 
-    A table's entity column is the manifest's hint, else the detected one;
-    a table without a usable entity column is left out of alignment. A row
-    whose entity cell gives no alignment key (see ``mention_key``) is left
-    out and counted in the table's ``rows-skipped`` finding.
+    An edition without a page gives back its status and reason, and so does
+    a page whose scan fails, as an ``"error"`` like a failed fetch. Each
+    table's entity column is the manifest's hint, else the detected one; a
+    table without a usable one is left out of alignment. Each other table
+    links one mention per row to a QID; a row whose entity cell gives no
+    alignment key (see ``mention_key``) is left out and counted in the
+    table's ``rows-skipped`` finding. These findings go to ``link_findings``.
+    The step keeps no reference to the page, so it is freed once the caller
+    drops the result.
     """
-    for table in edition.tables:
-        where = {"family": entry.id, "language": edition.language,
-                 "table_index": table.table_index}
-        col = entry.column_hint(edition.language, table.table_index)
+    if not isinstance(fetched, PageDocument):
+        return fetched
+    try:
+        tables = extract_tables(fetched)
+    except ParseError as exc:
+        logger.warning("parse failed for %s: %s", fetched.article.key, exc)
+        return "error", str(exc)
+    linked = []
+    for table in tables:
+        where = {"family": entry.id, "language": language, "table_index": table.table_index}
+        col = entry.column_hint(language, table.table_index)
         if col is None:
             col = detect_entity_column(table)
         if col is None or col >= table.n_cols:
-            findings.append({"kind": "no-entity-column", **where,
-                             "detail": "table excluded from alignment"})
+            link_findings.append({"kind": "no-entity-column", **where,
+                                  "detail": "table excluded from alignment"})
             continue
         mentions = link_mentions(extract_row_entities(table, col, options.extra_missing),
-                                 edition.language, client, options.cache_policy)
-        mentions = [m for m in mentions if mention_key(m, edition.language) is not None]
+                                 language, client, options.cache_policy)
+        mentions = [m for m in mentions if mention_key(m, language) is not None]
         skipped = table.n_body_rows - len(mentions)
         if skipped:
-            findings.append({"kind": "rows-skipped", **where,
-                             "detail": f"{skipped} row(s) with empty entity cells"})
-        edition.linked.append((table, mentions, col))
-
-
-def _read_edition(entry: FamilyEntry, edition: EditionData, client: MediaWikiClient,
-                  options: PipelineOptions, findings: list[dict],
-                  link_findings: list[dict]) -> Optional[PageDocument]:
-    """Extract and link one edition; return its page if it stays ok, else add its finding.
-
-    The edition gives up its page, so a caller that lets it go before the
-    next call holds one page and its scan at a time. A page whose scan fails
-    makes the edition an error, like a failed fetch. The findings of linking
-    go to ``link_findings``, the edition's own to ``findings``.
-    """
-    doc, edition.doc = edition.doc, None
-    if edition.status == "ok":
-        try:
-            edition.tables = extract_tables(doc)
-        except ParseError as exc:
-            logger.warning("parse failed for %s:%s: %s", edition.language, edition.title, exc)
-            edition.status, edition.reason = "error", str(exc)
-    if edition.status != "ok":
-        kind = "edition-absent" if edition.status == "absent" else "fetch-error"
-        findings.append({"kind": kind, "family": entry.id, "language": edition.language,
-                         "detail": edition.reason})
-        return None
-    _link_edition(entry, edition, client, options, link_findings)
-    return doc
+            link_findings.append({"kind": "rows-skipped", **where,
+                                  "detail": f"{skipped} row(s) with empty entity cells"})
+        linked.append((table, mentions, col))
+    return fetched, tables, linked
 
 
 def _attribute_values(
@@ -253,63 +225,66 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
     if not 0 <= options.staleness_days <= timedelta.max.days:
         raise ValueError(f"staleness_days must be from 0 to {timedelta.max.days}, "
                          f"got {options.staleness_days!r}")
+    if not 0 <= options.rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be a finite number >= 0, got {options.rel_tol!r}")
     window = timedelta(days=options.staleness_days)
     findings: list[dict] = []
     link_findings: list[dict] = []
-    wanted, editions = _gather_editions(entry, client, options, findings)
-    # Extract and link each edition, then its page metrics and column attributes.
+    titles, pages = _gather_editions(entry, client, options, findings)
+    # Fold each edition into the family as it is read.
     columns: TableColumns = {}
+    attr_languages: dict[Attribute, set[str]] = {}
     main_attributes: dict[str, Optional[list[Attribute]]] = {}
     revision_timestamps = {}
+    mentions_by_language: dict[str, list[EntityMention]] = {}
+    aligned_languages = []
+    row_keys: set[Attribute] = set()  # the attributes of linked tables' entity columns
     edition_rows = []
-    for edition in editions:
-        doc = _read_edition(entry, edition, client, options, findings, link_findings)
-        if doc is None:
-            edition_rows.append({"language": edition.language, "title": edition.title,
-                                 "status": edition.status, "detail": edition.reason})
+    for language, title in titles.items():
+        read = _read_edition(entry, language, pages.pop(language), client, options, link_findings)
+        if isinstance(read[0], str):  # no page: the edition's status and reason
+            status, reason = read
+            findings.append({"kind": "edition-absent" if status == "absent" else "fetch-error",
+                             "family": entry.id, "language": language, "detail": reason})
+            edition_rows.append({"language": language, "title": title, "status": status,
+                                 "detail": reason})
             continue
-        metrics = page_stats(
-            tables=edition.tables,
-            reference_count=count_references(doc),
-            main_override=entry.main_table_index.get(edition.language),
-            extra_missing=options.extra_missing,
-            all_tables=options.all_tables,
-        )
-        for table in edition.tables:
-            columns[(edition.language, table.table_index)] = (
-                table, resolve_columns(table, edition.language, mapping))
+        page, tables, linked = read
+        metrics = page_stats(tables=tables, reference_count=count_references(page),
+                             main_override=entry.main_table_index.get(language),
+                             extra_missing=options.extra_missing, all_tables=options.all_tables)
+        for table in tables:
+            by_attr = resolve_columns(table, language, mapping)
+            columns[(language, table.table_index)] = table, by_attr
+            for attr in by_attr:
+                attr_languages.setdefault(attr, set()).add(language)
         main = metrics["main_table_index"]
-        main_attributes[edition.language] = (
-            None if main is None else list(columns[(edition.language, main)][1]))
-        revision_timestamps[edition.language] = doc.revision_timestamp
+        main_attributes[language] = None if main is None else list(columns[(language, main)][1])
+        revision_timestamps[language] = page.revision_timestamp
         edition_rows.append({
-            "language": edition.language,
-            "title": edition.title,
+            "language": language,
+            "title": title,
             "status": "ok",
-            "revision_id": doc.revision_id,
-            "revision_timestamp": format_ts(doc.revision_timestamp),
+            "revision_id": page.revision_id,
+            "revision_timestamp": format_ts(page.revision_timestamp),
             **metrics,
         })
-        del doc  # else this page and its scan live on while the next edition's is read
+        del page, read  # else this page and its scan live on while the next one is read
+        mentions_by_language[language] = [m for _table, mentions, _col in linked for m in mentions]
+        if linked:
+            aligned_languages.append(language)
+        row_keys.update(attr for table, _mentions, col in linked
+                        for attr, cols in columns[(language, table.table_index)][1].items()
+                        if col in cols)
     findings.extend(link_findings)
 
-    analyzed = [e for e in editions if e.status == "ok"]
-    aligned_languages = [e.language for e in analyzed if e.linked]
-    matrix = build_matrix({e.language: [m for _table, mentions, _col in e.linked for m in mentions]
-                           for e in analyzed})
+    matrix = build_matrix(mentions_by_language)
     presence = build_presence_grid(main_attributes, mapping)
 
     # Compare attributes seen in >= 2 languages, but no entity column: a row key is not a value.
-    row_keys = {attr for e in analyzed for table, _mentions, col in e.linked
-                for attr, cols in columns[(e.language, table.table_index)][1].items()
-                if col in cols}
-    attr_languages: dict[Attribute, set[str]] = {}
-    for (language, _index), (_table, by_attr) in columns.items():
-        for attr in by_attr.keys() - row_keys:
-            attr_languages.setdefault(attr, set()).add(language)
-
+    compared = [attr for attr in mapping.attributes
+                if len(attr_languages.get(attr, ())) >= 2 and attr not in row_keys]
     records: list[dict] = []
-    compared = [attr for attr in mapping.attributes if len(attr_languages.get(attr, ())) >= 2]
     for attr, values in _attribute_values(matrix, columns, compared,
                                           options.extra_missing).items():
         conflicts, conflict_findings = detect_conflicts(entry.id, attr, values, options.rel_tol,
@@ -319,12 +294,11 @@ def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWiki
 
     records.extend(detect_incompleteness(entry.id, presence, matrix, aligned_languages))
 
-    family_status = "ok" if analyzed else "failed"
     return {
         "id": entry.id,
         "seed": {"language": entry.seed.language, "title": entry.seed.title},
-        "status": family_status,
-        "languages_requested": wanted,
+        "status": "ok" if mentions_by_language else "failed",
+        "languages_requested": list(titles),
         "editions": edition_rows,
         "entities": [
             {
@@ -436,9 +410,11 @@ def warm_cache(manifest: DatasetManifest, mapping: HeaderMapping, client: MediaW
     fetched = absent = 0
     for entry in manifest.families:
         with _saving(client):
-            _wanted, editions = _gather_editions(entry, client, options, [])
-            for edition in editions:
-                if _read_edition(entry, edition, client, options, [], []) is None:
+            titles, pages = _gather_editions(entry, client, options, [])
+            for language in titles:
+                # The step's result is never bound, so its page goes when it returns.
+                if isinstance(_read_edition(entry, language, pages.pop(language), client,
+                                            options, [])[0], str):
                     absent += 1
                 else:
                     fetched += 1

@@ -191,16 +191,6 @@ def parse_value(text: str, language: str) -> ParsedValue:
     return _new_value(ParsedValue, ("ratio", text, magnitude, None, numerator, denominator))
 
 
-def format_number(magnitude: float, language: str) -> str:
-    """Locale rendering of a magnitude (round-trip partner of parse_value)."""
-    group, dec = _separators(language)
-    if magnitude == int(magnitude):
-        body = f"{int(magnitude):,}"
-    else:
-        body = f"{magnitude:,}"
-    return body.translate({ord(","): group, ord("."): dec})
-
-
 def relative_difference(a: float, b: float) -> float:
     """|a-b| scaled by the smaller absolute value; inf when only one is zero.
 

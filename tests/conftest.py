@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import importlib.util
 import io
 import json
 import sys
@@ -59,6 +61,16 @@ FIXTURE_TITLES["eight_thousander_climbers"] = {
     "it": "Alpinisti che hanno scalato tutti i 14 ottomila",
     "nl": "Lijst van klimmers die alle veertien achtduizenders beklommen",
 }
+
+
+@functools.lru_cache(maxsize=None)
+def load_fixture_builder():
+    """``scripts/build_fixtures.py`` as a module, loaded by path (scripts/ is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "build_fixtures", REPO / "scripts" / "build_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mentions_by_language(tables_by_lang):

@@ -5,7 +5,6 @@ rows of a table, may change the order in which the report lists things,
 never what it says. An edition that copies another adds no disagreement.
 """
 
-import importlib.util
 import json
 import re
 from urllib.parse import quote
@@ -19,7 +18,8 @@ from tablediff.pipeline import PipelineOptions, run_pipeline
 from tablediff.schema_align import load_header_mapping
 from tablediff.value_analysis import CLASS_INCOMPLETENESS
 
-from conftest import CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP, REPO
+from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP,
+                      load_fixture_builder)
 
 # The languages every family of both bundled manifests lists, in their order.
 LANGUAGES = ["en", "de", "zh", "it", "nl"]
@@ -93,15 +93,7 @@ def test_permuting_families_keeps_each_family_the_corpus_and_the_epoch(
 
 # -- families built from the fixture builder's page helpers --------------------
 
-def _load_fixture_builder():
-    spec = importlib.util.spec_from_file_location(
-        "build_fixtures", REPO / "scripts" / "build_fixtures.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bf = _load_fixture_builder()
+bf = load_fixture_builder()
 
 # A family in the vendored pages' shape, kept out of ``bf.FAMILIES``: its en
 # pages leave death rates blank, and de reads Everest's height as 8,848 m.

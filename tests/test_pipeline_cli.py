@@ -4,6 +4,7 @@ import math
 import shutil
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1699,6 +1700,71 @@ def test_entity_column_and_main_table_are_chosen_once(monkeypatch, header_mappin
     distinct = len({id(table) for table in detected})
     assert distinct == len(detected), f"{len(detected)} detections for {distinct} tables"
     assert len(selected) == ok, f"{len(selected)} main-table choices for {ok} pages"
+
+
+# -- the edition step ----------------------------------------------------------
+
+@pytest.mark.parametrize("bundled_map", [True, False], ids=["bundled-map", "empty-map"])
+@pytest.mark.parametrize("rel_tol", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_a_bad_rel_tol_is_refused_before_any_page_is_read(monkeypatch, header_mapping,
+                                                          bundled_map, rel_tol):
+    read = []
+    fetch_page = MediaWikiClient.fetch_page
+    monkeypatch.setattr(MediaWikiClient, "fetch_page",
+                        lambda self, *args: read.append(args) or fetch_page(self, *args))
+    mapping = header_mapping if bundled_map else HeaderMapping([])
+    with pytest.raises(ValueError, match="rel_tol must be a finite number >= 0"):
+        _offline_climbers(mapping, rel_tol=rel_tol)
+    assert read == []
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["run_pipeline", "warm_cache"])
+def test_each_page_is_freed_once_it_is_read(monkeypatch, header_mapping, warm):
+    pages, alive_at_extract, alive_at_matrix = [], [], []
+    extract_tables, build_matrix = pipeline.extract_tables, pipeline.build_matrix
+
+    def alive():
+        return sum(page() is not None for page in pages)
+
+    def recording_extract(page):
+        pages.append(weakref.ref(page))
+        alive_at_extract.append(alive())
+        return extract_tables(page)
+
+    def recording_matrix(*args):
+        alive_at_matrix.append(alive())
+        return build_matrix(*args)
+
+    monkeypatch.setattr(pipeline, "extract_tables", recording_extract)
+    monkeypatch.setattr(pipeline, "build_matrix", recording_matrix)
+    _offline_climbers(header_mapping, warm)
+    assert alive_at_extract == [1] * 5
+    assert alive_at_matrix == ([] if warm else [0])
+
+
+@pytest.mark.parametrize("run", ["warm_cache", "run_pipeline"])
+def test_a_familys_requests_come_in_stage_order(tmp_path, header_mapping, run):
+    families = ["Alpha", "Beta"]
+    transport = _peaks_transport(families)
+    client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=transport)
+    getattr(pipeline, run)(_peaks_manifest(families), header_mapping, client, PipelineOptions())
+    revision_titles = {str(page["revid"]): title for (_lang, title), page in transport.pages.items()}
+
+    def stage(url, params):
+        """(family, request, language) of one logged request."""
+        if params["action"] == "parse":
+            request, title = "parse", params["page"]
+        elif params["prop"] == "revisions":
+            request, title = "revisions", revision_titles[params["revids"]]
+        else:
+            request, title = params["prop"], params["titles"]
+        return title.split()[0], request, transport._lang(url)
+
+    assert [stage(url, params) for url, params in transport.log] == [
+        (family, request, language) for family in families
+        for request, language in [("langlinks", "en"), ("parse", "en"), ("revisions", "en"),
+                                  ("parse", "de"), ("revisions", "de"),
+                                  ("pageprops", "en"), ("pageprops", "de")]]
 
 
 # -- golden report bytes -----------------------------------------------------

@@ -12,12 +12,14 @@ from tablediff.table_parser import Cell, WikiTable, normalize_text
 from tablediff import value_analysis
 from tablediff.value_analysis import (_SEPARATORS, _UNITS, CLASS_INVALIDITY, CLASS_TIMELINESS,
                                       DEFAULT_MISSING_VOCAB, MISSING, ParsedValue, classify,
-                                      detect_conflicts, detect_incompleteness, format_number,
-                                      is_missing, missing_markers, parse_value,
-                                      relative_difference)
+                                      detect_conflicts, detect_incompleteness, is_missing,
+                                      missing_markers, parse_value, relative_difference)
 
 
+from conftest import load_fixture_builder
 from oracles import oracle_detect_conflicts, oracle_parse_value, oracle_text_divergence
+
+format_number = load_fixture_builder().format_number
 
 
 def ts(year, month, day):
