@@ -6,89 +6,78 @@ Subcommands separate the slow network phase from repeatable analysis:
 - ``langs``    Table-style language-version counts per family
 - ``analyze``  run the full pipeline and emit a report
 - ``report``   re-render a stored report.json into csv/plotdata
+
+Each flag of ``fetch``, ``langs`` and ``analyze`` is layered over the
+manifest ``defaults`` entry of the same name. A setting that neither gives
+keeps the default of ``PipelineOptions``, which checks the settings when it
+is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
-import math
 import sys
-from datetime import timedelta
 from pathlib import Path
 
 from .emit import emit
 from .errors import ManifestError, MappingConflict, TableDiffError
-from .manifest import DatasetManifest, load_manifest
+from .manifest import _DEFAULT_TYPES, DatasetManifest, load_manifest
 from .mw_client import MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
 from .resources import bundled_header_map, bundled_manifest
 from .schema_align import HeaderMapping, load_header_mapping
 
-EXIT_MANIFEST_ERROR = 1
 EXIT_FAMILY_FAILED = 2
 
+_OPTION_FIELDS = {field.name for field in dataclasses.fields(PipelineOptions)}
 
-def _load_manifest(path: str | None) -> DatasetManifest:
-    manifest_path = path or bundled_manifest()
-    if manifest_path is None:
+
+def _settings(flags: dict) -> tuple[DatasetManifest, dict, PipelineOptions]:
+    """The manifest, the run's settings and its ``PipelineOptions``.
+
+    Each setting is its flag if given, else the manifest's ``defaults`` entry
+    of the same name; a setting that is neither is left out, so its default
+    is the one of ``PipelineOptions`` (or of the caller). Only the
+    ``defaults`` keys the manifest checks are read: another key, such as
+    ``refresh``, is ignored. ``--manifest`` defaults to the bundled geography set.
+    """
+    path = flags.pop("manifest") or bundled_manifest()
+    if path is None:
         raise ManifestError("no manifest given and no bundled datasets/geography.json found")
-    return load_manifest(manifest_path)
+    manifest = load_manifest(path)
+    settings = {key: manifest.defaults[key]
+                for key in flags.keys() & _DEFAULT_TYPES.keys() if key in manifest.defaults}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    languages = settings.get("languages")
+    if isinstance(languages, str):  # "en, de", or "all" for every listed edition
+        languages = [code.strip() for code in languages.split(",") if code.strip()]
+        settings["languages"] = "all" if languages == ["all"] else languages
+    if "rel_tol" in settings:  # the manifest may give an int; the report shows a float
+        settings["rel_tol"] = float(settings["rel_tol"])
+    options = PipelineOptions(extra_missing=tuple(manifest.defaults.get("missing_values", ())),
+                              **{key: settings[key] for key in settings.keys() & _OPTION_FIELDS})
+    return manifest, settings, options
 
 
-def _resolve(flag, manifest: DatasetManifest, key: str, fallback):
-    """Flag value if given, else the manifest's defaults entry, else fallback."""
-    if flag is not None:
-        return flag
-    if key in manifest.defaults:
-        return manifest.defaults[key]
-    return fallback
-
-
-def _load_mapping(path, manifest: DatasetManifest) -> HeaderMapping:
-    mapping_path = _resolve(path, manifest, "header_map", None) or bundled_header_map()
-    if mapping_path is None:
-        return HeaderMapping([])
-    try:
-        return load_header_mapping(mapping_path)
-    except (OSError, ValueError, MappingConflict) as exc:
-        raise ManifestError(f"cannot load header map {mapping_path}: {exc}") from exc
-
-
-def _split_langs(value) -> list[str] | str | None:
-    """``--langs`` or the manifest default as a list; ``"all"`` stays ``"all"``."""
-    if value is None:
-        return None
-    if isinstance(value, list):
-        return list(value)
-    langs = [item.strip() for item in str(value).split(",") if item.strip()]
-    return "all" if langs == ["all"] else langs
-
-
-def fetch(manifest_path, langs, cache_dir, jobs, refresh):
+def fetch(flags: dict) -> None:
     """Populate the cache for every family in the manifest."""
-    manifest = _load_manifest(manifest_path)
-    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
-    options = PipelineOptions(
-        languages=_split_langs(_resolve(langs, manifest, "languages", None)),
-        refresh=refresh,
-        jobs=int(_resolve(jobs, manifest, "jobs", 1)),
-    )
+    manifest, settings, options = _settings(flags)
+    client = MediaWikiClient(cache_dir=settings.get("cache_dir"))
     summary = warm_cache(manifest, HeaderMapping([]), client, options)
     print(f"fetched {summary['fetched']} page(s); {summary['absent_or_failed']} absent or failed")
 
 
-def langs(manifest_path, cache_dir, offline):
+def langs(flags: dict) -> None:
     """Print the number of language versions per family."""
-    manifest = _load_manifest(manifest_path)
-    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
-    offline = bool(_resolve(offline, manifest, "offline", False))
-    policy = PipelineOptions(offline=offline).cache_policy
+    manifest, settings, options = _settings(flags)
+    client = MediaWikiClient(cache_dir=settings.get("cache_dir"))
     try:
         for family in manifest.families:
             try:
-                versions = client.list_language_versions(family.seed, policy)
+                versions = client.list_language_versions(family.seed, options.cache_policy)
                 print(f"{family.seed.title}\t{len(versions)}")
             except TableDiffError as exc:
                 print(f"{family.seed.title}\terror: {exc}")
@@ -96,61 +85,50 @@ def langs(manifest_path, cache_dir, offline):
         client.save()
 
 
-def analyze(manifest_path, langs, cache_dir, jobs, offline, refresh, rel_tol,
-            staleness_days, header_map_path, all_tables, fmt, out_dir):
+def analyze(flags: dict) -> None:
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
-    manifest = _load_manifest(manifest_path)
-    rel_tol = float(_resolve(rel_tol, manifest, "rel_tol", 0.0))
-    if not 0 <= rel_tol < math.inf:  # NaN would hide every conflict, inf is not JSON
-        raise TableDiffError(f"--rel-tol must be a non-negative number less than infinity, "
-                             f"got {rel_tol}")
-    staleness_days = _resolve(staleness_days, manifest, "staleness_days", 180)
-    if not 0 <= staleness_days <= timedelta.max.days:  # the window is a timedelta
-        raise TableDiffError(f"--staleness-days must be an integer from 0 to "
-                             f"{timedelta.max.days}, got {staleness_days}")
-    offline = bool(_resolve(offline, manifest, "offline", False))
-    if offline and refresh:  # an offline run reads only the cache, so it cannot refetch
-        raise TableDiffError("--refresh cannot be combined with an offline run")
-    mapping = _load_mapping(header_map_path, manifest)
-    client = MediaWikiClient(cache_dir=_resolve(cache_dir, manifest, "cache_dir", None))
-    options = PipelineOptions(
-        languages=_split_langs(_resolve(langs, manifest, "languages", None)),
-        offline=offline,
-        refresh=bool(refresh),
-        rel_tol=rel_tol,
-        staleness_days=staleness_days,
-        all_tables=bool(_resolve(all_tables, manifest, "all_tables", False)),
-        extra_missing=tuple(manifest.defaults.get("missing_values", ())),
-        jobs=int(_resolve(jobs, manifest, "jobs", 1)),
-    )
+    manifest, settings, options = _settings(flags)
+    mapping_path = settings.get("header_map") or bundled_header_map()
+    try:
+        mapping = load_header_mapping(mapping_path) if mapping_path else HeaderMapping([])
+    except (OSError, ValueError, MappingConflict) as exc:
+        raise ManifestError(f"cannot load header map {mapping_path}: {exc}") from exc
+    client = MediaWikiClient(cache_dir=settings.get("cache_dir"))
     report = run_pipeline(manifest, mapping, client, options)
-    fmt = _resolve(fmt, manifest, "format", "json")
-    out_dir = Path(_resolve(out_dir, manifest, "out", "tablediff-out"))
-    paths = emit(report, "json", out_dir)
+    fmt, out = settings.get("format", "json"), Path(settings.get("out", "tablediff-out"))
+    paths = emit(report, "json", out)
     if fmt != "json":
-        paths += emit(report, fmt, out_dir)
+        paths += emit(report, fmt, out)
     for path in paths:
         print(path)
     if any(f["status"] == "failed" for f in report["families"]):
         sys.exit(EXIT_FAMILY_FAILED)
 
 
-def rerender(in_path, fmt, out_dir):
+def rerender(flags: dict) -> None:
     """Re-render a stored report into csv or plotdata files (no network)."""
+    in_path = flags["in_path"]
     try:
-        for path in emit(json.loads(Path(in_path).read_text(encoding="utf-8")), fmt, out_dir):
+        report = json.loads(Path(in_path).read_text(encoding="utf-8"))
+        for path in emit(report, flags["format"], flags["out"]):
             print(path)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise TableDiffError(f"not a tablediff report: {in_path}: {type(exc).__name__}: {exc}") from exc
 
 
 # Flags of more than one subcommand; each subcommand lists the ones it takes.
+# A flag's dest names the manifest default it is layered over (``--manifest``
+# and ``--refresh`` have none), and a flag that is not given is None.
 SHARED_OPTIONS = {
-    "--manifest": dict(dest="manifest_path", metavar="PATH",
+    "--manifest": dict(metavar="PATH",
                        help="Dataset manifest JSON (default: bundled geography set)."),
-    "--langs": dict(help="Comma-separated language codes, or 'all' for every listed edition."),
+    "--langs": dict(dest="languages", metavar="LANGS",
+                    help="Comma-separated language codes, or 'all' for every listed edition."),
     "--cache-dir": dict(metavar="PATH", help="Cache directory (or $TABLEDIFF_CACHE_DIR)."),
     "--jobs": dict(type=int, metavar="N", help="Parallel fetch workers."),
+    "--offline": dict(action="store_true", default=None, help="Never touch the network."),
+    "--refresh": dict(action="store_true", default=None,
+                      help="Bypass the cache and refetch (live results drift from the goldens)."),
 }
 
 
@@ -168,48 +146,42 @@ def _parser() -> argparse.ArgumentParser:
             sub.add_argument(flag, **SHARED_OPTIONS[flag])
         return sub
 
-    sub = command(fetch, "fetch", "--manifest", "--langs", "--cache-dir", "--jobs")
-    sub.add_argument("--refresh", action="store_true", help="Bypass the cache and refetch.")
-    sub = command(langs, "langs", "--manifest", "--cache-dir")
-    sub.add_argument("--offline", action="store_true", help="Serve only from the cache.")
-    sub.set_defaults(offline=None)  # None when not given, so the manifest's default applies
-    sub = command(analyze, "analyze", "--manifest", "--langs", "--cache-dir", "--jobs")
-    sub.add_argument("--offline", action="store_true", help="Never touch the network.")
-    sub.add_argument("--refresh", action="store_true",
-                     help="Refetch everything (live results will drift from bundled goldens).")
+    command(fetch, "fetch", "--manifest", "--langs", "--cache-dir", "--jobs", "--refresh")
+    command(langs, "langs", "--manifest", "--cache-dir", "--offline")
+    sub = command(analyze, "analyze", "--manifest", "--langs", "--cache-dir", "--jobs",
+                  "--offline", "--refresh")
     sub.add_argument("--rel-tol", type=float, metavar="F",
-                     help="Relative tolerance before a numeric disagreement counts (default 0).")
+                     help="Relative tolerance before a numeric disagreement counts "
+                          f"(default {PipelineOptions.rel_tol}).")
     sub.add_argument("--staleness-days", type=int, metavar="N",
-                     help="Revision-age gap behind the timeliness heuristic (default 180).")
-    sub.add_argument("--header-map", dest="header_map_path", metavar="PATH",
+                     help="Revision-age gap behind the timeliness heuristic "
+                          f"(default {PipelineOptions.staleness_days}).")
+    sub.add_argument("--header-map", metavar="PATH",
                      help="Attribute mapping JSON (default: bundled mapping).")
-    sub.add_argument("--all-tables", action="store_true",
+    sub.add_argument("--all-tables", action="store_true", default=None,
                      help="Column completeness over every table, not just the main one "
                           "(beyond the standard protocol).")
-    sub.add_argument("--format", dest="fmt", choices=["json", "csv", "plotdata"])
-    sub.add_argument("--out", dest="out_dir", metavar="DIR",
-                     help="Output directory (default ./tablediff-out).")
-    # None when not given, not False, so that _resolve falls back to the manifest defaults.
-    sub.set_defaults(offline=None, refresh=None, all_tables=None)
+    sub.add_argument("--format", choices=["json", "csv", "plotdata"])
+    sub.add_argument("--out", metavar="DIR", help="Output directory (default ./tablediff-out).")
     sub = command(rerender, "report")
     sub.add_argument("--in", dest="in_path", metavar="PATH", required=True,
                      help="A previously emitted report.json.")
-    sub.add_argument("--format", dest="fmt", choices=["csv", "plotdata"], required=True)
-    sub.add_argument("--out", dest="out_dir", metavar="DIR", default="tablediff-out")
+    sub.add_argument("--format", choices=["csv", "plotdata"], required=True)
+    sub.add_argument("--out", metavar="DIR", default="tablediff-out")
     return parser
 
 
 def main(argv: list[str] | None = None) -> None:
     """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names; a usage error exits 2."""
-    options = vars(_parser().parse_args(argv))
-    logging.basicConfig(level=logging.INFO if options.pop("verbose") else logging.WARNING,
+    flags = vars(_parser().parse_args(argv))
+    logging.basicConfig(level=logging.INFO if flags.pop("verbose") else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    run = options.pop("run")
+    run = flags.pop("run")
     try:
-        run(**options)
+        run(flags)
     except (TableDiffError, OSError) as exc:  # an error line and exit 1, not a traceback
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_MANIFEST_ERROR)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

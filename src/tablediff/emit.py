@@ -38,9 +38,8 @@ def _csv(rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _dumps(value, sort_keys: bool = False) -> str:
-    """The text ``json_text`` stands in for, or that text's exception."""
-    return json.dumps(value, ensure_ascii=False, indent=2, allow_nan=False, sort_keys=sort_keys)
+class _NotWalked(Exception):
+    """The walk met a value it does not write: ``json_text`` hands the whole value to json."""
 
 
 _INF = float("inf")
@@ -49,7 +48,7 @@ _INF = float("inf")
 def _float_text(value: float) -> str:
     if -_INF < value < _INF:
         return float.__repr__(value)
-    return _dumps(value)  # NaN or ±inf: raises json's own ValueError
+    raise _NotWalked  # NaN or ±inf: json raises its own ValueError
 
 
 # exact type -> JSON text; other types (subclasses too) take json's own path
@@ -62,24 +61,12 @@ _SCALARS = {
 }
 
 
-def _key_text(key) -> str:
-    """A dict key as json.dumps turns it into a string, or json.dumps's error."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _SCALARS[type(key)](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _append_container(value, lead: str, newline: str, sort_keys: bool, out: list[str]) -> None:
     """Append ``lead`` and the lines of a dict, list or tuple closed after ``newline``.
 
     Each item is one piece: its separator, indent, key and, for a scalar, its
-    text. A nested container starts with the piece of its key.
+    text. A nested container starts with the piece of its key. A key that is
+    not a ``str`` and a scalar of no ``_SCALARS`` type raise ``_NotWalked``.
     """
     inner = newline + "  "
     scalars = _SCALARS
@@ -89,14 +76,16 @@ def _append_container(value, lead: str, newline: str, sort_keys: bool, out: list
             return
         lead += "{" + inner
         for key, item in sorted(value.items()) if sort_keys else value.items():
-            key = encode_basestring(key if type(key) is str else _key_text(key)) + ": "
+            if type(key) is not str:
+                raise _NotWalked
+            key = encode_basestring(key) + ": "
             encode = scalars.get(type(item))
             if encode is not None:
                 out.append(lead + key + encode(item))
             elif isinstance(item, (list, tuple, dict)):
                 _append_container(item, lead + key, inner, sort_keys, out)
             else:
-                out.append(lead + key + _dumps(item))
+                raise _NotWalked
             lead = "," + inner
         out.append(newline + "}")
     else:
@@ -111,7 +100,7 @@ def _append_container(value, lead: str, newline: str, sort_keys: bool, out: list
             elif isinstance(item, (list, tuple, dict)):
                 _append_container(item, lead, inner, sort_keys, out)
             else:
-                out.append(lead + _dumps(item))
+                raise _NotWalked
             lead = "," + inner
         out.append(newline + "]")
 
@@ -121,19 +110,22 @@ def json_text(value, sort_keys: bool = False) -> str:
 
     The same text or the same exception, made without the pure-Python
     generator chain that ``indent`` selects in ``json``: one recursive walk
-    appends each line to one list, joined once.
+    appends each line to one list, joined once. A value the walk does not
+    take (a key that is not a ``str``, a scalar of another exact type, a
+    float that is not finite, a cycle, nesting too deep) goes to one
+    ``json.dumps`` of the whole value instead.
     """
-    encode = _SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    if not isinstance(value, (list, tuple, dict)):
-        return _dumps(value)
-    out: list[str] = []
     try:
-        _append_container(value, "", "\n", sort_keys, out)
-    except RecursionError:  # too deep for this walk, or a cycle: json's text or error
-        return _dumps(value, sort_keys)
-    return "".join(out)
+        encode = _SCALARS.get(type(value))
+        if encode is not None:
+            return encode(value)
+        if isinstance(value, (list, tuple, dict)):
+            out: list[str] = []
+            _append_container(value, "", "\n", sort_keys, out)
+            return "".join(out)
+    except (_NotWalked, RecursionError):
+        pass  # json's text or exception, raised outside this handler
+    return json.dumps(value, ensure_ascii=False, indent=2, allow_nan=False, sort_keys=sort_keys)
 
 
 def render_json(report: dict) -> dict[str, str]:

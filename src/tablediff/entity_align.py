@@ -62,15 +62,17 @@ def fold_surface(surface: str) -> str:
 
 
 def detect_entity_column(table: WikiTable) -> Optional[int]:
-    """Leftmost column with the highest fraction of wiki-linked cells."""
-    if not table.body_rows:
-        return None
-    best_col, best_fraction = None, 0.0
+    """Leftmost column with the most distinct link titles over the body rows.
+
+    A title that repeats in a column counts once, so a column that links
+    each row to its subject outscores one that links most rows to a few
+    countries.
+    """
+    best_col, best_count = None, 0
     for col in range(table.n_cols):
-        linked = sum(1 for row in table.body_rows if row[col].link_title)
-        fraction = linked / len(table.body_rows)
-        if fraction > best_fraction:
-            best_col, best_fraction = col, fraction
+        count = len({row[col].link_title for row in table.body_rows if row[col].link_title})
+        if count > best_count:
+            best_col, best_count = col, count
     return best_col
 
 

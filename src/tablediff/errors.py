@@ -44,3 +44,7 @@ class MappingConflict(TableDiffError):
 
 class ManifestError(TableDiffError):
     """The dataset manifest is malformed."""
+
+
+class OptionsError(TableDiffError, ValueError):
+    """A run's settings are out of range or contradict each other."""

@@ -49,30 +49,43 @@ from . import __version__
 from .entity_align import (EntityKey, EntityMatrix, EntityMention, build_matrix,
                            detect_entity_column, extract_row_entities, link_mentions,
                            mention_key)
-from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
+from .errors import (CacheMiss, NetworkError, OptionsError, PageMissing, ParseError,
+                     SnapshotError)
 from .manifest import DatasetManifest, FamilyEntry
 from .metrics import aggregate_corpus, aggregate_pages, page_stats
 from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references,
                         format_ts, utc_now)
 from .schema_align import Attribute, HeaderMapping, build_presence_grid, resolve_columns
 from .table_parser import WikiTable, extract_tables
-from .value_analysis import (MISSING, CellValue, detect_conflicts, detect_incompleteness,
-                             missing_markers, parse_value)
+from .value_analysis import (DEFAULT_STALENESS_DAYS, MISSING, CellValue, detect_conflicts,
+                             detect_incompleteness, missing_markers, parse_value)
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineOptions:
+    """A run's settings, checked when they are built."""
+
     # None: each family's own languages; "all": every listed edition of each family
     languages: Optional[list[str] | str] = None
     offline: bool = False
     refresh: bool = False
     rel_tol: float = 0.0
-    staleness_days: int = 180
+    staleness_days: int = DEFAULT_STALENESS_DAYS
     all_tables: bool = False
     extra_missing: tuple[str, ...] = ()
     jobs: int = 1
+
+    def __post_init__(self):
+        if not 0 <= self.rel_tol < math.inf:  # NaN would hide every conflict, inf is not JSON
+            raise OptionsError(f"rel_tol must be a finite number >= 0, got {self.rel_tol!r}")
+        if not 0 <= self.staleness_days <= timedelta.max.days:  # the window is a timedelta
+            raise OptionsError(f"staleness_days must be an integer from 0 to "
+                               f"{timedelta.max.days}, got {self.staleness_days!r}")
+        if self.offline and self.refresh:
+            raise OptionsError("refresh cannot be combined with offline, "
+                               "which reads only the cache")
 
     @property
     def cache_policy(self) -> CachePolicy:
@@ -222,11 +235,6 @@ def _attribute_values(
 def analyze_family(entry: FamilyEntry, mapping: HeaderMapping, client: MediaWikiClient,
                    options: PipelineOptions) -> dict:
     """The family's part of the report, as one plain JSON-ready dict."""
-    if not 0 <= options.staleness_days <= timedelta.max.days:
-        raise ValueError(f"staleness_days must be from 0 to {timedelta.max.days}, "
-                         f"got {options.staleness_days!r}")
-    if not 0 <= options.rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be a finite number >= 0, got {options.rel_tol!r}")
     window = timedelta(days=options.staleness_days)
     findings: list[dict] = []
     link_findings: list[dict] = []

@@ -30,8 +30,8 @@ def _bundled(relative: str) -> Optional[Path]:
     return path if path.exists() else None
 
 
-def bundled_manifest(name: str = "geography") -> Optional[Path]:
-    return _bundled(f"datasets/{name}.json")
+def bundled_manifest() -> Optional[Path]:
+    return _bundled("datasets/geography.json")
 
 
 def bundled_header_map() -> Optional[Path]:

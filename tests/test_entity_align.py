@@ -1,10 +1,12 @@
 from datetime import datetime, timezone
 
+from hypothesis import given, strategies as st
+
 from tablediff.entity_align import (EntityKey, build_matrix, detect_entity_column,
                                     extract_row_entities, fold_surface, link_mentions,
                                     mention_key)
 from tablediff.mw_client import ArticleRef, CachePolicy, MediaWikiClient, PageDocument
-from tablediff.table_parser import extract_tables
+from tablediff.table_parser import Cell, WikiTable, extract_tables
 
 from conftest import FakeTransport, mentions_by_language
 
@@ -58,6 +60,34 @@ def test_column_hint_bypasses_detection():
 def test_no_linked_column_detects_none():
     table = table_from("<tr><th>A</th><th>B</th></tr><tr><td>1</td><td>2</td></tr>")
     assert detect_entity_column(table) is None
+
+
+def test_entity_column_counts_each_link_title_once():
+    # Name links 9 of 10 peaks (one has no article); Country links all 10
+    # rows, but to two titles only, which would collapse the rows onto two QIDs.
+    peaks = ["Mount Everest", "K2", "Kangchenjunga", "Lhotse", "Makalu", "Cho Oyu",
+             "Dhaulagiri", "Manaslu", "Nanga Parbat", "Annapurna"]
+    countries = ["Nepal", "Pakistan", "Nepal", "Nepal", "Nepal", "Nepal", "Nepal", "Nepal",
+                 "Pakistan", "Nepal"]
+    table = table_from("<tr><th>Name</th><th>Country</th></tr>" + "".join(
+        f"<tr><td>{peak if peak == 'Dhaulagiri' else a(peak)}</td><td>{a(country)}</td></tr>"
+        for peak, country in zip(peaks, countries)))
+    assert detect_entity_column(table) == 0
+
+
+@given(st.integers(1, 4).flatmap(lambda n_cols: st.lists(
+           st.lists(st.sampled_from([None, "", "A", "B", "C", "D"]),
+                    min_size=n_cols, max_size=n_cols), max_size=8)),
+       st.randoms(use_true_random=False))
+def test_entity_column_ignores_row_order(links, random):
+    n_cols = len(links[0]) if links else 1
+    rows = [[Cell("x", link) for link in row] for row in links]
+    shuffled = random.sample(rows, len(rows))
+    pick = detect_entity_column(WikiTable(0, [], rows, n_cols))
+    assert detect_entity_column(WikiTable(0, [], shuffled, n_cols)) == pick
+    counts = [len({row[col] for row in links} - {None, ""}) for col in range(n_cols)]
+    # the leftmost column with the most distinct titles, if any column links at all
+    assert pick == (counts.index(max(counts)) if max(counts) else None)
 
 
 def test_spanned_entity_cells_attribute_to_original_row():

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -10,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tablediff import pipeline
+from tablediff import cli, pipeline
 from tablediff.entity_align import EntityKey
-from tablediff.errors import ManifestError
-from tablediff.manifest import load_manifest, parse_manifest
+from tablediff.errors import ManifestError, OptionsError, TableDiffError
+from tablediff.manifest import _DEFAULT_TYPES, load_manifest, parse_manifest
 from tablediff.mw_client import MediaWikiClient
 from tablediff.pipeline import PipelineOptions, _attribute_values, run_pipeline
 from tablediff.schema_align import AttributeKey, HeaderMapping, Unmapped
@@ -439,7 +441,7 @@ def test_cli_negative_or_nan_rel_tol_exit_code_1(tmp_path, rel_tol):
                      "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("error: --rel-tol must be a non-negative number"), result.output
+    assert result.output.startswith("error: rel_tol must be a finite number >= 0, got "), result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -450,7 +452,7 @@ def test_cli_negative_or_huge_staleness_days_exit_code_1(tmp_path, days):
                      "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("error: --staleness-days must be an integer from 0 to "
+    assert result.output.startswith("error: staleness_days must be an integer from 0 to "
                                     "999999999"), result.output
     assert not (tmp_path / "out").exists()
 
@@ -468,8 +470,63 @@ def test_cli_refresh_on_an_offline_run_exit_code_1(tmp_path, where):
                      "--refresh", "--header-map", HEADER_MAP, "--out", tmp_path / "out")
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.output == "error: --refresh cannot be combined with an offline run\n"
+    assert result.output == ("error: refresh cannot be combined with offline, "
+                             "which reads only the cache\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_options_refuse_refresh_on_an_offline_run():
+    with pytest.raises(OptionsError, match="^refresh cannot be combined with offline"):
+        PipelineOptions(offline=True, refresh=True)
+
+
+def test_options_are_frozen():
+    options = PipelineOptions(offline=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        options.refresh = True
+    assert options.refresh is False
+
+
+def test_options_error_is_a_value_error_and_a_tablediff_error():
+    assert issubclass(OptionsError, ValueError) and issubclass(OptionsError, TableDiffError)
+    with pytest.raises(ValueError, match="^rel_tol must be a finite number >= 0, got -1.0$"):
+        PipelineOptions(rel_tol=-1.0)
+
+
+def _subcommand_dests() -> dict[str, set[str]]:
+    """The dest of every flag, per subcommand of the CLI."""
+    commands, = (action for action in cli._parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return {name: {action.dest for action in sub._actions if action.dest != "help"}
+            for name, sub in commands.choices.items()}
+
+
+def test_every_layered_flag_is_named_after_its_manifest_default():
+    # A flag's dest is the manifest defaults key it is layered over; ``report``
+    # reads no manifest, and ``--manifest`` and ``--refresh`` have no default there.
+    dests = _subcommand_dests()
+    layered = set().union(*(dests[name] for name in dests if name != "report"))
+    assert layered - {"manifest", "refresh"} == set(_DEFAULT_TYPES) - {"missing_values"}
+
+
+def test_every_manifest_default_reaches_the_run(tmp_path):
+    out = tmp_path / "out"
+    manifest = tmp_path / "m.json"
+    data = json.loads(Path(CLIMBERS_MANIFEST).read_text(encoding="utf-8"))
+    data["defaults"] = {"languages": "en, de", "offline": True, "rel_tol": 1,
+                        "staleness_days": 30, "all_tables": True, "jobs": 2,
+                        "missing_values": ["n/a"], "format": "csv", "out": str(out),
+                        "cache_dir": str(FIXTURE_CACHE), "header_map": str(HEADER_MAP),
+                        "refresh": True}  # no flag's default: ignored like any other key
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("analyze", "--manifest", manifest)
+    assert result.exit_code == 0, result.output
+    assert sorted(path.name for path in out.iterdir()) == [
+        "presence.csv", "records.csv", "report.json", "stats.csv"]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["options"] == {"languages": ["en", "de"], "offline": True, "rel_tol": 1.0,
+                                 "staleness_days": 30, "all_tables": True}
+    assert isinstance(report["options"]["rel_tol"], float)
 
 
 def test_manifest_defaults_keep_their_given_values():
@@ -1555,9 +1612,15 @@ def collector_state():
     (gc.enable if was_enabled else gc.disable)()
 
 
-def _offline_climbers(header_mapping, warm=False, save_fails=False, **options):
+def _offline_climbers(header_mapping, warm=False, save_fails=False, step_fails=False,
+                      **options):
     """``run_pipeline`` (or ``warm_cache``) of the climbers manifest over the vendored cache."""
     client = MediaWikiClient(cache_dir=FIXTURE_CACHE, transport=NoNetwork())
+    if step_fails:  # the link step of the first edition raises, inside the family
+        def resolve_qids(*args):
+            raise RuntimeError("link step failed")
+
+        client.resolve_qids = resolve_qids
     if save_fails:
         def save():
             raise OSError("disk full")
@@ -1595,7 +1658,7 @@ def test_family_steps_and_the_save_run_with_the_collector_paused(monkeypatch, he
 PAUSED_RUNS = {
     "run_pipeline": ({}, None),
     "warm_cache": ({"warm": True}, None),
-    "family-raises": ({"staleness_days": -1}, ValueError),
+    "family-raises": ({"step_fails": True}, RuntimeError),
     "save-fails": ({"save_fails": True}, OSError),
     "warm-cache-save-fails": ({"warm": True, "save_fails": True}, OSError),
 }
