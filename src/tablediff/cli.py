@@ -21,18 +21,32 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .emit import emit
 from .errors import ManifestError, MappingConflict, TableDiffError
 from .manifest import _DEFAULT_TYPES, DatasetManifest, load_manifest
 from .mw_client import MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
-from .resources import bundled_header_map, bundled_manifest
 from .schema_align import HeaderMapping, load_header_mapping
 
 EXIT_FAMILY_FAILED = 2
 
 _OPTION_FIELDS = {field.name for field in dataclasses.fields(PipelineOptions)}
+
+
+def _bundled(relative: str) -> Optional[Path]:
+    """A file of the bundled data (datasets/, mappings/) at the checkout's root, if present.
+
+    The root is the nearest ancestor of the package, else of the working
+    directory, that holds datasets/geography.json.
+    """
+    for base in (Path(__file__).resolve().parents[2], Path.cwd()):
+        for root in (base, *base.parents):
+            if (root / "datasets" / "geography.json").exists():
+                path = root / relative
+                return path if path.exists() else None
+    return None
 
 
 def _settings(flags: dict) -> tuple[DatasetManifest, dict, PipelineOptions]:
@@ -44,7 +58,7 @@ def _settings(flags: dict) -> tuple[DatasetManifest, dict, PipelineOptions]:
     ``defaults`` keys the manifest checks are read: another key, such as
     ``refresh``, is ignored. ``--manifest`` defaults to the bundled geography set.
     """
-    path = flags.pop("manifest") or bundled_manifest()
+    path = flags.pop("manifest") or _bundled("datasets/geography.json")
     if path is None:
         raise ManifestError("no manifest given and no bundled datasets/geography.json found")
     manifest = load_manifest(path)
@@ -88,7 +102,7 @@ def langs(flags: dict) -> None:
 def analyze(flags: dict) -> None:
     """Run the full pipeline: fetch -> extract -> link -> align -> analyze."""
     manifest, settings, options = _settings(flags)
-    mapping_path = settings.get("header_map") or bundled_header_map()
+    mapping_path = settings.get("header_map") or _bundled("mappings/geography.json")
     try:
         mapping = load_header_mapping(mapping_path) if mapping_path else HeaderMapping([])
     except (OSError, ValueError, MappingConflict) as exc:

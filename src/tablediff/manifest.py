@@ -78,7 +78,7 @@ _DEFAULT_TYPES = {
                 lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max),
     "staleness_days": (f"an integer from 0 to {timedelta.max.days}",
                        lambda v: _is_int(v) and 0 <= v <= timedelta.max.days),
-    "jobs": ("an integer", _is_int),
+    "jobs": ("a positive integer", lambda v: _is_int(v) and v >= 1),
     "missing_values": ("a list of strings", _is_str_list),
     "format": ("one of 'json', 'csv', 'plotdata'", lambda v: v in ("json", "csv", "plotdata")),
     "cache_dir": ("a string", lambda v: isinstance(v, str)),

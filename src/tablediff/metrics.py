@@ -76,6 +76,11 @@ def page_stats(tables: list[WikiTable], reference_count: int,
     }
 
 
+def rate(part: int, whole: int) -> float:
+    """``part`` as a percentage of ``whole``, to one decimal; 0.0 when ``whole`` is 0."""
+    return round(100.0 * part / whole, 1) if whole else 0.0
+
+
 def aggregate_pages(rows: list[dict]) -> dict:
     """Aggregates over ok edition rows, one row per page."""
     pages = len(rows)
@@ -91,8 +96,7 @@ def aggregate_pages(rows: list[dict]) -> dict:
         "columns_total": columns_total,
         "columns_complete": sum(row["columns"]["complete"] for row in rows),
         "columns_incomplete": columns_incomplete,
-        "incompleteness_rate": (round(100.0 * columns_incomplete / columns_total, 1)
-                                if columns_total else 0.0),
+        "incompleteness_rate": rate(columns_incomplete, columns_total),
     }
 
 

@@ -52,7 +52,7 @@ from .entity_align import (EntityKey, EntityMatrix, EntityMention, build_matrix,
 from .errors import (CacheMiss, NetworkError, OptionsError, PageMissing, ParseError,
                      SnapshotError)
 from .manifest import DatasetManifest, FamilyEntry
-from .metrics import aggregate_corpus, aggregate_pages, page_stats
+from .metrics import aggregate_corpus, aggregate_pages, page_stats, rate
 from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references,
                         format_ts, utc_now)
 from .schema_align import Attribute, HeaderMapping, build_presence_grid, resolve_columns
@@ -83,6 +83,8 @@ class PipelineOptions:
         if not 0 <= self.staleness_days <= timedelta.max.days:  # the window is a timedelta
             raise OptionsError(f"staleness_days must be an integer from 0 to "
                                f"{timedelta.max.days}, got {self.staleness_days!r}")
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise OptionsError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         if self.offline and self.refresh:
             raise OptionsError("refresh cannot be combined with offline, "
                                "which reads only the cache")
@@ -367,15 +369,9 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
     else:
         run_languages = list(dict.fromkeys(lang for family in families
                                            for lang in family["languages_requested"]))
-    corpus_per_language = aggregate_corpus(families, run_languages)
-    columns_total = sum(a["columns_total"] for a in corpus_per_language.values())
-    columns_complete = sum(a["columns_complete"] for a in corpus_per_language.values())
-    columns_incomplete = sum(a["columns_incomplete"] for a in corpus_per_language.values())
-
-    epoch_lines = sorted(
-        f"{e['language']}:{e['title']}:{e['revision_id']}"
-        for family in families for e in family["editions"] if e.get("status") == "ok"
-    )
+    ok_rows = [row for family in families for row in family["editions"] if row["status"] == "ok"]
+    overall = aggregate_pages(ok_rows)
+    epoch_lines = sorted(f"{e['language']}:{e['title']}:{e['revision_id']}" for e in ok_rows)
     cache_epoch = hashlib.sha256("\n".join(epoch_lines).encode("utf-8")).hexdigest()[:16]
 
     return {
@@ -393,13 +389,13 @@ def run_pipeline(manifest: DatasetManifest, mapping: HeaderMapping,
         "families": families,
         "corpus": {
             "languages": run_languages,
-            "per_language": corpus_per_language,
+            "per_language": aggregate_corpus(families, run_languages),
             "overall": {
-                "columns_total": columns_total,
-                "columns_complete": columns_complete,
-                "columns_incomplete": columns_incomplete,
-                "complete_rate": round(100.0 * columns_complete / columns_total, 1) if columns_total else 0.0,
-                "incomplete_rate": round(100.0 * columns_incomplete / columns_total, 1) if columns_total else 0.0,
+                "columns_total": overall["columns_total"],
+                "columns_complete": overall["columns_complete"],
+                "columns_incomplete": overall["columns_incomplete"],
+                "complete_rate": rate(overall["columns_complete"], overall["columns_total"]),
+                "incomplete_rate": overall["incompleteness_rate"],
             },
         },
     }

@@ -2,51 +2,28 @@
 
 Headers map to canonical attributes through a curated bilingual mapping file;
 automatic translation is deliberately out of scope. Headers the mapping does
-not know stay visible as Unmapped rows so coverage gaps are never hidden.
+not know stay visible as "unmapped" rows so coverage gaps are never hidden.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MappingConflict
 from .table_parser import FOOTNOTE_RE, WikiTable
 
 _PAREN_RE = re.compile(r"\s*[(（][^)）]*[)）]")
+_SNAKE_CASE_RE = re.compile(r"[a-z0-9]+(_[a-z0-9]+)*")
 
 
-@dataclass(frozen=True)
-class AttributeKey:
-    """Canonical attribute name plus its per-language normalized aliases."""
+class Attribute(NamedTuple):
+    """A column's attribute as the report names it; ``_asdict()`` is its report row."""
 
-    canonical: str
-    aliases: dict = field(compare=False, hash=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not re.fullmatch(r"[a-z0-9]+(_[a-z0-9]+)*", self.canonical):
-            raise MappingConflict(f"canonical name must be lowercase snake_case: {self.canonical!r}")
-
-    @property
-    def name(self) -> str:
-        return self.canonical
-
-
-@dataclass(frozen=True)
-class Unmapped:
-    """A normalized header with no mapping; kept visible under its own row."""
-
-    normalized: str
-
-    @property
-    def name(self) -> str:
-        return self.normalized
-
-
-Attribute = Union[AttributeKey, Unmapped]
+    name: str
+    kind: str  # "mapped" (a canonical name of the map) or "unmapped" (a normalized header)
 
 
 def normalize_header(raw: str, language: str) -> str:
@@ -65,27 +42,29 @@ def normalize_header(raw: str, language: str) -> str:
 class HeaderMapping:
     """Loaded attribute mapping; alias lookup is per language and exact."""
 
-    def __init__(self, attributes: list[AttributeKey]):
-        if len(set(attributes)) != len(attributes):
-            repeated = sorted({a.canonical for a in attributes if attributes.count(a) > 1})
+    def __init__(self, entries: Iterable[tuple[str, dict[str, list[str]]]]):
+        """``entries`` are ``(canonical, {language: [alias, ...]})`` pairs in map order."""
+        entries = list(entries)
+        names = [canonical for canonical, _aliases in entries]
+        for name in names:
+            if not _SNAKE_CASE_RE.fullmatch(name):
+                raise MappingConflict(f"canonical name must be lowercase snake_case: {name!r}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
             raise MappingConflict(f"canonical name listed more than once: {', '.join(repeated)}")
-        self.attributes = attributes
-        self._index: dict[tuple[str, str], AttributeKey] = {}
-        for attr in attributes:
-            for lang, aliases in attr.aliases.items():
-                for alias in aliases:
-                    key = (lang, alias)
-                    other = self._index.get(key)
-                    if other is not None and other.canonical != attr.canonical:
-                        raise MappingConflict(
-                            f"alias {alias!r} ({lang}) claimed by both "
-                            f"{other.canonical!r} and {attr.canonical!r}"
-                        )
-                    self._index[key] = attr
+        self.attributes = [Attribute(name, "mapped") for name in names]
+        self._index: dict[tuple[str, str], Attribute] = {}
+        for attr, (_name, aliases) in zip(self.attributes, entries):
+            for lang, values in aliases.items():
+                for alias in values:
+                    other = self._index.setdefault((lang, alias), attr)
+                    if other != attr:
+                        raise MappingConflict(f"alias {alias!r} ({lang}) claimed by both "
+                                              f"{other.name!r} and {attr.name!r}")
 
     def lookup(self, normalized: str, language: str) -> Attribute:
-        """Exact alias match for that language, else an Unmapped passthrough."""
-        return self._index.get((language, normalized)) or Unmapped(normalized)
+        """Exact alias match for that language, else the header as an "unmapped" attribute."""
+        return self._index.get((language, normalized)) or Attribute(normalized, "unmapped")
 
 
 def load_header_mapping(path: str | Path) -> HeaderMapping:
@@ -93,7 +72,7 @@ def load_header_mapping(path: str | Path) -> HeaderMapping:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or not isinstance(data.get("attributes", []), list):
         raise ValueError("a header map must be a JSON object whose 'attributes' is a list")
-    attributes = []
+    entries = []
     for entry in data.get("attributes", []):
         fields = entry if isinstance(entry, dict) else {}
         canonical, aliases = fields.get("canonical"), fields.get("aliases", {})
@@ -102,14 +81,13 @@ def load_header_mapping(path: str | Path) -> HeaderMapping:
                 for values in aliases.values()):
             raise ValueError("an attribute needs a string 'canonical' and 'aliases' mapping each "
                              f"language to a list of strings: {entry!r}")
-        aliases = {lang: sorted(set(values)) for lang, values in aliases.items()}
-        attributes.append(AttributeKey(canonical=canonical, aliases=aliases))
-    return HeaderMapping(attributes)
+        entries.append((canonical, aliases))
+    return HeaderMapping(entries)
 
 
 def resolve_columns(table: WikiTable, language: str,
                     mapping: HeaderMapping) -> dict[Attribute, list[int]]:
-    """The attribute (or Unmapped) of every column, as ``{attribute: [columns]}``.
+    """The attribute of every column, as ``{attribute: [columns]}``.
 
     Attributes come in the order of their first column; columns ascend.
     """
@@ -118,12 +96,6 @@ def resolve_columns(table: WikiTable, language: str,
         attr = mapping.lookup(normalize_header(label, language), language)
         out.setdefault(attr, []).append(col)
     return out
-
-
-def attribute_row(attribute: Attribute) -> dict:
-    """An attribute as the report names it: ``{name, kind}``, kind "mapped" or "unmapped"."""
-    return {"name": attribute.name,
-            "kind": "mapped" if isinstance(attribute, AttributeKey) else "unmapped"}
 
 
 def build_presence_grid(main_attributes: dict[str, Optional[Iterable[Attribute]]],
@@ -135,7 +107,7 @@ def build_presence_grid(main_attributes: dict[str, Optional[Iterable[Attribute]]
     when the language has no main table. Languages without a main table are
     left out entirely: an absent edition is not the same thing as an edition
     that omits every attribute. Mapped attributes keep the mapping file's
-    order; Unmapped rows follow, sorted.
+    order; unmapped ones follow, sorted by name.
     """
     langs = [lang for lang, attrs in main_attributes.items() if attrs is not None]
     sightings: dict[Attribute, set[str]] = {}
@@ -144,10 +116,9 @@ def build_presence_grid(main_attributes: dict[str, Optional[Iterable[Attribute]]
             sightings.setdefault(attr, set()).add(lang)
 
     ordered: list[Attribute] = [a for a in mapping.attributes if a in sightings]
-    ordered.extend(sorted((a for a in sightings if isinstance(a, Unmapped)),
-                          key=lambda a: a.normalized))
+    ordered.extend(sorted(a for a in sightings if a.kind == "unmapped"))  # kinds equal: by name
     return {
         "languages": langs,
-        "attributes": [attribute_row(attr) for attr in ordered],
+        "attributes": [attr._asdict() for attr in ordered],
         "grid": [[1 if lang in sightings[attr] else 0 for lang in langs] for attr in ordered],
     }

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .mw_client import format_ts
-from .schema_align import Attribute, attribute_row
+from .schema_align import Attribute
 from .table_parser import normalize_text
 
 CLASS_INVALIDITY = "Invalidity-candidate"
@@ -327,7 +327,7 @@ def detect_conflicts(family_id: str, attribute: Attribute,
             cls, timestamps, reason = classify(numeric, revision_timestamps or {},
                                                staleness_window)
             records.append(_record(
-                family_id, cls, entity, attribute_row(attribute), by_language,
+                family_id, cls, entity, attribute._asdict(), by_language,
                 f"numeric disagreement on {attribute.name} "
                 f"across {', '.join(numeric)} (rel_tol={rel_tol}){reason}", worst, timestamps))
     return records, findings + text_findings

@@ -13,7 +13,6 @@ import numpy as np
 
 from tablediff.htmldom import (BLOCK_TAGS, EXCLUDED_TABLE_CLASSES, NON_CONTENT_TAGS, VOID_TAGS,
                               _coerce_span, link_target)
-from tablediff.schema_align import attribute_row
 from tablediff.table_parser import FOOTNOTE_RE
 from tablediff.value_analysis import (_RATIO_WORDS, _SEPARATORS, _UNIT_ALTERNATION, _UNITS,
                                       MISSING, ParsedValue, _pair_difference, _record, classify,
@@ -395,7 +394,7 @@ def oracle_detect_conflicts(family_id, attribute, values_by_entity, rel_tol,
         if worst is not None:
             cls, timestamps, reason = classify(numeric, revision_timestamps, staleness_window)
             records.append(_record(
-                family_id, cls, entity, attribute_row(attribute), by_language,
+                family_id, cls, entity, attribute._asdict(), by_language,
                 f"numeric disagreement on {attribute.name} "
                 f"across {', '.join(numeric)} (rel_tol={rel_tol}){reason}", worst, timestamps))
     return records, findings

@@ -18,7 +18,7 @@ from tablediff.errors import ManifestError, OptionsError, TableDiffError
 from tablediff.manifest import _DEFAULT_TYPES, load_manifest, parse_manifest
 from tablediff.mw_client import MediaWikiClient
 from tablediff.pipeline import PipelineOptions, _attribute_values, run_pipeline
-from tablediff.schema_align import AttributeKey, HeaderMapping, Unmapped
+from tablediff.schema_align import Attribute, HeaderMapping
 from tablediff.table_parser import Cell, WikiTable
 
 from conftest import (CLIMBERS_MANIFEST, FIXTURE_CACHE, GEOGRAPHY_MANIFEST, HEADER_MAP,
@@ -254,16 +254,18 @@ NO_CANONICAL_MAP = {"attributes": [{"aliases": {"en": ["height"]}}]}
 NOT_OBJECT_MAP = {"attributes": ["height"]}
 # A string alias list must not be split into the single-character aliases h, e, i, g, t.
 STRING_ALIASES_MAP = {"attributes": [{"canonical": "height", "aliases": {"en": "height"}}]}
+NOT_SNAKE_CASE_MAP = {"attributes": [{"canonical": "Bad Name", "aliases": {"en": ["height"]}}]}
 
 
 @pytest.mark.parametrize("content", [None, "{not json", json.dumps(CONFLICTING_MAP),
                                      json.dumps(NO_CANONICAL_MAP), json.dumps(NOT_OBJECT_MAP),
                                      json.dumps(STRING_ALIASES_MAP), "[]",
                                      '{"attributes": null}', '{"attributes": 5}',
-                                     json.dumps(REPEATED_CANONICAL_MAP)],
+                                     json.dumps(REPEATED_CANONICAL_MAP),
+                                     json.dumps(NOT_SNAKE_CASE_MAP)],
                          ids=["missing", "not-json", "conflicting", "no-canonical", "not-object",
                               "string-aliases", "top-level-list", "null-attributes",
-                              "number-attributes", "repeated-canonical"])
+                              "number-attributes", "repeated-canonical", "not-snake-case"])
 def test_cli_bad_header_map_exit_code_1(tmp_path, content):
     header_map = tmp_path / "map.json"
     if content is not None:
@@ -372,6 +374,8 @@ BAD_DEFAULTS = {
     "staleness-days-past-timedelta": {"staleness_days": 10 ** 12},
     "jobs-string": {"jobs": "two"},
     "jobs-boolean": {"jobs": True},
+    "jobs-zero": {"jobs": 0},
+    "jobs-negative": {"jobs": -3},
     "rel-tol-null": {"rel_tol": None},
     "rel-tol-negative": {"rel_tol": -1},
     "rel-tol-infinite": {"rel_tol": float("inf")},  # what JSON's 1e999 reads as
@@ -455,6 +459,23 @@ def test_cli_negative_or_huge_staleness_days_exit_code_1(tmp_path, days):
     assert result.output.startswith("error: staleness_days must be an integer from 0 to "
                                     "999999999"), result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_exit_code_1(tmp_path, jobs):
+    result = run_cli("analyze", "--manifest", CLIMBERS_MANIFEST, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--jobs", jobs,
+                     "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"error: jobs must be an integer >= 1, got {jobs}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", None])
+def test_options_refuse_jobs_that_are_not_an_integer_from_1(jobs):
+    with pytest.raises(OptionsError, match=f"^jobs must be an integer >= 1, got {jobs!r}$"):
+        PipelineOptions(jobs=jobs)
 
 
 @pytest.mark.parametrize("where", ["flag", "manifest"])
@@ -915,10 +936,9 @@ def test_attribute_values_match_the_per_attribute_oracle(monkeypatch, header_map
 
 
 WALK_LANGUAGES = ("en", "de", "zh")
-# The second "height" equals the first (aliases are not compared), as two map entries
-# with one canonical name would.
-WALK_ATTRIBUTES = (AttributeKey("height", {}), AttributeKey("area", {}), Unmapped("notes"),
-                   AttributeKey("height", {"de": ["höhe"]}))
+# The second "height" is the first again: equal attributes are one key of the walk.
+WALK_ATTRIBUTES = (Attribute("height", "mapped"), Attribute("area", "mapped"),
+                   Attribute("notes", "unmapped"), Attribute("height", "mapped"))
 # Missing markers, "x" (missing only as an extra marker), numbers read per locale, text.
 WALK_TEXTS = ("", "—", "n/a", "x", "8,848", "8.848", "12 m", "26%", "3/4", "Himalaya")
 

@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -5,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from tablediff.errors import MappingConflict
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.schema_align import (AttributeKey, HeaderMapping, Unmapped,
-                                    build_presence_grid, load_header_mapping,
+from tablediff.schema_align import (Attribute, HeaderMapping, build_presence_grid,
                                     normalize_header, resolve_columns)
 from tablediff.table_parser import extract_tables
+
+from conftest import HEADER_MAP
 
 TS = datetime(2025, 1, 1, tzinfo=timezone.utc)
 
@@ -48,49 +50,46 @@ def test_normalize_header_reads_nbsp_as_a_space(text):
 
 
 def test_lookup_with_bundled_mapping(header_mapping):
-    attr = header_mapping.lookup("death rate", "en")
-    assert isinstance(attr, AttributeKey) and attr.canonical == "death_rate"
-    attr = header_mapping.lookup("死亡率", "zh")
-    assert attr.canonical == "death_rate"
-    result = header_mapping.lookup("zzz unknown", "en")
-    assert result == Unmapped("zzz unknown")
+    assert header_mapping.lookup("death rate", "en") == Attribute("death_rate", "mapped")
+    assert header_mapping.lookup("死亡率", "zh") == Attribute("death_rate", "mapped")
+    assert header_mapping.lookup("zzz unknown", "en") == Attribute("zzz unknown", "unmapped")
 
 
 def test_mapping_conflict_fails_fast():
     with pytest.raises(MappingConflict):
         HeaderMapping([
-            AttributeKey("height", {"en": ["height"]}),
-            AttributeKey("elevation", {"en": ["height"]}),
+            ("height", {"en": ["height"]}),
+            ("elevation", {"en": ["height"]}),
         ])
 
 
 def test_repeated_canonical_fails_fast():
     with pytest.raises(MappingConflict, match="height"):
         HeaderMapping([
-            AttributeKey("height", {"en": ["height"]}),
-            AttributeKey("height", {"de": ["höhe"]}),
+            ("height", {"en": ["height"]}),
+            ("height", {"de": ["höhe"]}),
         ])
 
 
 def test_mapping_requires_snake_case():
-    with pytest.raises(MappingConflict):
-        AttributeKey("Bad Name", {})
+    with pytest.raises(MappingConflict, match="snake_case: 'Bad Name'"):
+        HeaderMapping([("Bad Name", {})])
 
 
 def test_load_bundled_mapping_is_injective_per_language(header_mapping):
     seen = {}
-    for attr in header_mapping.attributes:
-        for lang, aliases in attr.aliases.items():
-            for alias in aliases:
+    for entry in json.loads(HEADER_MAP.read_text(encoding="utf-8"))["attributes"]:
+        for lang, aliases in entry["aliases"].items():
+            for alias in set(aliases):
                 key = (lang, alias)
                 assert key not in seen, f"{key} claimed twice"
-                seen[key] = attr.canonical
+                seen[key] = entry["canonical"]
+                assert header_mapping.lookup(alias, lang) == Attribute(entry["canonical"], "mapped")
 
 
 def test_presence_grid_single_language():
     table = table_from("<tr><th>Rank</th><th>Height (m)</th></tr><tr><td>1</td><td>2</td></tr>")
-    mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
-                             AttributeKey("height", {"en": ["height"]})])
+    mapping = HeaderMapping([("rank", {"en": ["rank"]}), ("height", {"en": ["height"]})])
     grid = build_presence_grid(main_attributes({"en": table}, mapping), mapping)
     assert grid["languages"] == ["en"]
     assert [a["name"] for a in grid["attributes"]] == ["rank", "height"]
@@ -100,7 +99,7 @@ def test_presence_grid_single_language():
 def test_presence_grid_unmapped_rows_stay_visible():
     en = table_from("<tr><th>Rank</th><th>Oddity</th></tr><tr><td>1</td><td>2</td></tr>")
     de = table_from("<tr><th>Rang</th></tr><tr><td>1</td></tr>", lang="de")
-    mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"], "de": ["rang"]})])
+    mapping = HeaderMapping([("rank", {"en": ["rank"], "de": ["rang"]})])
     grid = build_presence_grid(main_attributes({"en": en, "de": de}, mapping), mapping)
     names = [a["name"] for a in grid["attributes"]]
     assert names == ["rank", "oddity"]
@@ -108,10 +107,9 @@ def test_presence_grid_unmapped_rows_stay_visible():
     assert grid["grid"][oddity] == [1, 0]
 
 
-def test_presence_grid_no_attribute_row_all_false():
+def test_presence_grid_has_no_all_false_row():
     en = table_from("<tr><th>Rank</th></tr><tr><td>1</td></tr>")
-    mapping = HeaderMapping([AttributeKey("rank", {"en": ["rank"]}),
-                             AttributeKey("height", {"en": ["height"]})])
+    mapping = HeaderMapping([("rank", {"en": ["rank"]}), ("height", {"en": ["height"]})])
     grid = build_presence_grid(main_attributes({"en": en, "de": None}, mapping), mapping)
     # absent language dropped; unsighted attribute dropped
     assert grid["languages"] == ["en"]
@@ -123,15 +121,17 @@ def test_presence_grid_no_attribute_row_all_false():
 def test_resolve_columns_groups_columns_by_attribute():
     table = table_from("<tr><th>Height (m)</th><th>Rank</th><th>Height (ft)</th><th>Odd</th></tr>"
                        "<tr><td>1</td><td>2</td><td>3</td><td>4</td></tr>")
-    height, rank = AttributeKey("height", {"en": ["height"]}), AttributeKey("rank", {"en": ["rank"]})
-    columns = resolve_columns(table, "en", HeaderMapping([rank, height]))
-    assert list(columns.items()) == [(height, [0, 2]), (rank, [1]), (Unmapped("odd"), [3])]
+    mapping = HeaderMapping([("rank", {"en": ["rank"]}), ("height", {"en": ["height"]})])
+    columns = resolve_columns(table, "en", mapping)
+    assert list(columns.items()) == [(Attribute("height", "mapped"), [0, 2]),
+                                     (Attribute("rank", "mapped"), [1]),
+                                     (Attribute("odd", "unmapped"), [3])]
 
 
 def test_presence_grid_follows_the_language_order_of_main_attributes():
-    rank = AttributeKey("rank", {})
-    grid = build_presence_grid({"zh": [rank], "en": None, "de": [], "it": [rank]},
-                               HeaderMapping([rank]))
+    mapping = HeaderMapping([("rank", {})])
+    rank, = mapping.attributes
+    grid = build_presence_grid({"zh": [rank], "en": None, "de": [], "it": [rank]}, mapping)
     assert grid["languages"] == ["zh", "de", "it"]
     assert grid["grid"] == [[1, 0, 1]]
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tablediff.entity_align import EntityKey, extract_row_entities
 from tablediff.metrics import column_completeness
-from tablediff.schema_align import AttributeKey
+from tablediff.schema_align import Attribute
 from tablediff.table_parser import Cell, WikiTable, normalize_text
 from tablediff import value_analysis
 from tablediff.value_analysis import (_SEPARATORS, _UNITS, CLASS_INVALIDITY, CLASS_TIMELINESS,
@@ -26,8 +26,8 @@ def ts(year, month, day):
     return datetime(year, month, day, tzinfo=timezone.utc)
 
 
-ATTR = AttributeKey("death_rate", {})
-HEIGHT = AttributeKey("height", {})
+ATTR = Attribute("death_rate", "mapped")
+HEIGHT = Attribute("height", "mapped")
 E = EntityKey("qid", "Q43512")
 
 
@@ -532,7 +532,7 @@ def presence(attributes, languages, grid):
 
 
 def test_schema_incompleteness_gender_only_in_it():
-    gender = AttributeKey("gender", {})
+    gender = Attribute("gender", "mapped")
     grid = presence([gender], ["en", "de", "zh", "it", "nl"], [[0, 0, 0, 1, 0]])
     records = detect_incompleteness("fam", grid, {}, ["en", "de", "zh", "it", "nl"])
     langs = sorted(next(iter(r["values"])) for r in records)
@@ -541,7 +541,7 @@ def test_schema_incompleteness_gender_only_in_it():
 
 
 def test_attribute_present_everywhere_no_records():
-    rank = AttributeKey("rank", {})
+    rank = Attribute("rank", "mapped")
     grid = presence([rank], ["en", "de"], [[1, 1]])
     records = detect_incompleteness("fam", grid, {}, ["en", "de"])
     assert records == []
@@ -566,12 +566,12 @@ def test_surface_entities_generate_no_row_level_records():
 
 def test_text_divergence_reported_without_class():
     by_lang = {"en": parse_value("Himalayas", "en"), "de": parse_value("Himalaya", "de")}
-    records, findings = detect_conflicts("fam", AttributeKey("range", {}), {E: by_lang})
+    records, findings = detect_conflicts("fam", Attribute("range", "mapped"), {E: by_lang})
     assert records == []
     assert len(findings) == 1
     assert findings[0]["kind"] == "text-divergence"
     same = {"en": parse_value("Nepal", "en"), "de": parse_value("Nepal", "de")}
-    assert detect_conflicts("fam", AttributeKey("country", {}), {E: same}) == ([], [])
+    assert detect_conflicts("fam", Attribute("country", "mapped"), {E: same}) == ([], [])
 
 
 def test_zero_vs_nonzero_conflicts_with_infinite_severity():
