@@ -23,9 +23,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .emit import emit
+from .emit import FORMATS, emit
 from .errors import ManifestError, MappingConflict, TableDiffError
-from .manifest import _DEFAULT_TYPES, DatasetManifest, load_manifest
+from .manifest import SETTINGS, DatasetManifest, load_manifest
 from .mw_client import MediaWikiClient
 from .pipeline import PipelineOptions, run_pipeline, warm_cache
 from .schema_align import HeaderMapping, load_header_mapping
@@ -63,7 +63,7 @@ def _settings(flags: dict) -> tuple[DatasetManifest, dict, PipelineOptions]:
         raise ManifestError("no manifest given and no bundled datasets/geography.json found")
     manifest = load_manifest(path)
     settings = {key: manifest.defaults[key]
-                for key in flags.keys() & _DEFAULT_TYPES.keys() if key in manifest.defaults}
+                for key in flags.keys() & SETTINGS.keys() if key in manifest.defaults}
     settings.update((key, value) for key, value in flags.items() if value is not None)
     languages = settings.get("languages")
     if isinstance(languages, str):  # "en, de", or "all" for every listed edition
@@ -175,12 +175,12 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--all-tables", action="store_true", default=None,
                      help="Column completeness over every table, not just the main one "
                           "(beyond the standard protocol).")
-    sub.add_argument("--format", choices=["json", "csv", "plotdata"])
+    sub.add_argument("--format", choices=list(FORMATS))
     sub.add_argument("--out", metavar="DIR", help="Output directory (default ./tablediff-out).")
     sub = command(rerender, "report")
     sub.add_argument("--in", dest="in_path", metavar="PATH", required=True,
                      help="A previously emitted report.json.")
-    sub.add_argument("--format", choices=["csv", "plotdata"], required=True)
+    sub.add_argument("--format", choices=[f for f in FORMATS if f != "json"], required=True)
     sub.add_argument("--out", metavar="DIR", default="tablediff-out")
     return parser
 

@@ -18,10 +18,9 @@ from pathlib import Path
 
 
 def emit(report: dict, fmt: str, out_dir: str | Path) -> list[Path]:
-    renderers = {"json": render_json, "csv": render_csv, "plotdata": render_plotdata}
-    if fmt not in renderers:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
-    files = renderers[fmt](report)
+    files = FORMATS[fmt](report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -202,3 +201,7 @@ def render_plotdata(report: dict) -> dict[str, str]:
         files[f"presence_{family['id']}.csv"] = _csv([["attribute"] + presence["languages"]] + [
             [attr["name"]] + row for attr, row in zip(presence["attributes"], presence["grid"])])
     return files
+
+
+# Each format's renderer: ``emit``, the manifest's ``format`` and ``--format`` read it.
+FORMATS = {"json": render_json, "csv": render_csv, "plotdata": render_plotdata}

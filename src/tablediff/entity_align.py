@@ -44,10 +44,7 @@ class EntityKey(NamedTuple):
         return f"{self.language}:{self.value}"
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "value": self.value}
-        if self.language:
-            out["language"] = self.language
-        return out
+        return {key: field for key, field in self._asdict().items() if field is not None}
 
 
 # entity -> language -> that language's (table_index, row_index) occurrences

@@ -9,6 +9,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Optional
 
+from .emit import FORMATS
 from .errors import ManifestError
 from .mw_client import ArticleRef
 
@@ -66,21 +67,22 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-# Each known ``defaults`` key: what its value must be, and the check. The
-# values are kept as given, since the report repeats the manifest verbatim.
-_DEFAULT_TYPES = {
+# Each known ``defaults`` key (and ``PipelineOptions`` field of its name): what its
+# value must be, and the check. Values are kept as given: the report repeats them.
+SETTINGS = {
     "languages": ("a list of strings or a comma-separated string",
                   lambda v: isinstance(v, str) or _is_str_list(v)),
     "offline": ("a boolean", lambda v: isinstance(v, bool)),
     "all_tables": ("a boolean", lambda v: isinstance(v, bool)),
-    "rel_tol": ("a finite non-negative number",
-                # also bounds an int, which the run turns into a float
+    "rel_tol": ("a finite number >= 0",
+                # NaN would hide every conflict and inf is not JSON; also bounds
+                # an int, which the run turns into a float
                 lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max),
-    "staleness_days": (f"an integer from 0 to {timedelta.max.days}",
+    "staleness_days": (f"an integer from 0 to {timedelta.max.days}",  # the window is a timedelta
                        lambda v: _is_int(v) and 0 <= v <= timedelta.max.days),
-    "jobs": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "jobs": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "missing_values": ("a list of strings", _is_str_list),
-    "format": ("one of 'json', 'csv', 'plotdata'", lambda v: v in ("json", "csv", "plotdata")),
+    "format": (f"one of {', '.join(map(repr, FORMATS))}", lambda v: v in list(FORMATS)),
     "cache_dir": ("a string", lambda v: isinstance(v, str)),
     "header_map": ("a string", lambda v: isinstance(v, str)),
     "out": ("a string", lambda v: isinstance(v, str)),
@@ -141,8 +143,8 @@ def parse_manifest(data: dict) -> DatasetManifest:
     defaults = data.get("defaults") or {}
     _require(isinstance(defaults, dict), "manifest defaults must be an object")
     for key, value in defaults.items():
-        if key in _DEFAULT_TYPES:
-            expected, check = _DEFAULT_TYPES[key]
+        if key in SETTINGS:
+            expected, check = SETTINGS[key]
             _require(check(value), f"manifest defaults: {key} must be {expected}, not {value!r}")
     return DatasetManifest(families=families, defaults=defaults)
 

@@ -38,10 +38,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import timedelta
 from typing import Optional
 
@@ -51,7 +50,7 @@ from .entity_align import (EntityKey, EntityMatrix, EntityMention, build_matrix,
                            mention_key)
 from .errors import (CacheMiss, NetworkError, OptionsError, PageMissing, ParseError,
                      SnapshotError)
-from .manifest import DatasetManifest, FamilyEntry
+from .manifest import SETTINGS, DatasetManifest, FamilyEntry
 from .metrics import aggregate_corpus, aggregate_pages, page_stats, rate
 from .mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument, count_references,
                         format_ts, utc_now)
@@ -61,6 +60,17 @@ from .value_analysis import (DEFAULT_STALENESS_DAYS, MISSING, CellValue, detect_
                              detect_incompleteness, missing_markers, parse_value)
 
 logger = logging.getLogger(__name__)
+
+
+# The checks of the options whose form differs from the manifest default of their name
+# (the CLI splits a comma-separated ``languages``); the others use their ``SETTINGS`` entry.
+_OWN_CHECKS = {
+    "languages": ("None, 'all' or a non-empty list of strings", lambda v: v in (None, "all")
+                  or isinstance(v, list) and v != [] and all(isinstance(c, str) for c in v)),
+    "refresh": ("a boolean", lambda v: isinstance(v, bool)),
+    "extra_missing": ("a tuple of strings",
+                      lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v)),
+}
 
 
 @dataclass(frozen=True)
@@ -78,13 +88,11 @@ class PipelineOptions:
     jobs: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.rel_tol < math.inf:  # NaN would hide every conflict, inf is not JSON
-            raise OptionsError(f"rel_tol must be a finite number >= 0, got {self.rel_tol!r}")
-        if not 0 <= self.staleness_days <= timedelta.max.days:  # the window is a timedelta
-            raise OptionsError(f"staleness_days must be an integer from 0 to "
-                               f"{timedelta.max.days}, got {self.staleness_days!r}")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise OptionsError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+        for field in fields(self):
+            expected, check = _OWN_CHECKS.get(field.name) or SETTINGS[field.name]
+            value = getattr(self, field.name)
+            if not check(value):
+                raise OptionsError(f"{field.name} must be {expected}, got {value!r}")
         if self.offline and self.refresh:
             raise OptionsError("refresh cannot be combined with offline, "
                                "which reads only the cache")

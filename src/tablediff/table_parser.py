@@ -32,14 +32,14 @@ FOOTNOTE_RE = re.compile(
 def normalize_text(raw: str) -> str:
     """Whitespace-collapsed cell text with footnote markers stripped.
 
-    NBSP becomes a plain space, bracketed footnote markers (``[12]``,
-    ``[a]``, ``[note 3]``) are removed, and runs of whitespace collapse to a
-    single space. Idempotent. Footnotes rendered as ``<sup class="reference">``
-    are already dropped structurally before this runs, so only plain-text
-    markers matching the patterns above are at risk; bracketed text in link
-    labels does not take those shapes.
+    NBSP becomes a plain space, bracketed footnote markers (``[12]``, ``[a]``,
+    ``[note 3]``) are removed until none is left (``[1[2]]`` reads as empty),
+    and runs of whitespace collapse to a single space, so it is idempotent.
+    Footnotes rendered as ``<sup class="reference">`` are already dropped
+    structurally before this runs, so only plain-text markers matching the
+    patterns above are at risk; bracketed text in link labels does not take those shapes.
     """
-    if "[" in raw:
+    while "[" in raw and FOOTNOTE_RE.search(raw):
         raw = FOOTNOTE_RE.sub("", raw)
     return " ".join(raw.split())
 

@@ -86,11 +86,6 @@ def missing_markers(extra_vocab: tuple[str, ...] = ()) -> frozenset[str]:
     return DEFAULT_MISSING_VOCAB | {normalize_text(marker) for marker in extra_vocab}
 
 
-def is_missing(text: str, extra_vocab: tuple[str, ...] = ()) -> bool:
-    """Whether raw cell text counts as missing once read as a cell."""
-    return normalize_text(text) in missing_markers(extra_vocab)
-
-
 class ParsedValue(NamedTuple):
     """One parsed cell: a number, percentage, ratio, or opaque text."""
 
@@ -108,15 +103,7 @@ CellValue = Optional[ParsedValue]
 def value_to_json(value: CellValue) -> dict:
     if value is MISSING:
         return {"missing": True}
-    out: dict = {"kind": value.kind, "original": value.original}
-    if value.magnitude is not None:
-        out["magnitude"] = value.magnitude
-    if value.unit is not None:
-        out["unit"] = value.unit
-    if value.numerator is not None:
-        out["numerator"] = value.numerator
-        out["denominator"] = value.denominator
-    return out
+    return {key: field for key, field in value._asdict().items() if field is not None}
 
 
 def _separators(language: str) -> tuple[str, str]:

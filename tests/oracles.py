@@ -13,18 +13,32 @@ import numpy as np
 
 from tablediff.htmldom import (BLOCK_TAGS, EXCLUDED_TABLE_CLASSES, NON_CONTENT_TAGS, VOID_TAGS,
                               _coerce_span, link_target)
-from tablediff.table_parser import FOOTNOTE_RE
+from tablediff.table_parser import FOOTNOTE_RE, normalize_text
 from tablediff.value_analysis import (_RATIO_WORDS, _SEPARATORS, _UNIT_ALTERNATION, _UNITS,
                                       MISSING, ParsedValue, _pair_difference, _record, classify,
-                                      is_missing, parse_value)
+                                      missing_markers, parse_value)
 
 
 def oracle_normalize_text(raw):
-    """``normalize_text`` as it was first written: NBSP replaced before the split."""
+    """``normalize_text`` with NBSP replaced before the split, as it was first written.
+
+    It is the reference for the NBSP handling. Footnote markers go as in
+    ``normalize_text``: stripped until none is left.
+    """
     text = raw.replace("\u00a0", " ")
-    if "[" in text:
-        text = FOOTNOTE_RE.sub("", text)
+    stripped = FOOTNOTE_RE.sub("", text)
+    while stripped != text:
+        text, stripped = stripped, FOOTNOTE_RE.sub("", stripped)
     return " ".join(text.split())
+
+
+def oracle_is_missing(text, extra_vocab=()):
+    """Whether raw cell text counts as missing once read as a cell.
+
+    The definition that the cell walks' ``cell.text in missing_markers(extra)``
+    stands for, since every ``Cell.text`` comes out of ``normalize_text``.
+    """
+    return normalize_text(text) in missing_markers(extra_vocab)
 
 
 def _paint(layout):
@@ -346,7 +360,7 @@ def oracle_collect_attribute_values(matrix, columns, attribute, extra_missing):
                 for col in by_attr.get(attribute, []):
                     saw_column = True
                     text = table.body_rows[row_index][col].text
-                    if is_missing(text, extra_missing):
+                    if oracle_is_missing(text, extra_missing):
                         continue
                     value = parse_value(text, language)
                     break

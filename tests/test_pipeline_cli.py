@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tablediff import cli, pipeline
 from tablediff.entity_align import EntityKey
 from tablediff.errors import ManifestError, OptionsError, TableDiffError
-from tablediff.manifest import _DEFAULT_TYPES, load_manifest, parse_manifest
+from tablediff.manifest import SETTINGS, load_manifest, parse_manifest
 from tablediff.mw_client import MediaWikiClient
 from tablediff.pipeline import PipelineOptions, _attribute_values, run_pipeline
 from tablediff.schema_align import Attribute, HeaderMapping
@@ -472,6 +472,24 @@ def test_cli_jobs_below_one_exit_code_1(tmp_path, jobs):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "manifest"])
+def test_cli_langs_naming_no_language_exit_code_1(tmp_path, where):
+    manifest, langs = CLIMBERS_MANIFEST, ["--langs", ","]
+    if where == "manifest":
+        manifest = tmp_path / "m.json"
+        data = json.loads(Path(CLIMBERS_MANIFEST).read_text(encoding="utf-8"))
+        data["defaults"] = {"languages": ""}
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        langs = []
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", *langs, "--header-map", HEADER_MAP, "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: languages must be "), result.output
+    assert result.output.endswith(", got []\n"), result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", None])
 def test_options_refuse_jobs_that_are_not_an_integer_from_1(jobs):
     with pytest.raises(OptionsError, match=f"^jobs must be an integer >= 1, got {jobs!r}$"):
@@ -514,6 +532,27 @@ def test_options_error_is_a_value_error_and_a_tablediff_error():
         PipelineOptions(rel_tol=-1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("rel_tol", None), ("rel_tol", "0.1"), ("rel_tol", 10 ** 400),
+    ("staleness_days", "30"), ("staleness_days", 1.5), ("staleness_days", True),
+    ("jobs", True),
+    ("offline", "no"), ("all_tables", "no"), ("refresh", "no"),
+    ("languages", "en"), ("languages", []), ("languages", ["en", 1]),
+    ("extra_missing", ["n/a"]),
+])
+def test_options_refuse_mistyped_fields(name, value):
+    with pytest.raises(OptionsError, match=f"^{name} must be .*, got ") as raised:
+        PipelineOptions(**{name: value})
+    assert isinstance(raised.value, ValueError)
+    assert str(raised.value).endswith(f", got {value!r}")
+
+
+def test_options_accept_each_form_of_their_fields():
+    assert PipelineOptions(rel_tol=0).rel_tol == 0
+    for languages in ("all", None, ["en"]):
+        assert PipelineOptions(languages=languages).languages == languages
+
+
 def _subcommand_dests() -> dict[str, set[str]]:
     """The dest of every flag, per subcommand of the CLI."""
     commands, = (action for action in cli._parser()._actions
@@ -527,7 +566,7 @@ def test_every_layered_flag_is_named_after_its_manifest_default():
     # reads no manifest, and ``--manifest`` and ``--refresh`` have no default there.
     dests = _subcommand_dests()
     layered = set().union(*(dests[name] for name in dests if name != "report"))
-    assert layered - {"manifest", "refresh"} == set(_DEFAULT_TYPES) - {"missing_values"}
+    assert layered - {"manifest", "refresh"} == set(SETTINGS) - {"missing_values"}
 
 
 def test_every_manifest_default_reaches_the_run(tmp_path):

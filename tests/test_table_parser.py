@@ -39,7 +39,18 @@ def test_normalize_keeps_non_marker_brackets():
     assert normalize_text("Everest [the mountain]") == "Everest [the mountain]"
 
 
-@given(st.text(max_size=80))
+# Cell text made of spaces, brackets and the pieces of footnote markers.
+MARKER_TEXTS = st.lists(st.sampled_from(["\u00a0", " ", "\u2009", "\u3000", "\t", "\n", "[", "]",
+                                         "1", "12", "a", "iv", "note", "nb", "N", "x", "[1]",
+                                         "[\u00a01\u00a0]", "[note\u00a03]", "[a\u00a02]",
+                                         "8,848"]),
+                        max_size=20).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=80), MARKER_TEXTS))
+@example("[1[2]]")
+@example("[[1]a]")
 def test_normalize_idempotent(text):
     once = normalize_text(text)
     assert normalize_text(once) == once
@@ -47,13 +58,7 @@ def test_normalize_idempotent(text):
 
 # str.split() and re's \s both take NBSP for whitespace, so replacing it first changes nothing.
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(
-    st.text(max_size=40),
-    st.lists(st.sampled_from(["\u00a0", " ", "\u2009", "\u3000", "\t", "\n", "[", "]", "1", "12",
-                              "a", "iv", "note", "nb", "N", "x", "[1]", "[\u00a01\u00a0]",
-                              "[note\u00a03]", "[a\u00a02]", "8,848"]),
-             max_size=20).map("".join),
-))
+@given(st.one_of(st.text(max_size=40), MARKER_TEXTS))
 def test_normalize_matches_the_nbsp_replacing_definition(text):
     assert normalize_text(text) == oracle_normalize_text(text)
 

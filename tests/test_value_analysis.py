@@ -12,12 +12,13 @@ from tablediff.table_parser import Cell, WikiTable, normalize_text
 from tablediff import value_analysis
 from tablediff.value_analysis import (_SEPARATORS, _UNITS, CLASS_INVALIDITY, CLASS_TIMELINESS,
                                       DEFAULT_MISSING_VOCAB, MISSING, ParsedValue, classify,
-                                      detect_conflicts, detect_incompleteness, is_missing,
+                                      detect_conflicts, detect_incompleteness,
                                       missing_markers, parse_value, relative_difference)
 
 
 from conftest import load_fixture_builder
-from oracles import oracle_detect_conflicts, oracle_parse_value, oracle_text_divergence
+from oracles import (oracle_detect_conflicts, oracle_is_missing, oracle_parse_value,
+                     oracle_text_divergence)
 
 format_number = load_fixture_builder().format_number
 
@@ -66,10 +67,10 @@ def test_parse_ratio_forms():
 
 def test_missing_vocabulary():
     for marker in ["", "—", "–", "-", "N/A", "n/a", "?", "  — ", "\u00a0"]:
-        assert is_missing(marker)
-    assert not is_missing("0")
-    assert not is_missing("1970–1986")
-    assert is_missing("tbd", extra_vocab=("tbd",))
+        assert oracle_is_missing(marker)
+    assert not oracle_is_missing("0")
+    assert not oracle_is_missing("1970–1986")
+    assert oracle_is_missing("tbd", extra_vocab=("tbd",))
 
 
 # Raw cell text as pages hold it: odd spaces, line breaks and footnote markers.
@@ -86,28 +87,28 @@ EXTRA_MARKERS = st.lists(RAW_TEXTS, max_size=3).map(tuple)
 def test_a_cell_is_missing_iff_its_text_is_a_marker(raw, extra):
     text = normalize_text(raw)  # every Cell.text comes out of normalize_text
     assert text == text.strip() and "\u00a0" not in text
-    assert is_missing(text, extra) == (text in missing_markers(extra))
-    assert is_missing(raw, extra) == is_missing(text, extra)
+    assert oracle_is_missing(text, extra) == (text in missing_markers(extra))
+    assert oracle_is_missing(raw, extra) == oracle_is_missing(text, extra)
 
 
 def test_extra_markers_match_cells_in_cell_form():
     for marker in ["tbd", "tbd ", "\u00a0tbd", "tbd\u00a0", "tbd [1]", "\ttbd\n"]:
         assert "tbd" in missing_markers((marker,)), repr(marker)
-        assert is_missing("tbd", (marker,)), repr(marker)
+        assert oracle_is_missing("tbd", (marker,)), repr(marker)
     assert missing_markers() == DEFAULT_MISSING_VOCAB
     assert "tb d" not in missing_markers(("tbd",))
 
 
 def oracle_column_completeness(table, extra):
     incomplete = sum(1 for col in range(table.n_cols)
-                     if any(is_missing(row[col].text, extra) for row in table.body_rows))
+                     if any(oracle_is_missing(row[col].text, extra) for row in table.body_rows))
     return table.n_cols, table.n_cols - incomplete, incomplete
 
 
 def oracle_row_entities(table, col, extra):
     return [(row_index, row[col].text, row[col].link_title)
             for row_index, row in enumerate(table.body_rows)
-            if row[col].link_title is not None or not is_missing(row[col].text, extra)]
+            if row[col].link_title is not None or not oracle_is_missing(row[col].text, extra)]
 
 
 @st.composite
