@@ -69,8 +69,6 @@ def _settings(flags: dict) -> tuple[DatasetManifest, dict, PipelineOptions]:
     if isinstance(languages, str):  # "en, de", or "all" for every listed edition
         languages = [code.strip() for code in languages.split(",") if code.strip()]
         settings["languages"] = "all" if languages == ["all"] else languages
-    if "rel_tol" in settings:  # the manifest may give an int; the report shows a float
-        settings["rel_tol"] = float(settings["rel_tol"])
     options = PipelineOptions(extra_missing=tuple(manifest.defaults.get("missing_values", ())),
                               **{key: settings[key] for key in settings.keys() & _OPTION_FIELDS})
     return manifest, settings, options

@@ -4,8 +4,9 @@ All emission works off the serialized report, so a stored report.json can be
 re-rendered later without network or cache access. CSV output uses RFC 4180
 quoting and UTF-8 throughout. Each format renders every file to text before
 any is written, so a report that cannot be rendered leaves no output behind.
-Every JSON file the package writes (this report and the cache files of
-``mw_client``) is rendered by ``json_text``.
+Every JSON file the package writes (this report and the page files and maps
+of ``mw_client``'s cache) is rendered by ``json_text``, but for the stored
+scans of ``mw_client``, which are one line of compact ``json.dumps`` output.
 """
 
 from __future__ import annotations

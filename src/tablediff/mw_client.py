@@ -3,12 +3,14 @@
 Covers page HTML retrieval (``action=parse``), language-link enumeration
 (``prop=langlinks``) and wiki-link -> QID resolution (``prop=pageprops``).
 Every network result is written to a human-inspectable JSON cache so whole
-analyses can replay offline.
+analyses can replay offline, and each cached page's scan is stored beside it
+so a later run need not parse the page again.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -17,7 +19,7 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
@@ -27,7 +29,7 @@ from urllib.parse import quote
 
 from .emit import json_text
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
-from .htmldom import PageScan, parse_html
+from .htmldom import _HTML_SPAN_CAP, SCAN_VERSION, PageScan, parse_html
 
 logger = logging.getLogger(__name__)
 
@@ -85,13 +87,18 @@ def _is_title_pair(pair) -> bool:
 
 @dataclass(frozen=True)
 class PageDocument:
-    """Rendered HTML of one page plus the revision metadata behind it."""
+    """Rendered HTML of one page plus the revision metadata behind it.
+
+    ``scan_path`` is where the page's stored scan lives when the page was
+    read from the cache, else None.
+    """
 
     article: ArticleRef
     html: str
     revision_id: int
     revision_timestamp: datetime
     fetched_at: datetime
+    scan_path: Optional[Path] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.html:
@@ -102,12 +109,28 @@ class PageDocument:
         """The page's data tables and reference count, read on first access and kept.
 
         Table extraction and reference counting both read it, so each page
-        is scanned once.
+        is scanned once. A page read from the cache takes its stored scan
+        when that is valid for its HTML (see ``_load_scan``); else the HTML
+        is parsed and its scan stored, so the next run over the cache need
+        not parse it; a scan that cannot be written is left out.
         """
+        digest = None
+        if self.scan_path is not None:
+            digest = hashlib.sha256(self.html.encode("utf-8", "surrogatepass")).hexdigest()
+            stored = _load_scan(self.scan_path, digest)
+            if stored is not None:
+                return stored
         try:
-            return parse_html(self.html)
+            scan = parse_html(self.html)
         except Exception as exc:  # parse_html never raises on bad markup; this reports a defect
             raise ParseError(f"cannot parse {self.article.key}: {exc}") from exc
+        if digest is not None:
+            try:
+                self.scan_path.parent.mkdir(parents=True, exist_ok=True)
+                _replace_file(self.scan_path, _scan_text(digest, scan))
+            except (OSError, UnicodeEncodeError):  # a lone surrogate is no UTF-8
+                pass  # the page is read; the next run parses it again
+        return scan
 
     def to_dict(self) -> dict:
         return {
@@ -120,14 +143,57 @@ class PageDocument:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PageDocument":
+    def from_dict(cls, data: dict, scan_path: Optional[Path] = None) -> "PageDocument":
         return cls(
             article=ArticleRef(data["language"], data["title"]),
             html=data["html"],
             revision_id=int(data["revision_id"]),
             revision_timestamp=parse_ts(data["revision_timestamp"]),
             fetched_at=parse_ts(data["fetched_at"]),
+            scan_path=scan_path,
         )
+
+
+def _scan_text(html_sha256: str, scan: PageScan) -> str:
+    """The stored form of a page's scan: one line of compact JSON, keyed by its HTML's SHA-256."""
+    return json.dumps({"scan_version": SCAN_VERSION, "html_sha256": html_sha256,
+                       "tables": scan.tables, "references": scan.references},
+                      ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
+def _is_cell(cell) -> bool:
+    """True for a ``[raw_text, link_title, is_header, rowspan, colspan]`` cell of parse_html."""
+    return (type(cell) is list and len(cell) == 5 and type(cell[0]) is str
+            and (cell[1] is None or type(cell[1]) is str) and type(cell[2]) is bool
+            and type(cell[3]) is int and 0 < cell[3] <= _HTML_SPAN_CAP
+            and type(cell[4]) is int and 0 < cell[4] <= _HTML_SPAN_CAP)
+
+
+def _load_scan(path: Path, html_sha256: str) -> Optional[PageScan]:
+    """The scan stored at ``path`` for HTML of this digest, or None.
+
+    None unless all of it holds: the file loads as JSON, its version is
+    ``SCAN_VERSION`` and its digest ``html_sha256``, every table is a
+    non-empty list of non-empty rows of cells as ``_is_cell`` reads them and
+    the reference count is an integer >= 0. The cells stay lists.
+    """
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):  # no file, not UTF-8 or JSON, nested too deep
+        return None
+    if not (type(data) is dict and type(data.get("scan_version")) is int
+            and data["scan_version"] == SCAN_VERSION and data.get("html_sha256") == html_sha256):
+        return None
+    tables, references = data.get("tables"), data.get("references")
+    if not (type(references) is int and references >= 0 and type(tables) is list):
+        return None
+    for table in tables:
+        if not (type(table) is list and table):
+            return None
+        for row in table:
+            if not (type(row) is list and row and all(map(_is_cell, row))):
+                return None
+    return PageScan(tables, references)
 
 
 @contextmanager
@@ -140,6 +206,22 @@ def _answer_to(request: str):
         yield
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise NetworkError(f"malformed API answer to {request}: {type(exc).__name__}: {exc}") from exc
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` through a temp file of its own in ``path``'s directory, then rename it.
+
+    The temp name is unique, so clients or processes sharing one cache
+    directory never write into each other's temp file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def format_ts(ts: datetime) -> str:
@@ -250,6 +332,8 @@ class MediaWikiClient:
 
     - ``pages/{lang}/{url-encoded title}.json`` -- serialized PageDocument,
       or a tombstone ``{"missing": true}`` for titles known to be absent.
+    - ``scans/{lang}/{url-encoded title}.json`` -- the page's stored scan
+      (``_scan_text``), written on its first read from the cache.
     - ``qids.json`` -- ``{"lang:title": "Q..." | null}`` map.
     - ``langlinks.json`` -- ``{"lang:title": [[lang, title], ...]}`` so the
       language enumeration replays offline too.
@@ -283,24 +367,18 @@ class MediaWikiClient:
     def page_cache_path(self, language: str, title: str) -> Path:
         return self.cache_dir / "pages" / language / (quote(title, safe="") + ".json")
 
+    def scan_cache_path(self, language: str, title: str) -> Path:
+        return self.cache_dir / "scans" / language / (quote(title, safe="") + ".json")
+
     @staticmethod
     def _write_atomic(path: Path, payload: dict) -> None:
-        """Write JSON through a temp file of its own, then rename it into place.
+        """Write ``payload`` as ``json_text`` with sorted keys, atomically (``_replace_file``).
 
-        The temp name is unique, so clients or processes sharing one cache
-        directory never write into each other's temp file. The text is
-        rendered first, so a payload that cannot be encoded makes no temp file.
+        The text is rendered first, so a payload that cannot be encoded makes
+        no temp file.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = json_text(payload, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _replace_file(path, json_text(payload, sort_keys=True))
 
     @staticmethod
     def _load_map(path: Path) -> dict:
@@ -368,7 +446,8 @@ class MediaWikiClient:
                 data = json.loads(path.read_text(encoding="utf-8"))
                 if data.get("missing"):
                     raise PageMissing(article.language, article.title)
-                return PageDocument.from_dict(data)
+                return PageDocument.from_dict(
+                    data, self.scan_cache_path(article.language, article.title))
             except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise SnapshotError(
                     f"unreadable cache snapshot {path}: {type(exc).__name__}: {exc}") from exc

@@ -65,8 +65,9 @@ logger = logging.getLogger(__name__)
 # The checks of the options whose form differs from the manifest default of their name
 # (the CLI splits a comma-separated ``languages``); the others use their ``SETTINGS`` entry.
 _OWN_CHECKS = {
-    "languages": ("None, 'all' or a non-empty list of strings", lambda v: v in (None, "all")
-                  or isinstance(v, list) and v != [] and all(isinstance(c, str) for c in v)),
+    "languages": ("None, 'all' or a non-empty list of strings without 'all'",
+                  lambda v: v in (None, "all") or isinstance(v, list) and v != []
+                  and all(isinstance(c, str) and c != "all" for c in v)),
     "refresh": ("a boolean", lambda v: isinstance(v, bool)),
     "extra_missing": ("a tuple of strings",
                       lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v)),
@@ -96,6 +97,8 @@ class PipelineOptions:
         if self.offline and self.refresh:
             raise OptionsError("refresh cannot be combined with offline, "
                                "which reads only the cache")
+        # An int is accepted; the report shows the same float whoever built the options.
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
 
     @property
     def cache_policy(self) -> CachePolicy:

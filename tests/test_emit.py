@@ -87,8 +87,28 @@ def test_json_text_of_subclasses_and_cycles_matches_json_dumps():
         json_text(deep)
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURE_CACHE.rglob("*.json")),
+@pytest.mark.parametrize("path", sorted([*FIXTURE_CACHE.glob("pages/*/*.json"),
+                                         FIXTURE_CACHE / "qids.json",
+                                         FIXTURE_CACHE / "langlinks.json"]),
                          ids=lambda p: str(p.relative_to(FIXTURE_CACHE)))
 def test_json_text_rewrites_every_cache_file_byte_for_byte(path):
     text = path.read_text(encoding="utf-8")
     assert json_text(json.loads(text), sort_keys=True) == text
+
+
+def test_every_cache_file_is_a_page_a_map_or_a_stored_scan():
+    files = sorted(p.relative_to(FIXTURE_CACHE).as_posix() for p in FIXTURE_CACHE.rglob("*")
+                   if p.is_file())
+    pages = [f for f in files if re.fullmatch(r"pages/[a-z]+/[^/]+\.json", f)]
+    scans = [f for f in files if re.fullmatch(r"scans/[a-z]+/[^/]+\.json", f)]
+    assert len(pages) == 44
+    assert [f[len("scans/"):] for f in scans] == [f[len("pages/"):] for f in pages]
+    assert sorted(pages + scans + ["langlinks.json", "qids.json"]) == files
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_CACHE.glob("scans/*/*.json")),
+                         ids=lambda p: str(p.relative_to(FIXTURE_CACHE)))
+def test_every_stored_scan_is_in_the_compact_form(path):
+    text = path.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), ensure_ascii=False, separators=(",", ":"),
+                      allow_nan=False) == text

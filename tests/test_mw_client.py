@@ -732,3 +732,97 @@ def test_processes_sharing_a_cache_keep_every_qid(tmp_path):
     saved = json.loads((tmp_path / "cache" / "qids.json").read_text(encoding="utf-8"))
     assert saved == {f"en:Writer {w} title {i}": f"Q{w * 1000 + i + 1}"
                      for w in range(n_writers) for i in range(n_titles)}
+
+
+# -- stored scans --------------------------------------------------------------
+
+def _stored(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_every_vendored_stored_scan_is_the_scan_of_its_snapshot():
+    import hashlib
+    from tablediff.htmldom import SCAN_VERSION, parse_html
+    from conftest import FIXTURE_CACHE
+
+    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+    pages = sorted(FIXTURE_CACHE.glob("pages/*/*.json"))
+    assert len(pages) == 44
+    for page in pages:
+        snapshot = json.loads(page.read_text(encoding="utf-8"))
+        html = snapshot["html"]
+        scan = parse_html(html)
+        stored = _stored(client.scan_cache_path(snapshot["language"], snapshot["title"]))
+        assert stored == {"scan_version": SCAN_VERSION,
+                          "html_sha256": hashlib.sha256(html.encode("utf-8")).hexdigest(),
+                          # as JSON gives them back: every tuple a list
+                          "tables": json.loads(json.dumps(scan.tables)),
+                          "references": scan.references}, page.name
+
+
+def test_a_page_just_fetched_stores_no_scan_and_its_first_read_from_the_cache_does(
+        tmp_path, fake_transport):
+    client = make_client(tmp_path, fake_transport)
+    article = ArticleRef("en", "Sample Page")
+    fetched = client.fetch_page(article)
+    assert fetched.scan.tables
+    assert not (tmp_path / "cache" / "scans").exists()
+
+    cached = client.fetch_page(article)
+    assert fake_transport.calls == 2  # the parse and the revision request of the first fetch
+    assert cached.scan.references == fetched.scan.references
+    stored = _stored(client.scan_cache_path("en", "Sample Page"))
+    assert stored["tables"] == json.loads(json.dumps(fetched.scan.tables))
+    again = client.fetch_page(article).scan
+    assert again == (stored["tables"], stored["references"])
+
+
+# Each bad stored scan of a two-cell page, as the text to store or the object to store
+# as JSON, and the one way it is bad.
+BAD_SCANS = {
+    "truncated": lambda s: json.dumps(s)[:-20],
+    "not UTF-8": lambda s: json.dumps(s).replace("Name", "N\udcffame"),
+    "not a JSON object": lambda s: [s],
+    "other html": lambda s: {**s, "html_sha256": "0" * 64},
+    "no version": lambda s: {**s, "scan_version": None},
+    "version true": lambda s: {**s, "scan_version": True},
+    "no tables": lambda s: {**s, "tables": None},
+    "empty table": lambda s: {**s, "tables": [[]]},
+    "empty row": lambda s: {**s, "tables": [[[]]]},
+    "row not a list": lambda s: {**s, "tables": [["abcde"]]},
+    "cell of four": lambda s: {**s, "tables": [[[["Name", None, True, 1]]]]},
+    "cell a string": lambda s: {**s, "tables": [[["Name", None, True, 1, 1]]]},
+    "text not a string": lambda s: {**s, "tables": [[[[1, None, True, 1, 1]]]]},
+    "link not a string": lambda s: {**s, "tables": [[[["Name", 5, True, 1, 1]]]]},
+    "header flag 1": lambda s: {**s, "tables": [[[["Name", None, 1, 1, 1]]]]},
+    "rowspan 0": lambda s: {**s, "tables": [[[["Name", None, True, 0, 1]]]]},
+    "colspan 1001": lambda s: {**s, "tables": [[[["Name", None, True, 1, 1001]]]]},
+    "rowspan true": lambda s: {**s, "tables": [[[["Name", None, True, True, 1]]]]},
+    "colspan 1.0": lambda s: {**s, "tables": [[[["Name", None, True, 1, 1.0]]]]},
+    "references -1": lambda s: {**s, "references": -1},
+    "references false": lambda s: {**s, "references": False},
+    "no references": lambda s: {k: v for k, v in s.items() if k != "references"},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SCANS))
+def test_a_bad_stored_scan_is_parsed_afresh_and_rewritten(tmp_path, monkeypatch, fake_transport,
+                                                          bad):
+    from tablediff import mw_client
+    from tablediff.htmldom import parse_html
+
+    client = make_client(tmp_path, fake_transport)
+    article = ArticleRef("en", "Sample Page")
+    client.fetch_page(article)
+    expected = client.fetch_page(article).scan
+    path = client.scan_cache_path("en", "Sample Page")
+    good = path.read_text(encoding="utf-8")
+    stored = BAD_SCANS[bad](json.loads(good))
+    text = stored if isinstance(stored, str) else json.dumps(stored)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    parsed = []
+    monkeypatch.setattr(mw_client, "parse_html",
+                        lambda html: parsed.append(html) or parse_html(html))
+    assert client.fetch_page(article).scan == expected
+    assert len(parsed) == 1
+    assert path.read_text(encoding="utf-8") == good

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import shutil
 import sys
 import threading
@@ -490,6 +491,45 @@ def test_cli_langs_naming_no_language_exit_code_1(tmp_path, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "manifest"])
+def test_cli_all_among_other_languages_exit_code_1(tmp_path, where):
+    manifest, langs = CLIMBERS_MANIFEST, ["--langs", "all,en"]
+    if where == "manifest":
+        manifest = climbers_manifest_copy(tmp_path, defaults={"languages": "all, en"})
+        langs = []
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", *langs, "--header-map", HEADER_MAP, "--out", tmp_path / "out")
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("error: languages must be None, 'all' or a non-empty list of "
+                             "strings without 'all', got ['all', 'en']\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_options_keep_rel_tol_as_a_float():
+    for given in (0, 1, 0.25):
+        rel_tol = PipelineOptions(rel_tol=given).rel_tol
+        assert type(rel_tol) is float and rel_tol == given
+
+
+def test_an_int_rel_tol_gives_the_same_report_from_the_api_and_the_cli(tmp_path,
+                                                                        header_mapping):
+    from tablediff.emit import emit
+
+    manifest = climbers_manifest_copy(tmp_path, defaults={"rel_tol": 0})
+    report = run_pipeline(load_manifest(manifest), header_mapping,
+                          MediaWikiClient(cache_dir=FIXTURE_CACHE),
+                          PipelineOptions(offline=True, rel_tol=0))
+    emit(report, "json", tmp_path / "api")
+    result = run_cli("analyze", "--manifest", manifest, "--cache-dir", FIXTURE_CACHE,
+                     "--offline", "--header-map", HEADER_MAP, "--out", tmp_path / "cli")
+    assert result.exit_code == 0, result.output
+    texts = [re.sub(r'"generated_at": "[^"]*"', "", (tmp_path / out / "report.json").read_text(
+        encoding="utf-8"), count=1) for out in ("api", "cli")]
+    assert '"rel_tol": 0.0,' in texts[0]
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", None])
 def test_options_refuse_jobs_that_are_not_an_integer_from_1(jobs):
     with pytest.raises(OptionsError, match=f"^jobs must be an integer >= 1, got {jobs!r}$"):
@@ -539,6 +579,7 @@ def test_options_error_is_a_value_error_and_a_tablediff_error():
     ("offline", "no"), ("all_tables", "no"), ("refresh", "no"),
     ("languages", "en"), ("languages", []), ("languages", ["en", 1]),
     ("extra_missing", ["n/a"]),
+    ("languages", ["all", "en"]), ("languages", ["all"]),
 ])
 def test_options_refuse_mistyped_fields(name, value):
     with pytest.raises(OptionsError, match=f"^{name} must be .*, got ") as raised:
@@ -1025,32 +1066,106 @@ def test_attribute_values_match_the_oracle_on_small_matrices(case, attributes, e
 
 # -- parse once --------------------------------------------------------------
 
-def test_each_ok_edition_is_parsed_once(monkeypatch, header_mapping):
+def _count_parses(monkeypatch) -> list:
+    """The HTML of every parse_html call from now on, at every name bound to it in the package."""
     from tablediff import htmldom
-    from tablediff.mw_client import ArticleRef, CachePolicy, count_references
-    from tablediff.table_parser import extract_tables
 
-    # Count calls at every name bound to parse_html in the package.
     parsed = []
     original = htmldom.parse_html
     counting = lambda html: parsed.append(html) or original(html)
     for name, module in list(sys.modules.items()):
         if name.startswith("tablediff.") and getattr(module, "parse_html", None) is original:
             monkeypatch.setattr(module, "parse_html", counting)
+    return parsed
 
-    client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
+
+def _cache_without_scans(tmp_path) -> Path:
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    shutil.rmtree(cache / "scans")
+    return cache
+
+
+def test_each_ok_edition_is_parsed_once(tmp_path, monkeypatch, header_mapping):
+    from tablediff.mw_client import ArticleRef, CachePolicy, count_references
+    from tablediff.table_parser import extract_tables
+
+    cache = _cache_without_scans(tmp_path)
+    parsed = _count_parses(monkeypatch)
+    client = MediaWikiClient(cache_dir=cache)
     report = run_pipeline(load_manifest(GEOGRAPHY_MANIFEST), header_mapping, client,
                           PipelineOptions(offline=True))
     ok = sum(1 for family in report["families"] for e in family["editions"]
              if e["status"] == "ok")
     assert ok > 0
     assert len(parsed) == ok
+    assert len(list(cache.glob("scans/*/*.json"))) == ok
 
     parsed.clear()
+    client.scan_cache_path("en", "Seven Summits").unlink()
     doc = client.fetch_page(ArticleRef("en", "Seven Summits"), CachePolicy.OFFLINE_ONLY)
     assert extract_tables(doc)
     assert count_references(doc) > 0
     assert parsed == [doc.html]
+
+
+def test_a_run_over_stored_scans_parses_no_page(tmp_path, monkeypatch, header_mapping):
+    cache = _cache_without_scans(tmp_path)
+    first = run_pipeline(load_manifest(GEOGRAPHY_MANIFEST), header_mapping,
+                         MediaWikiClient(cache_dir=cache), PipelineOptions(offline=True))
+    parsed = _count_parses(monkeypatch)
+    again = run_pipeline(load_manifest(GEOGRAPHY_MANIFEST), header_mapping,
+                         MediaWikiClient(cache_dir=cache), PipelineOptions(offline=True))
+    assert parsed == []
+    assert {**again, "generated_at": ""} == {**first, "generated_at": ""}
+
+
+CLIMBERS_EN = "List of climbers who have summited all 14 eight-thousanders"
+
+# Ways a stored scan goes bad, as the text of the file that replaces it.
+SPOILED_SCANS = {
+    "truncated": lambda text: text[:len(text) // 2],
+    "old version": lambda text: text.replace('"scan_version":', '"scan_version":-1', 1),
+    "other html": lambda text: re.sub('"html_sha256":"[0-9a-f]', '"html_sha256":"x', text, 1),
+    "mistyped cell": lambda text: text.replace(",true,1,1]", ',"true",1,1]', 1),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(SPOILED_SCANS))
+def test_a_bad_stored_scan_is_parsed_and_rewritten_with_the_same_report(
+        tmp_path, monkeypatch, header_mapping, climbers_report, spoil):
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    client = MediaWikiClient(cache_dir=cache)
+    path = client.scan_cache_path("en", CLIMBERS_EN)
+    good = path.read_text(encoding="utf-8")
+    bad = SPOILED_SCANS[spoil](good)
+    assert bad != good
+    path.write_text(bad, encoding="utf-8")
+    parsed = _count_parses(monkeypatch)
+    report = run_pipeline(load_manifest(CLIMBERS_MANIFEST), header_mapping, client,
+                          PipelineOptions(offline=True))
+    assert {**report, "generated_at": ""} == {**climbers_report, "generated_at": ""}
+    snapshot = json.loads(client.page_cache_path("en", CLIMBERS_EN).read_text(encoding="utf-8"))
+    assert parsed == [snapshot["html"]]
+    assert path.read_text(encoding="utf-8") == good
+
+
+def test_a_scan_that_cannot_be_stored_leaves_the_report_as_it_was(
+        tmp_path, monkeypatch, header_mapping, climbers_report):
+    from tablediff import mw_client
+
+    def full_disk(path, text):
+        raise OSError(28, "No space left on device")
+
+    cache = _cache_without_scans(tmp_path)
+    monkeypatch.setattr(mw_client, "_replace_file", full_disk)
+    parsed = _count_parses(monkeypatch)
+    report = run_pipeline(load_manifest(CLIMBERS_MANIFEST), header_mapping,
+                          MediaWikiClient(cache_dir=cache), PipelineOptions(offline=True))
+    assert {**report, "generated_at": ""} == {**climbers_report, "generated_at": ""}
+    assert len(parsed) == 5
+    assert not list(cache.glob("scans/*/*"))
 
 
 # -- write-behind cache saves -------------------------------------------------
@@ -1221,17 +1336,21 @@ def test_offline_run_writes_no_cache_file(tmp_path, header_mapping):
 
 # -- parse failures ----------------------------------------------------------
 
-def _fail_parse_of(monkeypatch, language):
-    """Make the scan of the climbers page of one language raise."""
+def _fail_parse_of(monkeypatch, tmp_path, language) -> tuple[Path, Path]:
+    """A copy of the vendored cache whose climbers page of one language has no stored
+    scan and whose parse raises: the cache and where that scan would be."""
     from tablediff import mw_client
     from tablediff.mw_client import ArticleRef, CachePolicy
 
+    cache = tmp_path / "cache"
+    shutil.copytree(FIXTURE_CACHE, cache)
+    client = MediaWikiClient(cache_dir=cache)
     seed = load_manifest(CLIMBERS_MANIFEST).families[0].seed
-    versions = MediaWikiClient(cache_dir=FIXTURE_CACHE).list_language_versions(
-        seed, CachePolicy.OFFLINE_ONLY)
+    versions = client.list_language_versions(seed, CachePolicy.OFFLINE_ONLY)
     title = next(ref.title for ref in versions if ref.language == language)
-    html = MediaWikiClient(cache_dir=FIXTURE_CACHE).fetch_page(
-        ArticleRef(language, title), CachePolicy.OFFLINE_ONLY).html
+    html = client.fetch_page(ArticleRef(language, title), CachePolicy.OFFLINE_ONLY).html
+    scan = client.scan_cache_path(language, title)
+    scan.unlink()
     original = mw_client.parse_html
 
     def parse_html(text):
@@ -1240,12 +1359,14 @@ def _fail_parse_of(monkeypatch, language):
         return original(text)
 
     monkeypatch.setattr(mw_client, "parse_html", parse_html)
+    return cache, scan
 
 
-def test_parse_failure_turns_the_edition_into_a_fetch_error(monkeypatch, header_mapping):
-    _fail_parse_of(monkeypatch, "zh")
+def test_parse_failure_turns_the_edition_into_a_fetch_error(tmp_path, monkeypatch,
+                                                           header_mapping):
+    cache, scan = _fail_parse_of(monkeypatch, tmp_path, "zh")
     report = run_pipeline(load_manifest(CLIMBERS_MANIFEST), header_mapping,
-                          MediaWikiClient(cache_dir=FIXTURE_CACHE), PipelineOptions(offline=True))
+                          MediaWikiClient(cache_dir=cache), PipelineOptions(offline=True))
     family, = report["families"]
     assert family["status"] == "ok"
     assert {e["language"]: e["status"] for e in family["editions"]} == {
@@ -1254,14 +1375,15 @@ def test_parse_failure_turns_the_edition_into_a_fetch_error(monkeypatch, header_
     assert [f["language"] for f in errors] == ["zh"]
     assert "tokenizer defect" in errors[0]["detail"]
     assert family["entities"]
+    assert not scan.exists()
 
 
-def test_warm_cache_counts_a_parse_failure_as_failed(monkeypatch, header_mapping):
+def test_warm_cache_counts_a_parse_failure_as_failed(tmp_path, monkeypatch, header_mapping):
     from tablediff.pipeline import warm_cache
 
-    _fail_parse_of(monkeypatch, "zh")
+    cache, _scan = _fail_parse_of(monkeypatch, tmp_path, "zh")
     summary = warm_cache(load_manifest(CLIMBERS_MANIFEST), header_mapping,
-                         MediaWikiClient(cache_dir=FIXTURE_CACHE), PipelineOptions(offline=True))
+                         MediaWikiClient(cache_dir=cache), PipelineOptions(offline=True))
     assert summary == {"fetched": 4, "absent_or_failed": 1}
 
 
