@@ -4,7 +4,7 @@
 Everything here is deterministic: page HTML, revision metadata, QID and
 langlink caches, the bundled header mapping, and the golden stats file are
 all derived from the budget tables below, so reruns are byte-identical. Each
-page's stored scan (``fixtures/cache/scans/``) is written by the package
+page's stored tables (``fixtures/cache/scans/``) are written by the package
 itself, on the page's first read from the new cache.
 The golden numbers are the budgets themselves, written independently of the
 analysis pipeline; the acceptance suite then checks the pipeline reproduces
@@ -1023,10 +1023,10 @@ def main() -> None:
     (cache_dir / "langlinks.json").write_text(
         json.dumps(corpus["langlinks"], ensure_ascii=False, indent=2, sort_keys=True),
         encoding="utf-8")
-    # The first read of each page from the cache stores its scan under scans/.
+    # The first read of each page from the cache stores its tables under scans/.
     client = MediaWikiClient(cache_dir=cache_dir)
     for doc in corpus["pages"].values():
-        client.fetch_page(ArticleRef(doc["language"], doc["title"]), CachePolicy.OFFLINE_ONLY).scan
+        client.fetch_page(ArticleRef(doc["language"], doc["title"]), CachePolicy.OFFLINE_ONLY).contents
 
     mapping_path = root / "mappings" / "geography.json"
     mapping_path.parent.mkdir(parents=True, exist_ok=True)

@@ -147,19 +147,18 @@ def _cell_form(tag: str, attrs: dict) -> tuple[bool, int, int]:
     return tag == "th", _coerce_span(attrs.get("rowspan")), _coerce_span(attrs.get("colspan"))
 
 
-# The form of ``PageScan`` that ``mw_client`` stores beside a cached page. Raise it
-# whenever a rule above changes what ``parse_html`` returns for some page: a stored
-# scan of another version is not read, and the page is parsed and its scan rewritten.
-SCAN_VERSION = 1
+# The version of the tables ``mw_client`` stores beside a cached page: the grids
+# that ``table_parser.build_grid`` makes of the ``PageScan``, their texts put
+# through ``table_parser.normalize_text`` (and its ``FOOTNOTE_RE``). Raise it
+# whenever a rule above changes what ``parse_html`` returns for some page, and
+# whenever a change to ``build_grid``, ``normalize_text`` or ``FOOTNOTE_RE``
+# changes the tables made of it: stored tables of another version are not read,
+# and the page is parsed and its tables rewritten.
+SCAN_VERSION = 2
 
 
 class PageScan(NamedTuple):
-    """What one pass reads off a page.
-
-    ``parse_html`` gives each cell as a tuple; a scan loaded from the cache
-    (``mw_client``) gives it as a list of the same five items, so a reader
-    takes a cell by index or by unpacking, never by its type.
-    """
+    """What one pass reads off a page; each cell is a tuple."""
 
     tables: list  # each data table's rows of (raw_text, link_title, is_header, rowspan, colspan)
     references: int  # <li> children of <ol class="references"> elements

@@ -3,8 +3,8 @@
 Covers page HTML retrieval (``action=parse``), language-link enumeration
 (``prop=langlinks``) and wiki-link -> QID resolution (``prop=pageprops``).
 Every network result is written to a human-inspectable JSON cache so whole
-analyses can replay offline, and each cached page's scan is stored beside it
-so a later run need not parse the page again.
+analyses can replay offline, and each cached page's finished tables are
+stored beside it so a later run need not parse the page again.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 from urllib.parse import quote
 
 from .emit import json_text
 from .errors import CacheMiss, NetworkError, PageMissing, ParseError, SnapshotError
-from .htmldom import _HTML_SPAN_CAP, SCAN_VERSION, PageScan, parse_html
+from .htmldom import SCAN_VERSION, parse_html
+from .table_parser import WikiTable, grid_tables, load_table, stored_table
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +86,18 @@ def _is_title_pair(pair) -> bool:
         return False
 
 
+class PageContents(NamedTuple):
+    """What a page's one read gives: its data tables and its reference count."""
+
+    tables: list[WikiTable]
+    references: int
+
+
 @dataclass(frozen=True)
 class PageDocument:
     """Rendered HTML of one page plus the revision metadata behind it.
 
-    ``scan_path`` is where the page's stored scan lives when the page was
+    ``scan_path`` is where the page's stored tables live when the page was
     read from the cache, else None.
     """
 
@@ -105,32 +113,34 @@ class PageDocument:
             raise ValueError("html must be non-empty")
 
     @cached_property
-    def scan(self) -> PageScan:
+    def contents(self) -> PageContents:
         """The page's data tables and reference count, read on first access and kept.
 
         Table extraction and reference counting both read it, so each page
-        is scanned once. A page read from the cache takes its stored scan
-        when that is valid for its HTML (see ``_load_scan``); else the HTML
-        is parsed and its scan stored, so the next run over the cache need
-        not parse it; a scan that cannot be written is left out.
+        is read once. A page read from the cache takes its stored tables
+        when they are valid for its HTML (see ``_load_contents``); else the
+        HTML is parsed, its grids built and its tables stored, so the next
+        run over the cache need not parse it; tables that cannot be written
+        are left out.
         """
         digest = None
         if self.scan_path is not None:
             digest = hashlib.sha256(self.html.encode("utf-8", "surrogatepass")).hexdigest()
-            stored = _load_scan(self.scan_path, digest)
+            stored = _load_contents(self.scan_path, digest)
             if stored is not None:
                 return stored
         try:
             scan = parse_html(self.html)
         except Exception as exc:  # parse_html never raises on bad markup; this reports a defect
             raise ParseError(f"cannot parse {self.article.key}: {exc}") from exc
+        contents = PageContents(grid_tables(scan.tables), scan.references)
         if digest is not None:
             try:
                 self.scan_path.parent.mkdir(parents=True, exist_ok=True)
-                _replace_file(self.scan_path, _scan_text(digest, scan))
+                _replace_file(self.scan_path, _contents_text(digest, contents))
             except (OSError, UnicodeEncodeError):  # a lone surrogate is no UTF-8
                 pass  # the page is read; the next run parses it again
-        return scan
+        return contents
 
     def to_dict(self) -> dict:
         return {
@@ -154,46 +164,43 @@ class PageDocument:
         )
 
 
-def _scan_text(html_sha256: str, scan: PageScan) -> str:
-    """The stored form of a page's scan: one line of compact JSON, keyed by its HTML's SHA-256."""
+def _contents_text(html_sha256: str, contents: PageContents) -> str:
+    """The stored form of a page's tables: one line of compact JSON, keyed by its HTML's SHA-256."""
     return json.dumps({"scan_version": SCAN_VERSION, "html_sha256": html_sha256,
-                       "tables": scan.tables, "references": scan.references},
+                       "references": contents.references,
+                       "tables": [stored_table(table) for table in contents.tables]},
                       ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
-def _is_cell(cell) -> bool:
-    """True for a ``[raw_text, link_title, is_header, rowspan, colspan]`` cell of parse_html."""
-    return (type(cell) is list and len(cell) == 5 and type(cell[0]) is str
-            and (cell[1] is None or type(cell[1]) is str) and type(cell[2]) is bool
-            and type(cell[3]) is int and 0 < cell[3] <= _HTML_SPAN_CAP
-            and type(cell[4]) is int and 0 < cell[4] <= _HTML_SPAN_CAP)
-
-
-def _load_scan(path: Path, html_sha256: str) -> Optional[PageScan]:
-    """The scan stored at ``path`` for HTML of this digest, or None.
+def _load_contents(path: Path, html_sha256: str) -> Optional[PageContents]:
+    """The tables and reference count stored at ``path`` for HTML of this digest, or None.
 
     None unless all of it holds: the file loads as JSON, its version is
-    ``SCAN_VERSION`` and its digest ``html_sha256``, every table is a
-    non-empty list of non-empty rows of cells as ``_is_cell`` reads them and
-    the reference count is an integer >= 0. The cells stay lists.
+    ``SCAN_VERSION`` and its digest ``html_sha256``, the reference count is
+    an integer >= 0 and every table passes ``table_parser.load_table``. A
+    stored form that exists but is refused is logged at DEBUG level with the
+    check it failed; a missing one is not.
     """
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):  # no file, not UTF-8 or JSON, nested too deep
+        if type(data) is not dict:
+            raise ValueError("not a JSON object")
+        version, references, tables = (data.get("scan_version"), data.get("references"),
+                                       data.get("tables"))
+        if not (type(version) is int and version == SCAN_VERSION):
+            raise ValueError(f"scan_version {version!r} is not {SCAN_VERSION}")
+        if data.get("html_sha256") != html_sha256:
+            raise ValueError("html_sha256 is not the digest of the page's HTML")
+        if not (type(references) is int and references >= 0):
+            raise ValueError(f"references {references!r} is not an integer >= 0")
+        if type(tables) is not list:
+            raise ValueError("tables is not a list")
+        return PageContents([load_table(i, table) for i, table in enumerate(tables)], references)
+    except FileNotFoundError:
+        return None  # not stored yet
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or JSON, refused
+        logger.debug("refused stored tables %s: %s: %s", path, type(exc).__name__, exc)
         return None
-    if not (type(data) is dict and type(data.get("scan_version")) is int
-            and data["scan_version"] == SCAN_VERSION and data.get("html_sha256") == html_sha256):
-        return None
-    tables, references = data.get("tables"), data.get("references")
-    if not (type(references) is int and references >= 0 and type(tables) is list):
-        return None
-    for table in tables:
-        if not (type(table) is list and table):
-            return None
-        for row in table:
-            if not (type(row) is list and row and all(map(_is_cell, row))):
-                return None
-    return PageScan(tables, references)
 
 
 @contextmanager
@@ -208,15 +215,40 @@ def _answer_to(request: str):
         raise NetworkError(f"malformed API answer to {request}: {type(exc).__name__}: {exc}") from exc
 
 
+def _read_umask() -> int:
+    """The process's umask, read from ``/proc/self/status`` where the kernel shows it.
+
+    Elsewhere it is read by setting it and back, which this module does once,
+    at import.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("Umask:"):
+                    return int(line.split()[1], 8)
+    except (OSError, ValueError):
+        pass
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+# The mode open(path, "w") gives a new file; mkstemp makes its temp files 0o600.
+_FILE_MODE = 0o666 & ~_read_umask()
+
+
 def _replace_file(path: Path, text: str) -> None:
     """Write ``text`` through a temp file of its own in ``path``'s directory, then rename it.
 
     The temp name is unique, so clients or processes sharing one cache
-    directory never write into each other's temp file.
+    directory never write into each other's temp file. The file gets the
+    mode ``open(path, "w")`` would give it, so other users can read the
+    cache as they could before the rename.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, _FILE_MODE)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -332,8 +364,10 @@ class MediaWikiClient:
 
     - ``pages/{lang}/{url-encoded title}.json`` -- serialized PageDocument,
       or a tombstone ``{"missing": true}`` for titles known to be absent.
-    - ``scans/{lang}/{url-encoded title}.json`` -- the page's stored scan
-      (``_scan_text``), written on its first read from the cache.
+    - ``scans/{lang}/{url-encoded title}.json`` -- the page's stored tables
+      (``_contents_text``): its finished grids and reference count, written
+      on its first read from the cache and taken on later reads instead of
+      parsing the page (``_load_contents``).
     - ``qids.json`` -- ``{"lang:title": "Q..." | null}`` map.
     - ``langlinks.json`` -- ``{"lang:title": [[lang, title], ...]}`` so the
       language enumeration replays offline too.
@@ -597,4 +631,4 @@ def count_references(doc: PageDocument) -> int:
     so a source cited from ten inline markers still counts once. Returns 0
     when the page has no reference list.
     """
-    return doc.scan.references
+    return doc.contents.references

@@ -12,15 +12,24 @@ bottom, counting the leading header rows on the way. Most rows neither span
 nor sit under a span: such a row becomes one grid row as it stands. Only
 the others take their slots from a map of the cells that spans claimed in
 them. No per-cell object exists between the markup and the final ``Cell``.
+
+A cached page keeps its finished tables in a stored form (``stored_table``):
+per table the header-row count, the width, every cell text in row-major
+order joined by newlines, and sparse lists of the cells with a link and of
+the spanned copies. ``load_table`` builds each ``Cell`` straight from it, so
+a page read from its stored form runs neither ``build_grid`` nor
+``normalize_text``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .mw_client import PageDocument
+if TYPE_CHECKING:  # mw_client builds a page's tables with this module
+    from .mw_client import PageDocument
 
 # Rendered footnote markers: [12], [a], [iv], [note 3], [N 1], [nb 2].
 FOOTNOTE_RE = re.compile(
@@ -53,7 +62,8 @@ class Cell(NamedTuple):
 
 
 # Builds a Cell from all three fields in order, without the Python-level
-# __new__ that NamedTuple generates: the cells of rows taken as they stand use it.
+# __new__ that NamedTuple generates: the cells of rows taken as they stand and
+# the cells of stored tables use it.
 _new_cell = tuple.__new__
 
 # Every unclaimed grid position: an empty, non-header cell.
@@ -153,10 +163,10 @@ def build_grid(raw_rows: list[list[tuple]]) -> tuple[list[list[Cell]], int]:
     return grid, split or 1
 
 
-def extract_tables(doc: PageDocument) -> list[WikiTable]:
-    """All data tables of a page, in document order."""
+def grid_tables(raw_tables: list) -> list[WikiTable]:
+    """Each data table of a page scan (its raw rows) as a WikiTable, in document order."""
     out: list[WikiTable] = []
-    for raw_rows in doc.scan.tables:
+    for raw_rows in raw_tables:
         grid, split = build_grid(raw_rows)
         out.append(WikiTable(
             table_index=len(out),
@@ -165,3 +175,63 @@ def extract_tables(doc: PageDocument) -> list[WikiTable]:
             n_cols=len(grid[0]),
         ))
     return out
+
+
+def stored_table(table: WikiTable) -> dict:
+    """The stored form of a table, which ``load_table`` reads back.
+
+    ``texts`` joins every cell's text in row-major order with newlines, which
+    ``normalize_text`` never leaves in a text; ``links`` holds the
+    ``[index, title]`` of each cell with a link and ``copies`` the index of
+    each spanned copy. Pad cells are empty texts.
+    """
+    cells = [cell for row in table.header_rows + table.body_rows for cell in row]
+    return {"header_rows": len(table.header_rows), "n_cols": table.n_cols,
+            "texts": "\n".join([cell.text for cell in cells]),
+            "links": [[i, cell.link_title] for i, cell in enumerate(cells)
+                      if cell.link_title is not None],
+            "copies": [i for i, cell in enumerate(cells) if cell.is_spanned_copy]}
+
+
+def load_table(table_index: int, stored) -> WikiTable:
+    """The table whose stored form (``stored_table``) is ``stored``.
+
+    Raises ValueError naming the first check it fails: ``n_cols`` an integer
+    >= 1, ``texts`` a string of n texts that fill whole rows, ``header_rows``
+    an integer from 1 to the number of rows, each link an ``[index, title]``
+    pair of an index below n and a string, each copy an index below n.
+    """
+    if type(stored) is not dict:
+        raise ValueError("a table is not a JSON object")
+    width, header_rows, texts = stored.get("n_cols"), stored.get("header_rows"), stored.get("texts")
+    links, copies = stored.get("links"), stored.get("copies")
+    if not (type(width) is int and width >= 1):
+        raise ValueError(f"n_cols {width!r} is not an integer >= 1")
+    if type(texts) is not str:
+        raise ValueError("texts is not a string")
+    texts = texts.split("\n")
+    n = len(texts)
+    if n % width:
+        raise ValueError(f"{n} texts do not fill rows of {width}")
+    if not (type(header_rows) is int and 1 <= header_rows <= n // width):
+        raise ValueError(f"header_rows {header_rows!r} is not an integer from 1 to {n // width}")
+    if not (type(links) is list and type(copies) is list):
+        raise ValueError("links or copies is not a list")
+    cells = list(map(_new_cell, repeat(Cell), zip(texts, repeat(None), repeat(False))))
+    for link in links:
+        if not (type(link) is list and len(link) == 2 and type(link[0]) is int
+                and 0 <= link[0] < n and type(link[1]) is str):
+            raise ValueError(f"link {link!r} is not an [index below {n}, title] pair")
+        index, title = link
+        cells[index] = _new_cell(Cell, (texts[index], title, False))
+    for index in copies:
+        if not (type(index) is int and 0 <= index < n):
+            raise ValueError(f"copy {index!r} is not an index below {n}")
+        cells[index] = _new_cell(Cell, (texts[index], cells[index][1], True))
+    rows = [cells[start:start + width] for start in range(0, n, width)]
+    return WikiTable(table_index, rows[:header_rows], rows[header_rows:], width)
+
+
+def extract_tables(doc: PageDocument) -> list[WikiTable]:
+    """All data tables of a page, in document order (``PageDocument.contents``)."""
+    return list(doc.contents.tables)

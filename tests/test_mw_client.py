@@ -734,15 +734,17 @@ def test_processes_sharing_a_cache_keep_every_qid(tmp_path):
                      for w in range(n_writers) for i in range(n_titles)}
 
 
-# -- stored scans --------------------------------------------------------------
+# -- stored tables -------------------------------------------------------------
 
 def _stored(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_every_vendored_stored_scan_is_the_scan_of_its_snapshot():
+    """Each committed stored form is, byte for byte, the form of build_grid's tables."""
     import hashlib
     from tablediff.htmldom import SCAN_VERSION, parse_html
+    from tablediff.table_parser import build_grid
     from conftest import FIXTURE_CACHE
 
     client = MediaWikiClient(cache_dir=FIXTURE_CACHE)
@@ -752,77 +754,145 @@ def test_every_vendored_stored_scan_is_the_scan_of_its_snapshot():
         snapshot = json.loads(page.read_text(encoding="utf-8"))
         html = snapshot["html"]
         scan = parse_html(html)
-        stored = _stored(client.scan_cache_path(snapshot["language"], snapshot["title"]))
-        assert stored == {"scan_version": SCAN_VERSION,
-                          "html_sha256": hashlib.sha256(html.encode("utf-8")).hexdigest(),
-                          # as JSON gives them back: every tuple a list
-                          "tables": json.loads(json.dumps(scan.tables)),
-                          "references": scan.references}, page.name
+        tables = []
+        for raw_rows in scan.tables:
+            grid, split = build_grid(raw_rows)
+            cells = [cell for row in grid for cell in row]
+            tables.append({
+                "header_rows": split, "n_cols": len(grid[0]),
+                "texts": "\n".join(cell.text for cell in cells),
+                "links": [[i, cell.link_title] for i, cell in enumerate(cells)
+                          if cell.link_title is not None],
+                "copies": [i for i, cell in enumerate(cells) if cell.is_spanned_copy]})
+        expected = {"scan_version": SCAN_VERSION,
+                    "html_sha256": hashlib.sha256(html.encode("utf-8")).hexdigest(),
+                    "references": scan.references, "tables": tables}
+        path = client.scan_cache_path(snapshot["language"], snapshot["title"])
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            expected, ensure_ascii=False, separators=(",", ":")), page.name
 
 
 def test_a_page_just_fetched_stores_no_scan_and_its_first_read_from_the_cache_does(
         tmp_path, fake_transport):
+    from tablediff.table_parser import extract_tables
+
     client = make_client(tmp_path, fake_transport)
     article = ArticleRef("en", "Sample Page")
     fetched = client.fetch_page(article)
-    assert fetched.scan.tables
+    assert extract_tables(fetched)
     assert not (tmp_path / "cache" / "scans").exists()
 
     cached = client.fetch_page(article)
+    assert cached.contents == fetched.contents
     assert fake_transport.calls == 2  # the parse and the revision request of the first fetch
-    assert cached.scan.references == fetched.scan.references
     stored = _stored(client.scan_cache_path("en", "Sample Page"))
-    assert stored["tables"] == json.loads(json.dumps(fetched.scan.tables))
-    again = client.fetch_page(article).scan
-    assert again == (stored["tables"], stored["references"])
+    assert stored["references"] == 0
+    assert stored["tables"] == [{"header_rows": 1, "n_cols": 1, "texts": "Name\nThing",
+                                 "links": [[1, "Thing"]], "copies": []}]
+    assert client.fetch_page(article).contents == fetched.contents
 
 
-# Each bad stored scan of a two-cell page, as the text to store or the object to store
-# as JSON, and the one way it is bad.
+def test_cache_files_get_the_mode_open_gives(tmp_path, fake_transport):
+    client = make_client(tmp_path, fake_transport)
+    article = ArticleRef("en", "Sample Page")
+    client.fetch_page(article)
+    client.fetch_page(article).contents  # its first read from the cache stores its tables
+    client.resolve_qids("en", ["Thing"])
+    client.save()
+    written = [client.page_cache_path("en", "Sample Page"),
+               client.scan_cache_path("en", "Sample Page"), tmp_path / "cache" / "qids.json"]
+    for path in written:
+        plain = path.parent / "made-by-open"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        assert path.stat().st_mode == plain.stat().st_mode, path
+        plain.unlink()
+
+
+def _table(stored, **fields):
+    """``stored`` with its one table's fields changed."""
+    return {**stored, "tables": [{**stored["tables"][0], **fields}]}
+
+
+# Each bad stored form of the two-cell sample page (one column, a header row and
+# a linked body cell), as the text to store or the object to store as JSON, and
+# a part of the DEBUG line that names the check it fails.
 BAD_SCANS = {
-    "truncated": lambda s: json.dumps(s)[:-20],
-    "not UTF-8": lambda s: json.dumps(s).replace("Name", "N\udcffame"),
-    "not a JSON object": lambda s: [s],
-    "other html": lambda s: {**s, "html_sha256": "0" * 64},
-    "no version": lambda s: {**s, "scan_version": None},
-    "version true": lambda s: {**s, "scan_version": True},
-    "no tables": lambda s: {**s, "tables": None},
-    "empty table": lambda s: {**s, "tables": [[]]},
-    "empty row": lambda s: {**s, "tables": [[[]]]},
-    "row not a list": lambda s: {**s, "tables": [["abcde"]]},
-    "cell of four": lambda s: {**s, "tables": [[[["Name", None, True, 1]]]]},
-    "cell a string": lambda s: {**s, "tables": [[["Name", None, True, 1, 1]]]},
-    "text not a string": lambda s: {**s, "tables": [[[[1, None, True, 1, 1]]]]},
-    "link not a string": lambda s: {**s, "tables": [[[["Name", 5, True, 1, 1]]]]},
-    "header flag 1": lambda s: {**s, "tables": [[[["Name", None, 1, 1, 1]]]]},
-    "rowspan 0": lambda s: {**s, "tables": [[[["Name", None, True, 0, 1]]]]},
-    "colspan 1001": lambda s: {**s, "tables": [[[["Name", None, True, 1, 1001]]]]},
-    "rowspan true": lambda s: {**s, "tables": [[[["Name", None, True, True, 1]]]]},
-    "colspan 1.0": lambda s: {**s, "tables": [[[["Name", None, True, 1, 1.0]]]]},
-    "references -1": lambda s: {**s, "references": -1},
-    "references false": lambda s: {**s, "references": False},
-    "no references": lambda s: {k: v for k, v in s.items() if k != "references"},
+    "truncated": (lambda s: json.dumps(s)[:-20], "JSONDecodeError"),
+    "not UTF-8": (lambda s: json.dumps(s).replace("Name", "N\udcffame"), "UnicodeDecodeError"),
+    "not a JSON object": (lambda s: [s], "not a JSON object"),
+    "other html": (lambda s: {**s, "html_sha256": "0" * 64}, "html_sha256"),
+    "no version": (lambda s: {**s, "scan_version": None}, "scan_version None"),
+    "version true": (lambda s: {**s, "scan_version": True}, "scan_version True"),
+    "version 1": (lambda s: {**s, "scan_version": 1, "tables": [
+        [[["Name", None, True, 1, 1]], [["Thing", "Thing", False, 1, 1]]]]}, "scan_version 1"),
+    "no tables": (lambda s: {**s, "tables": None}, "tables is not a list"),
+    "references -1": (lambda s: {**s, "references": -1}, "references -1"),
+    "references false": (lambda s: {**s, "references": False}, "references False"),
+    "no references": (lambda s: {k: v for k, v in s.items() if k != "references"},
+                      "references None"),
+    "table of rows": (lambda s: {**s, "tables": [[[["Name", None, True, 1, 1]]]]},
+                      "table is not a JSON object"),
+    "empty table": (lambda s: {**s, "tables": [{}]}, "n_cols None"),
+    "empty row": (lambda s: _table(s, n_cols=0), "n_cols 0"),
+    "n_cols true": (lambda s: _table(s, n_cols=True), "n_cols True"),
+    "n_cols 1.0": (lambda s: _table(s, n_cols=1.0), "n_cols 1.0"),
+    "text not a string": (lambda s: _table(s, texts=["Name", "Thing"]), "texts is not a string"),
+    "texts short of a row": (lambda s: _table(s, n_cols=3, header_rows=1),
+                             "2 texts do not fill rows of 3"),
+    "header_rows 0": (lambda s: _table(s, header_rows=0), "header_rows 0"),
+    "header_rows true": (lambda s: _table(s, header_rows=True), "header_rows True"),
+    "header_rows past the rows": (lambda s: _table(s, header_rows=3), "header_rows 3"),
+    "links not a list": (lambda s: _table(s, links=None), "links or copies"),
+    "no copies": (lambda s: {**s, "tables": [{k: v for k, v in s["tables"][0].items()
+                                              if k != "copies"}]}, "links or copies"),
+    "link index past the cells": (lambda s: _table(s, links=[[2, "Thing"]]), "link [2, 'Thing']"),
+    "link index -1": (lambda s: _table(s, links=[[-1, "Thing"]]), "link [-1, 'Thing']"),
+    "link index true": (lambda s: _table(s, links=[[True, "Thing"]]), "link [True, 'Thing']"),
+    "link of three": (lambda s: _table(s, links=[[1, "Thing", 1]]), "link [1, 'Thing', 1]"),
+    "link a string": (lambda s: _table(s, links=["Thing"]), "link 'Thing'"),
+    "link not a string": (lambda s: _table(s, links=[[1, 5]]), "link [1, 5]"),
+    "copy past the cells": (lambda s: _table(s, copies=[2]), "copy 2"),
+    "copy true": (lambda s: _table(s, copies=[True]), "copy True"),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_SCANS))
 def test_a_bad_stored_scan_is_parsed_afresh_and_rewritten(tmp_path, monkeypatch, fake_transport,
-                                                          bad):
+                                                          caplog, bad):
     from tablediff import mw_client
     from tablediff.htmldom import parse_html
 
     client = make_client(tmp_path, fake_transport)
     article = ArticleRef("en", "Sample Page")
     client.fetch_page(article)
-    expected = client.fetch_page(article).scan
+    expected = client.fetch_page(article).contents
     path = client.scan_cache_path("en", "Sample Page")
     good = path.read_text(encoding="utf-8")
-    stored = BAD_SCANS[bad](json.loads(good))
+    spoil, check = BAD_SCANS[bad]
+    stored = spoil(json.loads(good))
     text = stored if isinstance(stored, str) else json.dumps(stored)
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     parsed = []
     monkeypatch.setattr(mw_client, "parse_html",
                         lambda html: parsed.append(html) or parse_html(html))
-    assert client.fetch_page(article).scan == expected
+    with caplog.at_level("DEBUG", logger="tablediff.mw_client"):
+        assert client.fetch_page(article).contents == expected
     assert len(parsed) == 1
     assert path.read_text(encoding="utf-8") == good
+    refused = [(r.levelname, r.getMessage()) for r in caplog.records
+               if r.name == "tablediff.mw_client"]
+    assert len(refused) == 1, refused
+    level, message = refused[0]
+    assert level == "DEBUG" and str(path) in message and check in message, message
+
+
+def test_a_missing_stored_scan_is_not_logged(tmp_path, fake_transport, caplog):
+    client = make_client(tmp_path, fake_transport)
+    article = ArticleRef("en", "Sample Page")
+    client.fetch_page(article)
+    with caplog.at_level("DEBUG", logger="tablediff.mw_client"):
+        assert client.fetch_page(article).contents.tables
+        assert client.fetch_page(article).contents.tables  # its stored tables, taken
+    assert not [r for r in caplog.records if r.name == "tablediff.mw_client"]
+    assert client.scan_cache_path("en", "Sample Page").exists()

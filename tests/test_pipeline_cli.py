@@ -1122,12 +1122,13 @@ def test_a_run_over_stored_scans_parses_no_page(tmp_path, monkeypatch, header_ma
 
 CLIMBERS_EN = "List of climbers who have summited all 14 eight-thousanders"
 
-# Ways a stored scan goes bad, as the text of the file that replaces it.
+# Ways a stored form goes bad, as the text of the file that replaces it.
 SPOILED_SCANS = {
     "truncated": lambda text: text[:len(text) // 2],
     "old version": lambda text: text.replace('"scan_version":', '"scan_version":-1', 1),
     "other html": lambda text: re.sub('"html_sha256":"[0-9a-f]', '"html_sha256":"x', text, 1),
-    "mistyped cell": lambda text: text.replace(",true,1,1]", ',"true",1,1]', 1),
+    "mistyped cell": lambda text: re.sub(r'"links":\[\[(\d+),', r'"links":[["\1",', text, 1),
+    "one text too many": lambda text: text.replace('"texts":"', '"texts":"\\n', 1),
 }
 
 

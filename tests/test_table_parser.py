@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tablediff.htmldom import _HTML_SPAN_CAP, link_target, parse_html
 from tablediff.mw_client import ArticleRef, PageDocument
-from tablediff.table_parser import Cell, build_grid, extract_tables, normalize_text
+from tablediff.table_parser import (Cell, WikiTable, build_grid, extract_tables, load_table,
+                                   normalize_text, stored_table)
 
 from conftest import FIXTURE_CACHE, REPO
 from oracles import (layout_to_html, oracle_expand, oracle_header_flags, oracle_normalize_text,
@@ -61,6 +62,14 @@ def test_normalize_idempotent(text):
 @given(st.one_of(st.text(max_size=40), MARKER_TEXTS))
 def test_normalize_matches_the_nbsp_replacing_definition(text):
     assert normalize_text(text) == oracle_normalize_text(text)
+
+
+# A stored table joins its cell texts with newlines, so no text may hold one.
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=80), MARKER_TEXTS))
+@example("a\nb\r\n\x0bc\x1c\x85\u2028\u2029[1]\n")
+def test_normalized_text_holds_no_newline(text):
+    assert "\n" not in normalize_text(text)
 
 
 # -- link extraction ---------------------------------------------------------
@@ -536,3 +545,26 @@ def test_mostly_unit_rows_match_occupancy_oracle(table):
     assert split == oracle_header_count(layout, headers)
     link_of = {text: link for row in raw_rows for text, link, *_ in row}
     assert all(c.link_title == link_of.get(c.text) for row in grid for c in row)
+
+
+# -- property: a stored table loads as the table it was made of ---------------
+
+@st.composite
+def linked_span_layouts(draw):
+    """Rows of raw cells of any spans, th/td flags, texts and links."""
+    layout, headers = draw(span_layouts())
+    return [[(draw(st.one_of(st.just(text), st.text(max_size=6), MARKER_TEXTS)),
+              draw(st.sampled_from([None, f"L{r}{i}", ""])), th, rowspan, colspan)
+             for i, ((rowspan, colspan, text), th) in enumerate(zip(row, hrow))]
+            for r, (row, hrow) in enumerate(zip(layout, headers))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(linked_span_layouts(), st.integers(0, 3))
+def test_a_stored_table_loads_as_build_grid_made_it(raw_rows, table_index):
+    grid, split = build_grid(raw_rows)
+    made = WikiTable(table_index, grid[:split], grid[split:], len(grid[0]))
+    loaded = load_table(table_index, json.loads(json.dumps(stored_table(made))))
+    assert loaded == made
+    assert all(type(cell) is Cell for row in loaded.header_rows + loaded.body_rows
+               for cell in row)
