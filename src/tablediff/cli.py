@@ -103,7 +103,7 @@ def analyze(flags: dict) -> None:
     mapping_path = settings.get("header_map") or _bundled("mappings/geography.json")
     try:
         mapping = load_header_mapping(mapping_path) if mapping_path else HeaderMapping([])
-    except (OSError, ValueError, MappingConflict) as exc:
+    except (OSError, ValueError, RecursionError, MappingConflict) as exc:
         raise ManifestError(f"cannot load header map {mapping_path}: {exc}") from exc
     client = MediaWikiClient(cache_dir=settings.get("cache_dir"))
     report = run_pipeline(manifest, mapping, client, options)
@@ -124,7 +124,7 @@ def rerender(flags: dict) -> None:
         report = json.loads(Path(in_path).read_text(encoding="utf-8"))
         for path in emit(report, flags["format"], flags["out"]):
             print(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
         raise TableDiffError(f"not a tablediff report: {in_path}: {type(exc).__name__}: {exc}") from exc
 
 

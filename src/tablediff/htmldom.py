@@ -97,6 +97,7 @@ _NAMESPACE_PREFIXES = (
 _SKIPPED_LINK_CLASSES = frozenset({"new", "mw-file-description", "image"})
 
 _HTML_SPAN_CAP = 1000  # browsers clamp colspan/rowspan; so do we
+_HTML_SPAN_CAP_DIGITS = len(str(_HTML_SPAN_CAP))
 
 # HTML's rules for parsing non-negative integers: leading ASCII whitespace,
 # an optional "+", then the leading digits; whatever follows is ignored.
@@ -125,7 +126,10 @@ def _coerce_span(value) -> int:
     match = _SPAN_RE.match(value)
     if match is None:
         return 1
-    return min(max(int(match.group(1)), 1), _HTML_SPAN_CAP)
+    digits = match.group(1).lstrip("0")
+    if len(digits) > _HTML_SPAN_CAP_DIGITS:  # past the cap; int() refuses more than 4,300 digits
+        return _HTML_SPAN_CAP
+    return min(max(int(digits or "0"), 1), _HTML_SPAN_CAP)
 
 
 # Elements a rule reads outside a cell; inside a cell every element counts.

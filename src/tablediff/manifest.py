@@ -154,6 +154,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ManifestError(f"manifest not found: {path}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deep to decode
         raise ManifestError(f"manifest is not valid JSON: {path}: {exc}") from exc
     return parse_manifest(data)

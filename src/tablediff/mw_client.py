@@ -9,6 +9,7 @@ stored beside it so a later run need not parse the page again.
 
 from __future__ import annotations
 
+import bisect
 import fcntl
 import hashlib
 import json
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 from urllib.parse import quote
@@ -42,7 +44,7 @@ DEFAULT_USER_AGENT = (
     "mailto:tablediff-maintainers@example.org) python-requests"
 )
 
-QID_RE = re.compile(r"^Q[1-9][0-9]*$")
+QID_RE = re.compile(r"Q[1-9][0-9]*")
 
 # pageprops accepts at most 50 titles per request for anonymous clients.
 QID_BATCH_SIZE = 50
@@ -50,7 +52,7 @@ QID_BATCH_SIZE = 50
 
 def is_valid_qid(value) -> bool:
     """True for Wikidata item ids like ``Q513`` (no leading zeros, no Q0)."""
-    return isinstance(value, str) and bool(QID_RE.match(value))
+    return isinstance(value, str) and QID_RE.fullmatch(value) is not None
 
 
 class CachePolicy(str, Enum):
@@ -137,7 +139,7 @@ class PageDocument:
         if digest is not None:
             try:
                 self.scan_path.parent.mkdir(parents=True, exist_ok=True)
-                _replace_file(self.scan_path, _contents_text(digest, contents))
+                _replace_file(self.scan_path, _contents_text(digest, contents).encode("utf-8"))
             except (OSError, UnicodeEncodeError):  # a lone surrogate is no UTF-8
                 pass  # the page is read; the next run parses it again
         return contents
@@ -237,8 +239,8 @@ def _read_umask() -> int:
 _FILE_MODE = 0o666 & ~_read_umask()
 
 
-def _replace_file(path: Path, text: str) -> None:
-    """Write ``text`` through a temp file of its own in ``path``'s directory, then rename it.
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` through a temp file of its own in ``path``'s directory, then rename it.
 
     The temp name is unique, so clients or processes sharing one cache
     directory never write into each other's temp file. The file gets the
@@ -247,13 +249,65 @@ def _replace_file(path: Path, text: str) -> None:
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(fd, _FILE_MODE)
-            handle.write(text)
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# The bytes of a map file this client read but has not written: its first save parses the file.
+_UNWRITTEN = object()
+
+
+class _MapFile:
+    """A cache map's file as this client last wrote it, kept as one rendered entry per key.
+
+    ``data`` is the file's UTF-8 bytes as this client last wrote them, None
+    when there was no file, or ``_UNWRITTEN`` for a file it only read, so a
+    client that never saves keeps no copy of the file. ``keys`` holds the
+    map's keys in sorted order and ``lines`` each key's entry in the same
+    order, encoded: its line or lines of the file, without the separating
+    comma. Both are built on the first save, so a client that never saves
+    never renders its maps. ``joined()`` is then ``json_text(map,
+    sort_keys=True)`` of the map they render, encoded, and a later save
+    renders and encodes only the entries it adds or changes.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        self.keys: Optional[list[str]] = None
+        self.lines: list[bytes] = []
+
+    @staticmethod
+    def _entry(key: str, value) -> bytes:
+        # A JSON text never holds a raw newline inside a string, so each of its
+        # newlines starts a line, which the nesting indents by two spaces.
+        return ("  " + encode_basestring(key) + ": "
+                + json_text(value, sort_keys=True).replace("\n", "\n  ")).encode("utf-8")
+
+    def reset(self, mapping: dict) -> None:
+        """Render every entry of ``mapping`` afresh."""
+        keys = sorted(mapping)
+        self.lines = [self._entry(key, mapping[key]) for key in keys]
+        self.keys = keys
+
+    def update(self, fresh: dict) -> None:
+        """Render the entries of ``fresh`` into place, new keys and changed ones alike."""
+        keys, lines = self.keys, self.lines
+        for key, value in fresh.items():
+            line = self._entry(key, value)  # first, so keys and lines never disagree
+            i = bisect.bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                lines[i] = line
+            else:
+                keys.insert(i, key)
+                lines.insert(i, line)
+
+    def joined(self) -> bytes:
+        return b"{\n" + b",\n".join(self.lines) + b"\n}" if self.lines else b"{}"
 
 
 def format_ts(ts: datetime) -> str:
@@ -375,7 +429,10 @@ class MediaWikiClient:
 
     Both maps are read when the client is built (SnapshotError if either is
     unreadable or not a JSON object) and are write-behind: lookups keep fresh
-    entries in memory and ``save`` merges them into the files on disk.
+    entries in memory and ``save`` merges them into the files on disk. The
+    client keeps each map's file as it last wrote it, with one rendered
+    entry per key (``_MapFile``), so a save renders only its new entries and
+    parses a file only when it did not write it last.
 
     An API answer that lacks a field an operation reads, or holds it with the
     wrong type, raises NetworkError naming the request.
@@ -389,9 +446,15 @@ class MediaWikiClient:
         self.transport = transport if transport is not None else HttpTransport()
         self.bucket = TokenBucket(rate_limit)
         self.api_url_template = api_url_template
-        # The write-behind maps, keyed by file name in the order save writes them.
-        self._maps = {name: self._load_map(self.cache_dir / name)
-                      for name in ("qids.json", "langlinks.json")}
+        # The write-behind maps, keyed by file name in the order save writes
+        # them, and each map's file as this client last wrote it.
+        self._maps: dict[str, dict] = {}
+        self._files: dict[str, _MapFile] = {}
+        for name in ("qids.json", "langlinks.json"):
+            path = self.cache_dir / name
+            data = self._read_map(path)
+            self._maps[name] = self._load_map(path, data)
+            self._files[name] = _MapFile(_UNWRITTEN if data is not None else None)
         # Entries fetched since the last save, per map; guarded by _cache_lock.
         self._unsaved: dict[str, dict] = {name: {} for name in self._maps}
         self._cache_lock = threading.Lock()
@@ -412,30 +475,45 @@ class MediaWikiClient:
         no temp file.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
-        _replace_file(path, json_text(payload, sort_keys=True))
+        _replace_file(path, json_text(payload, sort_keys=True).encode("utf-8"))
 
     @staticmethod
-    def _load_map(path: Path) -> dict:
-        """The JSON object in ``path``, ``{}`` when there is no file; else SnapshotError."""
-        if not path.exists():
+    def _read_map(path: Path) -> Optional[bytes]:
+        """The bytes of the map file ``path``, None when there is none; else SnapshotError."""
+        try:
+            return path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        except OSError as exc:  # a directory, unreadable
+            raise SnapshotError(f"unreadable cache map {path}: {type(exc).__name__}: {exc}") from exc
+
+    @staticmethod
+    def _load_map(path: Path, data: Optional[bytes]) -> dict:
+        """The JSON object in ``data`` read from ``path``, ``{}`` for no file; else SnapshotError."""
+        if data is None:
             return {}
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+            mapping = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or nested too deep
             raise SnapshotError(f"unreadable cache map {path}: {type(exc).__name__}: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(mapping, dict):
             raise SnapshotError(f"unreadable cache map {path}: not a JSON object")
-        return data
+        return mapping
 
     def save(self) -> None:
         """Merge the QID and langlink entries fetched since the last save into their files.
 
-        Each map with unsaved entries is reloaded from disk, the unsaved
-        entries are applied on top and the result is written once, so fresh
-        entries beat the disk and the disk beats older entries in memory. An
-        exclusive lock on ``.lock`` in the cache directory spans the reload and
-        the write, so processes sharing the directory never drop each other's
-        entries. Touches no file when nothing is unsaved.
+        An exclusive lock on ``.lock`` in the cache directory spans each
+        map's read and write, so processes sharing the directory never drop
+        each other's entries. Under it the file is read: when it holds the
+        bytes this client last wrote (or there is still no file), only the
+        unsaved entries are rendered and spliced into the map's text in key
+        order. Otherwise the file is one this client has not written yet, or
+        another writer changed or removed it: it is parsed and merged so that
+        fresh entries beat the disk and the disk beats older entries in
+        memory, and every entry is rendered afresh. Either way the file is
+        written once, as ``json_text(map, sort_keys=True)``. Touches no file
+        when nothing is unsaved.
         """
         with self._cache_lock:
             pending = [name for name, fresh in self._unsaved.items() if fresh]
@@ -445,12 +523,21 @@ class MediaWikiClient:
             with open(self.cache_dir / ".lock", "a") as lock:
                 fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
                 for name in pending:
-                    path = self.cache_dir / name
-                    on_disk = self._load_map(path)
-                    on_disk.update(self._unsaved[name])
-                    self._maps[name].update(on_disk)
-                    self._write_atomic(path, self._maps[name])
-                    self._unsaved[name].clear()
+                    path, fresh, saved = self.cache_dir / name, self._unsaved[name], self._files[name]
+                    data = self._read_map(path)
+                    if data != saved.data:  # not the file this client last wrote
+                        on_disk = self._load_map(path, data)
+                        on_disk.update(fresh)
+                        self._maps[name].update(on_disk)
+                        saved.reset(self._maps[name])
+                    elif saved.keys is None:  # this client's first save renders the whole map
+                        saved.reset(self._maps[name])
+                    else:
+                        saved.update(fresh)
+                    data = saved.joined()
+                    _replace_file(path, data)
+                    saved.data = data
+                    fresh.clear()
 
     def _remember(self, name: str, fresh: dict) -> None:
         with self._cache_lock:
@@ -482,7 +569,8 @@ class MediaWikiClient:
                     raise PageMissing(article.language, article.title)
                 return PageDocument.from_dict(
                     data, self.scan_cache_path(article.language, article.title))
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (OSError, ValueError, RecursionError, KeyError, TypeError,
+                    AttributeError) as exc:  # RecursionError: JSON nested too deep to decode
                 raise SnapshotError(
                     f"unreadable cache snapshot {path}: {type(exc).__name__}: {exc}") from exc
         if cache_policy is CachePolicy.OFFLINE_ONLY:

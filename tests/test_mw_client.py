@@ -1,11 +1,15 @@
 import json
 import re
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tablediff.emit import json_text
 from tablediff.errors import CacheMiss, NetworkError, PageMissing, SnapshotError
 from tablediff.mw_client import (ArticleRef, CachePolicy, MediaWikiClient, PageDocument,
                                  TokenBucket, count_references, is_valid_qid)
@@ -25,6 +29,7 @@ def test_qid_validation():
     assert not is_valid_qid("Q01")
     assert not is_valid_qid("513")
     assert not is_valid_qid("q513")
+    assert not is_valid_qid("Q1\n")
 
 
 def test_article_ref_invariants():
@@ -684,8 +689,9 @@ def test_bad_langlinks_entry_raises_snapshot_error_and_refresh_refetches(tmp_pat
         "en:Sample Page": [["de", "Beispielseite"], ["fr", "Page exemple"]]}
 
 
-@pytest.mark.parametrize("entry", ["Q0", "Q01", "513", 513, ["Q513"], ""],
-                         ids=["Q0", "leading-zero", "no-Q", "number", "list", "empty"])
+@pytest.mark.parametrize("entry", ["Q0", "Q01", "513", 513, ["Q513"], "", "Q513\n"],
+                         ids=["Q0", "leading-zero", "no-Q", "number", "list", "empty",
+                              "trailing-newline"])
 def test_bad_qids_entry_raises_snapshot_error_and_refresh_refetches(tmp_path, fake_transport,
                                                                    entry):
     path = tmp_path / "cache" / "qids.json"
@@ -701,6 +707,117 @@ def test_bad_qids_entry_raises_snapshot_error_and_refresh_refetches(tmp_path, fa
     client.save()
     assert json.loads(path.read_text(encoding="utf-8")) == {"en:Mount Everest": "Q513",
                                                             "en:Thing": "Q99"}
+
+
+def test_pageprops_qid_with_a_trailing_newline_is_stored_as_null(tmp_path, fake_transport):
+    fake_transport.qids[("en", "Thing")] = "Q513\n"
+    client = make_client(tmp_path, fake_transport)
+    assert client.resolve_qids("en", ["Thing"]) == {"Thing": None}
+    client.save()
+    path = tmp_path / "cache" / "qids.json"
+    assert json.loads(path.read_text(encoding="utf-8")) == {"en:Thing": None}
+
+
+# Keys with non-ASCII, quote, backslash, control and astral characters, no lone
+# surrogate (which UTF-8 cannot write); values as the two maps hold them.
+NO_SURROGATE = st.characters().filter(lambda c: not "\ud800" <= c <= "\udfff")
+MAP_KEYS = st.one_of(
+    st.text(NO_SURROGATE, max_size=6),
+    st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "é", "中",
+                             "\U0001f600", "\U00010348", ":", " ", "a", "b"]), max_size=6))
+MAP_VALUES = st.one_of(
+    st.none(), st.integers(1, 10**12).map(lambda n: f"Q{n}"),
+    st.lists(st.lists(st.text(NO_SURROGATE, max_size=4),
+                      min_size=2, max_size=2), max_size=3))
+
+
+@st.composite
+def save_steps(draw):
+    """A starting map and steps: this client's fresh entries, another client's save,
+    the file's removal, or this client's save."""
+    keys = draw(st.lists(MAP_KEYS, min_size=1, max_size=8, unique=True))
+    entries = st.dictionaries(st.sampled_from(keys), MAP_VALUES, min_size=1, max_size=4)
+    initial = draw(st.none() | st.dictionaries(st.sampled_from(keys), MAP_VALUES, max_size=4))
+    own = st.one_of(st.tuples(st.just("fresh"), entries), st.just(("save", None)))
+    steps = draw(st.lists(st.one_of(own, own, st.tuples(st.just("other"), entries),
+                                    st.just(("remove", None))),
+                          max_size=12))
+    return initial, steps + [("save", None)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(save_steps(), st.sampled_from(["qids.json", "langlinks.json"]))
+@example((None, [("fresh", {"b": "Q2", "d": None}), ("save", None),
+                 ("fresh", {"a": [["de", "A"]], "c": "Q3", "e": None}), ("save", None),
+                 ("fresh", {"b": None, "f": "Q6"}), ("save", None)]), "qids.json")
+def test_save_writes_the_merged_map_as_sorted_two_space_json(case, name):
+    """Each save writes ``json_text`` of the map a whole reload and merge would give.
+
+    ``_remember`` takes fresh entries as a lookup hands them over.
+    """
+    initial, steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "cache"
+        path = cache / name
+        disk = dict(initial or {})
+        if initial is not None:  # written as another program may write it: compact, unsorted
+            cache.mkdir()
+            path.write_text(json.dumps(initial, ensure_ascii=False), encoding="utf-8")
+        client = MediaWikiClient(cache_dir=cache)
+        memory, unsaved = dict(disk), {}
+        for kind, fresh in steps:
+            if kind == "fresh":
+                client._remember(name, fresh)
+                memory.update(fresh)
+                unsaved.update(fresh)
+            elif kind == "other":  # another client, built now, saves its own entries
+                other = MediaWikiClient(cache_dir=cache)
+                other._remember(name, fresh)
+                other.save()
+                disk.update(fresh)
+            elif kind == "remove":
+                path.unlink(missing_ok=True)
+                disk = {}
+            elif unsaved:  # this client saves: fresh beats the disk, the disk older memory
+                disk.update(unsaved)
+                memory.update(disk)
+                disk, unsaved = dict(memory), {}
+                client.save()
+                assert path.read_text(encoding="utf-8") == json_text(disk, sort_keys=True)
+            else:
+                client.save()
+            assert client._maps[name] == memory
+        if disk or path.exists():
+            assert json.loads(path.read_text(encoding="utf-8")) == disk
+
+
+def test_save_parses_a_map_file_only_when_another_client_changed_it(tmp_path, monkeypatch):
+    parsed = []
+    load_map = MediaWikiClient._load_map
+    monkeypatch.setattr(MediaWikiClient, "_load_map", staticmethod(
+        lambda path, data: parsed.append(path.name) or load_map(path, data)))
+    client = make_client(tmp_path, None)
+    other = make_client(tmp_path, None)
+    parsed.clear()
+    path = tmp_path / "cache" / "qids.json"
+    for n in (2, 3, 1):  # the file is as this client wrote it: each save parses nothing
+        client._remember("qids.json", {f"en:T{n}": f"Q{n}"})
+        client.save()
+    assert parsed == []
+    assert path.read_text(encoding="utf-8") == json_text(
+        {"en:T1": "Q1", "en:T2": "Q2", "en:T3": "Q3"}, sort_keys=True)
+    other._remember("qids.json", {"en:T2": "Q20", "en:Other": "Q9"})
+    other.save()  # its first save finds a file it never read
+    assert parsed == ["qids.json"]
+    parsed.clear()
+    client._remember("qids.json", {"en:T4": "Q4"})
+    client.save()
+    assert parsed == ["qids.json"]
+    expected = {"en:T1": "Q1", "en:T2": "Q20", "en:T3": "Q3", "en:T4": "Q4", "en:Other": "Q9"}
+    assert path.read_text(encoding="utf-8") == json_text(expected, sort_keys=True)
+    client._remember("qids.json", {"en:T5": "Q5"})
+    client.save()
+    assert parsed == ["qids.json"]  # the file is this client's again
 
 
 def _resolve_and_save_each(cache_dir, writer, n_titles, start):

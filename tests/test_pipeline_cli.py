@@ -1204,12 +1204,13 @@ def _peaks_manifest(families):
 
 
 def test_warm_cache_saves_each_map_once_per_family(tmp_path, monkeypatch, header_mapping):
+    from tablediff import mw_client
     from tablediff.pipeline import warm_cache
 
     writes = []
-    original = MediaWikiClient._write_atomic
-    monkeypatch.setattr(MediaWikiClient, "_write_atomic", staticmethod(
-        lambda path, payload: writes.append(path.name) or original(path, payload)))
+    original = mw_client._replace_file
+    monkeypatch.setattr(mw_client, "_replace_file",
+                        lambda path, data: writes.append(path.name) or original(path, data))
     families = ["Alpha", "Beta", "Gamma"]
     client = MediaWikiClient(cache_dir=tmp_path / "cache", transport=_peaks_transport(families))
     summary = warm_cache(_peaks_manifest(families), header_mapping, client, PipelineOptions())
@@ -1619,6 +1620,46 @@ def test_cli_toolkit_or_os_error_exit_code_1(tmp_path, monkeypatch, case, expect
     assert result.stderr.startswith("error: "), result.output
     assert expected in result.stderr, result.stderr
     assert "Traceback" not in result.output
+
+
+# JSON nested deeper than json's decoder recurses: RecursionError, not ValueError.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("target", ["qids.json", "page-snapshot", "manifest", "header-map",
+                                    "report"])
+def test_json_nested_too_deep_is_the_error_bad_json_gives(tmp_path, target):
+    cache, manifest, header_map = FIXTURE_CACHE, CLIMBERS_MANIFEST, HEADER_MAP
+    page = ("de", "Liste der Bergsteiger, die alle Achttausender bestiegen haben")
+    if target in ("qids.json", "page-snapshot"):
+        cache = tmp_path / "cache"
+        shutil.copytree(FIXTURE_CACHE, cache)
+        path = (cache / "qids.json" if target == "qids.json"
+                else MediaWikiClient(cache_dir=cache).page_cache_path(*page))
+    else:
+        path = tmp_path / f"{target}.json"
+        manifest = path if target == "manifest" else manifest
+        header_map = path if target == "header-map" else header_map
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    out = tmp_path / "out"
+    if target == "report":
+        result = run_cli("report", "--in", path, "--format", "csv", "--out", out)
+    else:
+        result = run_cli("analyze", "--manifest", manifest, "--cache-dir", cache, "--offline",
+                         "--header-map", header_map, "--out", out)
+    assert "Traceback" not in result.output
+    if target == "page-snapshot":  # one edition fails to load; the family is analyzed
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        row, = [row for row in report["families"][0]["editions"] if row["language"] == "de"]
+        assert row["status"] == "error"
+        assert row["detail"].startswith(f"unreadable cache snapshot {path}: RecursionError: ")
+        return
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.stderr.startswith("error: "), result.output
+    assert str(path) in result.stderr, result.stderr  # names the file, as for bad JSON
+    assert not out.exists()
 
 
 def _analyze_climbers(out, *extra):

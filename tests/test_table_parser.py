@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tablediff import htmldom
 from tablediff.htmldom import _HTML_SPAN_CAP, link_target, parse_html
 from tablediff.mw_client import ArticleRef, PageDocument
 from tablediff.table_parser import (Cell, WikiTable, build_grid, extract_tables, load_table,
@@ -298,16 +300,28 @@ def test_invalid_spans_coerced_to_one():
     assert [c.text for c in table.body_rows[1]] == ["c", "d"]
 
 
+def tables_on_both_paths(html: str) -> list[WikiTable]:
+    """The tables of ``html``, which both tokenizer paths must read alike."""
+    tables = extract_tables(doc(html))
+    with pytest.MonkeyPatch.context() as patch:
+        # A token pattern that never matches sends the page to html.parser.
+        patch.setattr(htmldom, "_TOKEN", re.compile(r"(?!)"))
+        assert extract_tables(doc(html)) == tables
+    return tables
+
+
 def rowspan_rows(rowspan: str) -> list[list[str]]:
     html = table_html(
         "<tr><th>H1</th><th>H2</th></tr>"
         f'<tr><td rowspan="{rowspan}">x</td><td>1</td></tr>'
         "<tr><td>2</td></tr>"
     )
-    return [[c.text for c in row] for row in extract_tables(doc(html))[0].body_rows]
+    return [[c.text for c in row] for row in tables_on_both_paths(html)[0].body_rows]
 
 
-@pytest.mark.parametrize("rowspan", ["2;", "2px", "2.0", "+2", " \t\n2 ", "02", "2 3"])
+# More digits than int() reads (4,300) clamp to the cap like any span past it.
+@pytest.mark.parametrize("rowspan", ["2;", "2px", "2.0", "+2", " \t\n2 ", "02", "2 3",
+                                     pytest.param("9" * 5000, id="5000-nines")])
 def test_rowspan_reads_leading_digits(rowspan):
     assert rowspan_rows(rowspan) == [["x", "1"], ["x", "2"]]
 
@@ -319,10 +333,13 @@ def test_rowspan_without_leading_digits_is_one(rowspan):
     assert rowspan_rows(rowspan) == [["x", "1"], ["2", ""]]
 
 
-@pytest.mark.parametrize("colspan, width", [("2px", 2), ("3;", 3), ("5000px", _HTML_SPAN_CAP)])
+@pytest.mark.parametrize("colspan, width", [
+    ("2px", 2), ("3;", 3), ("5000px", _HTML_SPAN_CAP),
+    pytest.param("9" * 5000, _HTML_SPAN_CAP, id="5000-nines"),
+    pytest.param("0" * 5000 + "7", 7, id="5000-zeros-then-7")])
 def test_colspan_reads_leading_digits_up_to_the_cap(colspan, width):
     html = table_html(f'<tr><th colspan="{colspan}">wide</th></tr><tr><td>a</td></tr>')
-    table = extract_tables(doc(html))[0]
+    table = tables_on_both_paths(html)[0]
     assert table.n_cols == width
     assert [c.text for c in table.header_rows[0]] == ["wide"] * width
 
