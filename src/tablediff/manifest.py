@@ -110,8 +110,9 @@ def parse_manifest(data: dict) -> DatasetManifest:
                  f"family {fid!r}: seed needs language and title strings")
         languages = raw.get("languages", "all")
         if languages != "all":
-            _require(isinstance(languages, list) and all(isinstance(l, str) for l in languages),
-                     f"family {fid!r}: languages must be 'all' or a list of codes")
+            _require(isinstance(languages, list) and bool(languages)
+                     and all(isinstance(l, str) for l in languages),
+                     f"family {fid!r}: languages must be 'all' or a non-empty list of codes")
         overrides = raw.get("overrides") or {}
         _require(isinstance(overrides, dict), f"family {fid!r}: overrides must be an object")
         for key in ("main_table_index", "column_hints"):
@@ -130,9 +131,13 @@ def parse_manifest(data: dict) -> DatasetManifest:
                 _require(_is_int(col) and col >= 0,
                          f"family {fid!r}: column hint must be a non-negative int")
                 try:
-                    parsed[int(table_key)] = col
-                except ValueError as exc:
-                    raise ManifestError(f"family {fid!r}: bad table index {table_key!r}") from exc
+                    index = int(table_key)
+                except ValueError:
+                    index = -1
+                # a plain decimal number: no sign, padding, underscore or non-ASCII digit
+                _require(index >= 0 and str(index) == table_key,
+                         f"family {fid!r}: bad table index {table_key!r}")
+                parsed[index] = col
             hints[lang] = parsed
         try:
             seed_ref = ArticleRef(seed["language"], seed["title"])

@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -217,40 +216,18 @@ def _answer_to(request: str):
         raise NetworkError(f"malformed API answer to {request}: {type(exc).__name__}: {exc}") from exc
 
 
-def _read_umask() -> int:
-    """The process's umask, read from ``/proc/self/status`` where the kernel shows it.
-
-    Elsewhere it is read by setting it and back, which this module does once,
-    at import.
-    """
-    try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("Umask:"):
-                    return int(line.split()[1], 8)
-    except (OSError, ValueError):
-        pass
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
-# The mode open(path, "w") gives a new file; mkstemp makes its temp files 0o600.
-_FILE_MODE = 0o666 & ~_read_umask()
-
-
 def _replace_file(path: Path, data: bytes) -> None:
-    """Write ``data`` through a temp file of its own in ``path``'s directory, then rename it.
+    """Write ``data`` to a new temp file in ``path``'s directory, then rename it over ``path``.
 
-    The temp name is unique, so clients or processes sharing one cache
-    directory never write into each other's temp file. The file gets the
-    mode ``open(path, "w")`` would give it, so other users can read the
-    cache as they could before the rename.
+    The temp file is created exclusively under a random name, so clients or
+    processes sharing one cache directory never write into each other's
+    temp file, and with mode ``0o666`` less the umask in force at the call,
+    the mode ``open(path, "w")`` would give it.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            os.fchmod(fd, _FILE_MODE)
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -258,26 +235,22 @@ def _replace_file(path: Path, data: bytes) -> None:
         raise
 
 
-# The bytes of a map file this client read but has not written: its first save parses the file.
-_UNWRITTEN = object()
-
-
 class _MapFile:
     """A cache map's file as this client last wrote it, kept as one rendered entry per key.
 
     ``data`` is the file's UTF-8 bytes as this client last wrote them, None
-    when there was no file, or ``_UNWRITTEN`` for a file it only read, so a
-    client that never saves keeps no copy of the file. ``keys`` holds the
-    map's keys in sorted order and ``lines`` each key's entry in the same
-    order, encoded: its line or lines of the file, without the separating
-    comma. Both are built on the first save, so a client that never saves
-    never renders its maps. ``joined()`` is then ``json_text(map,
-    sort_keys=True)`` of the map they render, encoded, and a later save
-    renders and encodes only the entries it adds or changes.
+    until its first save, so a client that never saves keeps no copy of the
+    file, and a first save finds a file on disk unlike ``data`` and parses
+    it. ``keys`` holds the map's keys in sorted order and ``lines`` each
+    key's entry in the same order, encoded: its line or lines of the file,
+    without the separating comma. Both are built on the first save, so a
+    client that never saves never renders its maps. ``joined()`` is then
+    ``json_text(map, sort_keys=True)`` of the map they render, encoded, and
+    a later save renders and encodes only the entries it adds or changes.
     """
 
-    def __init__(self, data):
-        self.data = data
+    def __init__(self):
+        self.data: Optional[bytes] = None
         self.keys: Optional[list[str]] = None
         self.lines: list[bytes] = []
 
@@ -448,13 +421,9 @@ class MediaWikiClient:
         self.api_url_template = api_url_template
         # The write-behind maps, keyed by file name in the order save writes
         # them, and each map's file as this client last wrote it.
-        self._maps: dict[str, dict] = {}
-        self._files: dict[str, _MapFile] = {}
-        for name in ("qids.json", "langlinks.json"):
-            path = self.cache_dir / name
-            data = self._read_map(path)
-            self._maps[name] = self._load_map(path, data)
-            self._files[name] = _MapFile(_UNWRITTEN if data is not None else None)
+        self._maps = {name: self._load_map(self.cache_dir / name, self._read_map(self.cache_dir / name))
+                      for name in ("qids.json", "langlinks.json")}
+        self._files = {name: _MapFile() for name in self._maps}
         # Entries fetched since the last save, per map; guarded by _cache_lock.
         self._unsaved: dict[str, dict] = {name: {} for name in self._maps}
         self._cache_lock = threading.Lock()

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import sys
 import tempfile
@@ -368,7 +369,7 @@ def test_write_atomic_renders_before_it_makes_a_temp_file(tmp_path, monkeypatch)
     def no_temp_file(*args, **kwargs):
         raise AssertionError("temp file made for a payload that cannot be encoded")
 
-    monkeypatch.setattr(mw_client.tempfile, "mkstemp", no_temp_file)
+    monkeypatch.setattr(mw_client, "_replace_file", no_temp_file)
     with pytest.raises(TypeError):
         MediaWikiClient._write_atomic(tmp_path / "cache" / "qids.json", {"en:T": object()})
     with pytest.raises(ValueError):
@@ -924,6 +925,14 @@ def test_cache_files_get_the_mode_open_gives(tmp_path, fake_transport):
             pass
         assert path.stat().st_mode == plain.stat().st_mode, path
         plain.unlink()
+
+
+def test_cache_files_follow_the_umask_in_force_when_written(tmp_path, fake_transport):
+    mask = os.umask(0o077)  # tightened after the module was imported
+    try:
+        test_cache_files_get_the_mode_open_gives(tmp_path, fake_transport)
+    finally:
+        os.umask(mask)
 
 
 def _table(stored, **fields):

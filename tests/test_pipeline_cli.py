@@ -54,6 +54,11 @@ def test_manifest_loads_bundled():
     # a family id names output files
     *({"families": [{"id": family_id, "seed": {"language": "en", "title": "T"}}]}
       for family_id in ["climb/ers", "a/../../x", "a\0b"]),
+    # a table index is a plain decimal number, so no two keys name one table
+    *({"families": [{"id": "x", "seed": {"language": "en", "title": "T"},
+                     "overrides": {"column_hints": {"en": {table_key: 1}}}}]}
+      for table_key in ["1_0", " 3 ", "-1", "03", "\u0663"]),
+    {"families": [{"id": "x", "seed": {"language": "en", "title": "T"}, "languages": []}]},
 ])
 def test_manifest_validation_errors(bad):
     with pytest.raises(ManifestError):
